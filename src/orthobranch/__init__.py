@@ -73,6 +73,7 @@ from .enveloping import (
     verify_identities,
 )
 from .characters import (
+    CharacterCheckError,
     associate_partition,
     label_to_partition,
     o_irrep_dim,

@@ -26,8 +26,10 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .characters import (
+    CharacterCheckError,
     associate_partition,
     label_to_partition,
+    lp_add_into,
     o_char_on_multiset,
     o_irrep_dim,
     partition_to_label,
@@ -39,7 +41,6 @@ from .characters import (
     so_rank,
     weyl_dim,
 )
-from .polyarith import p_add, p_scale
 from .regions import (
     FencePreconditionError,
     RegionDescriptor,
@@ -167,27 +168,26 @@ def _coset_eigenvalues(big_size: int):
     {-t_k^{+-1} : k <= s'}.
     """
     m = big_size - 1
-    one = Fraction(1)
     if m % 2 == 0:
         s2 = m // 2
         nvars = s2 - 1
         zero = (0,) * nvars
-        terms = [(zero, one), (zero, one), (zero, -one)]
+        terms = [(zero, 1), (zero, 1), (zero, -1)]
         for k in range(nvars):
             e = tuple(1 if j == k else 0 for j in range(nvars))
             ei = tuple(-1 if j == k else 0 for j in range(nvars))
-            terms.append((e, one))
-            terms.append((ei, one))
+            terms.append((e, 1))
+            terms.append((ei, 1))
     else:
         s2 = m // 2
         nvars = s2
         zero = (0,) * nvars
-        terms = [(zero, one), (zero, -one)]
+        terms = [(zero, 1), (zero, -1)]
         for k in range(nvars):
             e = tuple(1 if j == k else 0 for j in range(nvars))
             ei = tuple(-1 if j == k else 0 for j in range(nvars))
-            terms.append((e, -one))
-            terms.append((ei, -one))
+            terms.append((e, -1))
+            terms.append((ei, -1))
     return terms, nvars
 
 
@@ -218,13 +218,17 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
         weights = so_char(big_size, mu)
     so_labels = peel(restrict_weights(weights, big_size), m)
 
+    def failed(what: str) -> CharacterCheckError:
+        return CharacterCheckError(f"restricting O({big_size}) {alpha}: {what}")
+
     out: dict[tuple, int] = {}
     ambiguous: dict[tuple, int] = {}
     if m % 2 == 0:
         for tau, c in so_labels.items():
             if tau[-1] > 0:
                 taubar = tau[:-1] + (-tau[-1],)
-                assert so_labels.get(taubar, 0) == c, (big_size, alpha, tau)
+                if so_labels.get(taubar, 0) != c:
+                    raise failed(f"so({m}) constituent {tau} and its mirror {taubar} differ")
                 beta = tuple(x for x in tau if x)
                 out[beta] = out.get(beta, 0) + c
             elif tau[-1] == 0:
@@ -242,45 +246,50 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
             sub_terms = terms[1:]
             while residual:
                 e = max(residual)
-                assert _is_partition_exponent(e), (big_size, alpha, e)
+                if not _is_partition_exponent(e):
+                    raise failed(f"leading exponent {e} is not a partition")
                 beta = tuple(x for x in e if x)
                 w = o_char_on_multiset(beta, sub_terms, nvars)
-                lead = w.get(e)
-                assert lead, (big_size, alpha, beta)
-                d = residual[e] / lead
-                assert d.denominator == 1, (big_size, alpha, beta, d)
-                residual = p_add(residual, p_scale(w, -d))
-                diffs[beta] = diffs.get(beta, 0) + int(d)
+                lead = w.get(e, 0)
+                if not lead:
+                    raise failed(f"constituent {beta} has no term at its leading exponent")
+                d, rem = divmod(residual[e], lead)
+                if rem:
+                    raise failed(f"coefficient {residual[e]} at {e} is not a multiple of {lead}")
+                lp_add_into(residual, w, -d)
+                diffs[beta] = diffs.get(beta, 0) + d
         else:
             # constituents: (-1)^{|tau|} times the so(m)-character.
             while residual:
                 e = max(residual)
-                assert _is_partition_exponent(e), (big_size, alpha, e)
+                if not _is_partition_exponent(e):
+                    raise failed(f"leading exponent {e} is not a partition")
                 sign = -1 if sum(e) % 2 else 1
                 d = residual[e] * sign
-                assert d.denominator == 1, (big_size, alpha, e, d)
-                chi = so_char_laurent(m, e, nvars)
-                residual = p_add(residual, p_scale(chi, -sign * d))
-                diffs[tuple(x for x in e if x)] = diffs.get(tuple(x for x in e if x), 0) + int(d)
+                lp_add_into(residual, so_char_laurent(m, e, nvars), -sign * d)
+                beta = tuple(x for x in e if x)
+                diffs[beta] = diffs.get(beta, 0) + d
         for tau, c in ambiguous.items():
             beta = tuple(x for x in tau if x)
             d = diffs.pop(beta, 0)
-            assert (c + d) % 2 == 0 and abs(d) <= c, (big_size, alpha, tau, c, d)
+            if (c + d) % 2 or abs(d) > c:
+                raise failed(f"twisted count {d} does not split the {c} copies of {tau}")
             plus, minus = (c + d) // 2, (c - d) // 2
             if plus:
                 out[beta] = out.get(beta, 0) + plus
             if minus:
                 bassoc = associate_partition(m, beta)
                 out[bassoc] = out.get(bassoc, 0) + minus
-        assert not diffs, (big_size, alpha, diffs)
+        if diffs:
+            raise failed(f"twisted constituents {diffs} have no so({m}) counterpart")
     return out
 
 
-_DEFAULT_DIM_CAP = 20000
+DEFAULT_DIM_CAP = 20000
 
 
 def oracle_multiplicity(big: FDLabel, sub: FDLabel, ctx: Optional[RankContext] = None,
-                        dim_cap: int = _DEFAULT_DIM_CAP) -> int:
+                        dim_cap: int = DEFAULT_DIM_CAP) -> int:
     """Branching multiplicity [big|_{O(n)} : sub] by exact character arithmetic."""
     if sub.group_size + 1 != big.group_size:
         raise ValueError(
@@ -296,7 +305,7 @@ def oracle_multiplicity(big: FDLabel, sub: FDLabel, ctx: Optional[RankContext] =
     return decomp.get(sub.partition, 0)
 
 
-def full_decomposition(big: FDLabel, dim_cap: int = _DEFAULT_DIM_CAP):
+def full_decomposition(big: FDLabel, dim_cap: int = DEFAULT_DIM_CAP):
     """All (sub FDLabel, multiplicity) constituents of the restriction."""
     if big.dim() > dim_cap:
         raise ResourceLimitError(
@@ -381,10 +390,12 @@ class StabilityReport:
     fence_crossings: tuple
 
 
-def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None) -> StabilityReport:
+def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None,
+                   dim_cap: int = DEFAULT_DIM_CAP) -> StabilityReport:
     """Scan branching multiplicities [F(lam - rho) : sub] over the lattice
     points of the box around xi that share xi's region, and report jumps at
-    region boundaries.
+    region boundaries.  Each big irrep the scan reads may have dimension at
+    most dim_cap (ResourceLimitError otherwise).
 
     xi must be away from all fences of nu = inf_char_of(sub); lattice points
     must shift xi by the integer lattice aligned with the big group's
@@ -415,7 +426,8 @@ def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None) -> S
 
     def mult_at(lam) -> int:
         mu = tuple(int(a - b) for a, b in zip(lam, rho))
-        return oracle_multiplicity(FDLabel(tag, mu, eps if big_odd else None), sub, ctx)
+        return oracle_multiplicity(FDLabel(tag, mu, eps if big_odd else None), sub, ctx,
+                                   dim_cap)
 
     box = lattice_box(xi, bound, ctx)
     in_region = [lam for lam in box if same_region(region, lam)]

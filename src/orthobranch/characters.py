@@ -16,16 +16,26 @@ sums.  Evaluating at reflection-coset eigenvalues (entries like -1 or -t)
 yields the twisted character data that resolves the +-/det-twist labels during
 branching, independently of any matrix realization.
 
-Laurent polynomials in torus variables are dicts {exponent tuple: Fraction}
-(exponents may be negative), reusing the polyarith add/mul kernels.
+All arithmetic is on Python ints: weights are integral, Freudenthal's
+recursion uses the integral vector 2*rho and divides exactly, and Laurent
+polynomials in torus variables are dicts {exponent tuple: int} (exponents may
+be negative) with their own small add/multiply pair.  Every self-check of
+the arithmetic raises CharacterCheckError, also under ``python -O``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from operator import add
 
-from .polyarith import p_add, p_mul, p_scale
+
+class CharacterCheckError(RuntimeError):
+    """A self-check of the character arithmetic failed: a Freudenthal quotient
+    that is not a positive integer, a peel that meets a weight multiset which
+    is not a character, or a constituent count that does not add up.  It
+    reports a defect or an invalid multiset, never a bad label."""
+
 
 # ---------------------------------------------------------------------------
 # so(m) structure
@@ -62,10 +72,20 @@ def _positive_roots(kind: str, s: int):
     return roots
 
 
-def _so_rho(kind: str, s: int):
+def _two_rho(kind: str, s: int):
+    """Twice the Weyl vector of so(m), which is integral in both types."""
     if kind == "B":
-        return tuple(Fraction(2 * (s - i) + 1, 2) for i in range(1, s + 1))
-    return tuple(Fraction(s - i) for i in range(1, s + 1))
+        return tuple(2 * (s - i) + 1 for i in range(1, s + 1))
+    return tuple(2 * (s - i) for i in range(1, s + 1))
+
+
+def _dominant(kind: str, mu) -> bool:
+    for k in range(len(mu) - 1):
+        if mu[k] < mu[k + 1]:
+            return False
+    if kind == "B":
+        return mu[-1] >= 0
+    return len(mu) < 2 or mu[-2] >= abs(mu[-1])
 
 
 def is_so_dominant(m: int, mu) -> bool:
@@ -73,26 +93,7 @@ def is_so_dominant(m: int, mu) -> bool:
     mu = tuple(int(c) for c in mu)
     if len(mu) != s:
         return False
-    if kind == "so2":
-        return True
-    for k in range(s - 1):
-        if mu[k] < mu[k + 1]:
-            return False
-    if kind == "B":
-        return mu[-1] >= 0
-    return s < 2 or mu[-2] >= abs(mu[-1])
-
-
-def _dominantize(kind: str, v):
-    """The dominant representative of the Weyl orbit of v."""
-    mags = sorted((abs(c) for c in v), reverse=True)
-    if kind == "B":
-        return tuple(mags)
-    negs = sum(1 for c in v if c < 0)
-    out = list(mags)
-    if negs % 2 and out[-1] != 0:
-        out[-1] = -out[-1]
-    return tuple(out)
+    return kind == "so2" or _dominant(kind, mu)
 
 
 def _orbit(kind: str, v):
@@ -113,8 +114,29 @@ def _orbit(kind: str, v):
     return out
 
 
-def _dot(a, b):
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _dominant_below(kind: str, mu, pos):
+    """The dominant weights v <= mu, i.e. with mu - v a sum of positive roots.
+
+    Walks down from mu one positive root at a time, keeping only dominant
+    weights: between two dominant weights v < u there is always a positive
+    root alpha with u - alpha dominant and still >= v (Stembridge, "The
+    partial order of dominant weights", Adv. Math. 136 (1998)), so the walk
+    reaches every one of them.
+    """
+    seen = {mu}
+    stack = [mu]
+    while stack:
+        u = stack.pop()
+        for alpha in pos:
+            v = tuple(a - b for a, b in zip(u, alpha))
+            if v not in seen and _dominant(kind, v):
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 @lru_cache(maxsize=None)
@@ -128,67 +150,35 @@ def so_char(m: int, mu) -> "dict[tuple, int]":
     if kind == "so2":
         return {mu: 1}
     pos = _positive_roots(kind, s)
-    rho = _so_rho(kind, s)
-    mu_norm = _dot(mu, mu)
+    two_rho = _two_rho(kind, s)
+    top = _dot(mu, mu) + _dot(mu, two_rho)
 
-    # Dominant weights below mu in the root-lattice cone.
-    def cone_coords(diff):
-        if kind == "B":
-            coords = [sum(diff[:j]) for j in range(1, s)] + [sum(diff)]
-        else:
-            coords = [sum(diff[:j]) for j in range(1, s - 1)]
-            head = sum(diff[: s - 2]) if s >= 2 else 0
-            twice_a = head + diff[s - 2] - diff[s - 1] if s >= 2 else 0
-            twice_b = head + diff[s - 2] + diff[s - 1] if s >= 2 else 0
-            if twice_a % 2 or twice_b % 2:
-                return None
-            coords += [twice_a // 2, twice_b // 2]
-        return coords
-
-    bound = abs(mu[0]) if mu else 0
-    dominants = []
-    for cand in product(range(-bound, bound + 1), repeat=s):
-        if not is_so_dominant(m, cand):
-            continue
-        if _dot(cand, cand) > mu_norm:
-            continue
-        diff = [a - b for a, b in zip(mu, cand)]
-        coords = cone_coords(diff)
-        if coords is None or any(c < 0 for c in coords):
-            continue
-        dominants.append(tuple(cand))
-
-    # Freudenthal, outer weights first.
-    dominants.sort(key=lambda v: _dot(v, v), reverse=True)
-    mult: dict[tuple, int] = {mu: 1}
-
-    def lookup(w):
-        return mult.get(_dominantize(kind, w), 0)
-
+    # Freudenthal, outer weights first: every weight v + k*alpha read below
+    # is longer than v, so its whole Weyl orbit is already in `full`.
+    dominants = sorted(_dominant_below(kind, mu, pos), key=lambda v: -_dot(v, v))
+    full: dict[tuple, int] = dict.fromkeys(_orbit(kind, mu), 1)
     for v in dominants:
         if v == mu:
             continue
-        denom = _dot(mu, mu) + 2 * _dot(mu, rho) - _dot(v, v) - 2 * _dot(v, rho)
-        total = Fraction(0)
+        denom = top - _dot(v, v) - _dot(v, two_rho)
+        total = 0
         for alpha in pos:
-            k = 1
+            # The alpha-string through the weight v is unbroken, so it ends
+            # at the first k with multiplicity 0.
+            w = v
             while True:
-                w = tuple(a + k * b for a, b in zip(v, alpha))
-                if _dot(w, w) > mu_norm:
+                w = tuple(map(add, w, alpha))
+                mw = full.get(w, 0)
+                if not mw:
                     break
-                mw = lookup(w)
-                if mw:
-                    total += 2 * mw * _dot(w, alpha)
-                k += 1
-        val = total / denom if denom else Fraction(0)
-        if val:
-            assert val.denominator == 1 and val >= 0, (m, mu, v, val)
-            mult[v] = int(val)
-
-    full: dict[tuple, int] = {}
-    for v, c in mult.items():
-        for w in _orbit(kind, v):
-            full[w] = c
+                total += mw * _dot(w, alpha)
+        val, rem = divmod(2 * total, denom) if denom > 0 else (0, 0)
+        if rem or val <= 0:
+            raise CharacterCheckError(
+                f"Freudenthal gives {2 * total}/{denom} at {v} in the so({m}) "
+                f"character of {mu}, not a positive integer"
+            )
+        full.update(dict.fromkeys(_orbit(kind, v), val))
     return full
 
 
@@ -207,8 +197,11 @@ def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
     while remaining:
         top = max(remaining)
         count = remaining[top]
-        assert count > 0, f"negative multiplicity {count} at {top} while peeling so({m})"
-        assert is_so_dominant(m, top), f"lex-max weight {top} not dominant for so({m})"
+        if count <= 0 or not _dominant(kind, top):
+            raise CharacterCheckError(
+                f"peeling so({m}) meets multiplicity {count} at the lex-max weight "
+                f"{top}; a character has a positive one at a dominant weight"
+            )
         labels[top] = labels.get(top, 0) + count
         for w, c in so_char(m, top).items():
             new = remaining.get(w, 0) - count * c
@@ -305,11 +298,12 @@ def partition_to_label(m: int, alpha):
 def o_irrep_dim(m: int, alpha) -> int:
     """Dimension through the h-determinant at m eigenvalues 1 (label-layer
     oracle, independent of Freudenthal)."""
-    ones = [((), Fraction(1))] * m
-    poly = o_char_on_multiset(alpha, ones, 0)
-    val = poly.get((), Fraction(0))
-    assert val.denominator == 1
-    return int(val)
+    if not partition_valid_for_o(m, alpha):
+        raise ValueError(f"{tuple(alpha)} is not a valid O({m}) label")
+    dim = o_char_on_multiset(alpha, [((), 1)] * m, 0).get((), 0)
+    if dim <= 0:
+        raise CharacterCheckError(f"the h-determinant gives dimension {dim} for O({m}) {alpha}")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -317,80 +311,100 @@ def o_irrep_dim(m: int, alpha) -> int:
 # ---------------------------------------------------------------------------
 
 
+def lp_add_into(target, src, scale: int = 1) -> None:
+    """target += scale * src for Laurent polynomials, in place, dropping zeros."""
+    for e, c in src.items():
+        v = target.get(e, 0) + scale * c
+        if v:
+            target[e] = v
+        else:
+            target.pop(e, None)
+
+
+def _lp_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
 def _h_sequence(terms, K: int, nvars: int):
-    """h_0..h_K of a multiset given as single Laurent terms (exp tuple, coeff)."""
-    zero_exp = (0,) * nvars
-    hs = [dict() for _ in range(K + 1)]
-    hs[0][zero_exp] = Fraction(1)
+    """h_0..h_K of a multiset given as single Laurent terms (exp tuple, coeff).
+
+    Adds one term x at a time through h_d <- h_d + x * h_{d-1}, for d rising.
+    """
+    hs = [{(0,) * nvars: 1}] + [{} for _ in range(K)]
     for exp, coeff in terms:
-        new = [dict() for _ in range(K + 1)]
-        power_exp, power_coeff = zero_exp, Fraction(1)
-        powers = []
-        for _ in range(K + 1):
-            powers.append((power_exp, power_coeff))
-            power_exp = tuple(a + b for a, b in zip(power_exp, exp))
-            power_coeff *= coeff
-        for d in range(K + 1):
-            acc = {}
-            for a in range(d + 1):
-                pexp, pcoeff = powers[a]
-                if not pcoeff:
-                    continue
-                for e, c in hs[d - a].items():
-                    key = tuple(x + y for x, y in zip(e, pexp))
-                    v = acc.get(key, Fraction(0)) + c * pcoeff
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
-            new[d] = acc
-        hs = new
+        if not coeff:
+            continue
+        for d in range(1, K + 1):
+            lp_add_into(hs[d], {tuple(map(add, e, exp)): c
+                                for e, c in hs[d - 1].items()}, coeff)
     return hs
 
 
 def _det(rows):
+    """Determinant of a square matrix of Laurent polynomials, by expansion
+    along the top row with each minor (a set of the lower rows' columns)
+    computed once: n * 2^(n-1) products instead of n!."""
     n = len(rows)
-    if n == 0:
-        return {(): Fraction(1)}
-    if n == 1:
-        return rows[0][0]
-    out = {}
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = p_mul(entry, _det(minor))
-        out = p_add(out, term if j % 2 == 0 else p_scale(term, -1))
-    return out
+    memo = {}
+
+    def minor(cols):
+        i = n - len(cols)
+        if len(cols) == 1:
+            return rows[i][cols[0]]
+        out = memo.get(cols)
+        if out is None:
+            out = {}
+            for k, j in enumerate(cols):
+                if rows[i][j]:
+                    lp_add_into(out, _lp_mul(rows[i][j], minor(cols[:k] + cols[k + 1:])),
+                                -1 if k % 2 else 1)
+            memo[cols] = out
+        return out
+
+    return minor(tuple(range(n)))
+
+
+def _int_coeff(c) -> int:
+    q = Fraction(c)
+    if q.denominator != 1:
+        raise ValueError(f"eigenvalue coefficient {c} is not an integer")
+    return q.numerator
 
 
 def o_char_on_multiset(alpha, terms, nvars: int):
     """Character of the O-irrep with partition alpha at an eigenvalue multiset.
 
-    terms: the eigenvalues as single Laurent terms in nvars torus variables
-    (constants 1 / -1 have the zero exponent).  Returns a Laurent polynomial.
+    terms: the eigenvalues as single Laurent terms (exp tuple, integer coeff)
+    in nvars torus variables (constants 1 / -1 have the zero exponent).
+    Returns a Laurent polynomial with int coefficients.
     """
     alpha = tuple(a for a in alpha if a)
+    zero_exp = (0,) * nvars
     ell = len(alpha)
     if ell == 0:
-        return {(0,) * nvars if nvars else (): Fraction(1)}
-    K = alpha[0] + ell
-    hs = _h_sequence(terms, K, nvars)
-    zero_exp = (0,) * nvars
+        return {zero_exp: 1}
+    terms = [(tuple(exp), _int_coeff(c)) for exp, c in terms]
+    hs = _h_sequence(terms, alpha[0] + ell, nvars)
 
     def h(k):
-        if k < 0:
-            return {}
-        if k == 0:
-            return {zero_exp: Fraction(1)}
-        return hs[k]
+        return hs[k] if k >= 0 else {}
 
     rows = []
     for i in range(1, ell + 1):
         row = []
         for j in range(1, ell + 1):
-            row.append(p_add(h(alpha[i - 1] - i + j), p_scale(h(alpha[i - 1] - i - j), -1)))
+            entry = dict(h(alpha[i - 1] - i + j))
+            lp_add_into(entry, h(alpha[i - 1] - i - j), -1)
+            row.append(entry)
         rows.append(row)
     return _det(rows)
 
@@ -399,6 +413,5 @@ def so_char_laurent(m: int, mu, nvars: int):
     """The so(m) character as a Laurent polynomial in its torus variables."""
     out = {}
     for w, c in so_char(m, tuple(mu)).items():
-        exp = tuple(int(x) for x in w[:nvars])
-        out[exp] = out.get(exp, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
+        out[w[:nvars]] = out.get(w[:nvars], 0) + c
+    return out

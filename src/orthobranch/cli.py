@@ -15,7 +15,8 @@ All numeric flags parse exact rationals ("p/q" or "p"); float syntax is
 rejected.  Outputs are deterministic: JSON with sorted keys, CSV per RFC
 4180 (CRLF line endings), SVG 1.1 with fixed element ordering and no
 timestamps.  Exit codes: 0 success, 1 identity violation (with a replayable
-JSON counterexample on the output stream), 2 usage error.
+JSON counterexample on the output stream), 2 usage error, which includes a
+resource cap (``--dim-cap``) and a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .weights import rank_context
+from .weights import ResourceLimitError, rank_context
 from .regions import region_descriptor
 from .scalars import (
     C_val,
@@ -40,7 +41,13 @@ from .scalars import (
     phi_val,
     scalar_query,
 )
-from .branching import fd_label, interlace_predicate, oracle_multiplicity, stability_scan
+from .branching import (
+    DEFAULT_DIM_CAP,
+    fd_label,
+    interlace_predicate,
+    oracle_multiplicity,
+    stability_scan,
+)
 from .verma import FusionQuery, fusion_grid, fusion_oracle
 
 
@@ -156,7 +163,7 @@ def _cmd_scalar(args) -> int:
 def _cmd_branch(args) -> int:
     big = fd_label(args.n + 1, args.big, args.big_eps)
     sub = fd_label(args.n, args.sub, args.sub_eps)
-    mult = oracle_multiplicity(big, sub)
+    mult = oracle_multiplicity(big, sub, dim_cap=args.dim_cap)
     obj = {
         "big": _label_obj(big),
         "sub": _label_obj(sub),
@@ -169,7 +176,7 @@ def _cmd_branch(args) -> int:
 
 def _cmd_stability(args) -> int:
     sub = fd_label(args.n, args.pi, args.pi_eps)
-    report = stability_scan(args.xi, sub, args.bound, args.eps)
+    report = stability_scan(args.xi, sub, args.bound, args.eps, dim_cap=args.dim_cap)
     desc = report.region
     obj = {
         "region": {
@@ -556,6 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--big-eps", type=_parse_eps, default=1)
     sp.add_argument("--sub", type=_parse_rows, required=True)
     sp.add_argument("--sub-eps", type=_parse_eps, default=1)
+    sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_branch)
 
@@ -566,6 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pi-eps", type=_parse_eps, default=1)
     sp.add_argument("--bound", type=int, default=4)
     sp.add_argument("--eps", type=_parse_eps, default=None)
+    sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     sp.add_argument("--csv")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_stability)
@@ -626,6 +635,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits
+    except (ResourceLimitError, OSError) as exc:
+        # A resource cap or an unreadable file is a usage error, not a
+        # refuted identity: one line on stderr and exit code 2.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

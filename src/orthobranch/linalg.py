@@ -90,25 +90,6 @@ def rank(rows) -> int:
     return len(_rref(work, len(rows[0])))
 
 
-def nullspace(rows):
-    """Basis of the right kernel of the matrix, as a list of vectors."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    work = mat_copy(rows)
-    pivots = _rref(work, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -work[prow][fc]
-        basis.append(vec)
-    return basis
-
-
 def solve(rows, rhs):
     """One exact solution of rows * x = rhs, or None if inconsistent."""
     if not rows:

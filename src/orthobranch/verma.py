@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .linalg import nullspace
-
 __all__ = [
     "FusionQuery",
     "fusion_multiplicity",
@@ -96,11 +94,6 @@ def fusion_multiplicity(q: FusionQuery) -> int:
     return 1
 
 
-def _weight_basis(k: int) -> List[int]:
-    """Indices m of the basis u_m = f^m v_a (x) f^(k-m) v_b."""
-    return list(range(k + 1))
-
-
 def fusion_oracle(q: FusionQuery) -> int:
     """Independent multiplicity count by exact linear algebra.
 
@@ -109,26 +102,38 @@ def fusion_oracle(q: FusionQuery) -> int:
     ``k = (a + b - c)/2``) to the weight-``(c + 2)`` space (dimension ``k``),
     using the standard monomial basis action
     ``e . f^m v = m (a - m + 1) f^(m-1) v`` extended by the coproduct rule.
+
+    The matrix is bidiagonal: row ``j`` holds ``B'_j`` in column ``j`` and
+    ``A_(j+1)`` in column ``j + 1``.  Its rank comes from Gaussian
+    elimination confined to that band, column by column.  Only rows
+    ``j - 1`` and ``j`` can reach column ``j``.  Row ``j - 1`` arrives
+    reduced to its column-``j`` entry, because its column ``j - 1`` was
+    cleared by the previous pivot, or was zero.  When that entry is nonzero
+    it is the pivot, and clearing column ``j`` from row ``j`` leaves row
+    ``j``'s other entry unchanged.  Otherwise row ``j`` pivots on a nonzero
+    ``B'_j``.  So the elimination takes ``O(k)`` exact zero tests of the
+    entries, for rational ``a`` and ``b`` alike, and no division.
     """
     a, b, c = q.a, q.b, q.c
     if not _even_natural(a + b - c):
         return 0
     k = int((a + b - c) / 2)
-    if k == 0:
-        # One basis vector, mapping into a zero-dimensional space.
-        return 1
-    # rows: weight-(c+2) basis u'_j, j = 0..k-1; cols: u_m, m = 0..k.
-    rows: List[List[Fraction]] = [
-        [Fraction(0)] * (k + 1) for _ in range(k)
-    ]
-    for m in _weight_basis(k):
-        coeff_a = m * (a - m + 1)  # lands on u'_(m-1)
-        coeff_b = (k - m) * (b - (k - m) + 1)  # lands on u'_m
-        if m >= 1 and coeff_a != 0:
-            rows[m - 1][m] += coeff_a
-        if m <= k - 1 and coeff_b != 0:
-            rows[m][m] += coeff_b
-    return len(nullspace(rows))
+    rank = 0
+    carry = False  # row j - 1, reduced to a nonzero entry in column j alone
+    for j in range(k + 1):
+        # Row j < k: A_(j+1) = (j+1)(a-j) vanishes exactly when a = j, and
+        # B'_j = (k-j)(b-k+j+1) exactly when b = k-j-1.
+        a_entry = j < k and a != j  # row j, column j + 1
+        b_entry = j < k and b != k - j - 1  # row j, column j
+        if carry:  # pivot on row j - 1; row j keeps its column j + 1 entry
+            rank += 1
+            carry = a_entry
+        elif b_entry:  # pivot on row j
+            rank += 1
+            carry = False
+        else:
+            carry = a_entry
+    return k + 1 - rank
 
 
 def fusion_grid(

@@ -11,10 +11,13 @@ from orthobranch.branching import (
     full_decomposition,
     inf_char_of,
     interlace_predicate,
+    o_restrict_decomposition,
     oracle_multiplicity,
     reduced_family,
     stability_scan,
 )
+from orthobranch import branching
+from orthobranch.characters import CharacterCheckError, so_char
 from orthobranch.regions import FencePreconditionError
 from orthobranch.weights import rank_context
 
@@ -147,3 +150,33 @@ def test_stability_scan_fence_precondition():
 def test_stability_scan_lattice_alignment():
     with pytest.raises(ValueError):
         stability_scan((Fraction(6), Fraction(5, 2)), F(4, (3, 1)), 2)
+
+
+def test_full_decomposition_same_after_cache_clear():
+    big = F(7, (3, 2, 1), -1)
+    first = full_decomposition(big)
+    so_char.cache_clear()
+    o_restrict_decomposition.cache_clear()
+    assert o_restrict_decomposition.cache_info().currsize == 0
+    assert full_decomposition(big) == first
+    assert sum(c * sub.dim() for sub, c in first) == big.dim()
+
+
+def test_restriction_integrality_check_raises(monkeypatch):
+    # Doubling every constituent character makes the peel's exact division
+    # by its leading coefficient fail, which must raise, not truncate.
+    real = branching.o_char_on_multiset
+    calls = []
+
+    def doubled_constituents(alpha, terms, nvars):
+        calls.append(alpha)
+        poly = real(alpha, terms, nvars)
+        return poly if len(calls) == 1 else {e: 2 * c for e, c in poly.items()}
+
+    monkeypatch.setattr(branching, "o_char_on_multiset", doubled_constituents)
+    o_restrict_decomposition.cache_clear()
+    try:
+        with pytest.raises(CharacterCheckError):
+            o_restrict_decomposition(5, (2, 1))
+    finally:
+        o_restrict_decomposition.cache_clear()

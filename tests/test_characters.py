@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
 import pytest
 
+import orthobranch
 from orthobranch.characters import (
+    CharacterCheckError,
     associate_partition,
     is_so_dominant,
     label_to_partition,
@@ -121,3 +130,70 @@ def test_dominance():
     assert not is_so_dominant(4, (1, -2))
     assert not is_so_dominant(5, (1, 2))
     assert not is_so_dominant(5, (1, -1))
+
+
+def _weyl_product_dim(m, mu):
+    """Weyl's dimension formula prod_{alpha > 0} (mu + rho, alpha) / (rho, alpha)."""
+    s = so_rank(m)
+    rho = [Fraction(m - 2 * i, 2) for i in range(1, s + 1)]
+    pos = [(i, j, sign) for i in range(s) for j in range(i + 1, s) for sign in (1, -1)]
+    if m % 2:
+        pos += [(i, None, 0) for i in range(s)]
+    dim = Fraction(1)
+    for i, j, sign in pos:
+        def pair(v):
+            return v[i] + (sign * v[j] if j is not None else 0)
+        dim *= pair([a + r for a, r in zip(mu, rho)]) / pair(rho)
+    return dim
+
+
+def _dominant_weights(m, top):
+    s = so_rank(m)
+    return [mu for mu in product(range(-top, top + 1), repeat=s)
+            if is_so_dominant(m, mu)]
+
+
+def test_freudenthal_matches_weyl_product_formula():
+    for m in range(3, 9):
+        for mu in _dominant_weights(m, 4):
+            assert weyl_dim(m, mu) == _weyl_product_dim(m, mu), (m, mu)
+
+
+def test_so_char_multiplicities_are_ints():
+    for m, mu in ((3, (4,)), (6, (3, 2, -1)), (7, (4, 2, 1))):
+        assert all(type(c) is int and c > 0 for c in so_char(m, mu).values())
+
+
+def test_o_irrep_dim_matches_weyl_dim():
+    for m in range(3, 9):
+        s = so_rank(m)
+        for mu in _dominant_weights(m, 3):
+            if mu[-1] < 0:
+                continue
+            alpha = tuple(c for c in mu if c)
+            expected = weyl_dim(m, mu)
+            if m % 2 == 0 and len(alpha) == s:
+                # full-length rows: SO(m) sees the label and its mirror image
+                expected += weyl_dim(m, mu[:-1] + (-mu[-1],))
+            assert o_irrep_dim(m, alpha) == expected, (m, alpha)
+            assert o_irrep_dim(m, associate_partition(m, alpha)) == expected, (m, alpha)
+
+
+def test_peel_rejects_a_multiset_that_is_not_a_character():
+    # one copy of the vector weight alone: peeling so(5) leaves negative counts
+    with pytest.raises(CharacterCheckError):
+        peel({(1, 0): 1}, 5)
+
+
+def test_character_check_survives_optimize():
+    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+    code = ("from orthobranch.characters import CharacterCheckError, peel\n"
+            "try:\n"
+            "    peel({(1, 0): 1}, 5)\n"
+            "except CharacterCheckError:\n"
+            "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"

@@ -159,3 +159,35 @@ def test_byte_determinism(capsys):
     _, r1 = run(capsys, "regions", "--n", "4", "--xi", "13/2,5/2", "--nu", "4,1")
     _, r2 = run(capsys, "regions", "--n", "4", "--xi", "13/2,5/2", "--nu", "4,1")
     assert r1 == r2
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    return exc.value.code, err
+
+
+def test_resource_cap_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "verify-scalar", "--n", "4", "--big", "3,1",
+                             "--sub", "1", "--i", "1", "--eps", "+", "--dim-cap", "50")
+    assert code == 2
+    assert err.count("\n") == 1 and "cap 50" in err
+
+
+def test_missing_bundle_is_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, err = _usage_error(capsys, "verify-ue", "--n", "3", "--bundle", missing)
+    assert code == 2
+    assert err.count("\n") == 1 and "missing.json" in err
+
+
+def test_stability_dim_cap(capsys):
+    argv = ["stability", "--n", "6", "--xi", "15/2,13/2,7/2", "--pi", "3,1,0",
+            "--bound", "1"]
+    code, err = _usage_error(capsys, *argv)
+    assert code == 2 and "33033" in err
+    code, obj = run_json(capsys, *argv, "--dim-cap", "1000000")
+    assert code == 0
+    assert len(obj["samples"]) == 5 and len(obj["fence_crossings"]) == 3
+    assert obj["constant"] is True

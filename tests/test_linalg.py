@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 
+from dense_reference import nullspace
 from orthobranch.linalg import (
     QiEchelon,
     identity_matrix,
     inverse,
     matmul,
     matvec,
-    nullspace,
     qadd,
     qconj,
     qdiv,

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from dense_reference import nullspace
 from orthobranch.verma import (
     FusionQuery,
     fusion_grid,
@@ -80,3 +81,23 @@ def test_fusion_grid_shape():
     for a, b, c, m in rows:
         assert a + b - c == 2 * ((a + b - c) // 2)
         assert m == fusion_oracle(FusionQuery(a, b, c))
+
+
+def _dense_raising_matrix(a, b, k):
+    """The k x (k+1) matrix of the raising operator on the weight-c space."""
+    rows = [[Fraction(0)] * (k + 1) for _ in range(k)]
+    for m in range(k + 1):
+        if m >= 1:
+            rows[m - 1][m] += m * (a - m + 1)
+        if m <= k - 1:
+            rows[m][m] += (k - m) * (b - (k - m) + 1)
+    return rows
+
+
+def test_band_kernel_matches_dense_reference():
+    values = [Fraction(v, 2) for v in range(-8, 7)]  # -4, -7/2, ..., 3
+    for a in values:
+        for b in values:
+            for k in range(0, 11):
+                want = len(nullspace(_dense_raising_matrix(a, b, k))) if k else 1
+                assert fusion_oracle(Q(a, b, a + b - 2 * k)) == want, (a, b, k)
