@@ -68,6 +68,7 @@ from .enveloping import (
     commutator,
     gen,
     is_invariant,
+    monomial,
     normal_order,
     ue_to_obj,
     verify_identities,

@@ -29,7 +29,6 @@ from .characters import (
     CharacterCheckError,
     associate_partition,
     label_to_partition,
-    lp_add_into,
     o_char_on_multiset,
     o_irrep_dim,
     partition_to_label,
@@ -39,8 +38,8 @@ from .characters import (
     so_char,
     so_char_laurent,
     so_rank,
-    weyl_dim,
 )
+from .polyarith import p_add_into
 from .regions import (
     FencePreconditionError,
     RegionDescriptor,
@@ -53,9 +52,11 @@ from .weights import (
     ResourceLimitError,
     Weight,
     as_weight,
+    group_rho,
     in_chamber,
     lattice_box,
     rank_context,
+    rho,
 )
 
 O_ODD = "O_odd"
@@ -136,13 +137,6 @@ def label_from_partition(group_size: int, alpha) -> FDLabel:
     return fd_label(group_size, mu, eps if group_size % 2 else (eps if eps == -1 else None))
 
 
-def _own_rho(label: FDLabel) -> Weight:
-    r = label.rank
-    if label.group_tag == O_ODD:
-        return tuple(Fraction(2 * (r - i) + 1, 2) for i in range(1, r + 1))
-    return tuple(Fraction(r - i) for i in range(1, r + 1))
-
-
 def inf_char_of(label: FDLabel, ctx: Optional[RankContext] = None) -> Weight:
     """Infinitesimal character mu + rho taken with the label's own group."""
     if ctx is not None and label.group_size not in (ctx.n, ctx.n + 1):
@@ -150,8 +144,7 @@ def inf_char_of(label: FDLabel, ctx: Optional[RankContext] = None) -> Weight:
             f"label lives on O({label.group_size}), not part of the pair "
             f"O({ctx.n + 1}) > O({ctx.n})"
         )
-    rho = _own_rho(label)
-    return tuple(Fraction(m) + p for m, p in zip(label.mu, rho))
+    return tuple(Fraction(m) + p for m, p in zip(label.mu, group_rho(label.group_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +249,7 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
                 d, rem = divmod(residual[e], lead)
                 if rem:
                     raise failed(f"coefficient {residual[e]} at {e} is not a multiple of {lead}")
-                lp_add_into(residual, w, -d)
+                p_add_into(residual, w, -d)
                 diffs[beta] = diffs.get(beta, 0) + d
         else:
             # constituents: (-1)^{|tau|} times the so(m)-character.
@@ -266,7 +259,7 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
                     raise failed(f"leading exponent {e} is not a partition")
                 sign = -1 if sum(e) % 2 else 1
                 d = residual[e] * sign
-                lp_add_into(residual, so_char_laurent(m, e, nvars), -sign * d)
+                p_add_into(residual, so_char_laurent(m, e, nvars), -sign * d)
                 beta = tuple(x for x in e if x)
                 diffs[beta] = diffs.get(beta, 0) + d
         for tau, c in ambiguous.items():
@@ -348,22 +341,15 @@ def interlace_predicate(big: FDLabel, sub: FDLabel) -> int:
 
 
 def family_base(ctx: RankContext, eps: Optional[int] = None) -> Weight:
-    """Base point xi of the reduced family for the big group O(n+1)."""
-    r = ctx.r
+    """Base point xi of the reduced family for the big group O(n+1): rho for
+    odd sizes, rho + (1, ..., 1) for even sizes."""
     if (ctx.n + 1) % 2:
         if eps not in (1, -1):
             raise ValueError("odd-size families carry a sign eps")
-        return tuple(Fraction(2 * (r - i) + 1, 2) for i in range(1, r + 1))
+        return rho(ctx)
     if eps is not None:
         raise ValueError("even-size families carry no sign")
-    return tuple(Fraction(r - i + 1) for i in range(1, r + 1))
-
-
-def _big_rho(ctx: RankContext) -> Weight:
-    r = ctx.r
-    if (ctx.n + 1) % 2:
-        return tuple(Fraction(2 * (r - i) + 1, 2) for i in range(1, r + 1))
-    return tuple(Fraction(r - i) for i in range(1, r + 1))
+    return tuple(c + 1 for c in rho(ctx))
 
 
 def reduced_family(ctx: RankContext, eps: Optional[int] = None, bound: int = 0):
@@ -373,11 +359,11 @@ def reduced_family(ctx: RankContext, eps: Optional[int] = None, bound: int = 0):
     if bound < 0:
         raise ValueError("bound must be >= 0")
     xi = family_base(ctx, eps)
-    rho = _big_rho(ctx)
+    rho_big = rho(ctx)
     tag = O_ODD if (ctx.n + 1) % 2 else O_EVEN
     labels = []
     for lam in lattice_box(xi, bound, ctx):
-        mu = tuple(int(a - b) for a, b in zip(lam, rho))
+        mu = tuple(int(a - b) for a, b in zip(lam, rho_big))
         labels.append(FDLabel(tag, mu, eps if tag == O_ODD else None))
     return labels
 
@@ -415,8 +401,8 @@ def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None,
             eps = 1
     elif eps is not None:
         raise ValueError("even-size big groups carry no family sign")
-    rho = _big_rho(ctx)
-    for a, b in zip(xi, rho):
+    rho_big = rho(ctx)
+    for a, b in zip(xi, rho_big):
         if (a - b).denominator != 1:
             raise ValueError(
                 f"base point {xi} is not aligned with the finite-dimensional lattice"
@@ -425,7 +411,7 @@ def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None,
     region = region_descriptor(xi, nu)
 
     def mult_at(lam) -> int:
-        mu = tuple(int(a - b) for a, b in zip(lam, rho))
+        mu = tuple(int(a - b) for a, b in zip(lam, rho_big))
         return oracle_multiplicity(FDLabel(tag, mu, eps if big_odd else None), sub, ctx,
                                    dim_cap)
 

@@ -17,10 +17,12 @@ yields the twisted character data that resolves the +-/det-twist labels during
 branching, independently of any matrix realization.
 
 All arithmetic is on Python ints: weights are integral, Freudenthal's
-recursion uses the integral vector 2*rho and divides exactly, and Laurent
-polynomials in torus variables are dicts {exponent tuple: int} (exponents may
-be negative) with their own small add/multiply pair.  Every self-check of
-the arithmetic raises CharacterCheckError, also under ``python -O``.
+recursion uses the integral vector 2*rho (twice ``weights.group_rho``) and
+divides exactly, and Laurent polynomials in torus variables are dicts
+{exponent tuple: int} (exponents may be negative), added and multiplied
+through the ``polyarith`` pair; peeling subtracts characters through it too.
+Every self-check of the arithmetic raises CharacterCheckError, also under
+``python -O``.
 """
 from __future__ import annotations
 
@@ -28,6 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from operator import add
+
+from .polyarith import p_add_into, p_mul
+from .weights import group_rho
 
 
 class CharacterCheckError(RuntimeError):
@@ -70,13 +75,6 @@ def _positive_roots(kind: str, s: int):
             root[i] = 1
             roots.append(tuple(root))
     return roots
-
-
-def _two_rho(kind: str, s: int):
-    """Twice the Weyl vector of so(m), which is integral in both types."""
-    if kind == "B":
-        return tuple(2 * (s - i) + 1 for i in range(1, s + 1))
-    return tuple(2 * (s - i) for i in range(1, s + 1))
 
 
 def _dominant(kind: str, mu) -> bool:
@@ -150,7 +148,7 @@ def so_char(m: int, mu) -> "dict[tuple, int]":
     if kind == "so2":
         return {mu: 1}
     pos = _positive_roots(kind, s)
-    two_rho = _two_rho(kind, s)
+    two_rho = tuple(int(2 * c) for c in group_rho(m))  # integral in both types
     top = _dot(mu, mu) + _dot(mu, two_rho)
 
     # Freudenthal, outer weights first: every weight v + k*alpha read below
@@ -203,12 +201,7 @@ def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
                 f"{top}; a character has a positive one at a dominant weight"
             )
         labels[top] = labels.get(top, 0) + count
-        for w, c in so_char(m, top).items():
-            new = remaining.get(w, 0) - count * c
-            if new:
-                remaining[w] = new
-            else:
-                remaining.pop(w, None)
+        p_add_into(remaining, so_char(m, top), -count)
     return labels
 
 
@@ -311,29 +304,6 @@ def o_irrep_dim(m: int, alpha) -> int:
 # ---------------------------------------------------------------------------
 
 
-def lp_add_into(target, src, scale: int = 1) -> None:
-    """target += scale * src for Laurent polynomials, in place, dropping zeros."""
-    for e, c in src.items():
-        v = target.get(e, 0) + scale * c
-        if v:
-            target[e] = v
-        else:
-            target.pop(e, None)
-
-
-def _lp_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
 def _h_sequence(terms, K: int, nvars: int):
     """h_0..h_K of a multiset given as single Laurent terms (exp tuple, coeff).
 
@@ -344,8 +314,8 @@ def _h_sequence(terms, K: int, nvars: int):
         if not coeff:
             continue
         for d in range(1, K + 1):
-            lp_add_into(hs[d], {tuple(map(add, e, exp)): c
-                                for e, c in hs[d - 1].items()}, coeff)
+            p_add_into(hs[d], {tuple(map(add, e, exp)): c
+                               for e, c in hs[d - 1].items()}, coeff)
     return hs
 
 
@@ -365,8 +335,8 @@ def _det(rows):
             out = {}
             for k, j in enumerate(cols):
                 if rows[i][j]:
-                    lp_add_into(out, _lp_mul(rows[i][j], minor(cols[:k] + cols[k + 1:])),
-                                -1 if k % 2 else 1)
+                    p_add_into(out, p_mul(rows[i][j], minor(cols[:k] + cols[k + 1:])),
+                               -1 if k % 2 else 1)
             memo[cols] = out
         return out
 
@@ -403,7 +373,7 @@ def o_char_on_multiset(alpha, terms, nvars: int):
         row = []
         for j in range(1, ell + 1):
             entry = dict(h(alpha[i - 1] - i + j))
-            lp_add_into(entry, h(alpha[i - 1] - i - j), -1)
+            p_add_into(entry, h(alpha[i - 1] - i - j), -1)
             row.append(entry)
         rows.append(row)
     return _det(rows)

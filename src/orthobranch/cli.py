@@ -205,24 +205,19 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_verify_ue(args) -> int:
-    from .enveloping import verify_identities
+    from .enveloping import build_A, casimir, verify_identities
+    from .matrixrep import act, casimir_scalar, expected_casimir_scalar, rep_from_bundle
+    from .measure import verify_power_identity
 
+    rep = None
+    if args.bundle:
+        # read the bundle first: an unreadable one is a usage error, reported
+        # before the identity suite runs
+        with open(args.bundle, "r", encoding="utf-8") as fh:
+            rep = rep_from_bundle(json.load(fh))
     checks, failures = verify_identities(args.n, args.max_degree)
     bundle_checks = 0
-    if args.bundle and not failures:
-        import json as _json
-
-        from .enveloping import build_A, casimir
-        from .matrixrep import (
-            act,
-            casimir_scalar,
-            expected_casimir_scalar,
-            rep_from_bundle,
-        )
-        from .measure import verify_power_identity
-
-        with open(args.bundle, "r", encoding="utf-8") as fh:
-            rep = rep_from_bundle(_json.load(fh))
+    if rep is not None and not failures:
         n = len(rep.indices) - 1
         cs = casimir_scalar(rep)
         bundle_checks += 1

@@ -1,9 +1,12 @@
 """Normal-ordered arithmetic in U(o(n+1, C)).
 
-Generators are X_ij = E_ij - E_ji for 0 <= i < j <= n (X_ji is -X_ij, X_ii = 0),
-with the bracket table
+Generators are X_ij = E_ij - E_ji for 0 <= i < j <= n (X_ji is -X_ij, X_ii = 0,
+the convention ``canon_gen`` encodes), with the bracket table
 
-    [X_ab, X_ij] = d_bi X_aj + d_bj X_ia + d_ai X_jb + d_aj X_bi.
+    [X_ab, X_ij] = d_bi X_aj + d_bj X_ia + d_ai X_jb + d_aj X_bi
+
+that ``gen_bracket`` encodes.  Both are the package's only copies: the matrix
+models bracket and canonicalize generator pairs through them too.
 
 A monomial is a tuple of canonical (i, j) pairs; normal order means
 nondecreasing in the lexicographic generator order, achieved by adjacent
@@ -19,21 +22,35 @@ invariance check used throughout the representation layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
+from .polyarith import p_add_into
 from .weights import RankContext
 
 Pair = Tuple[int, int]
 Monomial = Tuple[Pair, ...]
 
 
-def _canon_gen(i: int, j: int):
+def canon_gen(i: int, j: int):
     """Return (sign, (i,j)) with i<j, or (0, None) when i == j."""
     if i == j:
         return 0, None
     if i < j:
         return 1, (i, j)
     return -1, (j, i)
+
+
+def gen_bracket(x, y) -> Dict[Pair, int]:
+    """[X_ab, X_ij] for generator pairs x = (a, b), y = (i, j), as
+    {canonical pair: integer coefficient}."""
+    (a, b), (i, j) = x, y
+    out: Dict[Pair, int] = {}
+    for hit, p, q in ((b == i, a, j), (b == j, i, a), (a == i, j, b), (a == j, b, i)):
+        if hit:
+            sign, pair = canon_gen(p, q)
+            if sign:
+                p_add_into(out, {pair: sign})
+    return out
 
 
 class UEElement:
@@ -67,8 +84,7 @@ class UEElement:
 
     def __add__(self, other: "UEElement") -> "UEElement":
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
+        p_add_into(out, other.terms)
         return UEElement(out)
 
     def __sub__(self, other: "UEElement") -> "UEElement":
@@ -83,12 +99,7 @@ class UEElement:
         out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                for mono, coeff in _normal_order_monomial(m1 + m2).items():
-                    new = out.get(mono, Fraction(0)) + c1 * c2 * coeff
-                    if new == 0:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = new
+                p_add_into(out, _normal_order_monomial(m1 + m2), c1 * c2)
         return UEElement(out)
 
     def __repr__(self):
@@ -103,12 +114,11 @@ class UEElement:
 
 
 ZERO = UEElement({})
-ONE = UEElement({(): Fraction(1)})
 
 
 def gen(i: int, j: int) -> UEElement:
     """The generator X_ij as an element (handles X_ji = -X_ij and X_ii = 0)."""
-    sign, pair = _canon_gen(i, j)
+    sign, pair = canon_gen(i, j)
     if sign == 0:
         return ZERO
     return UEElement({(pair,): Fraction(sign)})
@@ -119,7 +129,7 @@ def monomial(pairs: Iterable[Pair], coeff=1) -> UEElement:
     word = []
     sign = 1
     for i, j in pairs:
-        s, pair = _canon_gen(i, j)
+        s, pair = canon_gen(i, j)
         if s == 0:
             return ZERO
         sign *= s
@@ -129,17 +139,7 @@ def monomial(pairs: Iterable[Pair], coeff=1) -> UEElement:
 
 def bracket(x, y) -> UEElement:
     """Lie bracket of two generators, each given as an (i, j) pair."""
-    (a, b), (i, j) = tuple(x), tuple(y)
-    out = ZERO
-    if b == i:
-        out = out + gen(a, j)
-    if b == j:
-        out = out + gen(i, a)
-    if a == i:
-        out = out + gen(j, b)
-    if a == j:
-        out = out + gen(b, i)
-    return out
+    return UEElement({(pair,): c for pair, c in gen_bracket(tuple(x), tuple(y)).items()})
 
 
 _ORDER_MEMO: Dict[Monomial, Dict[Monomial, Fraction]] = {}
@@ -161,20 +161,9 @@ def _normal_order_monomial(word: Monomial) -> Dict[Monomial, Fraction]:
         return result
     k = swap_at
     x, y = word[k], word[k + 1]
-    out: Dict[Monomial, Fraction] = {}
-    swapped = word[:k] + (y, x) + word[k + 2 :]
-    for mono, coeff in _normal_order_monomial(swapped).items():
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-    correction = bracket(x, y)
-    for bmono, bcoeff in correction.terms.items():
-        inserted = word[:k] + bmono + word[k + 2 :]
-        for mono, coeff in _normal_order_monomial(inserted).items():
-            new = out.get(mono, Fraction(0)) + bcoeff * coeff
-            if new == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-    out = {m: c for m, c in out.items() if c != 0}
+    out = dict(_normal_order_monomial(word[:k] + (y, x) + word[k + 2 :]))
+    for pair, sign in gen_bracket(x, y).items():
+        p_add_into(out, _normal_order_monomial(word[:k] + (pair,) + word[k + 2 :]), sign)
     _ORDER_MEMO[word] = out
     return out
 
@@ -182,12 +171,7 @@ def _normal_order_monomial(word: Monomial) -> Dict[Monomial, Fraction]:
 def normal_order(e: UEElement) -> UEElement:
     out: Dict[Monomial, Fraction] = {}
     for word, coeff in e.terms.items():
-        for mono, c in _normal_order_monomial(word).items():
-            new = out.get(mono, Fraction(0)) + coeff * c
-            if new == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = new
+        p_add_into(out, _normal_order_monomial(word), coeff)
     return UEElement(out)
 
 
@@ -330,11 +314,9 @@ def is_invariant(e: UEElement, ctx) -> bool:
 
 def ue_to_obj(e: UEElement):
     """JSON-ready serialization: sorted [{"monomial": [[i,j], ...], "coeff": "p/q"}]."""
-    from .rationals import rat_str
-
     items = sorted(e.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return [
-        {"monomial": [[i, j] for i, j in mono], "coeff": rat_str(coeff)}
+        {"monomial": [[i, j] for i, j in mono], "coeff": str(coeff)}
         for mono, coeff in items
     ]
 

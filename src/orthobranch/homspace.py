@@ -38,28 +38,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .linalg import (
     Qi,
     QI_ONE,
     QI_ZERO,
+    inverse,
+    nullspace,
     qadd,
-    qdiv,
     qi,
-    qi_inverse,
     qi_matmul,
-    qi_nullspace,
     qis0,
     qmul,
     qsub,
+    solve,
+    sv_add_scaled,
 )
 from .weights import InvalidRankError
 from .matrixrep import (
     MatrixRep,
     Poly,
-    Recipe,
     fischer_pair,
+    mono_weight,
     poly_apply_combo,
     poly_reflect,
 )
@@ -140,7 +141,7 @@ def subgroup_hw_space(big: MatrixRep, sub_label_mu: Tuple[int, ...],
         touched = sorted({k for coords in per_cand for k in coords})
         for k in touched:
             rows.append([coords.get(k, QI_ZERO) for coords in per_cand])
-    kern = qi_nullspace(rows) if rows else [
+    kern = nullspace(rows) if rows else [
         [QI_ONE if i == j else QI_ZERO for i in range(len(cand))] for j in range(len(cand))
     ]
     out = []
@@ -152,13 +153,7 @@ def subgroup_hw_space(big: MatrixRep, sub_label_mu: Tuple[int, ...],
 def _coords_to_poly(model, coords: CoordVec) -> Poly:
     out: Poly = {}
     for i, c in coords.items():
-        for mono, v in model.vectors[i].items():
-            cur = out.get(mono, QI_ZERO)
-            new = qadd(cur, qmul(c, v))
-            if qis0(new):
-                out.pop(mono, None)
-            else:
-                out[mono] = new
+        sv_add_scaled(out, model.vectors[i], c)
     return out
 
 
@@ -203,13 +198,7 @@ def _reflection_involution(big: MatrixRep, sub: MatrixRep,
         images = _mirror_embedding(big, sub, w_poly)
         acc: Poly = {}
         for j, c in seed_coords.items():
-            for mono, v in images[j].items():
-                cur = acc.get(mono, QI_ZERO)
-                new = qadd(cur, qmul(c, v))
-                if qis0(new):
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = new
+            sv_add_scaled(acc, images[j], c)
         acc = poly_reflect(bigframe, acc)
         acc = {m: qmul(c, sign) for m, c in acc.items()}
         coords = big.model.coordinates(acc)
@@ -222,7 +211,7 @@ def _reflection_involution(big: MatrixRep, sub: MatrixRep,
     out_cols: List[List[Qi]] = []
     for c in cols:
         rhs = [c.get(k, QI_ZERO) for k in keys]
-        sol = _solve_small(basis_mat, rhs)
+        sol = solve(basis_mat, rhs)
         if sol is None:
             raise AssertionError("involution image is not a hw-space member")
         out_cols.append(sol)
@@ -230,45 +219,12 @@ def _reflection_involution(big: MatrixRep, sub: MatrixRep,
     return [[out_cols[j][i] for j in range(m)] for i in range(m)]
 
 
-def _solve_small(mat: List[List[Qi]], rhs: List[Qi]) -> Optional[List[Qi]]:
-    """Solve an overdetermined consistent system by elimination; None if
-    inconsistent."""
-    ncols = len(mat[0]) if mat else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    prow = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for i in range(prow, len(aug)):
-            if not qis0(aug[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[prow], aug[piv] = aug[piv], aug[prow]
-        pv = aug[prow][col]
-        aug[prow] = [qdiv(x, pv) for x in aug[prow]]
-        for i in range(len(aug)):
-            if i != prow and not qis0(aug[i][col]):
-                f = aug[i][col]
-                aug[i] = [qsub(x, qmul(f, y)) for x, y in zip(aug[i], aug[prow])]
-        pivots.append(col)
-        prow += 1
-    sol = [QI_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    for i in range(prow, len(aug)):
-        if not qis0(aug[i][ncols]):
-            return None
-    return sol
-
-
 def _fixed_space(mat: List[List[Qi]]) -> List[List[Qi]]:
     """Basis of the +1 eigenspace of a small matrix."""
     m = len(mat)
     rows = [[qsub(mat[i][j], QI_ONE if i == j else QI_ZERO) for j in range(m)]
             for i in range(m)]
-    return qi_nullspace(rows)
+    return nullspace(rows)
 
 
 def _gram_dense(model) -> List[List[Qi]]:
@@ -292,7 +248,6 @@ def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep,
     for j, t in enumerate(bmodel.tags):
         by_weight.setdefault(t, []).append(j)
     stb = [[QI_ZERO] * big.dim for _ in range(sub.dim)]
-    from .matrixrep import mono_weight
     for k, sp in enumerate(s_images):
         if not sp:
             continue
@@ -306,7 +261,7 @@ def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep,
             v = fischer_pair(bigframe, sp, bmodel.vectors[j])
             if not qis0(v):
                 stb[k][j] = v
-    binv = qi_inverse(_gram_dense(smodel))
+    binv = inverse(_gram_dense(smodel))
     return qi_matmul(binv, stb)
 
 
@@ -345,8 +300,7 @@ def _verify_operator(op: SymmetryBreakingOperator) -> None:
     op.verified = True
 
 
-def hom_space(big: MatrixRep, sub: MatrixRep,
-              verify: bool = True) -> Tuple[int, List[SymmetryBreakingOperator]]:
+def hom_space(big: MatrixRep, sub: MatrixRep) -> Tuple[int, List[SymmetryBreakingOperator]]:
     """Multiplicity and a verified operator basis for Hom_subgroup(big, sub)."""
     _require_models(big, sub)
     sframe = sub.frame
@@ -365,15 +319,7 @@ def hom_space(big: MatrixRep, sub: MatrixRep,
         for combo in fixed:
             vec: CoordVec = {}
             for i, c in enumerate(combo):
-                if qis0(c):
-                    continue
-                for k, v in hw[i].items():
-                    cur = vec.get(k, QI_ZERO)
-                    new = qadd(cur, qmul(c, v))
-                    if qis0(new):
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = new
+                sv_add_scaled(vec, hw[i], c)
             chosen.append(vec)
     ops: List[SymmetryBreakingOperator] = []
     for w in chosen:
@@ -381,8 +327,7 @@ def hom_space(big: MatrixRep, sub: MatrixRep,
         s_images = _mirror_embedding(big, sub, w_poly)
         T = _transpose_pair_matrix(big, sub, s_images)
         op = SymmetryBreakingOperator(big=big, sub=sub, matrix=T, seed_coords=w)
-        if verify:
-            _verify_operator(op)
+        _verify_operator(op)
         ops.append(op)
     return len(ops), ops
 
@@ -434,7 +379,6 @@ def hom_space_dense(big: MatrixRep, sub: MatrixRep,
                     row[unk(k, j)] = qsub(row[unk(k, j)], Rs[i][k])
             if any(not qis0(x) for x in row):
                 rows.append(row)
-    kern = qi_nullspace(rows) if rows else []
     if not rows:
         return nu
-    return len(kern)
+    return len(nullspace(rows))

@@ -10,10 +10,9 @@ one).  The Lie algebra basis consists of the rotation generators ``X[a,b]``
     X[a,b] : z_b -> z_a,   z_a -> -z_b,   (others fixed),
 
 so on column vectors ``X[a,b] = E[a,b] - E[b,a]`` (antisymmetric).  The
-abstract bracket is
-
-    [X[a,b], X[c,d]] = d(b,c) X[a,d] - d(a,c) X[b,d]
-                       - d(b,d) X[a,c] + d(a,d) X[b,c].
+abstract bracket is the generator table ``enveloping.gen_bracket``, extended
+bilinearly by ``so_bracket``; generator pairs are canonicalized by
+``enveloping.canon_gen`` (X[b,a] = -X[a,b]).
 
 Weight coordinates pair ambient indices from the *top*: weight coordinate
 ``k`` (1-based) corresponds to the index pair ``(i_{L-2k}, i_{L-2k+1})`` of
@@ -54,19 +53,18 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from math import comb, factorial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
     Qi,
     QI_ONE,
     QI_ZERO,
-    SparseVec,
     TrackedEchelon,
+    apply_cols,
+    nullspace,
     qadd,
-    qdiv,
     qi,
-    qi_nullspace,
     qis0,
     qmul,
     qneg,
@@ -74,9 +72,10 @@ from .linalg import (
     sv_add_scaled,
     sv_scale,
 )
-from .weights import InvalidRankError, RankContext, ResourceLimitError, rank_context
+from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
 from .characters import o_irrep_dim, so_rank
 from .branching import FDLabel, O_EVEN, O_ODD, fd_label, inf_char_of
+from .enveloping import canon_gen, gen_bracket
 
 Pair = Tuple[int, int]
 Combo = Dict[Pair, Qi]  # element of the rotation algebra as a combination of X[a,b]
@@ -90,39 +89,15 @@ _DEFAULT_DIM_CAP = 400
 # abstract bracket on X[a,b] combinations
 # ---------------------------------------------------------------------------
 
-def _canon_pair(a: int, b: int) -> Tuple[Pair, Fraction]:
-    if a == b:
-        return (a, b), Fraction(0)
-    if a < b:
-        return (a, b), Fraction(1)
-    return (b, a), Fraction(-1)
-
-
-def _combo_add(target: Combo, pair: Pair, coeff: Qi) -> None:
-    cur = target.get(pair, QI_ZERO)
-    new = qadd(cur, coeff)
-    if qis0(new):
-        target.pop(pair, None)
-    else:
-        target[pair] = new
-
-
 def so_bracket(e1: Combo, e2: Combo) -> Combo:
-    """Bracket of two rotation-algebra elements given as X[a,b] combinations."""
+    """Bracket of two rotation-algebra elements given as X[a,b] combinations:
+    the bilinear extension of the generator table ``gen_bracket``."""
     out: Combo = {}
-    for (a, b), c1 in e1.items():
-        for (c, d), c2 in e2.items():
-            coeff = qmul(c1, c2)
-            for (x, y), sign in (
-                ((a, d), Fraction(1) if b == c else Fraction(0)),
-                ((b, d), Fraction(-1) if a == c else Fraction(0)),
-                ((a, c), Fraction(-1) if b == d else Fraction(0)),
-                ((b, c), Fraction(1) if a == d else Fraction(0)),
-            ):
-                if sign == 0 or x == y:
-                    continue
-                pair, flip = _canon_pair(x, y)
-                _combo_add(out, pair, qmul(coeff, (sign * flip, Fraction(0))))
+    for p1, c1 in e1.items():
+        for p2, c2 in e2.items():
+            table = gen_bracket(p1, p2)
+            if table:
+                sv_add_scaled(out, {pair: qi(s) for pair, s in table.items()}, qmul(c1, c2))
     return out
 
 
@@ -281,7 +256,7 @@ class Frame:
                 row = list(mat[i])
                 row[i] = qsub(row[i], qi(c))
                 rows.append(row)
-        kern = qi_nullspace(rows)
+        kern = nullspace(rows)
         if len(kern) != 1:
             raise AssertionError(
                 f"root space in span {span} with constraints {constraints} has dim {len(kern)}"
@@ -304,8 +279,7 @@ class Frame:
                 span = []
                 for x in self.pairs[i - 1]:
                     for y in self.pairs[j - 1]:
-                        pair, _ = _canon_pair(x, y)
-                        span.append(pair)
+                        span.append(canon_gen(x, y)[1])
                 for ci in (1, -1):
                     for cj in (1, -1):
                         w = [0] * m
@@ -314,7 +288,7 @@ class Frame:
                         roots[tuple(w)] = self._solve_root(span, [(i, ci), (j, cj)])
             if self.spare is not None:
                 u = self.spare
-                span = [_canon_pair(u, x)[0] for x in self.pairs[i - 1]]
+                span = [canon_gen(u, x)[1] for x in self.pairs[i - 1]]
                 for ci in (1, -1):
                     w = [0] * m
                     w[i - 1] = ci
@@ -338,11 +312,6 @@ class Frame:
                 out.append((w, combo))
         return out
 
-    def own_rho(self) -> Tuple[Fraction, ...]:
-        if self.size % 2:
-            return tuple(Fraction(2 * (self.rank - k) + 1, 2) for k in range(1, self.rank + 1))
-        return tuple(Fraction(self.rank - k) for k in range(1, self.rank + 1))
-
 
 @lru_cache(maxsize=None)
 def get_frame(indices: Tuple[int, ...]) -> Frame:
@@ -353,9 +322,10 @@ def get_frame(indices: Tuple[int, ...]) -> Frame:
 # sparse polynomial operations
 # ---------------------------------------------------------------------------
 
-def poly_apply_table(table: Dict[int, Dict[int, Qi]], poly: Poly, scale: Qi = QI_ONE) -> Poly:
-    """Derivation action determined by a linear map on the variables."""
-    out: Poly = {}
+def poly_apply_table(table: Dict[int, Dict[int, Qi]], poly: Poly, scale: Qi,
+                     out: Poly) -> Poly:
+    """out += scale * D(poly) for the derivation D determined by a linear map
+    on the variables; returns out."""
     for mono, coeff in poly.items():
         for v, exp in enumerate(mono):
             if not exp:
@@ -379,23 +349,16 @@ def poly_apply_table(table: Dict[int, Dict[int, Qi]], poly: Poly, scale: Qi = QI
 
 
 def poly_apply_pair(frame: Frame, a: int, b: int, poly: Poly) -> Poly:
-    if a == b:
+    sign, pair = canon_gen(a, b)
+    if not sign:
         return {}
-    (aa, bb), sign = _canon_pair(a, b)
-    return poly_apply_table(frame.pair_action(aa, bb), poly, qi(sign))
+    return poly_apply_table(frame.pair_action(*pair), poly, qi(sign), {})
 
 
 def poly_apply_combo(frame: Frame, combo: Combo, poly: Poly) -> Poly:
     out: Poly = {}
     for (a, b), c in combo.items():
-        piece = poly_apply_table(frame.pair_action(a, b), poly, c)
-        for k, v in piece.items():
-            cur = out.get(k, QI_ZERO)
-            new = qadd(cur, v)
-            if qis0(new):
-                out.pop(k, None)
-            else:
-                out[k] = new
+        poly_apply_table(frame.pair_action(a, b), poly, c, out)
     return out
 
 
@@ -403,7 +366,7 @@ def poly_reflect(frame: Frame, poly: Poly) -> Poly:
     out: Poly = {}
     for mono, coeff in poly.items():
         lst = [0] * frame.nvars
-        sgn = Fraction(1)
+        sgn = 1
         for v, exp in enumerate(mono):
             if not exp:
                 continue
@@ -412,7 +375,7 @@ def poly_reflect(frame: Frame, poly: Poly) -> Poly:
             if s < 0 and exp % 2:
                 sgn = -sgn
         key = tuple(lst)
-        c = qmul(coeff, qi(sgn))
+        c = coeff if sgn > 0 else qneg(coeff)
         cur = out.get(key, QI_ZERO)
         new = qadd(cur, c)
         if qis0(new):
@@ -443,15 +406,6 @@ def poly_weight(frame: Frame, poly: Poly) -> Tuple[int, ...]:
     return first
 
 
-_FACT_CACHE: Dict[int, int] = {0: 1}
-
-
-def _fact(k: int) -> int:
-    if k not in _FACT_CACHE:
-        _FACT_CACHE[k] = k * _fact(k - 1)
-    return _FACT_CACHE[k]
-
-
 def fischer_pair(frame: Frame, p1: Poly, p2: Poly) -> Qi:
     """Invariant bilinear pairing: monomials pair with their sign-swapped
     duals, contributing (product of exponent factorials) * 2^(paired-variable
@@ -475,7 +429,7 @@ def fischer_pair(frame: Frame, p1: Poly, p2: Poly) -> Qi:
                 shift += exp
             else:
                 lst[v] = exp
-            val *= _fact(exp)
+            val *= factorial(exp)
         c2 = p2.get(tuple(lst))
         if c2 is None:
             continue
@@ -524,7 +478,8 @@ class PolyModel:
         idx = self.ech.insert(poly)
         if idx is None:
             return None
-        assert idx == len(self.vectors)
+        if idx != len(self.vectors):
+            raise AssertionError(f"echelon index {idx} != model dimension {len(self.vectors)}")
         self.vectors.append(poly)
         self.tags.append(tag)
         self.recipes.append(recipe)
@@ -588,7 +543,8 @@ def _close_model(frame: Frame, label: FDLabel, dim_cap: int) -> PolyModel:
     mu = tuple(label.mu) + (0,) * (frame.rank - len(label.mu))
     seed = _binom_seed(frame, mu)
     tag = tuple(mu)
-    assert poly_weight(frame, seed) == tag
+    if poly_weight(frame, seed) != tag:
+        raise AssertionError(f"seed for {label} does not have weight {tag}")
 
     for w, combo in frame.raising_ops():
         if poly_apply_combo(frame, combo, seed):
@@ -742,7 +698,9 @@ class MatrixRep:
                 for i, c in coords.items():
                     rows[i][j] = qmul(tw, c)
         else:
-            rows = [[tw if i == j else QI_ZERO for j in range(self.dim)] for i in range(self.dim)]
+            raise InvalidRankError(
+                f"{self.kind} representation carries no reflection matrix"
+            )
         self._refl = rows
         return rows
 
@@ -823,7 +781,6 @@ def construct_irrep(
     eps: Optional[int] = None,
     which: str = "big",
     dim_cap: int = _DEFAULT_DIM_CAP,
-    verify: bool = True,
 ) -> MatrixRep:
     """Build the orthogonal-group irreducible with row lengths mu and sign eps
     over the requested coordinate set ('big' = 0..n, 'sub' = 1..n when given a
@@ -866,8 +823,7 @@ def construct_irrep(
         kind="model",
         model=model,
     )
-    if verify:
-        _verify_rep(rep)
+    _verify_rep(rep)
     return rep
 
 
@@ -880,20 +836,6 @@ def subgroup_irrep(ctx: RankContext, mu, eps: Optional[int] = None,
 # verification helpers
 # ---------------------------------------------------------------------------
 
-def _apply_cols(cols: List[Dict[int, Qi]], vec: Dict[int, Qi]) -> Dict[int, Qi]:
-    out: Dict[int, Qi] = {}
-    for j, c in vec.items():
-        col = cols[j]
-        for i, a in col.items():
-            cur = out.get(i, QI_ZERO)
-            new = qadd(cur, qmul(c, a))
-            if qis0(new):
-                out.pop(i, None)
-            else:
-                out[i] = new
-    return out
-
-
 def casimir_scalar(rep: MatrixRep) -> Fraction:
     """Scalar of the quadratic invariant -sum X[a,b]^2 over the frame's own
     generators; raises if the action is not scalar."""
@@ -901,33 +843,24 @@ def casimir_scalar(rep: MatrixRep) -> Fraction:
     pairs = [(a, b) for i, a in enumerate(frame.indices) for b in frame.indices[i + 1:]]
     expected: Optional[Qi] = None
     for j in range(rep.dim):
-        vec = {j: QI_ONE}
-        acc: Dict[int, Qi] = {}
+        acc: Dict[int, Qi] = {}  # sum of X[a,b]^2 e_j, the invariant's negative
         for (a, b) in pairs:
             cols = rep.sparse_action(a, b)
-            img = _apply_cols(cols, _apply_cols(cols, vec))
-            for i, c in img.items():
-                cur = acc.get(i, QI_ZERO)
-                new = qsub(cur, c)
-                if qis0(new):
-                    acc.pop(i, None)
-                else:
-                    acc[i] = new
-        scal = acc.get(j, QI_ZERO)
-        rest = {i: c for i, c in acc.items() if i != j}
-        if rest:
+            apply_cols(cols, cols[j], acc)
+        if any(i != j for i in acc):
             raise AssertionError("quadratic invariant does not act by a scalar")
+        scal = qneg(acc.get(j, QI_ZERO))
         if expected is None:
             expected = scal
         elif expected != scal:
             raise AssertionError("quadratic invariant scalar differs between basis vectors")
-    assert expected is not None and expected[1] == 0
+    if expected is None or expected[1] != 0:
+        raise AssertionError(f"quadratic invariant scalar {expected} is not real")
     return expected[0]
 
 
 def expected_casimir_scalar(rep: MatrixRep) -> Fraction:
-    frame = rep.frame
-    rho_own = frame.own_rho()
+    rho_own = group_rho(rep.group_size)
     lam = rep.inf_char
     return sum(c * c for c in lam) - sum(c * c for c in rho_own)
 
@@ -946,30 +879,16 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
         pv.append({t: QI_ONE, (t + 1) % rep.dim: qi(1, 1)})
     for (a, b) in pairs:
         for (c, d) in pairs:
-            br = so_bracket({(a, b): QI_ONE}, {(c, d): QI_ONE})
+            br = gen_bracket((a, b), (c, d))
             c1 = rep.sparse_action(a, b)
             c2 = rep.sparse_action(c, d)
             for vec in pv:
-                lhs = _apply_cols(c1, _apply_cols(c2, vec))
-                rhs0 = _apply_cols(c2, _apply_cols(c1, vec))
-                for i, v in rhs0.items():
-                    cur = lhs.get(i, QI_ZERO)
-                    new = qsub(cur, v)
-                    if qis0(new):
-                        lhs.pop(i, None)
-                    else:
-                        lhs[i] = new
-                want: Dict[int, Qi] = {}
-                for pair, coeff in br.items():
-                    img = _apply_cols(rep.sparse_action(*pair), vec)
-                    for i, v in img.items():
-                        cur = want.get(i, QI_ZERO)
-                        new = qadd(cur, qmul(coeff, v))
-                        if qis0(new):
-                            want.pop(i, None)
-                        else:
-                            want[i] = new
-                if lhs != want:
+                # X1 X2 v against X2 X1 v + [X1, X2] v, the bracket read off the table
+                lhs = apply_cols(c1, apply_cols(c2, vec))
+                rhs = apply_cols(c2, apply_cols(c1, vec))
+                for pair, s in br.items():
+                    apply_cols(rep.sparse_action(*pair), sv_scale(vec, qi(s)), rhs)
+                if lhs != rhs:
                     raise AssertionError(
                         f"bracket fidelity failed for [{(a,b)},{(c,d)}] on {rep.label}"
                     )
@@ -986,7 +905,7 @@ def act(element, rep: MatrixRep) -> List[List[Qi]]:
     representation's coordinate set raise InvalidRankError."""
     terms = element.terms if hasattr(element, "terms") else element
     dim = rep.dim
-    out = [[QI_ZERO] * dim for _ in range(dim)]
+    cols: List[Dict[int, Qi]] = [dict() for _ in range(dim)]
     for word, coeff in terms.items():
         c = qi(Fraction(coeff))
         for (a, b) in word:
@@ -998,13 +917,14 @@ def act(element, rep: MatrixRep) -> List[List[Qi]]:
         for j in range(dim):
             vec = {j: QI_ONE}
             for (a, b) in reversed(word):
-                vec = _apply_cols(rep.sparse_action(a, b), vec)
+                vec = apply_cols(rep.sparse_action(a, b), vec)
                 if not vec:
                     break
-            for i, v in vec.items():
-                cur = out[i][j]
-                new = qadd(cur, qmul(c, v))
-                out[i][j] = new
+            sv_add_scaled(cols[j], vec, c)
+    out = [[QI_ZERO] * dim for _ in range(dim)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            out[i][j] = v
     return out
 
 
@@ -1034,20 +954,29 @@ def qi_from_string(s: str) -> Qi:
     return (Fraction(s), Fraction(0))
 
 
-def rep_to_bundle(rep: MatrixRep, generators: Optional[List[Pair]] = None) -> dict:
-    """JSON-ready bundle: dimension, generator list, row-major matrices as
+def _flat_strings(rows: List[List[Qi]]) -> List[str]:
+    return [qi_to_string(x) for row in rows for x in row]
+
+
+def _rows_from_strings(flat: List[str], dim: int, what: str) -> List[List[Qi]]:
+    vals = [qi_from_string(s) for s in flat]
+    if len(vals) != dim * dim:
+        raise ValueError(f"{what} has {len(vals)} entries, expected {dim * dim}")
+    return [vals[r * dim:(r + 1) * dim] for r in range(dim)]
+
+
+def rep_to_bundle(rep: MatrixRep) -> dict:
+    """JSON-ready bundle: dimension, generator list, row-major matrices of the
+    generators and of the distinguished reflection (det-twist included) as
     exact rational strings, and descriptive metadata."""
-    frame = rep.frame
-    if generators is None:
-        generators = [(a, b) for i, a in enumerate(frame.indices) for b in frame.indices[i + 1:]]
-    matrices = {}
-    for (a, b) in generators:
-        rows = rep.action(a, b)
-        matrices[f"{a},{b}"] = [qi_to_string(x) for row in rows for x in row]
+    idx = rep.indices
+    generators = [(a, b) for i, a in enumerate(idx) for b in idx[i + 1:]]
+    matrices = {f"{a},{b}": _flat_strings(rep.action(a, b)) for (a, b) in generators}
     return {
         "dim": rep.dim,
         "generators": [[a, b] for (a, b) in generators],
         "matrices": matrices,
+        "reflection": _flat_strings(rep.reflection()),
         "metadata": {
             "group_tag": rep.group_tag,
             "rows": list(rep.label.mu) if rep.label else None,
@@ -1067,7 +996,8 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
     """Sibling representation tensored with the determinant character.
 
     The generator action is unchanged, so the matrix caches are shared; only
-    the distinguished-reflection sign and the label's sign flip.  When the
+    the distinguished-reflection sign and the label's sign flip (a reflection
+    matrix already at hand, e.g. one read from a bundle, is negated).  When the
     twist is isomorphic to the original (even group size with a nonzero last
     row), the representation itself is returned."""
     if rep.label is None:
@@ -1088,7 +1018,7 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
         model=rep.model,
         _mats=rep._mats,
         _sparse=rep._sparse,
-        _refl=None,
+        _refl=None if rep._refl is None else [[qneg(x) for x in row] for row in rep._refl],
         cache=rep.cache,
     )
 
@@ -1096,9 +1026,10 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
 def rep_from_bundle(bundle: dict) -> MatrixRep:
     """Rebuild a literal matrix representation from a serialized bundle.
 
-    The generator matrices are stored verbatim; algebraic sanity (bracket
-    fidelity, Casimir scalar) is re-established by the caller via
-    verify-style checks, not assumed."""
+    The generator and reflection matrices are stored verbatim; algebraic
+    sanity (bracket fidelity, Casimir scalar) is re-established by the caller
+    via verify-style checks, not assumed.  A bundle without a reflection
+    matrix loads, but its ``reflection()`` raises InvalidRankError."""
     meta = bundle["metadata"]
     indices = tuple(int(i) for i in meta["indices"])
     dim = int(bundle["dim"])
@@ -1107,12 +1038,7 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     for key, flat in bundle["matrices"].items():
         a_s, b_s = key.split(",")
         pair = (int(a_s), int(b_s))
-        vals = [qi_from_string(s) for s in flat]
-        if len(vals) != dim * dim:
-            raise ValueError(
-                f"matrix {key} has {len(vals)} entries, expected {dim * dim}"
-            )
-        rows = [vals[r * dim:(r + 1) * dim] for r in range(dim)]
+        rows = _rows_from_strings(flat, dim, f"matrix {key}")
         mats[pair] = rows
         cols: List[Dict[int, Qi]] = [dict() for _ in range(dim)]
         for i in range(dim):
@@ -1122,9 +1048,9 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
         sparse[pair] = cols
     label = None
     if meta.get("rows") is not None:
-        from .branching import fd_label
         label = fd_label(len(indices), tuple(meta["rows"]), meta.get("eps"))
     hw = meta.get("highest_weight")
+    refl = bundle.get("reflection")
     return MatrixRep(
         dim=dim,
         group_tag=meta["group_tag"],
@@ -1137,6 +1063,7 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
         model=None,
         _mats=mats,
         _sparse=sparse,
+        _refl=None if refl is None else _rows_from_strings(refl, dim, "reflection"),
     )
 
 

@@ -43,7 +43,7 @@ orthogonal Weyl groups (even powers coordinate-wise).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,13 +51,14 @@ from .linalg import (
     Qi,
     QI_ONE,
     QI_ZERO,
-    QiEchelon,
-    qadd,
+    TrackedEchelon,
+    apply_cols,
     qdiv,
     qi,
     qis0,
-    qmul,
     qneg,
+    rref,
+    sv_add_scaled,
 )
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
@@ -66,6 +67,8 @@ from .homspace import SymmetryBreakingOperator
 
 CoordVec = Dict[int, Qi]
 Tuple_ = List[CoordVec]
+
+PROBES = 3  # probe vectors per measurement: e_0 and two seeded random vectors
 
 
 class IdentityViolationError(AssertionError):
@@ -77,33 +80,6 @@ class IdentityViolationError(AssertionError):
 # tuple machinery
 # ---------------------------------------------------------------------------
 
-def _apply_cols(cols: List[Dict[int, Qi]], vec: CoordVec, scale: Qi = QI_ONE) -> CoordVec:
-    out: CoordVec = {}
-    for j, c in vec.items():
-        col = cols[j]
-        if not col:
-            continue
-        cc = qmul(c, scale)
-        for i, a in col.items():
-            cur = out.get(i, QI_ZERO)
-            new = qadd(cur, qmul(cc, a))
-            if qis0(new):
-                out.pop(i, None)
-            else:
-                out[i] = new
-    return out
-
-
-def _vec_add(target: CoordVec, src: CoordVec, scale: Qi = QI_ONE) -> None:
-    for i, c in src.items():
-        cur = target.get(i, QI_ZERO)
-        new = qadd(cur, qmul(c, scale))
-        if qis0(new):
-            target.pop(i, None)
-        else:
-            target[i] = new
-
-
 def coupling_step(big: MatrixRep, V: Tuple_) -> Tuple_:
     """One application of the coupled operator ctilde on a tuple over F."""
     idx = big.indices
@@ -111,14 +87,11 @@ def coupling_step(big: MatrixRep, V: Tuple_) -> Tuple_:
     for pos_a, a in enumerate(idx):
         acc = out[pos_a]
         for pos_b, b in enumerate(idx):
-            if b == a:
-                continue
             if b < a:
-                cols = big.sparse_action(b, a)
-                _vec_add(acc, _apply_cols(cols, V[pos_b]))
-            else:
-                cols = big.sparse_action(a, b)
-                _vec_add(acc, _apply_cols(cols, V[pos_b]), qneg(QI_ONE))
+                apply_cols(big.sparse_action(b, a), V[pos_b], acc)
+            elif b > a:
+                neg = {j: qneg(c) for j, c in V[pos_b].items()}
+                apply_cols(big.sparse_action(a, b), neg, acc)
     return out
 
 
@@ -146,12 +119,13 @@ def casimir_shifted_step(big: MatrixRep, ctx: RankContext, V: Tuple_,
     """One factor (cDelta - shift) V with cDelta the tensor-product Casimir."""
     cas = expected_casimir_scalar(big)
     diag = qi(cas + ctx.n - shift)
+    two = qi(2)
     ct = coupling_step(big, V)
     out: Tuple_ = []
     for pos in range(len(V)):
         acc: CoordVec = {}
-        _vec_add(acc, V[pos], diag)
-        _vec_add(acc, ct[pos], qi(Fraction(2)))
+        sv_add_scaled(acc, V[pos], diag)
+        sv_add_scaled(acc, ct[pos], two)
         out.append(acc)
     return out
 
@@ -210,12 +184,11 @@ def _insert_first_slot(big: MatrixRep, u: CoordVec) -> Tuple_:
     return V
 
 
-def _projected_probes(big: MatrixRep, i: int, eps: int,
-                      probes: int) -> List[Tuple[CoordVec, CoordVec]]:
+def _projected_probes(big: MatrixRep, i: int, eps: int) -> List[Tuple[CoordVec, CoordVec]]:
     """Pairs (u, first slot of the unnormalized projector image of u (x) f_0),
     cached on the representation: the heavy factor product does not depend on
     the target of the operator being measured."""
-    key = ("primary-probes", i, eps, probes)
+    key = ("primary-probes", i, eps)
     cached = big.cache.get(key)
     if cached is not None:
         return cached
@@ -223,7 +196,7 @@ def _projected_probes(big: MatrixRep, i: int, eps: int,
     shifts, _norm = projector_factors(ctx, big.inf_char, i, eps)
     rng = _probe_rng(big, ("measure", i, eps))
     us: List[CoordVec] = [{0: QI_ONE}]
-    while len(us) < probes:
+    while len(us) < PROBES:
         us.append(_rand_coordvec(big.dim, rng))
     out = []
     for u in us:
@@ -235,14 +208,14 @@ def _projected_probes(big: MatrixRep, i: int, eps: int,
     return out
 
 
-def _power_probes(big: MatrixRep, ell: int, probes: int) -> List[Tuple[CoordVec, CoordVec]]:
-    key = ("power-probes", ell, probes)
+def _power_probes(big: MatrixRep, ell: int) -> List[Tuple[CoordVec, CoordVec]]:
+    key = ("power-probes", ell)
     cached = big.cache.get(key)
     if cached is not None:
         return cached
     rng = _probe_rng(big, ("power", ell))
     us: List[CoordVec] = [{0: QI_ONE}]
-    while len(us) < probes:
+    while len(us) < PROBES:
         us.append(_rand_coordvec(big.dim, rng))
     out = []
     for u in us:
@@ -291,7 +264,6 @@ def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, Coo
         raise IdentityViolationError(
             f"{what}: no probe vector had T u != 0 (operator may be zero)"
         )
-    assert ratio is not None
     return ratio
 
 
@@ -305,8 +277,7 @@ class MeasureResult:
     probes_checked: int
 
 
-def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int,
-                   probes: int = 3) -> MeasureResult:
+def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureResult:
     """Measure the universal scalar of the projector composition.
 
     Computes ``(T (x) first-slot-restriction) o P_{lam + eps e_i} o
@@ -317,7 +288,7 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int,
     any probe; a zero normalizer yields ``defined=False``."""
     big = op.big
     _ctx = rank_context(len(big.indices) - 1)
-    pairs = _projected_probes(big, i, eps, probes)
+    pairs = _projected_probes(big, i, eps)
     ratio = _ratio_against(op, pairs, "projector")
     _shifts, norm = projector_factors(_ctx, big.inf_char, i, eps)
     if norm == 0:
@@ -334,11 +305,11 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int,
     )
 
 
-def b_eval(op: SymmetryBreakingOperator, ell: int, probes: int = 3) -> Fraction:
+def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
     """Measured coefficient of the ell-th coupled power:
     T((ctilde^ell (u (x) f_0))_0) = b * T(u), checked across probe vectors."""
     big = op.big
-    pairs = _power_probes(big, ell, probes)
+    pairs = _power_probes(big, ell)
     ratio = _ratio_against(op, pairs, "power")
     if ratio[1] != 0:
         raise IdentityViolationError("power scalar is not real")
@@ -403,13 +374,6 @@ def _flatten(V: Tuple_) -> Dict[Tuple[int, int], Qi]:
     return out
 
 
-def _unflatten(flat: Dict[Tuple[int, int], Qi], slots: int) -> Tuple_:
-    V: Tuple_ = [dict() for _ in range(slots)]
-    for (pos, idx), c in flat.items():
-        V[pos][idx] = c
-    return V
-
-
 def primary_projector(big: MatrixRep, i: int, eps: int) -> PrimaryComponent:
     """Image of the factor product on all of big (x) F, with the Casimir
     eigenvalue check that identifies it as the primary component."""
@@ -417,7 +381,7 @@ def primary_projector(big: MatrixRep, i: int, eps: int) -> PrimaryComponent:
     lam = big.inf_char
     shifts, _norm = projector_factors(ctx, lam, i, eps)
     slots = len(big.indices)
-    ech = QiEchelon()
+    ech = TrackedEchelon()
     kept: List[Tuple_] = []
     for pos in range(slots):
         for j in range(big.dim):
@@ -428,7 +392,7 @@ def primary_projector(big: MatrixRep, i: int, eps: int) -> PrimaryComponent:
             flat = _flatten(V)
             if not flat:
                 continue
-            if ech.insert(dict(flat)) is not None:
+            if ech.insert(flat) is not None:
                 kept.append(V)
     if not kept:
         return PrimaryComponent(big=big, i=i, eps=eps, dim=0, basis=[], eigenvalue=None)
@@ -512,27 +476,21 @@ def reconstruction_grid(ctx: RankContext, box: int = 2, dim_cap: int = 400):
     return pairs
 
 
-def b_reconstruct(ell: int, ctx: RankContext, box: int = 2,
-                  dim_cap: int = 400, pairs=None, half_degree: Optional[int] = None):
+def b_reconstruct(ell: int, ctx: RankContext, box: int = 2, dim_cap: int = 400):
     """Interpolate the measured power coefficient into an exact polynomial.
 
-    Evaluates ``b_eval`` on a grid of representation pairs (built internally
-    from the highest-weight box unless ``pairs`` is supplied) and solves for
-    the coefficients of the Weyl-invariant monomials of plain degree <= ell.
+    Evaluates ``b_eval`` on the grid of representation pairs built from the
+    highest-weight box and solves, through the package's one elimination
+    kernel, for the coefficients of the Weyl-invariant monomials of plain
+    degree <= ell.
     Returns {((a_1..a_r), (b_1..b_s)): coefficient} for the polynomial
     sum c * prod lam_k^{2 a_k} prod nu_k^{2 b_k}.  Raises ResourceLimitError
     if the grid does not determine every coefficient, and
     IdentityViolationError if the measurements are not polynomial of that
     shape at all."""
-    if half_degree is None:
-        half_degree = ell // 2
-    monos = _inv_monomials(ctx.r, ctx.s, half_degree)
-    if pairs is None:
-        pairs = reconstruction_grid(ctx, box=box, dim_cap=dim_cap)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for (op, lam, nu) in pairs:
-        b = b_eval(op, ell)
+    monos = _inv_monomials(ctx.r, ctx.s, ell // 2)
+    aug: List[List[Qi]] = []
+    for (op, lam, nu) in reconstruction_grid(ctx, box=box, dim_cap=dim_cap):
         row = []
         for (ea, eb) in monos:
             v = Fraction(1)
@@ -540,33 +498,12 @@ def b_reconstruct(ell: int, ctx: RankContext, box: int = 2,
                 v *= Fraction(lam[k]) ** (2 * e)
             for k, e in enumerate(eb):
                 v *= Fraction(nu[k]) ** (2 * e)
-            row.append(v)
-        rows.append(row)
-        rhs.append(b)
+            row.append(qi(v))
+        aug.append(row + [qi(b_eval(op, ell))])
     ncols = len(monos)
-    aug = [row + [rhs[k]] for k, row in enumerate(rows)]
-    nrows = len(aug)
-    prow = 0
-    pivots: List[int] = []
-    for col in range(ncols):
-        piv = None
-        for r_i in range(prow, nrows):
-            if aug[r_i][col] != 0:
-                piv = r_i
-                break
-        if piv is None:
-            continue
-        aug[prow], aug[piv] = aug[piv], aug[prow]
-        pv = aug[prow][col]
-        aug[prow] = [x / pv for x in aug[prow]]
-        for r_i in range(nrows):
-            if r_i != prow and aug[r_i][col] != 0:
-                f = aug[r_i][col]
-                aug[r_i] = [x - f * y for x, y in zip(aug[r_i], aug[prow])]
-        pivots.append(col)
-        prow += 1
-    for r_i in range(prow, nrows):
-        if aug[r_i][ncols] != 0:
+    pivots = rref(aug, ncols)
+    for row in aug[len(pivots):]:
+        if not qis0(row[ncols]):
             raise IdentityViolationError(
                 "power coefficients are not a polynomial of the requested shape"
             )
@@ -577,7 +514,7 @@ def b_reconstruct(ell: int, ctx: RankContext, box: int = 2,
         )
     coeffs = {}
     for r_i, col in enumerate(pivots):
-        c = aug[r_i][ncols]
+        c = aug[r_i][ncols][0]
         if c != 0:
             coeffs[monos[col]] = c
     return coeffs

@@ -1,86 +1,37 @@
-"""Minimal exact multivariate polynomial arithmetic.
+"""Sparse polynomial arithmetic with exact coefficients.
 
-A polynomial in k variables is a dict mapping exponent tuples (length k) to
-nonzero Fractions.  Just enough structure for symbolic degree checks and
-exact interpolation; not a general computer-algebra layer.
+A polynomial is a dict mapping exponent tuples to nonzero coefficients,
+Python ints or Fractions; exponents may be negative (Laurent polynomials),
+and a key may be any tuple whose entries add.  ``p_add_into`` and ``p_mul``
+are the package's one add-into/multiply pair for such dicts: the enveloping
+algebra, the character layer and the branching oracle all go through them.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations_with_replacement
+from operator import add
 
 
-def p_zero():
-    return {}
-
-
-def p_const(c, nvars: int):
-    c = Fraction(c)
-    return {} if c == 0 else {(0,) * nvars: c}
-
-
-def p_var(index: int, nvars: int):
-    exp = [0] * nvars
-    exp[index] = 1
-    return {tuple(exp): Fraction(1)}
-
-
-def p_add(a, b):
-    out = dict(a)
-    for exp, c in b.items():
-        new = out.get(exp, Fraction(0)) + c
-        if new == 0:
-            out.pop(exp, None)
+def p_add_into(target, src, scale=1) -> None:
+    """target += scale * src, in place, dropping zero coefficients.  With the
+    default scale the terms are added without a multiplication."""
+    plain = scale == 1
+    for e, c in src.items():
+        v = target.get(e, 0) + (c if plain else scale * c)
+        if v:
+            target[e] = v
         else:
-            out[exp] = new
-    return out
-
-
-def p_scale(a, c):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {exp: coef * c for exp, coef in a.items()}
+            target.pop(e, None)
 
 
 def p_mul(a, b):
+    """Product of two polynomials."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(exp, Fraction(0)) + ca * cb
-            if new == 0:
-                out.pop(exp, None)
+            e = tuple(map(add, ea, eb))
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
             else:
-                out[exp] = new
-    return out
-
-
-def p_eval(a, point):
-    point = [Fraction(p) for p in point]
-    total = Fraction(0)
-    for exp, coef in a.items():
-        term = coef
-        for x, e in zip(point, exp):
-            term *= x**e
-        total += term
-    return total
-
-
-def total_degree(a) -> int:
-    """Total degree; -1 for the zero polynomial."""
-    if not a:
-        return -1
-    return max(sum(exp) for exp in a)
-
-
-def monomials_up_to_degree(nvars: int, degree: int):
-    """All exponent tuples with total degree <= degree, in a stable order."""
-    out = [(0,) * nvars]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
-            exp = [0] * nvars
-            for idx in combo:
-                exp[idx] += 1
-            out.append(tuple(exp))
+                out.pop(e, None)
     return out

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import polyarith
 from .weights import RankContext, Weight, as_weight, norms
 
 
@@ -128,26 +127,3 @@ def b_closed(ell: int, ctx: RankContext, lam, nu) -> Fraction:
     if ell == 2:
         return lam2 - nu2 - Fraction(n * (n - 1), 8)
     return (1 - n) * lam2 + n * nu2 + Fraction((n - 1) * n * (2 * n - 1), 24)
-
-
-def g_symbolic(ctx: RankContext, i: int, eps: int):
-    """g_{i,eps} expanded as an exact polynomial in (lambda_1..lambda_r, nu_1..nu_s).
-
-    Variables are ordered lambda first, then nu.  Used for the degree-bound
-    property; evaluation elsewhere always goes through the factored form.
-    """
-    nvars = ctx.r + ctx.s
-    li = polyarith.p_var(i - 1, nvars)
-    half_eps = Fraction(eps, 2)
-    poly = polyarith.p_const(1, nvars)
-    for j in range(ctx.s):
-        nj = polyarith.p_var(ctx.r + j, nvars)
-        left = polyarith.p_add(
-            polyarith.p_add(li, polyarith.p_scale(nj, -1)),
-            polyarith.p_const(half_eps, nvars),
-        )
-        right = polyarith.p_add(polyarith.p_add(li, nj), polyarith.p_const(half_eps, nvars))
-        poly = polyarith.p_mul(poly, polyarith.p_mul(left, right))
-    if ctx.n % 2:
-        poly = polyarith.p_scale(polyarith.p_mul(li, poly), eps)
-    return poly

@@ -50,17 +50,20 @@ def rank_context(n: int) -> RankContext:
     return RankContext(n=n, r=(n + 1) // 2, s=n // 2, parity="odd" if n % 2 else "even")
 
 
+def group_rho(m: int) -> Weight:
+    """Half sum of positive roots for o(m), normalized so the trivial rep of
+    O(m) has infinitesimal character rho: (m/2 - 1, m/2 - 2, ..., m/2 - floor(m/2))."""
+    return tuple(Fraction(m - 2 * i, 2) for i in range(1, m // 2 + 1))
+
+
 def rho(ctx: RankContext) -> Weight:
-    """Half sum of positive roots for o(n+1), normalized so the trivial rep has
-    infinitesimal character rho: ((n-1)/2, (n-3)/2, ..., (n+1)/2 - r)."""
-    half = Fraction(ctx.n + 1, 2)
-    return tuple(half - i for i in range(1, ctx.r + 1))
+    """rho for the big side o(n+1): ((n-1)/2, (n-3)/2, ..., (n+1)/2 - r)."""
+    return group_rho(ctx.n + 1)
 
 
 def rho_sub(ctx: RankContext) -> Weight:
-    """Same normalization for the subgroup side o(n): ((n-2)/2, ..., n/2 - s)."""
-    half = Fraction(ctx.n, 2)
-    return tuple(half - j for j in range(1, ctx.s + 1))
+    """rho for the subgroup side o(n): ((n-2)/2, ..., n/2 - s)."""
+    return group_rho(ctx.n)
 
 
 def is_nonsingular(lam) -> bool:

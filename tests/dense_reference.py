@@ -1,12 +1,35 @@
 """Dense reference routines that only the tests use.
 
-``nullspace`` runs the package's Gauss-Jordan kernel on a whole dense
-matrix; the tests compare structured fast paths (such as the band
-elimination of ``verma.fusion_oracle``) against it.
+A plain Fraction Gauss-Jordan elimination, written out here on purpose so
+that the references the tests compare against stay independent of the
+package's own kernel (``orthobranch.linalg.rref``): the band elimination of
+``verma.fusion_oracle`` and the Gaussian-rational ``nullspace`` are both
+checked against ``nullspace`` below.
 """
 from fractions import Fraction
 
-from orthobranch.linalg import _rref, mat_copy
+
+def _rref(rows, ncols):
+    """Reduced row echelon form in place; returns the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        prow = len(pivots)
+        piv = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[prow], rows[piv] = rows[piv], rows[prow]
+        pv = rows[prow][col]
+        rows[prow] = [x / pv for x in rows[prow]]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != prow and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[prow])]
+        pivots.append(col)
+    return pivots
+
+
+def rank(rows) -> int:
+    return len(_rref([list(r) for r in rows], len(rows[0]))) if rows else 0
 
 
 def nullspace(rows):
@@ -14,7 +37,7 @@ def nullspace(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    work = mat_copy(rows)
+    work = [list(r) for r in rows]
     pivots = _rref(work, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from orthobranch import enveloping
 from orthobranch.cli import main
 
 
@@ -175,7 +176,12 @@ def test_resource_cap_is_usage_error(capsys):
     assert err.count("\n") == 1 and "cap 50" in err
 
 
-def test_missing_bundle_is_usage_error(capsys, tmp_path):
+def test_missing_bundle_is_usage_error(capsys, tmp_path, monkeypatch):
+    # the bundle is read before the identity suite, which must not run at all
+    def suite_must_not_run(*args):
+        raise AssertionError("identity suite ran before the bundle was read")
+
+    monkeypatch.setattr(enveloping, "verify_identities", suite_must_not_run)
     missing = str(tmp_path / "missing.json")
     code, err = _usage_error(capsys, "verify-ue", "--n", "3", "--bundle", missing)
     assert code == 2

@@ -1,27 +1,23 @@
 import random
 from fractions import Fraction
 
-from dense_reference import nullspace
+import pytest
+
+import dense_reference
 from orthobranch.linalg import (
-    QiEchelon,
-    identity_matrix,
+    TrackedEchelon,
+    apply_cols,
     inverse,
-    matmul,
-    matvec,
+    nullspace,
     qadd,
-    qconj,
     qdiv,
     qi,
-    qi_inverse,
     qi_matmul,
-    qi_nullspace,
     qis0,
     qmul,
-    rank,
+    rref,
     solve,
     sv_add_scaled,
-    sv_conj,
-    sv_is_real,
     sv_scale,
 )
 
@@ -33,26 +29,57 @@ def rand_mat(rng, rows, cols, den=3):
             for _ in range(rows)]
 
 
+def lift(rows):
+    return [[qi(x) for x in row] for row in rows]
+
+
+def identity(n):
+    return [[qi(1) if i == j else qi(0) for j in range(n)] for i in range(n)]
+
+
+def matvec(rows, vec):
+    return [qi_matmul([row], [[x] for x in vec])[0][0] for row in rows]
+
+
 def test_rank_and_nullspace():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert rank(m) == 2
-    ns = nullspace(m)
+    assert len(rref(lift(m), 3)) == 2
+    ns = nullspace(lift(m))
     assert len(ns) == 1
     v = ns[0]
-    assert all(sum(row[j] * v[j] for j in range(3)) == 0 for row in m)
+    assert all(qis0(x) for x in matvec(lift(m), v))
 
 
 def test_solve_and_inverse_round_trip():
     rng = random.Random(5)
     for _ in range(10):
         a = rand_mat(rng, 4, 4)
-        while rank(a) < 4:
+        while dense_reference.rank(a) < 4:
             a = rand_mat(rng, 4, 4)
-        inv = inverse(a)
-        assert matmul(a, inv) == identity_matrix(4)
-        rhs = [F(rng.randint(-5, 5)) for _ in range(4)]
-        x = solve(a, rhs)
-        assert matvec(a, x) == rhs
+        inv = inverse(lift(a))
+        assert qi_matmul(lift(a), inv) == identity(4)
+        rhs = [qi(rng.randint(-5, 5)) for _ in range(4)]
+        x = solve(lift(a), rhs)
+        assert matvec(lift(a), x) == rhs
+
+
+def test_inconsistent_solve_and_singular_inverse():
+    m = lift([[F(1), F(2)], [F(2), F(4)]])
+    assert solve(m, [qi(1), qi(3)]) is None
+    assert solve(m, [qi(1), qi(2)]) == [qi(1), qi(0)]  # free unknown set to zero
+    with pytest.raises(ValueError):
+        inverse(m)
+
+
+def test_nullspace_matches_dense_reference():
+    rng = random.Random(7)
+    for shape in [(2, 4), (3, 3), (4, 6), (5, 3), (3, 5)]:
+        for _ in range(6):
+            a = rand_mat(rng, *shape)
+            if rng.random() < 0.5:  # repeat a combination of rows: lower the rank
+                a[-1] = [x + 2 * y for x, y in zip(a[0], a[1 % len(a)])]
+            want = [[qi(x) for x in vec] for vec in dense_reference.nullspace(a)]
+            assert nullspace(lift(a)) == want
 
 
 def test_qi_scalar_arithmetic():
@@ -60,7 +87,6 @@ def test_qi_scalar_arithmetic():
     assert qadd(a, b) == qi(4, 1)
     assert qmul(a, b) == qi(5, 5)          # (1+2i)(3-i) = 5+5i
     assert qdiv(qmul(a, b), b) == a
-    assert qconj(a) == qi(1, -2)
     assert qis0(qi(0, 0)) and not qis0(a)
 
 
@@ -69,18 +95,23 @@ def test_sparse_vector_helpers():
     v = {0: qi(2), 1: qi(1, 1)}
     sv_add_scaled(u, v, qi(2))
     assert u == {0: qi(5), 1: qi(2, 2), 2: qi(0, 1)}
+    sv_add_scaled(u, {0: qi(1)}, qi(-5))   # exact zeros are dropped
+    assert u == {1: qi(2, 2), 2: qi(0, 1)}
     assert sv_scale(u, qi(0)) == {}
-    assert sv_conj({0: qi(1, 3)}) == {0: qi(1, -3)}
-    assert sv_is_real({0: qi(2)}) and not sv_is_real({0: qi(0, 1)})
+    cols = [{1: qi(1)}, {0: qi(0, 1)}]     # the matrix [[0, i], [1, 0]]
+    assert apply_cols(cols, {0: qi(2), 1: qi(3)}) == {0: qi(0, 3), 1: qi(2)}
+    out = {0: qi(0, -3)}
+    assert apply_cols(cols, {1: qi(3)}, out) is out and out == {}
 
 
 def test_qi_echelon_rank_tracking():
-    ech = QiEchelon()
-    assert ech.insert({0: qi(1), 1: qi(0, 1)}) is not None
+    ech = TrackedEchelon()
+    assert ech.insert({0: qi(1), 1: qi(0, 1)}) == 0
     assert ech.insert({0: qi(2), 1: qi(0, 2)}) is None   # dependent
-    assert ech.insert({1: qi(1)}) is not None
-    assert len(ech) == 2
-    assert ech.contains({0: qi(7, 1)})
+    assert ech.insert({1: qi(1)}) == 1
+    assert ech.count == 2
+    assert ech.coordinates({0: qi(7, 1)}) == {0: qi(7, 1), 1: qi(1, -7)}
+    assert ech.coordinates({2: qi(1)}) is None
 
 
 def test_qi_matrix_routines():
@@ -90,13 +121,10 @@ def test_qi_matrix_routines():
     # force invertibility by adding 5 on the diagonal
     for i in range(3):
         a[i][i] = qadd(a[i][i], qi(5))
-    inv = qi_inverse(a)
-    prod = qi_matmul(a, inv)
-    for i in range(3):
-        for j in range(3):
-            assert prod[i][j] == (qi(1) if i == j else qi(0))
+    inv = inverse(a)
+    assert qi_matmul(a, inv) == identity(3)
     wide = [[qi(1), qi(0, 1), qi(2)]]
-    ns = qi_nullspace(wide)
+    ns = nullspace(wide)
     assert len(ns) == 2
     for v in ns:
         s = qi(0)

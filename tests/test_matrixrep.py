@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orthobranch
 from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
 from orthobranch.enveloping import build_A, casimir, gen
-from orthobranch.linalg import qi, qi_matmul
+from orthobranch.linalg import qi, qi_matmul, qmul
 from orthobranch.matrixrep import (
     act,
     casimir_scalar,
@@ -153,6 +158,51 @@ def test_bundle_round_trip(reps):
     for (a, b) in [(0, 1), (0, 2), (1, 2)]:
         assert back.action(a, b) == rep.action(a, b)
     assert casimir_scalar(back) == casimir_scalar(rep)
+
+
+def test_bundle_keeps_the_reflection(reps):
+    for n, mu, eps in [(2, (1,), None), (3, (1, 0), -1)]:
+        rep = reps.get(n, mu, eps)
+        back = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(rep))))
+        assert back.reflection() == rep.reflection()
+        assert back.twist_sign == rep.twist_sign
+        assert det_twisted(back).reflection() == det_twisted(rep).reflection()
+        again, first = rep_to_bundle(back), rep_to_bundle(rep)
+        assert all(again[k] == first[k] for k in ("dim", "generators", "matrices", "reflection"))
+
+
+def test_bundle_without_reflection_has_none(reps):
+    bundle = rep_to_bundle(reps.get(2, (1,)))
+    del bundle["reflection"]
+    back = rep_from_bundle(bundle)
+    assert back.action(0, 1) == reps.get(2, (1,)).action(0, 1)
+    with pytest.raises(InvalidRankError):
+        back.reflection()
+
+
+def test_casimir_check_survives_optimize(reps, tmp_path):
+    # every generator times 1+i: the quadratic invariant becomes 2i times a
+    # real scalar, which casimir_scalar must reject also under python -O
+    bundle = rep_to_bundle(reps.get(3, (1, 0)))
+    bundle["matrices"] = {
+        key: [qi_to_string(qmul(qi_from_string(x), qi(1, 1))) for x in flat]
+        for key, flat in bundle["matrices"].items()
+    }
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(bundle))
+    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+    code = ("import json, sys\n"
+            "from orthobranch.matrixrep import casimir_scalar, rep_from_bundle\n"
+            "rep = rep_from_bundle(json.load(open(sys.argv[1])))\n"
+            "try:\n"
+            "    print(casimir_scalar(rep))\n"
+            "except AssertionError:\n"
+            "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
 
 
 def test_det_twisted_properties(reps):

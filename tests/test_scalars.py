@@ -1,14 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from orthobranch.polyarith import total_degree
+from orthobranch.polyarith import p_add_into, p_mul
 from orthobranch.scalars import (
     C_val,
     b_closed,
-    g_symbolic,
     g_val,
     h_val,
     nonvanishing_predicate,
@@ -19,6 +19,42 @@ from orthobranch.weights import rank_context
 
 CTX3 = rank_context(3)
 CTX4 = rank_context(4)
+
+
+def p_const(c, nvars):
+    return {(0,) * nvars: Fraction(c)} if c else {}
+
+
+def p_var(index, nvars, coeff=1):
+    return {tuple(int(k == index) for k in range(nvars)): Fraction(coeff)}
+
+
+def p_sum(*polys):
+    out = {}
+    for p in polys:
+        p_add_into(out, p)
+    return out
+
+
+def total_degree(poly):
+    """Total degree; -1 for the zero polynomial."""
+    return max((sum(exp) for exp in poly), default=-1)
+
+
+def g_symbolic(ctx, i, eps):
+    """g_{i,eps} expanded as an exact polynomial in (lambda_1..lambda_r,
+    nu_1..nu_s), variables ordered lambda first, then nu."""
+    nvars = ctx.r + ctx.s
+    li = p_var(i - 1, nvars)
+    half_eps = p_const(Fraction(eps, 2), nvars)
+    poly = p_const(1, nvars)
+    for j in range(ctx.s):
+        left = p_sum(li, p_var(ctx.r + j, nvars, -1), half_eps)
+        right = p_sum(li, p_var(ctx.r + j, nvars), half_eps)
+        poly = p_mul(poly, p_mul(left, right))
+    if ctx.n % 2:
+        poly = p_mul(p_var(i - 1, nvars, eps), poly)
+    return poly
 
 
 def q4(i, eps, lam, nu=None):
@@ -125,11 +161,20 @@ def test_reflection_law():
 
 
 def test_g_degree_bound():
+    rng = random.Random(12)
     for ctx in (CTX3, CTX4):
         for i in (1, 2):
             for eps in (1, -1):
                 poly = g_symbolic(ctx, i, eps)
                 assert total_degree(poly) <= ctx.n
+                # the expansion is g itself: compare values at random points
+                for _ in range(5):
+                    lam = tuple(Fraction(rng.randint(-9, 9), 2) for _ in range(ctx.r))
+                    nu = tuple(Fraction(rng.randint(-9, 9), 2) for _ in range(ctx.s))
+                    point = lam + nu
+                    value = sum(c * math.prod(x ** e for x, e in zip(point, exp))
+                                for exp, c in poly.items())
+                    assert value == g_val(scalar_query(ctx, i, eps, lam, nu))
 
 
 def test_nonvanishing_matches_g_even_n():
