@@ -96,9 +96,15 @@ class FDLabel:
                 eps = 1
             if eps not in (1, -1):
                 raise ValueError("eps must be +1 or -1")
-            if mu[-1] >= 1:
-                eps = 1  # full-length rows: det-twist is isomorphic; canonical +
+            if self.induced:
+                eps = 1  # the det-twist is isomorphic; canonical +
         object.__setattr__(self, "eps", eps)
+
+    @property
+    def induced(self) -> bool:
+        """Even group size with a nonzero last row: the irreducible is induced
+        from the rotation subgroup and isomorphic to its det-twist."""
+        return self.group_tag == O_EVEN and self.mu[-1] >= 1
 
     @property
     def rank(self) -> int:

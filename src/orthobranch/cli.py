@@ -14,9 +14,11 @@ Subcommands:
 All numeric flags parse exact rationals ("p/q" or "p"); float syntax is
 rejected.  Outputs are deterministic: JSON with sorted keys, CSV per RFC
 4180 (CRLF line endings), SVG 1.1 with fixed element ordering and no
-timestamps.  Exit codes: 0 success, 1 identity violation (with a replayable
-JSON counterexample on the output stream), 2 usage error, which includes a
-resource cap (``--dim-cap``) and a file that cannot be read or written.
+timestamps.  Exit codes: 0 success; 1 identity violation or failed model
+self-check, with a replayable JSON counterexample on the output stream (a
+failed self-check reports ``{"check": "self-check", "argv": [...], "error":
+"<Type>: <message>"}``); 2 usage error, which includes a resource cap
+(``--dim-cap``) and a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .weights import ResourceLimitError, rank_context
+from .characters import CharacterCheckError
 from .regions import region_descriptor
 from .scalars import (
     C_val,
@@ -291,15 +294,13 @@ def _cmd_verify_scalar(args) -> int:
     op = ops[0]
     q = scalar_query(ctx, args.i, args.eps, big.inf_char, sub.inf_char)
     closed = C_val(q)
+    params = {"n": args.n, "big": list(args.big), "sub": list(args.sub),
+              "i": args.i, "eps": args.eps}
     try:
         measured = measure_scalar(op, args.i, args.eps)
     except IdentityViolationError as exc:
-        return _fail({
-            "check": "scalar-proportionality",
-            "params": {"n": args.n, "big": list(args.big), "sub": list(args.sub),
-                       "i": args.i, "eps": args.eps},
-            "error": str(exc),
-        }, args.out)
+        return _fail({"check": "scalar-proportionality", "params": params,
+                      "error": str(exc)}, args.out)
     entry = {
         "i": args.i,
         "eps": args.eps,
@@ -326,7 +327,11 @@ def _cmd_verify_scalar(args) -> int:
             obj["ok"] = False
             return _fail(obj, args.out)
     for ell in (1, 2, 3):
-        got = b_eval(op, ell)
+        try:
+            got = b_eval(op, ell)
+        except IdentityViolationError as exc:
+            return _fail({"check": "power-proportionality", "params": {**params, "power": ell},
+                          "error": str(exc)}, args.out)
         want = b_closed(ell, ctx, big.inf_char, sub.inf_char)
         obj["checks"].append({
             "power": ell,
@@ -618,6 +623,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "render":
@@ -634,6 +640,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A resource cap or an unreadable file is a usage error, not a
         # refuted identity: one line on stderr and exit code 2.
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except (CharacterCheckError, AssertionError) as exc:
+        # A model self-check failed: the input refutes an identity the
+        # construction relies on, so it is reported like one, with the argv
+        # that replays it.
+        return _fail({"check": "self-check", "argv": argv,
+                      "error": f"{type(exc).__name__}: {exc}"}, args.out)
 
 
 if __name__ == "__main__":

@@ -341,10 +341,12 @@ def verify_identities(ctx, max_degree: int = 4):
     """Run the symbolic identity suite up to the given total degree.
 
     Covers: the degree-2 and degree-3 ladder elements against Casimir
-    combinations; the ladder/transfer defining identities; the subalgebra
-    commutation relations for every ladder family; the det-twist sign rules;
-    and Jacobi on all generator triples.  Returns (checks_run, failures)
-    where each failure is a replayable JSON-ready counterexample.
+    combinations; the splitting of each transfer element off its ladder; the
+    subalgebra commutation relations for every ladder family; the det-twist
+    sign rules; and Jacobi on all generator triples.  Returns (checks_run,
+    failures) where each failure is a replayable JSON-ready counterexample.
+    The defining sums of ``build_Dscript``, ``build_C`` and ``build_Dj`` are
+    not checked here: comparing a builder with its own body cannot fail.
     """
     n = _ctx_n(ctx)
     failures: list = []
@@ -360,31 +362,13 @@ def verify_identities(ctx, max_degree: int = 4):
 
     sub_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 
-    for total in range(2, max_degree + 1):
-        for ell in range(1, total):
+    for total in range(3, max_degree + 1):
+        for ell in range(1, total - 1):
             N = total - ell
-            # defining identities of the transfer elements
-            _check(failures, checks, "transfer-def", {"n": n, "ell": ell, "N": N},
+            _check(failures, checks, "transfer-split", {"n": n, "ell": ell, "N": N},
                    build_Dscript(ell, N, n),
-                   sum((build_Dj(ell, n)[j] * build_B(N, n)[j] for j in range(n)),
-                       ZERO))
-            if N >= 2:
-                _check(failures, checks, "transfer-split",
-                       {"n": n, "ell": ell, "N": N},
-                       build_Dscript(ell, N, n),
-                       build_C(ell + 1, n) * build_A(N - 1, n)
-                       + build_Dscript(ell + 1, N - 1, n))
-        if total >= 2:
-            _check(failures, checks, "chain-def", {"n": n, "ell": total},
-                   build_C(total, n),
-                   build_Dscript(total - 1, 1, n))
-            dk_prev = build_Dj(total - 1, n)
-            dk = build_Dj(total, n)
-            for k in range(1, n + 1):
-                _check(failures, checks, "chain-step", {"n": n, "ell": total, "k": k},
-                       dk[k - 1],
-                       sum((dk_prev[j - 1] * gen(k, j) for j in range(1, n + 1)),
-                           ZERO))
+                   build_C(ell + 1, n) * build_A(N - 1, n)
+                   + build_Dscript(ell + 1, N - 1, n))
 
     # commutation relations with the subalgebra, per family and degree
     for ell in range(1, max_degree):

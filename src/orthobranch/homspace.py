@@ -38,17 +38,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .linalg import (
+    Cols,
     Qi,
     QI_ONE,
     QI_ZERO,
+    apply_cols,
     inverse,
     nullspace,
-    qadd,
     qi,
-    qi_matmul,
     qis0,
     qmul,
     qsub,
@@ -72,27 +72,17 @@ CoordVec = Dict[int, Qi]
 class SymmetryBreakingOperator:
     """An equivariant map from the big model onto the subgroup model.
 
-    ``matrix`` is dim(sub) x dim(big); ``seed_coords`` are the coordinates in
-    the big model of the subgroup highest-weight vector the operator was
-    grown from.
+    ``matrix`` holds dim(big) sparse columns: column j is the image of big
+    basis vector j in sub-model coordinates.  ``seed_coords`` are the
+    coordinates in the big model of the subgroup highest-weight vector the
+    operator was grown from.
     """
 
     big: MatrixRep
     sub: MatrixRep
-    matrix: List[List[Qi]]
+    matrix: Cols
     seed_coords: CoordVec = field(default_factory=dict)
     verified: bool = False
-
-    def apply_coords(self, vec: CoordVec) -> List[Qi]:
-        out = [QI_ZERO] * self.sub.dim
-        for j, c in vec.items():
-            if qis0(c):
-                continue
-            for i in range(self.sub.dim):
-                a = self.matrix[i][j]
-                if not qis0(a):
-                    out[i] = qadd(out[i], qmul(c, a))
-        return out
 
 
 def _require_models(big: MatrixRep, sub: MatrixRep) -> None:
@@ -179,10 +169,11 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w_poly: Poly) -> List[Poly
     return images
 
 
-def _reflection_involution(big: MatrixRep, sub: MatrixRep,
-                           hw_basis: List[CoordVec]) -> List[List[Qi]]:
-    """Matrix (in the hw_basis) of w -> twists * reflect_big(S_w(pi(g) seed)),
-    the obstruction involution for non-induced subgroup labels."""
+def _reflection_fixed_space(big: MatrixRep, sub: MatrixRep,
+                            hw_basis: List[CoordVec]) -> List[List[Qi]]:
+    """Basis, as coefficient vectors over hw_basis, of the vectors fixed by
+    the involution w -> twists * reflect_big(S_w(pi(g) seed)), the
+    obstruction for non-induced subgroup labels."""
     bigframe = big.frame
     smodel = sub.model
     seed = smodel.vectors[0]
@@ -215,39 +206,21 @@ def _reflection_involution(big: MatrixRep, sub: MatrixRep,
         if sol is None:
             raise AssertionError("involution image is not a hw-space member")
         out_cols.append(sol)
+    # the fixed vectors: kernel of M - I, M having the solutions as columns
     m = len(hw_basis)
-    return [[out_cols[j][i] for j in range(m)] for i in range(m)]
+    return nullspace([[qsub(out_cols[j][i], QI_ONE if i == j else QI_ZERO) for j in range(m)]
+                      for i in range(m)])
 
 
-def _fixed_space(mat: List[List[Qi]]) -> List[List[Qi]]:
-    """Basis of the +1 eigenspace of a small matrix."""
-    m = len(mat)
-    rows = [[qsub(mat[i][j], QI_ONE if i == j else QI_ZERO) for j in range(m)]
-            for i in range(m)]
-    return nullspace(rows)
-
-
-def _gram_dense(model) -> List[List[Qi]]:
-    rows = model.gram_rows()
-    n = model.dim
-    out = [[QI_ZERO] * n for _ in range(n)]
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            out[i][j] = v
-    return out
-
-
-def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep,
-                           s_images: List[Poly]) -> List[List[Qi]]:
-    """T = B_sub^{-1} S^T B_big as a dense dim(sub) x dim(big) matrix."""
+def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep, s_images: List[Poly]) -> Cols:
+    """T = B_sub^{-1} S^T B_big as dim(big) sparse columns."""
     bmodel = big.model
-    smodel = sub.model
     bigframe = big.frame
     # (S^T B_big)[k][j] = B(s_k, b_j); pairing vanishes except on opposite tags
     by_weight: Dict[Tuple[int, ...], List[int]] = {}
     for j, t in enumerate(bmodel.tags):
         by_weight.setdefault(t, []).append(j)
-    stb = [[QI_ZERO] * big.dim for _ in range(sub.dim)]
+    stb: Cols = [dict() for _ in range(big.dim)]
     for k, sp in enumerate(s_images):
         if not sp:
             continue
@@ -260,43 +233,28 @@ def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep,
         for j in sorted(cand):
             v = fischer_pair(bigframe, sp, bmodel.vectors[j])
             if not qis0(v):
-                stb[k][j] = v
-    binv = inverse(_gram_dense(smodel))
-    return qi_matmul(binv, stb)
+                stb[j][k] = v
+    gram = sub.model.gram_rows()
+    binv = inverse([[row.get(j, QI_ZERO) for j in range(sub.dim)] for row in gram])
+    binv_cols = [{i: row[k] for i, row in enumerate(binv) if not qis0(row[k])}
+                 for k in range(sub.dim)]
+    return [apply_cols(binv_cols, col) for col in stb]
+
+
+def _operator_pairs(big: MatrixRep, sub: MatrixRep) -> Iterator[Tuple[str, Cols, Cols]]:
+    """What T X_big = X_sub T must hold for: each subgroup generator, then the
+    distinguished reflection, as (name, X_big, X_sub)."""
+    for (a, b) in sub.frame.generators:
+        yield f"generator ({a},{b})", big.action(a, b), sub.action(a, b)
+    yield "the reflection", big.reflection(), sub.reflection()
 
 
 def _verify_operator(op: SymmetryBreakingOperator) -> None:
-    big, sub, T = op.big, op.sub, op.matrix
-    sframe = sub.frame
-    pairs = [(a, b) for i, a in enumerate(sframe.indices) for b in sframe.indices[i + 1:]]
-    for (a, b) in pairs:
-        bcols = big.sparse_action(a, b)
-        scols = sub.sparse_action(a, b)
-        for j in range(big.dim):
-            # T (X big) e_j
-            lhs = [QI_ZERO] * sub.dim
-            for i2, c in bcols[j].items():
-                for i in range(sub.dim):
-                    t = T[i][i2]
-                    if not qis0(t):
-                        lhs[i] = qadd(lhs[i], qmul(c, t))
-            # (X sub) T e_j
-            rhs = [QI_ZERO] * sub.dim
-            for i2 in range(sub.dim):
-                t = T[i2][j]
-                if qis0(t):
-                    continue
-                for i, c in scols[i2].items():
-                    rhs[i] = qadd(rhs[i], qmul(t, c))
-            if lhs != rhs:
-                raise AssertionError(f"operator not equivariant for generator ({a},{b})")
-    # reflection equivariance
-    Rb = big.reflection()
-    Rs = sub.reflection()
-    lhs = qi_matmul(T, Rb)
-    rhs = qi_matmul(Rs, T)
-    if lhs != rhs:
-        raise AssertionError("operator not equivariant for the reflection")
+    T = op.matrix
+    for what, xbig, xsub in _operator_pairs(op.big, op.sub):
+        for j in range(op.big.dim):
+            if apply_cols(T, xbig[j]) != apply_cols(xsub, T[j]):
+                raise AssertionError(f"operator not equivariant for {what}")
     op.verified = True
 
 
@@ -309,14 +267,11 @@ def hom_space(big: MatrixRep, sub: MatrixRep) -> Tuple[int, List[SymmetryBreakin
     hw = subgroup_hw_space(big, sub.label.mu, sframe)
     if not hw:
         return 0, []
-    induced = sub.group_tag == "O_even" and sub.label.mu[-1] >= 1
-    if induced:
+    if sub.label.induced:
         chosen = hw
     else:
-        inv = _reflection_involution(big, sub, hw)
-        fixed = _fixed_space(inv)
         chosen = []
-        for combo in fixed:
+        for combo in _reflection_fixed_space(big, sub, hw):
             vec: CoordVec = {}
             for i, c in enumerate(combo):
                 sv_add_scaled(vec, hw[i], c)
@@ -345,40 +300,21 @@ def hom_space_dense(big: MatrixRep, sub: MatrixRep,
     nu = big.dim * sub.dim
     if nu > max_unknowns:
         raise InvalidRankError(f"dense route limited to {max_unknowns} unknowns, got {nu}")
-    sframe = sub.frame
-    pairs = [(a, b) for i, a in enumerate(sframe.indices) for b in sframe.indices[i + 1:]]
     rows: List[List[Qi]] = []
-
-    def unk(i: int, j: int) -> int:
-        return i * big.dim + j
-
-    for (a, b) in pairs:
-        Xb = big.action(a, b)
-        Xs = sub.action(a, b)
+    for _what, xbig, xsub in _operator_pairs(big, sub):
+        # row (i, j): (T X_big - X_sub T)[i][j] in the unknowns T[i][k] at i*dim(big)+k
         for i in range(sub.dim):
             for j in range(big.dim):
                 row = [QI_ZERO] * nu
-                for k in range(big.dim):
-                    if not qis0(Xb[k][j]):
-                        row[unk(i, k)] = qadd(row[unk(i, k)], Xb[k][j])
+                for k, x in xbig[j].items():
+                    row[i * big.dim + k] = x
                 for k in range(sub.dim):
-                    if not qis0(Xs[i][k]):
-                        row[unk(k, j)] = qsub(row[unk(k, j)], Xs[i][k])
+                    x = xsub[k].get(i)
+                    if x is not None:
+                        u = k * big.dim + j
+                        row[u] = qsub(row[u], x)
                 if any(not qis0(x) for x in row):
                     rows.append(row)
-    Rb = big.reflection()
-    Rs = sub.reflection()
-    for i in range(sub.dim):
-        for j in range(big.dim):
-            row = [QI_ZERO] * nu
-            for k in range(big.dim):
-                if not qis0(Rb[k][j]):
-                    row[unk(i, k)] = qadd(row[unk(i, k)], Rb[k][j])
-            for k in range(sub.dim):
-                if not qis0(Rs[i][k]):
-                    row[unk(k, j)] = qsub(row[unk(k, j)], Rs[i][k])
-            if any(not qis0(x) for x in row):
-                rows.append(row)
     if not rows:
         return nu
     return len(nullspace(rows))

@@ -1,18 +1,21 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Scalars are pairs (re, im) of Fractions ("qi" values).  Dense matrices are
-lists of rows of qi values.  ``rref`` is the package's one Gauss-Jordan
-elimination; ``nullspace``, ``solve`` and ``inverse`` read their results from
-it.  It pivots on the first nonzero entry of each column, and since the
-reduced row echelon form is unique, the pivot choice changes no kernel basis,
-inverse or particular solution.
+Scalars are pairs (re, im) of Fractions ("qi" values).
 
 Sparse vectors are dicts mapping a hashable key (e.g. a monomial exponent
 tuple) to a nonzero qi value.  ``sv_add_scaled`` is their one
-accumulate-and-drop-zeros step, and ``apply_cols`` applies a matrix given by
-sparse columns.  ``TrackedEchelon`` keeps a reduced spanning set of sparse
-vectors and tracks how each stored row expands in the inserted vectors, so
-membership comes with coordinates.
+accumulate-and-drop-zeros step.  Every linear operator the package builds is
+held as sparse columns (``Cols``): column j maps row index i to the nonzero
+entry (i, j), and ``apply_cols`` applies one to a sparse vector.
+``TrackedEchelon`` keeps a reduced spanning set of sparse vectors and tracks
+how each stored row expands in the inserted vectors, so membership comes with
+coordinates.
+
+Dense lists of rows appear only as the input of ``rref``, the package's one
+Gauss-Jordan elimination; ``nullspace``, ``solve`` and ``inverse`` read their
+results from it.  It pivots on the first nonzero entry of each column, and
+since the reduced row echelon form is unique, the pivot choice changes no
+kernel basis, inverse or particular solution.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 Qi = Tuple[Fraction, Fraction]
 SparseVec = Dict[Hashable, Qi]
+Cols = List[Dict[int, Qi]]  # a matrix as sparse columns: cols[j] = {i: entry}
 
 QI_ZERO: Qi = (Fraction(0), Fraction(0))
 QI_ONE: Qi = (Fraction(1), Fraction(0))
@@ -68,12 +72,19 @@ def qis0(a: Qi) -> bool:
 
 
 def sv_add_scaled(target: SparseVec, src: SparseVec, coeff: Qi) -> None:
-    """target += coeff * src, in place, dropping exact zeros."""
+    """target += coeff * src, in place, dropping exact zeros.  A coefficient of
+    exactly 1 or -1 adds or subtracts the terms without a multiplication."""
     if qis0(coeff):
         return
+    sign = coeff[0] if not coeff[1] and coeff[0] in (1, -1) else 0
     for key, val in src.items():
         cur = target.get(key, QI_ZERO)
-        new = qadd(cur, qmul(coeff, val))
+        if sign == 1:
+            new = qadd(cur, val)
+        elif sign == -1:
+            new = qsub(cur, val)
+        else:
+            new = qadd(cur, qmul(coeff, val))
         if qis0(new):
             target.pop(key, None)
         else:
@@ -86,7 +97,7 @@ def sv_scale(vec: SparseVec, coeff: Qi) -> SparseVec:
     return {k: qmul(coeff, v) for k, v in vec.items()}
 
 
-def apply_cols(cols: List[SparseVec], vec: SparseVec,
+def apply_cols(cols: Cols, vec: SparseVec,
                out: Optional[SparseVec] = None) -> SparseVec:
     """out += M vec for the matrix M with sparse columns cols; returns out
     (a new vector when out is None)."""
@@ -145,7 +156,7 @@ class TrackedEchelon:
 
 
 # ---------------------------------------------------------------------------
-# Dense complex matrices
+# Elimination on dense rows
 # ---------------------------------------------------------------------------
 
 
@@ -214,24 +225,3 @@ def inverse(rows: List[List[Qi]]) -> List[List[Qi]]:
     if len(rref(work, n)) != n:
         raise ValueError("matrix is singular")
     return [r[n:] for r in work]
-
-
-def qi_matmul(a: List[List[Qi]], b: List[List[Qi]]) -> List[List[Qi]]:
-    """Dense product of complex-rational matrices."""
-    if not a or not b:
-        return []
-    inner = len(b)
-    ncols = len(b[0])
-    out = []
-    for row in a:
-        acc = [QI_ZERO] * ncols
-        for k in range(inner):
-            c = row[k]
-            if qis0(c):
-                continue
-            bk = b[k]
-            for j in range(ncols):
-                if not qis0(bk[j]):
-                    acc[j] = qadd(acc[j], qmul(c, bk[j]))
-        out.append(acc)
-    return out

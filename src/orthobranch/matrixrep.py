@@ -57,6 +57,7 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
+    Cols,
     Qi,
     QI_ONE,
     QI_ZERO,
@@ -74,7 +75,7 @@ from .linalg import (
 )
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
 from .characters import o_irrep_dim, so_rank
-from .branching import FDLabel, O_EVEN, O_ODD, fd_label, inf_char_of
+from .branching import FDLabel, fd_label, inf_char_of
 from .enveloping import canon_gen, gen_bracket
 
 Pair = Tuple[int, int]
@@ -124,6 +125,10 @@ class Frame:
         )
         self.rank = self.num_pairs
         self.reflection_index = indices[-1]
+        # the rotation generators X[a,b], a < b, in bundle and verification order
+        self.generators: Tuple[Pair, ...] = tuple(
+            (a, b) for i, a in enumerate(indices) for b in indices[i + 1:]
+        )
 
         # variable list: for each vector set (0 = z, 1 = w):
         #   for k = 1..m: "+k" then "-k"; finally the spare if present.
@@ -327,13 +332,14 @@ def poly_apply_table(table: Dict[int, Dict[int, Qi]], poly: Poly, scale: Qi,
     """out += scale * D(poly) for the derivation D determined by a linear map
     on the variables; returns out."""
     for mono, coeff in poly.items():
+        scaled = qmul(coeff, scale)
         for v, exp in enumerate(mono):
             if not exp:
                 continue
             tab = table.get(v)
             if not tab:
                 continue
-            base = qmul(coeff, qmul(scale, qi(exp)))
+            base = scaled if exp == 1 else qmul(scaled, qi(exp))
             for v2, c in tab.items():
                 lst = list(mono)
                 lst[v] -= 1
@@ -534,10 +540,6 @@ def _binom_seed(frame: Frame, mu: Sequence[int]) -> Poly:
     return seed
 
 
-def _is_induced(label: FDLabel) -> bool:
-    return label.group_tag == O_EVEN and label.mu[-1] >= 1
-
-
 def _close_model(frame: Frame, label: FDLabel, dim_cap: int) -> PolyModel:
     model = PolyModel(frame)
     mu = tuple(label.mu) + (0,) * (frame.rank - len(label.mu))
@@ -553,7 +555,7 @@ def _close_model(frame: Frame, label: FDLabel, dim_cap: int) -> PolyModel:
     lows = frame.lowering_ops()
     model.ops = [combo for _w, combo in lows]
     shifts = [w for w, _c in lows]
-    use_refl = _is_induced(label)
+    use_refl = label.induced
 
     model.try_insert(seed, tag, Recipe("seed"))
     queue = [0]
@@ -599,10 +601,11 @@ def _close_model(frame: Frame, label: FDLabel, dim_cap: int) -> PolyModel:
 class MatrixRep:
     """A concrete finite-dimensional representation with exact matrices.
 
-    ``action`` maps a generator pair (a, b), a < b, to its matrix (rows of
-    complex rationals; column j holds the coordinates of the image of basis
-    vector j).  ``reflection()`` returns the matrix of the distinguished
-    reflection (largest-coordinate sign flip), including the det-twist.
+    Every operator is held as sparse columns (``linalg.Cols``): column j maps
+    a row index to the nonzero coordinate of the image of basis vector j.
+    ``action`` gives the columns of a generator X[a,b], a < b, and
+    ``reflection()`` those of the distinguished reflection (largest-coordinate
+    sign flip), det-twist included.
     """
 
     dim: int
@@ -614,9 +617,8 @@ class MatrixRep:
     twist_sign: int = 1
     kind: str = "model"
     model: Optional[PolyModel] = None
-    _mats: Dict[Pair, List[List[Qi]]] = field(default_factory=dict, repr=False)
-    _sparse: Dict[Pair, List[Dict[int, Qi]]] = field(default_factory=dict, repr=False)
-    _refl: Optional[List[List[Qi]]] = field(default=None, repr=False)
+    _cols: Dict[Pair, Cols] = field(default_factory=dict, repr=False)
+    _refl: Optional[Cols] = field(default=None, repr=False)
     cache: Dict = field(default_factory=dict, repr=False)
 
     @property
@@ -627,82 +629,58 @@ class MatrixRep:
     def frame(self) -> Frame:
         return get_frame(self.indices)
 
-    # -- sparse columns of a generator -------------------------------------
-
-    def sparse_action(self, a: int, b: int) -> List[Dict[int, Qi]]:
+    def action(self, a: int, b: int) -> Cols:
         """Columns of X[a,b]: col[j] = {i: coeff}.  a < b required."""
         key = (a, b)
-        cached = self._sparse.get(key)
+        cached = self._cols.get(key)
         if cached is not None:
             return cached
         if a >= b:
-            raise InvalidRankError("sparse_action requires a < b")
+            raise InvalidRankError("action requires a < b")
         if a not in self.indices or b not in self.indices:
             raise InvalidRankError(
                 f"generator ({a},{b}) outside representation coordinates {self.indices}"
             )
         if self.kind == "standard":
             pos = {idx: i for i, idx in enumerate(self.indices)}
-            cols: List[Dict[int, Qi]] = [dict() for _ in range(self.dim)]
+            cols: Cols = [dict() for _ in range(self.dim)]
             cols[pos[b]][pos[a]] = QI_ONE
             cols[pos[a]][pos[b]] = qneg(QI_ONE)
         elif self.model is not None:
-            frame = self.frame
-            cols = []
-            for v in self.model.vectors:
-                img = poly_apply_pair(frame, a, b, v)
-                coords = self.model.coordinates(img)
-                if coords is None:
-                    raise AssertionError(
-                        f"generator ({a},{b}) image left the model span (dim {self.dim})"
-                    )
-                cols.append(coords)
+            what = f"generator ({a},{b}) image left the model span (dim {self.dim})"
+            cols = [self._model_coords(poly_apply_pair(self.frame, a, b, v), what)
+                    for v in self.model.vectors]
         else:
             cols = [dict() for _ in range(self.dim)]
-        self._sparse[key] = cols
+        self._cols[key] = cols
         return cols
 
-    def action(self, a: int, b: int) -> List[List[Qi]]:
-        """Dense matrix of X[a,b] (a < b)."""
-        key = (a, b)
-        cached = self._mats.get(key)
-        if cached is not None:
-            return cached
-        cols = self.sparse_action(a, b)
-        rows = [[QI_ZERO] * self.dim for _ in range(self.dim)]
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                rows[i][j] = c
-        self._mats[key] = rows
-        return rows
-
-    def reflection(self) -> List[List[Qi]]:
-        """Matrix of the distinguished reflection, det-twist included."""
+    def reflection(self) -> Cols:
+        """Columns of the distinguished reflection, det-twist included."""
         if self._refl is not None:
             return self._refl
-        tw = qi(Fraction(self.twist_sign))
+        tw = qi(self.twist_sign)
         if self.kind == "standard":
-            pos = {idx: i for i, idx in enumerate(self.indices)}
-            rows = [[QI_ZERO] * self.dim for _ in range(self.dim)]
-            for idx in self.indices:
-                i = pos[idx]
-                sign = Fraction(-1) if idx == self.frame.reflection_index else Fraction(1)
-                rows[i][i] = qmul(tw, qi(sign))
+            flip = self.frame.reflection_index
+            cols = [{i: qneg(tw) if idx == flip else tw} for i, idx in enumerate(self.indices)]
         elif self.model is not None:
-            rows = [[QI_ZERO] * self.dim for _ in range(self.dim)]
-            for j, v in enumerate(self.model.vectors):
-                img = poly_reflect(self.frame, v)
-                coords = self.model.coordinates(img)
-                if coords is None:
-                    raise AssertionError("reflection image left the model span")
-                for i, c in coords.items():
-                    rows[i][j] = qmul(tw, c)
+            what = "reflection image left the model span"
+            cols = [sv_scale(self._model_coords(poly_reflect(self.frame, v), what), tw)
+                    for v in self.model.vectors]
         else:
             raise InvalidRankError(
                 f"{self.kind} representation carries no reflection matrix"
             )
-        self._refl = rows
-        return rows
+        self._refl = cols
+        return cols
+
+    def _model_coords(self, img: Poly, what: str) -> Dict[int, Qi]:
+        """Coordinates of img in the model basis; raises AssertionError(what)
+        when img is outside the span."""
+        coords = self.model.coordinates(img)
+        if coords is None:
+            raise AssertionError(what)
+        return coords
 
     def weight_tags(self) -> List[Tuple[int, ...]]:
         if self.model is not None:
@@ -798,10 +776,6 @@ def construct_irrep(
     if all(c == 0 for c in label.mu):
         return trivial_rep(indices, eps=label.eps if label.eps is not None else 1)
     frame = get_frame(indices)
-    twist = 1
-    if label.eps == -1:
-        if label.group_tag == O_ODD or label.mu[-1] == 0:
-            twist = -1
     expected = o_irrep_dim(size, label.partition)
     if expected > dim_cap:
         raise ResourceLimitError(
@@ -819,7 +793,7 @@ def construct_irrep(
         highest_weight=label.mu,
         inf_char=inf_char_of(label),
         indices=indices,
-        twist_sign=twist,
+        twist_sign=label.eps,  # an induced label's eps is +1: its twist is isomorphic
         kind="model",
         model=model,
     )
@@ -839,13 +813,11 @@ def subgroup_irrep(ctx: RankContext, mu, eps: Optional[int] = None,
 def casimir_scalar(rep: MatrixRep) -> Fraction:
     """Scalar of the quadratic invariant -sum X[a,b]^2 over the frame's own
     generators; raises if the action is not scalar."""
-    frame = rep.frame
-    pairs = [(a, b) for i, a in enumerate(frame.indices) for b in frame.indices[i + 1:]]
     expected: Optional[Qi] = None
     for j in range(rep.dim):
         acc: Dict[int, Qi] = {}  # sum of X[a,b]^2 e_j, the invariant's negative
-        for (a, b) in pairs:
-            cols = rep.sparse_action(a, b)
+        for (a, b) in rep.frame.generators:
+            cols = rep.action(a, b)
             apply_cols(cols, cols[j], acc)
         if any(i != j for i in acc):
             raise AssertionError("quadratic invariant does not act by a scalar")
@@ -871,8 +843,7 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
     exp = expected_casimir_scalar(rep)
     if cas != exp:
         raise AssertionError(f"Casimir scalar {cas} != expected {exp} for {rep.label}")
-    frame = rep.frame
-    pairs = [(a, b) for i, a in enumerate(frame.indices) for b in frame.indices[i + 1:]]
+    pairs = rep.frame.generators
     pv: List[Dict[int, Qi]] = []
     step = max(1, rep.dim // max(probes, 1))
     for t in range(0, rep.dim, step):
@@ -880,14 +851,14 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
     for (a, b) in pairs:
         for (c, d) in pairs:
             br = gen_bracket((a, b), (c, d))
-            c1 = rep.sparse_action(a, b)
-            c2 = rep.sparse_action(c, d)
+            c1 = rep.action(a, b)
+            c2 = rep.action(c, d)
             for vec in pv:
                 # X1 X2 v against X2 X1 v + [X1, X2] v, the bracket read off the table
                 lhs = apply_cols(c1, apply_cols(c2, vec))
                 rhs = apply_cols(c2, apply_cols(c1, vec))
                 for pair, s in br.items():
-                    apply_cols(rep.sparse_action(*pair), sv_scale(vec, qi(s)), rhs)
+                    apply_cols(rep.action(*pair), sv_scale(vec, qi(s)), rhs)
                 if lhs != rhs:
                     raise AssertionError(
                         f"bracket fidelity failed for [{(a,b)},{(c,d)}] on {rep.label}"
@@ -898,34 +869,29 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
 # enveloping-algebra action
 # ---------------------------------------------------------------------------
 
-def act(element, rep: MatrixRep) -> List[List[Qi]]:
-    """Matrix of a universal-enveloping element (dict of generator-pair words
+def act(element, rep: MatrixRep) -> Cols:
+    """Columns of a universal-enveloping element (dict of generator-pair words
     to rational coefficients) on the representation.  Word (g1, ..., gk) acts
     as the operator product g1 ... gk.  Generators outside the
     representation's coordinate set raise InvalidRankError."""
     terms = element.terms if hasattr(element, "terms") else element
-    dim = rep.dim
-    cols: List[Dict[int, Qi]] = [dict() for _ in range(dim)]
+    cols: Cols = [dict() for _ in range(rep.dim)]
     for word, coeff in terms.items():
-        c = qi(Fraction(coeff))
+        c = qi(coeff)
         for (a, b) in word:
             if a not in rep.indices or b not in rep.indices:
                 raise InvalidRankError(
                     f"generator ({a},{b}) outside representation coordinates {rep.indices}"
                 )
-        # apply right-to-left on each basis column
-        for j in range(dim):
-            vec = {j: QI_ONE}
-            for (a, b) in reversed(word):
-                vec = apply_cols(rep.sparse_action(a, b), vec)
+        # right to left on each basis vector, starting from the last letter's column
+        last = rep.action(*word[-1]) if word else [{j: QI_ONE} for j in range(rep.dim)]
+        for j, vec in enumerate(last):
+            for (a, b) in reversed(word[:-1]):
                 if not vec:
                     break
+                vec = apply_cols(rep.action(a, b), vec)
             sv_add_scaled(cols[j], vec, c)
-    out = [[QI_ZERO] * dim for _ in range(dim)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            out[i][j] = v
-    return out
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -954,23 +920,32 @@ def qi_from_string(s: str) -> Qi:
     return (Fraction(s), Fraction(0))
 
 
-def _flat_strings(rows: List[List[Qi]]) -> List[str]:
-    return [qi_to_string(x) for row in rows for x in row]
+def _flat_strings(cols: Cols) -> List[str]:
+    """Row-major exact strings of a square matrix given by its columns."""
+    dim = len(cols)
+    flat = [qi_to_string(QI_ZERO)] * (dim * dim)
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            flat[i * dim + j] = qi_to_string(x)
+    return flat
 
 
-def _rows_from_strings(flat: List[str], dim: int, what: str) -> List[List[Qi]]:
+def _cols_from_strings(flat: List[str], dim: int, what: str) -> Cols:
     vals = [qi_from_string(s) for s in flat]
     if len(vals) != dim * dim:
         raise ValueError(f"{what} has {len(vals)} entries, expected {dim * dim}")
-    return [vals[r * dim:(r + 1) * dim] for r in range(dim)]
+    cols: Cols = [dict() for _ in range(dim)]
+    for k, x in enumerate(vals):
+        if not qis0(x):
+            cols[k % dim][k // dim] = x
+    return cols
 
 
 def rep_to_bundle(rep: MatrixRep) -> dict:
     """JSON-ready bundle: dimension, generator list, row-major matrices of the
     generators and of the distinguished reflection (det-twist included) as
     exact rational strings, and descriptive metadata."""
-    idx = rep.indices
-    generators = [(a, b) for i, a in enumerate(idx) for b in idx[i + 1:]]
+    generators = rep.frame.generators
     matrices = {f"{a},{b}": _flat_strings(rep.action(a, b)) for (a, b) in generators}
     return {
         "dim": rep.dim,
@@ -1003,7 +978,7 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
     if rep.label is None:
         raise InvalidRankError("det twist needs a labeled representation")
     lbl = rep.label
-    if lbl.group_tag == O_EVEN and lbl.mu[-1] >= 1:
+    if lbl.induced:
         return rep
     new_label = FDLabel(lbl.group_tag, lbl.mu, -lbl.eps)
     return MatrixRep(
@@ -1016,9 +991,9 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
         twist_sign=-rep.twist_sign,
         kind=rep.kind,
         model=rep.model,
-        _mats=rep._mats,
-        _sparse=rep._sparse,
-        _refl=None if rep._refl is None else [[qneg(x) for x in row] for row in rep._refl],
+        _cols=rep._cols,
+        _refl=(None if rep._refl is None
+               else [{i: qneg(x) for i, x in col.items()} for col in rep._refl]),
         cache=rep.cache,
     )
 
@@ -1033,19 +1008,10 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     meta = bundle["metadata"]
     indices = tuple(int(i) for i in meta["indices"])
     dim = int(bundle["dim"])
-    mats: Dict[Pair, List[List[Qi]]] = {}
-    sparse: Dict[Pair, List[Dict[int, Qi]]] = {}
+    actions: Dict[Pair, Cols] = {}
     for key, flat in bundle["matrices"].items():
         a_s, b_s = key.split(",")
-        pair = (int(a_s), int(b_s))
-        rows = _rows_from_strings(flat, dim, f"matrix {key}")
-        mats[pair] = rows
-        cols: List[Dict[int, Qi]] = [dict() for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                if not qis0(rows[i][j]):
-                    cols[j][i] = rows[i][j]
-        sparse[pair] = cols
+        actions[(int(a_s), int(b_s))] = _cols_from_strings(flat, dim, f"matrix {key}")
     label = None
     if meta.get("rows") is not None:
         label = fd_label(len(indices), tuple(meta["rows"]), meta.get("eps"))
@@ -1061,9 +1027,8 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
         twist_sign=int(meta.get("twist_sign", 1)),
         kind="bundle",
         model=None,
-        _mats=mats,
-        _sparse=sparse,
-        _refl=None if refl is None else _rows_from_strings(refl, dim, "reflection"),
+        _cols=actions,
+        _refl=None if refl is None else _cols_from_strings(refl, dim, "reflection"),
     )
 
 

@@ -88,10 +88,10 @@ def coupling_step(big: MatrixRep, V: Tuple_) -> Tuple_:
         acc = out[pos_a]
         for pos_b, b in enumerate(idx):
             if b < a:
-                apply_cols(big.sparse_action(b, a), V[pos_b], acc)
+                apply_cols(big.action(b, a), V[pos_b], acc)
             elif b > a:
                 neg = {j: qneg(c) for j, c in V[pos_b].items()}
-                apply_cols(big.sparse_action(a, b), neg, acc)
+                apply_cols(big.action(a, b), neg, acc)
     return out
 
 
@@ -234,28 +234,17 @@ def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, Coo
     ratio: Optional[Qi] = None
     usable = 0
     for (u, w0) in pairs:
-        Tu = op.apply_coords(u)
-        if all(qis0(c) for c in Tu):
+        Tu = apply_cols(op.matrix, u)
+        if not Tu:
             continue
         usable += 1
-        TV0 = op.apply_coords(w0)
-        c_here: Optional[Qi] = None
-        for a, b in zip(TV0, Tu):
-            if qis0(b):
-                if not qis0(a):
-                    raise IdentityViolationError(
-                        f"{what} composition is not proportional to the operator"
-                    )
-                continue
-            q = qdiv(a, b)
-            if c_here is None:
-                c_here = q
-            elif c_here != q:
-                raise IdentityViolationError(
-                    f"{what} composition is not proportional to the operator"
-                )
-        if c_here is None:
-            c_here = QI_ZERO
+        TV0 = apply_cols(op.matrix, w0)
+        quotients = {qdiv(TV0.get(i, QI_ZERO), b) for i, b in Tu.items()}
+        if len(quotients) != 1 or any(i not in Tu for i in TV0):
+            raise IdentityViolationError(
+                f"{what} composition is not proportional to the operator"
+            )
+        c_here = quotients.pop()
         if ratio is None:
             ratio = c_here
         elif ratio != c_here:
@@ -330,19 +319,12 @@ def verify_power_identity(big: MatrixRep, N: int) -> bool:
     ctx = rank_context(len(big.indices) - 1)
     A = act(build_A(N, ctx), big)
     Bs = [act(b, big) for b in build_B(N, ctx)]
-    dim = big.dim
-    for j in range(dim):
+    for j in range(big.dim):
         V = _insert_first_slot(big, {j: QI_ONE})
         for _ in range(N):
             V = coupling_step(big, V)
-        exp0: CoordVec = {k: A[k][j] for k in range(dim) if not qis0(A[k][j])}
-        if V[0] != exp0:
+        if V != [A[j]] + [B[j] for B in Bs]:
             return False
-        for pos in range(1, len(big.indices)):
-            mat = Bs[pos - 1]
-            expj: CoordVec = {k: mat[k][j] for k in range(dim) if not qis0(mat[k][j])}
-            if V[pos] != expj:
-                return False
     return True
 
 

@@ -4,9 +4,38 @@ A plain Fraction Gauss-Jordan elimination, written out here on purpose so
 that the references the tests compare against stay independent of the
 package's own kernel (``orthobranch.linalg.rref``): the band elimination of
 ``verma.fusion_oracle`` and the Gaussian-rational ``nullspace`` are both
-checked against ``nullspace`` below.
+checked against ``nullspace`` below.  ``dense`` turns the package's sparse
+columns into lists of rows, and ``qi_matmul`` multiplies such rows.
 """
 from fractions import Fraction
+
+from orthobranch.linalg import QI_ZERO, qadd, qis0, qmul
+
+
+def dense(cols, nrows):
+    """Rows of the matrix whose sparse columns are cols: cols[j] = {i: entry}."""
+    return [[col.get(i, QI_ZERO) for col in cols] for i in range(nrows)]
+
+
+def qi_matmul(a, b):
+    """Dense product of complex-rational matrices."""
+    if not a or not b:
+        return []
+    inner = len(b)
+    ncols = len(b[0])
+    out = []
+    for row in a:
+        acc = [QI_ZERO] * ncols
+        for k in range(inner):
+            c = row[k]
+            if qis0(c):
+                continue
+            bk = b[k]
+            for j in range(ncols):
+                if not qis0(bk[j]):
+                    acc[j] = qadd(acc[j], qmul(c, bk[j]))
+        out.append(acc)
+    return out
 
 
 def _rref(rows, ncols):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from orthobranch import enveloping
+from orthobranch import cli, enveloping, measure
+from orthobranch.characters import CharacterCheckError
 from orthobranch.cli import main
 
 
@@ -197,3 +198,29 @@ def test_stability_dim_cap(capsys):
     assert code == 0
     assert len(obj["samples"]) == 5 and len(obj["fence_crossings"]) == 3
     assert obj["constant"] is True
+
+
+def test_failed_power_measurement_is_a_counterexample(capsys, monkeypatch):
+    def b_eval(op, ell):
+        raise measure.IdentityViolationError("power scalar differs between probe vectors")
+
+    monkeypatch.setattr(measure, "b_eval", b_eval)
+    code, obj = run_json(capsys, "verify-scalar", "--n", "3", "--big", "1,0", "--sub", "0",
+                         "--i", "1", "--eps", "+")
+    assert code == 1
+    assert obj == {"check": "power-proportionality",
+                   "params": {"n": 3, "big": [1, 0], "sub": [0], "i": 1, "eps": 1,
+                              "power": 1},
+                   "error": "power scalar differs between probe vectors"}
+
+
+def test_failed_self_check_is_a_counterexample(capsys, monkeypatch):
+    def oracle_multiplicity(big, sub, dim_cap):
+        raise CharacterCheckError("peel met a negative count")
+
+    monkeypatch.setattr(cli, "oracle_multiplicity", oracle_multiplicity)
+    argv = ["branch", "--n", "4", "--big", "2,1", "--sub", "1,0"]
+    code, obj = run_json(capsys, *argv)
+    assert code == 1
+    assert obj == {"check": "self-check", "argv": argv,
+                   "error": "CharacterCheckError: peel met a negative count"}

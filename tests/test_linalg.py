@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import dense_reference
+from dense_reference import qi_matmul
 from orthobranch.linalg import (
     TrackedEchelon,
     apply_cols,
@@ -12,7 +13,6 @@ from orthobranch.linalg import (
     qadd,
     qdiv,
     qi,
-    qi_matmul,
     qis0,
     qmul,
     rref,
@@ -97,6 +97,10 @@ def test_sparse_vector_helpers():
     assert u == {0: qi(5), 1: qi(2, 2), 2: qi(0, 1)}
     sv_add_scaled(u, {0: qi(1)}, qi(-5))   # exact zeros are dropped
     assert u == {1: qi(2, 2), 2: qi(0, 1)}
+    sv_add_scaled(u, {1: qi(1), 2: qi(0, 1)}, qi(-1))   # coefficients +-1 add, subtract
+    assert u == {1: qi(1, 2)}
+    sv_add_scaled(u, {1: qi(-1, -2), 3: qi(4)}, qi(1))
+    assert u == {3: qi(4)}
     assert sv_scale(u, qi(0)) == {}
     cols = [{1: qi(1)}, {0: qi(0, 1)}]     # the matrix [[0, i], [1, 0]]
     assert apply_cols(cols, {0: qi(2), 1: qi(3)}) == {0: qi(0, 3), 1: qi(2)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,9 +12,10 @@ import orthobranch
 from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
 from orthobranch.enveloping import build_A, casimir, gen
-from orthobranch.linalg import qi, qi_matmul, qmul
+from orthobranch.linalg import qi, qmul
 from orthobranch.matrixrep import (
     act,
+    bundle_to_json,
     casimir_scalar,
     construct_irrep,
     det_twisted,
@@ -27,6 +29,8 @@ from orthobranch.matrixrep import (
     trivial_rep,
 )
 from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_context
+
+from dense_reference import dense, qi_matmul
 
 CTX2 = rank_context(2)
 CTX3 = rank_context(3)
@@ -47,9 +51,10 @@ def scaled_identity(c, dim):
 def test_standard_rep_basics():
     rep = standard_rep(CTX4)
     assert rep.dim == 5
-    assert act(casimir(4, "full"), rep) == scaled_identity(4, 5)
+    assert dense(act(casimir(4, "full"), rep), 5) == scaled_identity(4, 5)
+    assert dense(act({(): F(2)}, rep), 5) == scaled_identity(2, 5)   # the empty word
     # antisymmetric generator images
-    m = rep.action(0, 3)
+    m = dense(rep.action(0, 3), 5)
     for i in range(5):
         for j in range(5):
             re, im = m[i][j]
@@ -59,7 +64,7 @@ def test_standard_rep_basics():
     pos = rep.indices.index(0)
     for a in range(1, 5):
         for b in range(a + 1, 5):
-            col = rep.sparse_action(a, b)
+            col = rep.action(a, b)
             for j, c in enumerate(col):
                 assert c.get(pos, qi(0)) == qi(0) or j != pos
             assert col[pos] == {}
@@ -68,19 +73,19 @@ def test_standard_rep_basics():
 def test_act_is_a_homomorphism():
     rep = standard_rep(CTX3)
     x, y = gen(0, 1), gen(1, 2)
-    lhs = act(x * y, rep)
-    rhs = qi_matmul(act(x, rep), act(y, rep))
+    lhs = dense(act(x * y, rep), rep.dim)
+    rhs = qi_matmul(dense(act(x, rep), rep.dim), dense(act(y, rep), rep.dim))
     assert mat_eq(lhs, rhs)
-    assert act(gen(1, 0), rep) == [[(-re, -im) for re, im in row]
-                                   for row in act(gen(0, 1), rep)]
+    assert dense(act(gen(1, 0), rep), rep.dim) == [[(-re, -im) for re, im in row]
+                                                   for row in dense(act(gen(0, 1), rep), rep.dim)]
 
 
 def test_act_ladder_identity_on_standard_rep():
     for n in (3, 4):
         rep = standard_rep(rank_context(n))
-        lhs = act(build_A(2, n), rep)
-        rhs_full = act(casimir(n, "full"), rep)
-        rhs_sub = act(casimir(n, "sub"), rep)
+        lhs = dense(act(build_A(2, n), rep), rep.dim)
+        rhs_full = dense(act(casimir(n, "full"), rep), rep.dim)
+        rhs_sub = dense(act(casimir(n, "sub"), rep), rep.dim)
         want = [[(a[0] - b[0], a[1] - b[1]) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(rhs_full, rhs_sub)]
         assert mat_eq(lhs, want)
@@ -119,10 +124,10 @@ def test_reflection_conjugation(reps):
     # conjugating a generator by the reflection flips the sign exactly when
     # one index equals the reflection coordinate
     rep = reps.get(3, (1, 1))
-    refl = rep.reflection()
+    refl = dense(rep.reflection(), rep.dim)
     nmax = max(rep.indices)
     for (a, b) in [(0, 1), (0, nmax), (1, nmax), (1, 2)]:
-        m = act(gen(a, b), rep)
+        m = dense(act(gen(a, b), rep), rep.dim)
         conj = qi_matmul(qi_matmul(refl, m), refl)
         sign = -1 if (a == nmax) != (b == nmax) else 1
         want = [[(sign * re, sign * im) for re, im in row] for row in m]
@@ -131,7 +136,7 @@ def test_reflection_conjugation(reps):
 
 def test_reflection_is_involutive(reps):
     rep = reps.get(3, (2, 0))
-    refl = rep.reflection()
+    refl = dense(rep.reflection(), rep.dim)
     assert qi_matmul(refl, refl) == scaled_identity(1, rep.dim)
 
 
@@ -169,6 +174,24 @@ def test_bundle_keeps_the_reflection(reps):
         assert det_twisted(back).reflection() == det_twisted(rep).reflection()
         again, first = rep_to_bundle(back), rep_to_bundle(rep)
         assert all(again[k] == first[k] for k in ("dim", "generators", "matrices", "reflection"))
+
+
+BUNDLE_DIGESTS = [  # sha256 of the written bundle file, (n, rows, eps, side)
+    ((2, (1,), None, "big"), "5bc831c21d320657026e675b7d0ea403f88ebea6ce1d398ffb1099393ef4097c"),
+    ((3, (2, 1), None, "big"), "0a7594056375eb9b6768dd663190d13836babcd5cb61b03f5e921b7c4ebfd800"),
+    ((3, (1, 0), -1, "big"), "3f134eb47350158c8d7dfc8b3d7b4326ef8192615f95099096b51f61fd572153"),
+    ((4, (2, 0), 1, "big"), "5785d61fa8b6bb8b8b32a202937bf8779453de98f095f88eedb854abe9bcf0cb"),
+    ((5, (1, 1, 0), 1, "big"), "3c066a06ced0dd9e5964f2fae2649831e39f414ff14b7eb7063cd32a621cebb3"),
+    ((3, (2,), None, "sub"), "896480b1f6d19eb84c49f56c6580e5a8e2dd9564fecafdcd85f595bdff667b5e"),
+]
+
+
+@pytest.mark.parametrize("case, digest", BUNDLE_DIGESTS)
+def test_bundle_bytes_are_pinned(case, digest):
+    n, rows, eps, side = case
+    rep = construct_irrep(rank_context(n), rows, eps=eps, which=side)
+    text = bundle_to_json(rep_to_bundle(rep)) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_bundle_without_reflection_has_none(reps):
@@ -213,7 +236,7 @@ def test_det_twisted_properties(reps):
     assert tw.label.eps == -1
     assert tw.action(0, 1) == base.action(0, 1)   # same connected action
     # reflections differ by the overall sign
-    r0, r1 = base.reflection(), tw.reflection()
+    r0, r1 = dense(base.reflection(), base.dim), dense(tw.reflection(), tw.dim)
     assert r1 == [[(-re, -im) for re, im in row] for row in r0]
     # even-size groups with full rows: the twist is isomorphic, same object
     full = reps.get(3, (1, 1))
