@@ -11,7 +11,8 @@ models bracket and canonicalize generator pairs through them too.
 A monomial is a tuple of canonical (i, j) pairs; normal order means
 nondecreasing in the lexicographic generator order, achieved by adjacent
 transpositions with bracket correction (memoized).  Elements are dicts from
-monomials to Fraction coefficients wrapped in a thin immutable class; `*`
+monomials to exact coefficients (an int where integral, else a Fraction) in
+a thin immutable class; `*`
 returns normal-ordered products, while `monomial(...)` lets tests build raw
 unordered words.
 
@@ -22,13 +23,14 @@ invariance check used throughout the representation layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple, Union
 
 from .polyarith import p_add_into
 from .weights import RankContext
 
 Pair = Tuple[int, int]
 Monomial = Tuple[Pair, ...]
+Coeff = Union[int, Fraction]
 
 
 def canon_gen(i: int, j: int):
@@ -53,16 +55,22 @@ def gen_bracket(x, y) -> Dict[Pair, int]:
     return out
 
 
+def _exact(c):
+    """c as an int when it is integral, else as an exact Fraction."""
+    c = c if type(c) is int else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class UEElement:
     """Immutable linear combination of monomials in the X_ij."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Monomial, Fraction] = None):
+    def __init__(self, terms: Dict[Monomial, Coeff] = None):
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff != 0:
                     clean[tuple(tuple(p) for p in mono)] = coeff
         object.__setattr__(self, "terms", clean)
@@ -91,12 +99,12 @@ class UEElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "UEElement":
-        c = Fraction(c)
+        c = _exact(c)
         return UEElement({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "UEElement") -> "UEElement":
         """Product, returned in normal-ordered form."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 p_add_into(out, _normal_order_monomial(m1 + m2), c1 * c2)
@@ -121,7 +129,7 @@ def gen(i: int, j: int) -> UEElement:
     sign, pair = canon_gen(i, j)
     if sign == 0:
         return ZERO
-    return UEElement({(pair,): Fraction(sign)})
+    return UEElement({(pair,): sign})
 
 
 def monomial(pairs: Iterable[Pair], coeff=1) -> UEElement:
@@ -142,10 +150,10 @@ def bracket(x, y) -> UEElement:
     return UEElement({(pair,): c for pair, c in gen_bracket(tuple(x), tuple(y)).items()})
 
 
-_ORDER_MEMO: Dict[Monomial, Dict[Monomial, Fraction]] = {}
+_ORDER_MEMO: Dict[Monomial, Dict[Monomial, int]] = {}
 
 
-def _normal_order_monomial(word: Monomial) -> Dict[Monomial, Fraction]:
+def _normal_order_monomial(word: Monomial) -> Dict[Monomial, int]:
     """Canonical form of a word of canonical pairs, as {monomial: coeff}."""
     cached = _ORDER_MEMO.get(word)
     if cached is not None:
@@ -156,7 +164,7 @@ def _normal_order_monomial(word: Monomial) -> Dict[Monomial, Fraction]:
             swap_at = k
             break
     if swap_at is None:
-        result = {word: Fraction(1)}
+        result = {word: 1}
         _ORDER_MEMO[word] = result
         return result
     k = swap_at
@@ -169,7 +177,7 @@ def _normal_order_monomial(word: Monomial) -> Dict[Monomial, Fraction]:
 
 
 def normal_order(e: UEElement) -> UEElement:
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     for word, coeff in e.terms.items():
         p_add_into(out, _normal_order_monomial(word), coeff)
     return UEElement(out)
@@ -190,10 +198,10 @@ def casimir(ctx, which: str = "full") -> UEElement:
     if which not in ("full", "sub"):
         raise ValueError(f"which must be 'full' or 'sub', got {which!r}")
     lo = 0 if which == "full" else 1
-    terms: Dict[Monomial, Fraction] = {}
+    terms: Dict[Monomial, Coeff] = {}
     for i in range(lo, n + 1):
         for j in range(i + 1, n + 1):
-            terms[((i, j), (i, j))] = Fraction(-1)
+            terms[((i, j), (i, j))] = -1
     return UEElement(terms)
 
 
@@ -284,13 +292,13 @@ def build_C(ell: int, ctx) -> UEElement:
 def ad_gn(e: UEElement, ctx) -> UEElement:
     """Conjugation by diag(1, ..., 1, -1): X_ij -> -X_ij iff exactly one index is n."""
     n = _ctx_n(ctx)
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     for word, coeff in e.terms.items():
         sign = 1
         for i, j in word:
             if (i == n) != (j == n):
                 sign = -sign
-        out[word] = out.get(word, Fraction(0)) + sign * coeff
+        out[word] = out.get(word, 0) + sign * coeff
     return normal_order(UEElement(out))
 
 

@@ -9,7 +9,7 @@ held as sparse columns (``Cols``): column j maps row index i to the nonzero
 entry (i, j), and ``apply_cols`` applies one to a sparse vector.
 ``TrackedEchelon`` keeps a reduced spanning set of sparse vectors and tracks
 how each stored row expands in the inserted vectors, so membership comes with
-coordinates.
+coordinates, also for a vector that an insert finds dependent.
 
 Dense lists of rows appear only as the input of ``rref``, the package's one
 Gauss-Jordan elimination; ``nullspace``, ``solve`` and ``inverse`` read their
@@ -133,17 +133,19 @@ class TrackedEchelon:
             sv_add_scaled(combo, row_combo, c)
         return vec, combo
 
-    def insert(self, vec: SparseVec) -> Optional[int]:
-        """Returns the index assigned to the vector if independent, else None."""
+    def insert(self, vec: SparseVec) -> Tuple[Optional[int], Dict[int, Qi]]:
+        """(index, {index: 1}) after storing vec if it is independent of the
+        inserted vectors, else (None, its ``coordinates`` over them)."""
         idx = self.count
         red, combo = self._reduce(vec, {idx: QI_ONE})
         if not red:
-            return None
+            del combo[idx]
+            return None, {i: qneg(c) for i, c in combo.items()}
         key = max(red)
         inv = qdiv(QI_ONE, red[key])
         self.rows[key] = (sv_scale(red, inv), sv_scale(combo, inv))
         self.count += 1
-        return idx
+        return idx, {idx: QI_ONE}
 
     def coordinates(self, vec: SparseVec) -> Optional[Dict[int, Qi]]:
         """Expansion of vec over the inserted independent vectors, or None if

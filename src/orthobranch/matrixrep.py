@@ -41,10 +41,17 @@ and raise ``ResourceLimitError``.
 The det-twist ``eps = -1`` never changes the underlying polynomial model:
 it multiplies the action of every reflection by ``-1`` (``twist_sign``).
 
-Construction is self-verifying: seeds must be annihilated by raising
-operators, the closure dimension must match the independent
-character-theoretic dimension, and the quadratic Casimir must act by the
-expected scalar on the whole basis.
+Polynomials serve only to find the basis.  The closure's coordinates of each
+lowering image F v_i and reflected vector R v_i are the columns of F and R;
+h_k acts by the weight tags; the raising root vectors follow in basis order
+from the recipes (E v_0 = 0, E F v_p = F E v_p + [E, F] v_p and
+E R v_p = R (R E R) v_p); each X[a,b] is a fixed combination of those.
+
+Construction is self-verifying by checks apart from that derivation: the seed
+is annihilated by the raising operators, the dimension matches character
+theory, a non-induced span is reflection-stable, the quadratic Casimir acts by
+the expected scalar, and ``_verify_rep`` checks every bracket relation on
+probe vectors.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -63,6 +71,7 @@ from .linalg import (
     QI_ZERO,
     TrackedEchelon,
     apply_cols,
+    inverse,
     nullspace,
     qadd,
     qi,
@@ -195,6 +204,7 @@ class Frame:
 
         self._pair_action_cache: Dict[Pair, Dict[int, Dict[int, Qi]]] = {}
         self._roots: Optional[Dict[Tuple[int, ...], Combo]] = None
+        self._gen_coords: Optional[Dict[Pair, Dict[object, Qi]]] = None
 
     # -- linear action of X[a,b] on the variable space ----------------------
 
@@ -229,9 +239,6 @@ class Frame:
                 table[vidx] = out
         self._pair_action_cache[key] = table
         return table
-
-    def combo_tables(self, combo: Combo) -> List[Tuple[Dict[int, Dict[int, Qi]], Qi]]:
-        return [(self.pair_action(a, b), c) for (a, b), c in combo.items()]
 
     # -- Cartan and root vectors -------------------------------------------
 
@@ -301,6 +308,21 @@ class Frame:
         self._roots = roots
         return roots
 
+    def root_coords(self, combo: Combo) -> Dict[object, Qi]:
+        """combo expanded over the root vectors (keyed by root) and the Cartan
+        elements h_k (keyed by k), by the inverse of that basis, built once."""
+        if self._gen_coords is None:
+            basis: Dict[object, Combo] = dict(self.root_vectors())
+            basis.update((k, self.cartan_combo(k)) for k in range(1, self.rank + 1))
+            inv = inverse([[e.get(g, QI_ZERO) for e in basis.values()] for g in self.generators])
+            self._gen_coords = {g: {key: row[gi] for key, row in zip(basis, inv)
+                                    if not qis0(row[gi])}
+                                for gi, g in enumerate(self.generators)}
+        out: Dict[object, Qi] = {}
+        for pair, c in combo.items():
+            sv_add_scaled(out, self._gen_coords[pair], c)
+        return out
+
     def lowering_ops(self) -> List[Tuple[Tuple[int, ...], Combo]]:
         out = []
         for w, combo in sorted(self.root_vectors().items(), reverse=True):
@@ -352,13 +374,6 @@ def poly_apply_table(table: Dict[int, Dict[int, Qi]], poly: Poly, scale: Qi,
                 else:
                     out[key] = new
     return out
-
-
-def poly_apply_pair(frame: Frame, a: int, b: int, poly: Poly) -> Poly:
-    sign, pair = canon_gen(a, b)
-    if not sign:
-        return {}
-    return poly_apply_table(frame.pair_action(*pair), poly, qi(sign), {})
 
 
 def poly_apply_combo(frame: Frame, combo: Combo, poly: Poly) -> Poly:
@@ -474,22 +489,20 @@ class PolyModel:
         return len(self.vectors)
 
     def coordinates(self, poly: Poly) -> Optional[Dict[int, Qi]]:
-        if not poly:
-            return {}
         return self.ech.coordinates(poly)
 
-    def try_insert(self, poly: Poly, tag: Tuple[int, ...], recipe: Recipe) -> Optional[int]:
-        if not poly:
-            return None
-        idx = self.ech.insert(poly)
-        if idx is None:
-            return None
-        if idx != len(self.vectors):
-            raise AssertionError(f"echelon index {idx} != model dimension {len(self.vectors)}")
-        self.vectors.append(poly)
-        self.tags.append(tag)
-        self.recipes.append(recipe)
-        return idx
+    def try_insert(self, poly: Poly, tag: Tuple[int, ...],
+                   recipe: Recipe) -> Tuple[Optional[int], Dict[int, Qi]]:
+        """Adds poly as a basis vector when it is independent of the basis:
+        returns (its index, {index: 1}) then, else (None, its coordinates)."""
+        idx, coords = self.ech.insert(poly)
+        if idx is not None:
+            if idx != len(self.vectors):
+                raise AssertionError(f"echelon index {idx} != model dimension {len(self.vectors)}")
+            self.vectors.append(poly)
+            self.tags.append(tag)
+            self.recipes.append(recipe)
+        return idx, coords
 
     def gram_rows(self) -> List[Dict[int, Qi]]:
         """Sparse rows of the pairing matrix B[i][j] = B(b_i, b_j)."""
@@ -540,7 +553,10 @@ def _binom_seed(frame: Frame, mu: Sequence[int]) -> Poly:
     return seed
 
 
-def _close_model(frame: Frame, label: FDLabel, dim_cap: int) -> PolyModel:
+def _close_model(frame: Frame, label: FDLabel,
+                 dim_cap: int) -> Tuple[PolyModel, List[Cols], Cols]:
+    """The model of label, the columns of its lowering root vectors
+    (``lower[op_index]``) and of its reflection without det-twist."""
     model = PolyModel(frame)
     mu = tuple(label.mu) + (0,) * (frame.rank - len(label.mu))
     seed = _binom_seed(frame, mu)
@@ -554,31 +570,25 @@ def _close_model(frame: Frame, label: FDLabel, dim_cap: int) -> PolyModel:
 
     lows = frame.lowering_ops()
     model.ops = [combo for _w, combo in lows]
-    shifts = [w for w, _c in lows]
     use_refl = label.induced
 
     model.try_insert(seed, tag, Recipe("seed"))
+    lower: List[Dict[int, Dict[int, Qi]]] = [dict() for _ in lows]  # [op][i]: F_op v_i
+    refl: Dict[int, Dict[int, Qi]] = {}  # [i]: R v_i
     queue = [0]
     while queue:
         i = queue.pop()
         base = model.vectors[i]
         base_tag = model.tags[i]
-        for op_index, combo in enumerate(model.ops):
-            img = poly_apply_combo(frame, combo, base)
-            if not img:
-                continue
-            new_tag = tuple(a + b for a, b in zip(base_tag, shifts[op_index]))
-            idx = model.try_insert(img, new_tag, Recipe("op", i, op_index))
-            if idx is not None:
-                if model.dim > dim_cap:
-                    raise ResourceLimitError(
-                        f"model for {label} exceeded dimension cap {dim_cap}"
-                    )
-                queue.append(idx)
+        steps = [(poly_apply_combo(frame, combo, base), tuple(map(add, base_tag, w)),
+                  Recipe("op", i, op_index), lower[op_index])
+                 for op_index, (w, combo) in enumerate(lows)]
         if use_refl:
-            img = poly_reflect(frame, base)
-            new_tag = (-base_tag[0],) + base_tag[1:] if frame.rank else base_tag
-            idx = model.try_insert(img, new_tag, Recipe("refl", i))
+            steps.append((poly_reflect(frame, base),
+                          (-base_tag[0],) + base_tag[1:] if frame.rank else base_tag,
+                          Recipe("refl", i), refl))
+        for img, new_tag, recipe, coords in steps:
+            idx, coords[i] = model.try_insert(img, new_tag, recipe)
             if idx is not None:
                 if model.dim > dim_cap:
                     raise ResourceLimitError(
@@ -587,10 +597,45 @@ def _close_model(frame: Frame, label: FDLabel, dim_cap: int) -> PolyModel:
                 queue.append(idx)
     if not use_refl:
         # non-induced labels: the span must already be reflection-stable
-        for v in model.vectors:
-            if model.coordinates(poly_reflect(frame, v)) is None:
+        for i, v in enumerate(model.vectors):
+            refl[i] = model.coordinates(poly_reflect(frame, v))
+            if refl[i] is None:
                 raise AssertionError(f"model for {label} is not reflection-stable")
-    return model
+    span = range(model.dim)
+    return model, [[col[i] for i in span] for col in lower], [refl[i] for i in span]
+
+
+def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
+                        refl: Cols) -> Dict[Pair, Cols]:
+    """Columns of every X[a,b] of a closed model by the module docstring's
+    recursion; column j of a raising root vector reads columns p < j only."""
+    mats: Dict[object, Cols] = {w: cols for (w, _f), cols in zip(frame.lowering_ops(), lower)}
+    for k in range(1, frame.rank + 1):
+        mats[k] = [{j: qi(t[k - 1])} if t[k - 1] else {} for j, t in enumerate(model.tags)]
+
+    def combine(coords: Dict[object, Qi], j: int) -> Dict[int, Qi]:
+        out: Dict[int, Qi] = {}
+        for key, c in coords.items():
+            sv_add_scaled(out, mats[key][j], c)
+        return out
+
+    flip = frame.reflection_index
+    raising = frame.raising_ops()
+    brackets = [[frame.root_coords(so_bracket(e, f)) for f in model.ops] for _w, e in raising]
+    conjugates = [frame.root_coords({(a, b): qneg(c) if (a == flip) != (b == flip) else c
+                                     for (a, b), c in e.items()}) for _w, e in raising]
+    mats.update((w, [{}]) for w, _e in raising)  # E v_0 = 0 at the seed
+    for rec in model.recipes[1:]:
+        p = rec.parent
+        for r, (w, _e) in enumerate(raising):
+            if rec.kind == "op":
+                col = apply_cols(lower[rec.op_index], mats[w][p],
+                                 combine(brackets[r][rec.op_index], p))
+            else:
+                col = apply_cols(refl, combine(conjugates[r], p))
+            mats[w].append(col)
+    gen_coords = {g: frame.root_coords({g: QI_ONE}) for g in frame.generators}
+    return {g: [combine(c, j) for j in range(model.dim)] for g, c in gen_coords.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -631,56 +676,27 @@ class MatrixRep:
 
     def action(self, a: int, b: int) -> Cols:
         """Columns of X[a,b]: col[j] = {i: coeff}.  a < b required."""
-        key = (a, b)
-        cached = self._cols.get(key)
-        if cached is not None:
-            return cached
+        cols = self._cols.get((a, b))
+        if cols is not None:
+            return cols
         if a >= b:
             raise InvalidRankError("action requires a < b")
         if a not in self.indices or b not in self.indices:
             raise InvalidRankError(
                 f"generator ({a},{b}) outside representation coordinates {self.indices}"
             )
-        if self.kind == "standard":
-            pos = {idx: i for i, idx in enumerate(self.indices)}
-            cols: Cols = [dict() for _ in range(self.dim)]
-            cols[pos[b]][pos[a]] = QI_ONE
-            cols[pos[a]][pos[b]] = qneg(QI_ONE)
-        elif self.model is not None:
-            what = f"generator ({a},{b}) image left the model span (dim {self.dim})"
-            cols = [self._model_coords(poly_apply_pair(self.frame, a, b, v), what)
-                    for v in self.model.vectors]
-        else:
-            cols = [dict() for _ in range(self.dim)]
-        self._cols[key] = cols
+        # a generator the rep does not store acts by zero: the trivial rep
+        # stores none, and a bundle may leave some out
+        cols = self._cols[(a, b)] = [dict() for _ in range(self.dim)]
         return cols
 
     def reflection(self) -> Cols:
         """Columns of the distinguished reflection, det-twist included."""
-        if self._refl is not None:
-            return self._refl
-        tw = qi(self.twist_sign)
-        if self.kind == "standard":
-            flip = self.frame.reflection_index
-            cols = [{i: qneg(tw) if idx == flip else tw} for i, idx in enumerate(self.indices)]
-        elif self.model is not None:
-            what = "reflection image left the model span"
-            cols = [sv_scale(self._model_coords(poly_reflect(self.frame, v), what), tw)
-                    for v in self.model.vectors]
-        else:
+        if self._refl is None:
             raise InvalidRankError(
                 f"{self.kind} representation carries no reflection matrix"
             )
-        self._refl = cols
-        return cols
-
-    def _model_coords(self, img: Poly, what: str) -> Dict[int, Qi]:
-        """Coordinates of img in the model basis; raises AssertionError(what)
-        when img is outside the span."""
-        coords = self.model.coordinates(img)
-        if coords is None:
-            raise AssertionError(what)
-        return coords
+        return self._refl
 
     def weight_tags(self) -> List[Tuple[int, ...]]:
         if self.model is not None:
@@ -713,6 +729,9 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
     size = len(indices)
     mu = (1,) + (0,) * (so_rank(size) - 1) if size > 2 else (1,)
     label = fd_label(size, mu, 1 if size % 2 else None)
+    # X[a,b] = E[a,b] - E[b,a]; each index is its own position
+    cols = {(a, b): [{a: QI_ONE} if j == b else {b: qneg(QI_ONE)} if j == a else {}
+                     for j in range(size)] for a, b in get_frame(indices).generators}
     rep = MatrixRep(
         dim=size,
         group_tag=label.group_tag,
@@ -723,6 +742,8 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
         twist_sign=1,
         kind="standard",
         model=None,
+        _cols=cols,
+        _refl=[{i: qi(-1 if i == size - 1 else 1)} for i in range(size)],
     )
     _verify_rep(rep, probes=size)
     return rep
@@ -750,6 +771,7 @@ def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
         twist_sign=eps,
         kind="model",
         model=model,
+        _refl=[{0: qi(eps)}],
     )
 
 
@@ -764,8 +786,10 @@ def construct_irrep(
     over the requested coordinate set ('big' = 0..n, 'sub' = 1..n when given a
     rank context; any ascending index tuple is accepted directly).
 
-    The result is checked against the independent character-theoretic
-    dimension, the Casimir scalar, and bracket relations on probe vectors.
+    The generator matrices come from the closure's coordinates by the
+    recursion of the module docstring and are checked apart from it: against
+    character theory's dimension, the Casimir scalar, and every bracket
+    relation on probe vectors.
     """
     if isinstance(ctx_or_indices, RankContext):
         indices = _indices_for(ctx_or_indices, which)
@@ -781,7 +805,7 @@ def construct_irrep(
         raise ResourceLimitError(
             f"irreducible {label} has dimension {expected} > cap {dim_cap}"
         )
-    model = _close_model(frame, label, dim_cap)
+    model, lower, refl = _close_model(frame, label, dim_cap)
     if model.dim != expected:
         raise AssertionError(
             f"model for {label} has dimension {model.dim}, character theory says {expected}"
@@ -796,6 +820,8 @@ def construct_irrep(
         twist_sign=label.eps,  # an induced label's eps is +1: its twist is isomorphic
         kind="model",
         model=model,
+        _cols=_generator_matrices(frame, model, lower, refl),
+        _refl=[sv_scale(col, qi(label.eps)) for col in refl],
     )
     _verify_rep(rep)
     return rep
@@ -838,30 +864,32 @@ def expected_casimir_scalar(rep: MatrixRep) -> Fraction:
 
 
 def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
-    """Casimir scalar plus bracket fidelity on probe vectors."""
+    """Casimir scalar plus X_i X_j v - X_j X_i v = [X_i, X_j] v on probe
+    vectors v for generator pairs i < j ((j, i) is the negated identity), each
+    X_k v and each product formed once."""
     cas = casimir_scalar(rep)
     exp = expected_casimir_scalar(rep)
     if cas != exp:
         raise AssertionError(f"Casimir scalar {cas} != expected {exp} for {rep.label}")
-    pairs = rep.frame.generators
+    gens = rep.frame.generators
+    pos = {g: k for k, g in enumerate(gens)}
+    cols = [rep.action(*g) for g in gens]
     pv: List[Dict[int, Qi]] = []
     step = max(1, rep.dim // max(probes, 1))
     for t in range(0, rep.dim, step):
         pv.append({t: QI_ONE, (t + 1) % rep.dim: qi(1, 1)})
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            br = gen_bracket((a, b), (c, d))
-            c1 = rep.action(a, b)
-            c2 = rep.action(c, d)
-            for vec in pv:
-                # X1 X2 v against X2 X1 v + [X1, X2] v, the bracket read off the table
-                lhs = apply_cols(c1, apply_cols(c2, vec))
-                rhs = apply_cols(c2, apply_cols(c1, vec))
+    xv = [[apply_cols(c, vec) for c in cols] for vec in pv]  # xv[probe][k] = X_k v
+    for i, gi in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            br = gen_bracket(gi, gens[j])
+            for x in xv:
+                lhs = apply_cols(cols[i], x[j])
+                rhs = apply_cols(cols[j], x[i])
                 for pair, s in br.items():
-                    apply_cols(rep.action(*pair), sv_scale(vec, qi(s)), rhs)
+                    sv_add_scaled(rhs, x[pos[pair]], qi(s))
                 if lhs != rhs:
                     raise AssertionError(
-                        f"bracket fidelity failed for [{(a,b)},{(c,d)}] on {rep.label}"
+                        f"bracket fidelity failed for [{gi},{gens[j]}] on {rep.label}"
                     )
 
 
@@ -931,11 +959,13 @@ def _flat_strings(cols: Cols) -> List[str]:
 
 
 def _cols_from_strings(flat: List[str], dim: int, what: str) -> Cols:
-    vals = [qi_from_string(s) for s in flat]
-    if len(vals) != dim * dim:
-        raise ValueError(f"{what} has {len(vals)} entries, expected {dim * dim}")
+    """Sparse columns of a row-major list of exact strings; the zero string
+    that ``qi_to_string`` writes is skipped without being parsed."""
+    vals = [(k, qi_from_string(s)) for k, s in enumerate(flat) if s != "0/1"]
+    if len(flat) != dim * dim:
+        raise ValueError(f"{what} has {len(flat)} entries, expected {dim * dim}")
     cols: Cols = [dict() for _ in range(dim)]
-    for k, x in enumerate(vals):
+    for k, x in vals:
         if not qis0(x):
             cols[k % dim][k // dim] = x
     return cols

@@ -374,7 +374,7 @@ def primary_projector(big: MatrixRep, i: int, eps: int) -> PrimaryComponent:
             flat = _flatten(V)
             if not flat:
                 continue
-            if ech.insert(flat) is not None:
+            if ech.insert(flat)[0] is not None:
                 kept.append(V)
     if not kept:
         return PrimaryComponent(big=big, i=i, eps=eps, dim=0, basis=[], eigenvalue=None)

@@ -6,15 +6,46 @@ package's own kernel (``orthobranch.linalg.rref``): the band elimination of
 ``verma.fusion_oracle`` and the Gaussian-rational ``nullspace`` are both
 checked against ``nullspace`` below.  ``dense`` turns the package's sparse
 columns into lists of rows, and ``qi_matmul`` multiplies such rows.
+``polynomial_columns`` computes a polynomial model's generator and reflection
+matrices the direct way, one polynomial application per column, for
+comparison with the matrices the package derives from the closure.
 """
 from fractions import Fraction
 
-from orthobranch.linalg import QI_ZERO, qadd, qis0, qmul
+from orthobranch.enveloping import canon_gen
+from orthobranch.linalg import QI_ZERO, qadd, qi, qis0, qmul, sv_scale
+from orthobranch.matrixrep import poly_apply_table, poly_reflect
 
 
 def dense(cols, nrows):
     """Rows of the matrix whose sparse columns are cols: cols[j] = {i: entry}."""
     return [[col.get(i, QI_ZERO) for col in cols] for i in range(nrows)]
+
+
+def poly_apply_pair(frame, a, b, poly):
+    """X[a,b] applied to a polynomial in the frame's variables."""
+    sign, pair = canon_gen(a, b)
+    if not sign:
+        return {}
+    return poly_apply_table(frame.pair_action(*pair), poly, qi(sign), {})
+
+
+def polynomial_columns(rep):
+    """({(a, b): columns of X[a,b]}, columns of the reflection with its
+    det-twist) of a polynomial model: every generator and the reflection is
+    applied to every basis polynomial, and the image's coordinates are read
+    off the model's echelon."""
+    frame, model = rep.frame, rep.model
+
+    def coords(img):
+        found = model.coordinates(img)
+        assert found is not None, "image left the model span"
+        return found
+
+    gens = {(a, b): [coords(poly_apply_pair(frame, a, b, v)) for v in model.vectors]
+            for (a, b) in frame.generators}
+    tw = qi(rep.twist_sign)
+    return gens, [sv_scale(coords(poly_reflect(frame, v)), tw) for v in model.vectors]
 
 
 def qi_matmul(a, b):

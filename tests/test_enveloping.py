@@ -49,6 +49,19 @@ def test_normal_order_single_swap():
     assert lhs == rhs
 
 
+def test_fraction_coefficients_normal_order_exactly():
+    third = Fraction(1, 3)
+    e = monomial([(1, 2), (0, 1)], third) + gen(0, 1).scale(Fraction(2, 3))
+    lhs = normal_order(e)
+    assert lhs == (monomial([(0, 1), (1, 2)], third) - gen(0, 2).scale(third)
+                   + gen(0, 1).scale(Fraction(2, 3)))
+    assert lhs.terms[((0, 2),)] == Fraction(-1, 3)
+    # an integral product of Fraction coefficients is stored as an int
+    prod = gen(0, 1).scale(third) * gen(1, 2).scale(Fraction(6, 2))
+    assert prod.terms == {((0, 1), (1, 2)): 1}
+    assert type(prod.terms[((0, 1), (1, 2))]) is int
+
+
 def test_normal_order_fixpoint_and_zero():
     ordered = monomial([(0, 1), (1, 2)])
     assert normal_order(ordered) == ordered

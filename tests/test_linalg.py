@@ -110,9 +110,10 @@ def test_sparse_vector_helpers():
 
 def test_qi_echelon_rank_tracking():
     ech = TrackedEchelon()
-    assert ech.insert({0: qi(1), 1: qi(0, 1)}) == 0
-    assert ech.insert({0: qi(2), 1: qi(0, 2)}) is None   # dependent
-    assert ech.insert({1: qi(1)}) == 1
+    assert ech.insert({0: qi(1), 1: qi(0, 1)}) == (0, {0: qi(1)})
+    assert ech.insert({0: qi(2), 1: qi(0, 2)}) == (None, {0: qi(2)})   # dependent
+    assert ech.insert({1: qi(1)}) == (1, {1: qi(1)})
+    assert ech.insert({0: qi(7, 1)}) == (None, {0: qi(7, 1), 1: qi(1, -7)})
     assert ech.count == 2
     assert ech.coordinates({0: qi(7, 1)}) == {0: qi(7, 1), 1: qi(1, -7)}
     assert ech.coordinates({2: qi(1)}) is None

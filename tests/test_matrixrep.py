@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,14 +13,17 @@ import orthobranch
 from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
 from orthobranch.enveloping import build_A, casimir, gen
+from orthobranch import matrixrep
 from orthobranch.linalg import qi, qmul
 from orthobranch.matrixrep import (
+    _verify_rep,
     act,
     bundle_to_json,
     casimir_scalar,
     construct_irrep,
     det_twisted,
     expected_casimir_scalar,
+    get_frame,
     qi_from_string,
     qi_to_string,
     rep_from_bundle,
@@ -30,7 +34,7 @@ from orthobranch.matrixrep import (
 )
 from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_context
 
-from dense_reference import dense, qi_matmul
+from dense_reference import dense, polynomial_columns, qi_matmul
 
 CTX2 = rank_context(2)
 CTX3 = rank_context(3)
@@ -194,6 +198,17 @@ def test_bundle_bytes_are_pinned(case, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def test_bundle_entries_other_than_the_zero_string_are_parsed(reps):
+    rep = reps.get(2, (1,))
+    bundle = rep_to_bundle(rep)
+    k = bundle["matrices"]["0,1"].index("0/1")
+    bundle["matrices"]["0,1"][k] = "zero"
+    with pytest.raises(ValueError):
+        rep_from_bundle(bundle)
+    bundle["matrices"]["0,1"][k] = " 0/1"   # zero written another way: parsed, then dropped
+    assert rep_from_bundle(bundle).action(0, 1) == rep.action(0, 1)
+
+
 def test_bundle_without_reflection_has_none(reps):
     bundle = rep_to_bundle(reps.get(2, (1,)))
     del bundle["reflection"]
@@ -251,3 +266,97 @@ def test_dim_cap():
 def test_standard_rep_has_no_weight_basis():
     with pytest.raises(InvalidRankError):
         standard_rep(CTX3).weight_tags()
+
+
+# (n, rows, eps, side): induced and not, det twists, sub frames (O(3) on 1..3,
+# O(2) on 1..2, O(4) on 1..4), the O(3) frame 0..2 and the trivial rep
+POLYNOMIAL_ROUTE_LABELS = [
+    (3, (2, 1), None, "big"), (3, (2, 0), 1, "big"), (3, (2, 0), -1, "big"),
+    (4, (2, 1), 1, "big"), (4, (1, 0), -1, "big"), (3, (2,), None, "sub"),
+    (2, (1,), None, "sub"), (4, (1, 1), None, "sub"), (2, (2,), -1, "big"),
+    (3, (0, 0), -1, "big"),
+]
+
+
+@pytest.mark.parametrize("n, rows, eps, side", POLYNOMIAL_ROUTE_LABELS)
+def test_generator_matrices_match_the_polynomial_route(reps, n, rows, eps, side):
+    rep = reps.get(n, rows, eps, side)
+    gens, refl = polynomial_columns(rep)
+    for (a, b), cols in gens.items():
+        assert rep.action(a, b) == cols, (a, b)
+    assert rep.reflection() == refl
+
+
+def _corrupt_where_the_square_is_unchanged(rep):
+    """Set entry (r, 0) of the last Cartan generator X[p,q] to 1, where basis
+    vectors 0 and r both have a zero last weight entry: X[p,q] is diagonal
+    with that entry times -i, so its row 0 and column r are zero and the
+    changed matrix has the same square.  The Casimir check cannot see this;
+    only a bracket relation can."""
+    k = rep.frame.rank
+    tags = rep.weight_tags()
+    assert tags[0][k - 1] == 0
+    r = next(j for j, t in enumerate(tags) if j and t[k - 1] == 0)
+    rep.action(*rep.frame.pairs[k - 1])[0][r] = qi(1)
+
+
+def test_bracket_check_can_fail():
+    rep = construct_irrep(CTX3, (2, 0), eps=1)   # a fresh model: it is changed below
+    _corrupt_where_the_square_is_unchanged(rep)
+    assert casimir_scalar(rep) == expected_casimir_scalar(rep)
+    with pytest.raises(AssertionError, match=r"bracket fidelity failed for \[\(0, 1\),\(0, 2\)\]"):
+        _verify_rep(rep)
+    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+    code = ("from orthobranch.weights import rank_context\n"
+            "from orthobranch.linalg import qi\n"
+            "from orthobranch.matrixrep import _verify_rep, construct_irrep\n"
+            + inspect.getsource(_corrupt_where_the_square_is_unchanged) +
+            "rep = construct_irrep(rank_context(3), (2, 0), eps=1)\n"
+            "_corrupt_where_the_square_is_unchanged(rep)\n"
+            "try:\n"
+            "    _verify_rep(rep)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("bracket fidelity failed for [(0, 1),(0, 2)]"), done.stdout
+
+
+def test_recursion_corruption_is_caught_cartan(monkeypatch):
+    # one Cartan eigenvalue: the weight tag of one basis vector, which the
+    # recursion reads as the diagonal of h_k
+    close = matrixrep._close_model
+
+    def shifted_tag(frame, label, dim_cap):
+        model, lower, refl = close(frame, label, dim_cap)
+        model.tags[1] = (model.tags[1][0] + 1,) + model.tags[1][1:]
+        return model, lower, refl
+
+    monkeypatch.setattr(matrixrep, "_close_model", shifted_tag)
+    with pytest.raises(AssertionError, match="quadratic invariant|bracket fidelity"):
+        construct_irrep(CTX3, (2, 1))
+
+
+@pytest.mark.parametrize("n, rows, eps", [(3, (2, 1), None), (4, (2, 1), 1)])
+def test_recursion_corruption_is_caught_bracket(monkeypatch, n, rows, eps):
+    # one [E, F] structure constant: the bracket of the first raising and the
+    # first lowering root vector, doubled in one coefficient
+    frame = get_frame(tuple(range(n + 1)))
+    e0, f0 = frame.raising_ops()[0][1], frame.lowering_ops()[0][1]
+    bracket = matrixrep.so_bracket
+    hits = []
+
+    def perturbed(x, y):
+        out = bracket(x, y)
+        if x == e0 and y == f0:
+            key = next(iter(out))
+            out[key] = qmul(out[key], qi(2))
+            hits.append(key)
+        return out
+
+    monkeypatch.setattr(matrixrep, "so_bracket", perturbed)
+    with pytest.raises(AssertionError, match="quadratic invariant|bracket fidelity"):
+        construct_irrep(rank_context(n), rows, eps=eps)
+    assert hits
