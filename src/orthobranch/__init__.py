@@ -27,7 +27,6 @@ from .weights import (
     positive_system,
     rank_context,
     rho,
-    rho_sub,
 )
 from .regions import (
     FencePreconditionError,
@@ -67,7 +66,6 @@ from .enveloping import (
     casimir,
     commutator,
     gen,
-    is_invariant,
     monomial,
     normal_order,
     ue_to_obj,
@@ -107,23 +105,18 @@ from .matrixrep import (
     rep_from_bundle,
     rep_to_bundle,
     standard_rep,
-    subgroup_irrep,
     trivial_rep,
 )
 from .homspace import (
     SymmetryBreakingOperator,
     hom_space,
-    hom_space_dense,
 )
 from .measure import (
     IdentityViolationError,
     MeasureResult,
-    PrimaryComponent,
     b_eval,
     b_reconstruct,
-    closed_power_polynomial,
     measure_scalar,
-    primary_projector,
     verify_power_identity,
 )
 from .verma import (

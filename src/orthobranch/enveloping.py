@@ -84,12 +84,6 @@ class UEElement:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
     def __add__(self, other: "UEElement") -> "UEElement":
         out = dict(self.terms)
         p_add_into(out, other.terms)
@@ -304,20 +298,6 @@ def ad_gn(e: UEElement, ctx) -> UEElement:
 
 def commutator(a: UEElement, b: UEElement) -> UEElement:
     return a * b - b * a
-
-
-def is_invariant(e: UEElement, ctx) -> bool:
-    """True iff e commutes with every subalgebra generator X_ab (1 <= a < b <= n)
-    and is fixed by the g_n twist."""
-    n = _ctx_n(ctx)
-    e = normal_order(e)
-    if ad_gn(e, ctx) != e:
-        return False
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if not commutator(gen(a, b), e).is_zero():
-                return False
-    return True
 
 
 def ue_to_obj(e: UEElement):

@@ -46,6 +46,10 @@ lowering image F v_i and reflected vector R v_i are the columns of F and R;
 h_k acts by the weight tags; the raising root vectors follow in basis order
 from the recipes (E v_0 = 0, E F v_p = F E v_p + [E, F] v_p and
 E R v_p = R (R E R) v_p); each X[a,b] is a fixed combination of those.
+The one other use of the polynomials is the Gram matrix of the invariant
+pairing, ``PolyModel.gram_rows``, cached on the model: hom spaces read it
+together with the tags, the recipes and the columns, and nothing else of the
+polynomials.
 
 Construction is self-verifying by checks apart from that derivation: the seed
 is annihilated by the raising operators, the dimension matches character
@@ -698,14 +702,6 @@ class MatrixRep:
             )
         return self._refl
 
-    def weight_tags(self) -> List[Tuple[int, ...]]:
-        if self.model is not None:
-            return list(self.model.tags)
-        if self.kind == "standard":
-            # f-basis vectors are not weight vectors; tags are not defined
-            raise InvalidRankError("standard-basis representation has no weight-graded basis")
-        return [tuple()] * self.dim
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -825,11 +821,6 @@ def construct_irrep(
     )
     _verify_rep(rep)
     return rep
-
-
-def subgroup_irrep(ctx: RankContext, mu, eps: Optional[int] = None,
-                   dim_cap: int = _DEFAULT_DIM_CAP) -> MatrixRep:
-    return construct_irrep(ctx, mu, eps=eps, which="sub", dim_cap=dim_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from .linalg import (
     Qi,
     QI_ONE,
     QI_ZERO,
-    TrackedEchelon,
     apply_cols,
     qdiv,
     qi,
@@ -69,6 +68,7 @@ CoordVec = Dict[int, Qi]
 Tuple_ = List[CoordVec]
 
 PROBES = 3  # probe vectors per measurement: e_0 and two seeded random vectors
+GRID_BOX = 2  # the reconstruction grid's bound on every label row
 
 
 class IdentityViolationError(AssertionError):
@@ -329,70 +329,6 @@ def verify_power_identity(big: MatrixRep, N: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the primary component as an explicit subspace
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PrimaryComponent:
-    """Echelon basis of the image of the factor product on big (x) F.
-
-    Each basis element is a tuple (list indexed like the ambient coordinates)
-    of coordinate vectors in the big model.  ``eigenvalue`` is the shifted
-    Casimir scalar on the component (None for a rank-0 component)."""
-
-    big: MatrixRep
-    i: int
-    eps: int
-    dim: int
-    basis: List[Tuple_]
-    eigenvalue: Optional[Fraction]
-
-
-def _flatten(V: Tuple_) -> Dict[Tuple[int, int], Qi]:
-    out: Dict[Tuple[int, int], Qi] = {}
-    for pos, comp in enumerate(V):
-        for idx, c in comp.items():
-            out[(pos, idx)] = c
-    return out
-
-
-def primary_projector(big: MatrixRep, i: int, eps: int) -> PrimaryComponent:
-    """Image of the factor product on all of big (x) F, with the Casimir
-    eigenvalue check that identifies it as the primary component."""
-    ctx = rank_context(len(big.indices) - 1)
-    lam = big.inf_char
-    shifts, _norm = projector_factors(ctx, lam, i, eps)
-    slots = len(big.indices)
-    ech = TrackedEchelon()
-    kept: List[Tuple_] = []
-    for pos in range(slots):
-        for j in range(big.dim):
-            V: Tuple_ = [dict() for _ in range(slots)]
-            V[pos] = {j: QI_ONE}
-            for s in shifts:
-                V = casimir_shifted_step(big, ctx, V, s)
-            flat = _flatten(V)
-            if not flat:
-                continue
-            if ech.insert(flat)[0] is not None:
-                kept.append(V)
-    if not kept:
-        return PrimaryComponent(big=big, i=i, eps=eps, dim=0, basis=[], eigenvalue=None)
-    # eigenvalue check: cDelta acts on the image by |lam + eps e_i|^2 - |rho|^2
-    target = [Fraction(0)] * ctx.r
-    target[i - 1] = Fraction(eps)
-    eig = _norm2([a + b for a, b in zip(lam, target)]) - _norm2(rho(ctx))
-    for V in kept:
-        W = casimir_shifted_step(big, ctx, V, eig)
-        if any(comp for comp in W):
-            raise IdentityViolationError(
-                "projector image is not a Casimir eigenspace at the expected value"
-            )
-    return PrimaryComponent(big=big, i=i, eps=eps, dim=len(kept), basis=kept,
-                            eigenvalue=eig)
-
-
-# ---------------------------------------------------------------------------
 # polynomial reconstruction of the power coefficients
 # ---------------------------------------------------------------------------
 
@@ -419,10 +355,11 @@ def _inv_monomials(r: int, s: int, half_degree: int):
     return out
 
 
-def reconstruction_grid(ctx: RankContext, box: int = 2, dim_cap: int = 400):
+def reconstruction_grid(ctx: RankContext):
     """All pairs (operator, lam, nu) from representations of the nested pair
-    with big rows bounded by ``box`` and nonzero operator space.  Det-twists
-    are skipped: they repeat the same pair of infinitesimal characters."""
+    with rows bounded by ``GRID_BOX``, within ``construct_irrep``'s default
+    dimension cap, and nonzero operator space.  Det-twists are skipped: they
+    repeat the same pair of infinitesimal characters."""
     from .matrixrep import construct_irrep
     from .homspace import hom_space
     from .characters import so_rank
@@ -431,24 +368,24 @@ def reconstruction_grid(ctx: RankContext, box: int = 2, dim_cap: int = 400):
     rank_big = so_rank(big_size) if big_size > 2 else 1
     rank_sub = so_rank(sub_size) if sub_size > 2 else 1
 
-    def partitions(rank: int, bound: int):
+    def partitions(rank: int):
         if rank == 1:
-            return [(m,) for m in range(bound + 1)]
+            return [(m,) for m in range(GRID_BOX + 1)]
         out = []
-        for m1 in range(bound + 1):
+        for m1 in range(GRID_BOX + 1):
             for m2 in range(m1 + 1):
                 out.append((m1, m2))
         return out
 
     pairs = []
-    for bmu in partitions(rank_big, box):
+    for bmu in partitions(rank_big):
         try:
-            big = construct_irrep(ctx, bmu, which="big", dim_cap=dim_cap)
+            big = construct_irrep(ctx, bmu, which="big")
         except ResourceLimitError:
             continue
-        for smu in partitions(rank_sub, box):
+        for smu in partitions(rank_sub):
             try:
-                sub = construct_irrep(ctx, smu, which="sub", dim_cap=dim_cap)
+                sub = construct_irrep(ctx, smu, which="sub")
             except ResourceLimitError:
                 continue
             mult, ops = hom_space(big, sub)
@@ -458,13 +395,13 @@ def reconstruction_grid(ctx: RankContext, box: int = 2, dim_cap: int = 400):
     return pairs
 
 
-def b_reconstruct(ell: int, ctx: RankContext, box: int = 2, dim_cap: int = 400):
+def b_reconstruct(ell: int, ctx: RankContext):
     """Interpolate the measured power coefficient into an exact polynomial.
 
     Evaluates ``b_eval`` on the grid of representation pairs built from the
-    highest-weight box and solves, through the package's one elimination
-    kernel, for the coefficients of the Weyl-invariant monomials of plain
-    degree <= ell.
+    highest-weight box ``GRID_BOX`` and solves, through the package's one
+    elimination kernel, for the coefficients of the Weyl-invariant monomials
+    of plain degree <= ell.
     Returns {((a_1..a_r), (b_1..b_s)): coefficient} for the polynomial
     sum c * prod lam_k^{2 a_k} prod nu_k^{2 b_k}.  Raises ResourceLimitError
     if the grid does not determine every coefficient, and
@@ -472,7 +409,7 @@ def b_reconstruct(ell: int, ctx: RankContext, box: int = 2, dim_cap: int = 400):
     shape at all."""
     monos = _inv_monomials(ctx.r, ctx.s, ell // 2)
     aug: List[List[Qi]] = []
-    for (op, lam, nu) in reconstruction_grid(ctx, box=box, dim_cap=dim_cap):
+    for (op, lam, nu) in reconstruction_grid(ctx):
         row = []
         for (ea, eb) in monos:
             v = Fraction(1)
@@ -491,8 +428,8 @@ def b_reconstruct(ell: int, ctx: RankContext, box: int = 2, dim_cap: int = 400):
             )
     if len(pivots) < ncols:
         raise ResourceLimitError(
-            f"interpolation grid determines only {len(pivots)} of {ncols} "
-            "coefficients; enlarge the box"
+            f"interpolation grid (rows <= {GRID_BOX}) determines only "
+            f"{len(pivots)} of {ncols} coefficients"
         )
     coeffs = {}
     for r_i, col in enumerate(pivots):
@@ -500,30 +437,3 @@ def b_reconstruct(ell: int, ctx: RankContext, box: int = 2, dim_cap: int = 400):
         if c != 0:
             coeffs[monos[col]] = c
     return coeffs
-
-
-def closed_power_polynomial(ell: int, ctx: RankContext):
-    """The closed forms of the first three power coefficients in the same
-    monomial encoding b_reconstruct uses (independent route for tests)."""
-    r, s, n = ctx.r, ctx.s, ctx.n
-    zero_a = tuple([0] * r)
-    zero_b = tuple([0] * s)
-    if ell == 1:
-        return {}
-    if ell == 2:
-        out = {}
-        for k in range(r):
-            out[(tuple(1 if j == k else 0 for j in range(r)), zero_b)] = Fraction(1)
-        for k in range(s):
-            out[(zero_a, tuple(1 if j == k else 0 for j in range(s)))] = Fraction(-1)
-        out[(zero_a, zero_b)] = -Fraction(n * (n - 1), 8)
-        return out
-    if ell == 3:
-        out = {}
-        for k in range(r):
-            out[(tuple(1 if j == k else 0 for j in range(r)), zero_b)] = Fraction(1 - n)
-        for k in range(s):
-            out[(zero_a, tuple(1 if j == k else 0 for j in range(s)))] = Fraction(n)
-        out[(zero_a, zero_b)] = Fraction((n - 1) * n * (2 * n - 1), 24)
-        return out
-    raise ValueError(f"closed forms exist for ell in {{1,2,3}}, got {ell}")

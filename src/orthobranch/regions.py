@@ -52,9 +52,6 @@ class MultiSignature:
     def support(self) -> Tuple[SignatureKey, ...]:
         return tuple(key for key, _ in self.entries)
 
-    def as_dict(self):
-        return dict(self.entries)
-
 
 @dataclass(frozen=True)
 class RegionDescriptor:

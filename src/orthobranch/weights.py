@@ -61,11 +61,6 @@ def rho(ctx: RankContext) -> Weight:
     return group_rho(ctx.n + 1)
 
 
-def rho_sub(ctx: RankContext) -> Weight:
-    """rho for the subgroup side o(n): ((n-2)/2, ..., n/2 - s)."""
-    return group_rho(ctx.n)
-
-
 def is_nonsingular(lam) -> bool:
     """True iff every coordinate is nonzero and absolute values are pairwise distinct."""
     lam = as_weight(lam)

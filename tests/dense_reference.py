@@ -9,12 +9,31 @@ columns into lists of rows, and ``qi_matmul`` multiplies such rows.
 ``polynomial_columns`` computes a polynomial model's generator and reflection
 matrices the direct way, one polynomial application per column, for
 comparison with the matrices the package derives from the closure.
-"""
-from fractions import Fraction
 
-from orthobranch.enveloping import canon_gen
-from orthobranch.linalg import QI_ZERO, qadd, qi, qis0, qmul, sv_scale
-from orthobranch.matrixrep import poly_apply_table, poly_reflect
+Three independent routes to what the package computes another way:
+``hom_space_dense`` solves the full equivariance system for the dimension
+``hom_space`` finds from highest-weight vectors, ``primary_projector`` spans
+the image of the spectral projector that ``measure_scalar`` applies to probe
+vectors only, and ``is_invariant`` tests an enveloping element against every
+subalgebra generator and the twist.
+"""
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import List, Optional
+
+from orthobranch import linalg  # its nullspace; the one below is Fraction-only
+from orthobranch.enveloping import ad_gn, canon_gen, commutator, gen, normal_order
+from orthobranch.homspace import _operator_pairs
+from orthobranch.linalg import (
+    QI_ONE, QI_ZERO, TrackedEchelon, qadd, qi, qis0, qmul, qsub, sv_scale,
+)
+from orthobranch.matrixrep import MatrixRep, poly_apply_table, poly_reflect
+from orthobranch.measure import (
+    IdentityViolationError,
+    casimir_shifted_step,
+    projector_factors,
+)
+from orthobranch.weights import InvalidRankError, rank_context, rho
 
 
 def dense(cols, nrows):
@@ -109,3 +128,108 @@ def nullspace(rows):
             vec[pcol] = -work[prow][fc]
         basis.append(vec)
     return basis
+
+
+def hom_space_dense(big, sub, max_unknowns: int = 1500) -> int:
+    """Multiplicity by directly solving the full equivariance system
+    T X_big = X_sub T (all subgroup generators) plus the reflection
+    constraint.  Exponentially heavier than hom_space; an independent check
+    on small models."""
+    nu = big.dim * sub.dim
+    if nu > max_unknowns:
+        raise InvalidRankError(f"dense route limited to {max_unknowns} unknowns, got {nu}")
+    rows = []
+    for _what, xbig, xsub in _operator_pairs(big, sub):
+        # row (i, j): (T X_big - X_sub T)[i][j] in the unknowns T[i][k] at i*dim(big)+k
+        for i in range(sub.dim):
+            for j in range(big.dim):
+                row = [QI_ZERO] * nu
+                for k, x in xbig[j].items():
+                    row[i * big.dim + k] = x
+                for k in range(sub.dim):
+                    x = xsub[k].get(i)
+                    if x is not None:
+                        u = k * big.dim + j
+                        row[u] = qsub(row[u], x)
+                if any(not qis0(x) for x in row):
+                    rows.append(row)
+    if not rows:
+        return nu
+    return len(linalg.nullspace(rows))
+
+
+@dataclass
+class PrimaryComponent:
+    """Echelon basis of the image of the factor product on big (x) F.
+
+    Each basis element is a tuple (list indexed like the ambient coordinates)
+    of coordinate vectors in the big model.  ``eigenvalue`` is the shifted
+    Casimir scalar on the component (None for a rank-0 component)."""
+
+    big: MatrixRep
+    i: int
+    eps: int
+    dim: int
+    basis: List[list]
+    eigenvalue: Optional[Fraction]
+
+
+def _flatten(V):
+    out = {}
+    for pos, comp in enumerate(V):
+        for idx, c in comp.items():
+            out[(pos, idx)] = c
+    return out
+
+
+def _norm2(v):
+    return sum(Fraction(c) * Fraction(c) for c in v)
+
+
+def primary_projector(big, i: int, eps: int) -> PrimaryComponent:
+    """Image of the factor product on all of big (x) F, with the Casimir
+    eigenvalue check that identifies it as the primary component."""
+    ctx = rank_context(len(big.indices) - 1)
+    lam = big.inf_char
+    shifts, _norm = projector_factors(ctx, lam, i, eps)
+    slots = len(big.indices)
+    ech = TrackedEchelon()
+    kept = []
+    for pos in range(slots):
+        for j in range(big.dim):
+            V = [dict() for _ in range(slots)]
+            V[pos] = {j: QI_ONE}
+            for s in shifts:
+                V = casimir_shifted_step(big, ctx, V, s)
+            flat = _flatten(V)
+            if not flat:
+                continue
+            if ech.insert(flat)[0] is not None:
+                kept.append(V)
+    if not kept:
+        return PrimaryComponent(big=big, i=i, eps=eps, dim=0, basis=[], eigenvalue=None)
+    # eigenvalue check: cDelta acts on the image by |lam + eps e_i|^2 - |rho|^2
+    target = [Fraction(0)] * ctx.r
+    target[i - 1] = Fraction(eps)
+    eig = _norm2([a + b for a, b in zip(lam, target)]) - _norm2(rho(ctx))
+    for V in kept:
+        W = casimir_shifted_step(big, ctx, V, eig)
+        if any(comp for comp in W):
+            raise IdentityViolationError(
+                "projector image is not a Casimir eigenspace at the expected value"
+            )
+    return PrimaryComponent(big=big, i=i, eps=eps, dim=len(kept), basis=kept,
+                            eigenvalue=eig)
+
+
+def is_invariant(e, n: int) -> bool:
+    """True iff the enveloping element e commutes with every subalgebra
+    generator X_ab (1 <= a < b <= n) and is fixed by the g_n twist."""
+    e = normal_order(e)
+    if ad_gn(e, n) != e:
+        return False
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if commutator(gen(a, b), e).terms:
+                return False
+    return True

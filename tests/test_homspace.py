@@ -1,15 +1,22 @@
-from fractions import Fraction
+import hashlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orthobranch
 from orthobranch.branching import fd_label, full_decomposition, oracle_multiplicity
-from orthobranch.homspace import hom_space, hom_space_dense
+from orthobranch.homspace import hom_space
 from orthobranch.linalg import qi, qis0
-from orthobranch.matrixrep import act
+from orthobranch.matrixrep import act, construct_irrep
 from orthobranch.enveloping import gen
 from orthobranch.weights import InvalidRankError, rank_context
 
-from dense_reference import dense
+from dense_reference import dense, hom_space_dense
 
 
 def test_vector_to_trivial(reps):
@@ -101,3 +108,73 @@ def test_dense_route_unknown_cap(reps):
     sub = reps.get(3, (2,), None, which="sub")
     with pytest.raises(InvalidRankError):
         hom_space_dense(big, sub, max_unknowns=10)
+
+
+def operator_digest(cols):
+    """sha256 of an operator's sparse columns, each column's entries in row order."""
+    entries = [[[i, str(x[0]), str(x[1])] for i, x in sorted(col.items())] for col in cols]
+    return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+
+
+# (n, big rows, big eps, sub rows, sub eps, digests of the returned operators):
+# an induced big label with a non-induced sub under both det twists; an
+# induced sub whose model has reflection recipes, under a det-twisted big; a
+# non-induced even-size sub and the zero-multiplicity twist of the same pair;
+# a rank-3 pair with both det twists
+PINNED_OPERATORS = [
+    (3, (2, 1), None, (1,), 1,
+     ["214bc772310002f4c3f3ae42a9f56a7ce41f2aeee386f08fb48ba1bd8d2e73f7"]),
+    (3, (2, 1), None, (1,), -1,
+     ["9fee23a4ef69fef7f9c094bcf9a35a7f52111ede5dcd767e77a115d0801b8c32"]),
+    (4, (2, 1), -1, (1, 1), None,
+     ["ea56db8bca107409261bd6f4f29b4341c7df7e8be7ee0db5f55544046428c586"]),
+    (4, (1, 1), 1, (1, 0), 1,
+     ["def1e2df5ccf23aa274a08fa00f449dc6db141541553d0cb3ac5ae197f533233"]),
+    (4, (1, 1), 1, (1, 0), -1, []),
+    (6, (1, 1), -1, (1, 1, 0), -1,
+     ["a70483529c4816801bcf1a803280cae614efb3b51884de2f02f2a54982d09534"]),
+]
+
+
+@pytest.mark.parametrize("n, big_rows, big_eps, sub_rows, sub_eps, digests", PINNED_OPERATORS)
+def test_operator_bytes_are_pinned(reps, n, big_rows, big_eps, sub_rows, sub_eps, digests):
+    big = reps.get(n, big_rows, big_eps)
+    sub = reps.get(n, sub_rows, sub_eps, which="sub")
+    mult, ops = hom_space(big, sub)
+    assert mult == len(digests)
+    assert [operator_digest(op.matrix) for op in ops] == digests
+
+
+def _double_one_gram_entry(rep):
+    """Double entry (0, j) of the subgroup model's Gram matrix for its first
+    nonzero j, leaving (j, 0) as it is: T = B_sub^-1 S^T B_big then differs
+    from an equivariant map by a non-scalar factor."""
+    row = rep.model.gram_rows()[0]
+    j = next(iter(row))
+    row[j] = qi(row[j][0] * 2, row[j][1] * 2)
+
+
+def test_equivariance_check_can_fail(reps):
+    big = reps.get(3, (2, 1))
+    sub = construct_irrep(rank_context(3), (2,), which="sub")   # fresh: changed below
+    _double_one_gram_entry(sub)
+    with pytest.raises(AssertionError, match=r"operator not equivariant for generator \(1,2\)"):
+        hom_space(big, sub)
+    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+    code = ("from orthobranch.weights import rank_context\n"
+            "from orthobranch.linalg import qi\n"
+            "from orthobranch.matrixrep import construct_irrep\n"
+            "from orthobranch.homspace import hom_space\n"
+            + inspect.getsource(_double_one_gram_entry) +
+            "big = construct_irrep(rank_context(3), (2, 1))\n"
+            "sub = construct_irrep(rank_context(3), (2,), which='sub')\n"
+            "_double_one_gram_entry(sub)\n"
+            "try:\n"
+            "    hom_space(big, sub)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("operator not equivariant for generator (1,2)"), done.stdout

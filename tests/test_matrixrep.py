@@ -29,7 +29,6 @@ from orthobranch.matrixrep import (
     rep_from_bundle,
     rep_to_bundle,
     standard_rep,
-    subgroup_irrep,
     trivial_rep,
 )
 from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_context
@@ -145,7 +144,7 @@ def test_reflection_is_involutive(reps):
 
 
 def test_subgroup_irrep_lives_on_shifted_indices():
-    rep = subgroup_irrep(CTX3, (1,))
+    rep = construct_irrep(CTX3, (1,), which="sub")
     assert rep.group_size == 3
     assert 0 not in rep.indices
     assert rep.dim == 3
@@ -263,11 +262,6 @@ def test_dim_cap():
         construct_irrep(CTX4, (3, 0), dim_cap=10)
 
 
-def test_standard_rep_has_no_weight_basis():
-    with pytest.raises(InvalidRankError):
-        standard_rep(CTX3).weight_tags()
-
-
 # (n, rows, eps, side): induced and not, det twists, sub frames (O(3) on 1..3,
 # O(2) on 1..2, O(4) on 1..4), the O(3) frame 0..2 and the trivial rep
 POLYNOMIAL_ROUTE_LABELS = [
@@ -294,7 +288,7 @@ def _corrupt_where_the_square_is_unchanged(rep):
     changed matrix has the same square.  The Casimir check cannot see this;
     only a bracket relation can."""
     k = rep.frame.rank
-    tags = rep.weight_tags()
+    tags = rep.model.tags
     assert tags[0][k - 1] == 0
     r = next(j for j, t in enumerate(tags) if j and t[k - 1] == 0)
     rep.action(*rep.frame.pairs[k - 1])[0][r] = qi(1)

@@ -1,20 +1,18 @@
 from fractions import Fraction
 
-import pytest
-
 from orthobranch.homspace import hom_space
 from orthobranch.matrixrep import act, construct_irrep, standard_rep, trivial_rep
 from orthobranch.measure import (
     IdentityViolationError,
     b_eval,
     b_reconstruct,
-    closed_power_polynomial,
     measure_scalar,
-    primary_projector,
     verify_power_identity,
 )
 from orthobranch.scalars import C_val, b_closed, scalar_query
 from orthobranch.weights import rank_context
+
+from dense_reference import primary_projector
 
 CTX3 = rank_context(3)
 CTX4 = rank_context(4)
@@ -105,19 +103,26 @@ def test_primary_projector_examples(reps):
         assert comp3.eigenvalue is None
 
 
-def test_closed_power_polynomial_encoding():
-    poly2 = closed_power_polynomial(2, CTX3)
-    # ||lam||^2 - ||nu||^2 - n(n-1)/8 at n=3; keys hold exponents of the
-    # squared coordinates ((lam_1^2, lam_2^2), (nu_1^2,))
-    assert poly2[((1, 0), (0,))] == 1
-    assert poly2[((0, 1), (0,))] == 1
-    assert poly2[((0, 0), (1,))] == -1
-    assert poly2[((0, 0), (0,))] == -F(3, 4)
-    with pytest.raises(ValueError):
-        closed_power_polynomial(4, CTX3)
+def evaluate(poly, lam, nu):
+    """A b_reconstruct polynomial at (lam, nu): its keys hold the exponents of
+    the squared coordinates ((lam_1^2, lam_2^2, ...), (nu_1^2, ...))."""
+    total = F(0)
+    for (ea, eb), c in poly.items():
+        for x, e in zip(lam + nu, ea + eb):
+            c *= F(x) ** (2 * e)
+        total += c
+    return total
 
 
-def test_b_reconstruct_small(reps):
-    got = b_reconstruct(2, CTX3)
-    assert got == closed_power_polynomial(2, CTX3)
-    assert b_reconstruct(1, CTX3) == {}
+def test_b_reconstruct_small():
+    # off the interpolation grid: twelve generic points fix the four coefficients
+    points = [((F(a, 2), F(b, 3)), (F(c, 5),))
+              for a in (1, 7) for b in (-2, 5, 11) for c in (1, 4)]
+    got = {ell: b_reconstruct(ell, CTX3) for ell in (1, 2, 3)}
+    for ell, poly in got.items():
+        for lam, nu in points:
+            assert evaluate(poly, lam, nu) == b_closed(ell, CTX3, lam, nu), (ell, lam, nu)
+    # b^(2) = |lam|^2 - |nu|^2 - n(n-1)/8 term by term at n = 3
+    assert got[2] == {((1, 0), (0,)): 1, ((0, 1), (0,)): 1,
+                      ((0, 0), (1,)): -1, ((0, 0), (0,)): -F(3, 4)}
+    assert got[1] == {}

@@ -38,7 +38,7 @@ def test_support_shift_invariance():
 
 def test_multi_signature_signs():
     sig = multi_signature((Fraction(9, 2), Fraction(5, 2)), (1, 0))
-    d = sig.as_dict()
+    d = dict(sig.entries)
     assert d[SignatureKey(1, 1, 1)] == 1  # 9/2 + 1 > 0
     assert d[SignatureKey(1, 1, -1)] == 1  # 9/2 - 1 > 0
     assert all(s in (1, -1) for s in d.values())

@@ -6,6 +6,7 @@ from orthobranch.weights import (
     InvalidRankError,
     SingularWeightError,
     as_weight,
+    group_rho,
     in_chamber,
     is_nonsingular,
     lattice_box,
@@ -13,7 +14,6 @@ from orthobranch.weights import (
     positive_system,
     rank_context,
     rho,
-    rho_sub,
 )
 
 
@@ -38,8 +38,9 @@ def test_rank_context_rejects_bad_n():
 def test_rho_values():
     assert rho(rank_context(4)) == (Fraction(3, 2), Fraction(1, 2))
     assert rho(rank_context(3)) == (Fraction(1), Fraction(0))
-    assert rho_sub(rank_context(4)) == (Fraction(1), Fraction(0))
-    assert rho_sub(rank_context(3)) == (Fraction(1, 2),)
+    # the subgroup side o(n) of the pair has rho = group_rho(n)
+    assert group_rho(4) == (Fraction(1), Fraction(0))
+    assert group_rho(3) == (Fraction(1, 2),)
 
 
 def test_as_weight_parses_rationals():
