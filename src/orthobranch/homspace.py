@@ -174,10 +174,20 @@ def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep, s_cols: Cols) -> Cols
     for k, s in enumerate(s_cols):
         for j, v in apply_cols(gram_big, s).items():
             stb[j][k] = v
+    # B_sub pairs weight mu only with -mu, so B_sub^{-1} is made of the
+    # inverses of its blocks: rows of tag mu, columns of tag -mu
     gram = sub.model.gram_rows()
-    binv = inverse([[row.get(j, QI_ZERO) for j in range(sub.dim)] for row in gram])
-    binv_cols = [{i: row[k] for i, row in enumerate(binv) if not qis0(row[k])}
-                 for k in range(sub.dim)]
+    by_tag: Dict[Tuple[int, ...], List[int]] = {}
+    for i, t in enumerate(sub.model.tags):
+        by_tag.setdefault(t, []).append(i)
+    binv_cols: Cols = [dict() for _ in range(sub.dim)]
+    for tag, rows in by_tag.items():
+        cols = by_tag.get(tuple(-c for c in tag), [])
+        if len(cols) != len(rows):
+            raise ValueError("matrix is singular")
+        block = inverse([[gram[r].get(c, QI_ZERO) for c in cols] for r in rows])
+        for r_pos, r in enumerate(rows):
+            binv_cols[r] = {c: row[r_pos] for c, row in zip(cols, block) if not qis0(row[r_pos])}
     return [apply_cols(binv_cols, col) for col in stb]
 
 

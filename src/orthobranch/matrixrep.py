@@ -11,8 +11,7 @@ one).  The Lie algebra basis consists of the rotation generators ``X[a,b]``
 
 so on column vectors ``X[a,b] = E[a,b] - E[b,a]`` (antisymmetric).  The
 abstract bracket is the generator table ``enveloping.gen_bracket``, extended
-bilinearly by ``so_bracket``; generator pairs are canonicalized by
-``enveloping.canon_gen`` (X[b,a] = -X[a,b]).
+bilinearly by ``so_bracket``; X[b,a] = -X[a,b] (``enveloping.canon_gen``).
 
 Weight coordinates pair ambient indices from the *top*: weight coordinate
 ``k`` (1-based) corresponds to the index pair ``(i_{L-2k}, i_{L-2k+1})`` of
@@ -29,7 +28,24 @@ Irreducible models are built inside polynomials in two vector variables
 the variables ``zeta+ = z_p - i z_q`` (weight ``+e_k``) and
 ``zeta- = z_p + i z_q`` (weight ``-e_k``), plus the spare coordinate with
 weight 0.  Every monomial then has a well-defined weight, so echelon bases
-stay weight-homogeneous for free.  A highest-weight label ``(m1, m2)`` is
+stay weight-homogeneous for free.
+
+The root vectors are written down, not solved for (a Chevalley basis,
+Humphreys, *Introduction to Lie Algebras*, Sec. 25).  With ``(p_k, q_k)`` the
+index pair of weight coordinate k, ``zeta(c e_k)`` the variable of weight
+``c e_k`` (c = +-1), ``zeta_0`` the spare variable and u the spare index:
+
+    E(c_i e_i + c_j e_j) = -c_i c_j X[p_j,p_i] + i c_i X[q_j,p_i]
+                           + i c_j X[p_j,q_i] + X[q_j,q_i]      (i < j),
+        zeta(-c_i e_i) -> -2 c_i c_j zeta(c_j e_j),
+        zeta(-c_j e_j) ->  2 c_i c_j zeta(c_i e_i);
+    E(c e_k) = i c X[u,p_k] + X[u,q_k]                  (frames with a spare),
+        zeta(-c e_k) -> 2 i c zeta_0,   zeta_0 -> -i c zeta(c e_k).
+
+Each acts by that table on the z variables and on the w variables alike and
+kills every other variable, so the closure applies one table per root.
+
+A highest-weight label ``(m1, m2)`` is
 seeded by ``(zeta1+ in z)^(m1-m2) * D^(m2)`` with
 ``D = zeta1+(z) zeta2+(w) - zeta2+(z) zeta1+(w)``, the seed is checked to be
 killed by all raising root vectors, and the module is the closure of the seed
@@ -76,25 +92,24 @@ from .linalg import (
     TrackedEchelon,
     apply_cols,
     inverse,
-    nullspace,
     qadd,
     qi,
     qis0,
     qmul,
     qneg,
-    qsub,
     sv_add_scaled,
     sv_scale,
 )
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
 from .characters import o_irrep_dim, so_rank
 from .branching import FDLabel, fd_label, inf_char_of
-from .enveloping import canon_gen, gen_bracket
+from .enveloping import gen_bracket
 
 Pair = Tuple[int, int]
 Combo = Dict[Pair, Qi]  # element of the rotation algebra as a combination of X[a,b]
 Mono = Tuple[int, ...]  # dense exponent tuple over a frame's variable list
 Poly = Dict[Mono, Qi]
+VarTable = Dict[int, Dict[int, Qi]]  # a linear map on a frame's variables: var -> {var': coeff}
 
 _DEFAULT_DIM_CAP = 400
 
@@ -166,30 +181,6 @@ class Frame:
             wts.append(tuple(w))
         self.var_weight: Tuple[Tuple[int, ...], ...] = tuple(wts)
 
-        # variable <-> real coordinate translation: zeta+- = z_p -+ i z_q
-        half = Fraction(1, 2)
-        self._var_to_z: List[List[Tuple[Tuple[int, int], Qi]]] = []
-        z_to_var: Dict[Tuple[int, int], List[Tuple[int, Qi]]] = {}
-        for vidx, (set_id, kind, k) in enumerate(specs):
-            if kind == "0":
-                entry = [((set_id, self.spare), QI_ONE)]
-            else:
-                p, q = self.pairs[k - 1]
-                s = Fraction(-1) if kind == "+" else Fraction(1)
-                entry = [((set_id, p), QI_ONE), ((set_id, q), qi(0, s))]
-            self._var_to_z.append(entry)
-        # inverses: z_p = (v+ + v-)/2 ; z_q = i(v+ - v-)/2 ; z_spare = v0
-        for set_id in (0, 1):
-            for k in range(1, self.num_pairs + 1):
-                p, q = self.pairs[k - 1]
-                vp = self.var_index[(set_id, "+", k)]
-                vm = self.var_index[(set_id, "-", k)]
-                z_to_var[(set_id, p)] = [(vp, qi(half)), (vm, qi(half))]
-                z_to_var[(set_id, q)] = [(vp, qi(0, half)), (vm, qi(0, -half))]
-            if self.spare is not None:
-                z_to_var[(set_id, self.spare)] = [(self.var_index[(set_id, "0", 0)], QI_ONE)]
-        self._z_to_var = z_to_var
-
         # distinguished reflection: flip the largest ambient index.
         # In variables: if it is the second member of pair 1, swap +1 <-> -1
         # (per vector set); if it is the spare (size-1 frame), negate it.
@@ -206,43 +197,37 @@ class Frame:
                 refl[v0] = (v0, Fraction(-1))
         self.reflection_var_map = tuple(refl)
 
-        self._pair_action_cache: Dict[Pair, Dict[int, Dict[int, Qi]]] = {}
-        self._roots: Optional[Dict[Tuple[int, ...], Combo]] = None
         self._gen_coords: Optional[Dict[Pair, Dict[object, Qi]]] = None
 
-    # -- linear action of X[a,b] on the variable space ----------------------
+        # the root vectors in closed form (module docstring), each with its
+        # action on the variables of both vector sets; an image (c, k, c2, k2, x)
+        # sends zeta(c e_k) to x zeta(c2 e_k2), k = 0 naming the spare
+        def zeta(set_id: int, c: int, k: int) -> int:  # the variable of weight c e_k
+            return self.var_index[(set_id, "+" if c > 0 else "-" if c < 0 else "0", k)]
 
-    def pair_action(self, a: int, b: int) -> Dict[int, Dict[int, Qi]]:
-        """Action of X[a,b] (a < b) on variables: var -> {var': coeff}."""
-        key = (a, b)
-        cached = self._pair_action_cache.get(key)
-        if cached is not None:
-            return cached
-        if a >= b or a not in self.indices or b not in self.indices:
-            raise InvalidRankError(f"generator ({a},{b}) outside frame {self.indices}")
-        table: Dict[int, Dict[int, Qi]] = {}
-        for vidx in range(self.nvars):
-            out: Dict[int, Qi] = {}
-            for (set_id, j), coeff in self._var_to_z[vidx]:
-                # X[a,b]: z_b -> z_a, z_a -> -z_b
-                if j == b:
-                    images = [((set_id, a), coeff)]
-                elif j == a:
-                    images = [((set_id, b), qneg(coeff))]
-                else:
-                    images = []
-                for zkey, c in images:
-                    for (v2, c2) in self._z_to_var[zkey]:
-                        cur = out.get(v2, QI_ZERO)
-                        new = qadd(cur, qmul(c, c2))
-                        if qis0(new):
-                            out.pop(v2, None)
-                        else:
-                            out[v2] = new
-            if out:
-                table[vidx] = out
-        self._pair_action_cache[key] = table
-        return table
+        def add_root(w: Dict[int, int], combo: Combo,
+                     images: List[Tuple[int, int, int, int, Qi]]) -> None:
+            root = tuple(w.get(k, 0) for k in range(1, self.rank + 1))
+            self._roots[root] = combo
+            self.root_tables[root] = {zeta(s, c, k): {zeta(s, c2, k2): x}
+                                      for s in (0, 1) for c, k, c2, k2, x in images}
+
+        self._roots: Dict[Tuple[int, ...], Combo] = {}
+        self.root_tables: Dict[Tuple[int, ...], VarTable] = {}
+        for i, (p_i, q_i) in enumerate(self.pairs, start=1):
+            for j, (p_j, q_j) in enumerate(self.pairs[i:], start=i + 1):
+                for ci in (1, -1):
+                    for cj in (1, -1):
+                        s = ci * cj
+                        add_root({i: ci, j: cj},
+                                 {(p_j, p_i): qi(-s), (q_j, p_i): qi(0, ci),
+                                  (p_j, q_i): qi(0, cj), (q_j, q_i): QI_ONE},
+                                 [(-ci, i, cj, j, qi(-2 * s)), (-cj, j, ci, i, qi(2 * s))])
+            if self.spare is not None:
+                u = self.spare
+                for c in (1, -1):
+                    add_root({i: c}, {(u, p_i): qi(0, c), (u, q_i): QI_ONE},
+                             [(-c, i, 0, 0, qi(0, 2 * c)), (0, 0, c, i, qi(0, -c))])
 
     # -- Cartan and root vectors -------------------------------------------
 
@@ -250,67 +235,9 @@ class Frame:
         """h_k = i * X[p_k, q_k]; weights are its eigenvalues' k-th entries."""
         return {self.pairs[k - 1]: qi(0, 1)}
 
-    def _ad_matrix(self, h: Combo, span: List[Pair]) -> List[List[Qi]]:
-        pos = {p: i for i, p in enumerate(span)}
-        cols = []
-        for p in span:
-            br = so_bracket(h, {p: QI_ONE})
-            col = [QI_ZERO] * len(span)
-            for pair, c in br.items():
-                if pair not in pos:
-                    raise AssertionError(f"ad image {pair} left candidate span {span}")
-                col[pos[pair]] = c
-            cols.append(col)
-        return [[cols[j][i] for j in range(len(span))] for i in range(len(span))]
-
-    def _solve_root(self, span: List[Pair], constraints: List[Tuple[int, int]]) -> Combo:
-        """Unique (up to scale) combo in span with [h_k, Y] = c_k * i... eigen."""
-        rows: List[List[Qi]] = []
-        for (k, c) in constraints:
-            mat = self._ad_matrix(self.cartan_combo(k), span)
-            for i in range(len(span)):
-                row = list(mat[i])
-                row[i] = qsub(row[i], qi(c))
-                rows.append(row)
-        kern = nullspace(rows)
-        if len(kern) != 1:
-            raise AssertionError(
-                f"root space in span {span} with constraints {constraints} has dim {len(kern)}"
-            )
-        vec = kern[0]
-        combo: Combo = {}
-        for p, c in zip(span, vec):
-            if not qis0(c):
-                combo[p] = c
-        return combo
-
     def root_vectors(self) -> Dict[Tuple[int, ...], Combo]:
         """All root vectors keyed by the root in weight coordinates."""
-        if self._roots is not None:
-            return self._roots
-        roots: Dict[Tuple[int, ...], Combo] = {}
-        m = self.rank
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                span = []
-                for x in self.pairs[i - 1]:
-                    for y in self.pairs[j - 1]:
-                        span.append(canon_gen(x, y)[1])
-                for ci in (1, -1):
-                    for cj in (1, -1):
-                        w = [0] * m
-                        w[i - 1] = ci
-                        w[j - 1] = cj
-                        roots[tuple(w)] = self._solve_root(span, [(i, ci), (j, cj)])
-            if self.spare is not None:
-                u = self.spare
-                span = [canon_gen(u, x)[1] for x in self.pairs[i - 1]]
-                for ci in (1, -1):
-                    w = [0] * m
-                    w[i - 1] = ci
-                    roots[tuple(w)] = self._solve_root(span, [(i, ci)])
-        self._roots = roots
-        return roots
+        return self._roots
 
     def root_coords(self, combo: Combo) -> Dict[object, Qi]:
         """combo expanded over the root vectors (keyed by root) and the Cartan
@@ -353,19 +280,17 @@ def get_frame(indices: Tuple[int, ...]) -> Frame:
 # sparse polynomial operations
 # ---------------------------------------------------------------------------
 
-def poly_apply_table(table: Dict[int, Dict[int, Qi]], poly: Poly, scale: Qi,
-                     out: Poly) -> Poly:
-    """out += scale * D(poly) for the derivation D determined by a linear map
-    on the variables; returns out."""
+def poly_apply_table(table: VarTable, poly: Poly) -> Poly:
+    """D(poly) for the derivation D that acts on the variables by table."""
+    out: Poly = {}
     for mono, coeff in poly.items():
-        scaled = qmul(coeff, scale)
         for v, exp in enumerate(mono):
             if not exp:
                 continue
             tab = table.get(v)
             if not tab:
                 continue
-            base = scaled if exp == 1 else qmul(scaled, qi(exp))
+            base = coeff if exp == 1 else qmul(coeff, qi(exp))
             for v2, c in tab.items():
                 lst = list(mono)
                 lst[v] -= 1
@@ -377,13 +302,6 @@ def poly_apply_table(table: Dict[int, Dict[int, Qi]], poly: Poly, scale: Qi,
                     out.pop(key, None)
                 else:
                     out[key] = new
-    return out
-
-
-def poly_apply_combo(frame: Frame, combo: Combo, poly: Poly) -> Poly:
-    out: Poly = {}
-    for (a, b), c in combo.items():
-        poly_apply_table(frame.pair_action(a, b), poly, c, out)
     return out
 
 
@@ -568,8 +486,8 @@ def _close_model(frame: Frame, label: FDLabel,
     if poly_weight(frame, seed) != tag:
         raise AssertionError(f"seed for {label} does not have weight {tag}")
 
-    for w, combo in frame.raising_ops():
-        if poly_apply_combo(frame, combo, seed):
+    for w, _e in frame.raising_ops():
+        if poly_apply_table(frame.root_tables[w], seed):
             raise AssertionError(f"seed for {label} not annihilated by raising root {w}")
 
     lows = frame.lowering_ops()
@@ -584,9 +502,9 @@ def _close_model(frame: Frame, label: FDLabel,
         i = queue.pop()
         base = model.vectors[i]
         base_tag = model.tags[i]
-        steps = [(poly_apply_combo(frame, combo, base), tuple(map(add, base_tag, w)),
+        steps = [(poly_apply_table(frame.root_tables[w], base), tuple(map(add, base_tag, w)),
                   Recipe("op", i, op_index), lower[op_index])
-                 for op_index, (w, combo) in enumerate(lows)]
+                 for op_index, (w, _f) in enumerate(lows)]
         if use_refl:
             steps.append((poly_reflect(frame, base),
                           (-base_tag[0],) + base_tag[1:] if frame.rank else base_tag,

@@ -377,17 +377,17 @@ def reconstruction_grid(ctx: RankContext):
                 out.append((m1, m2))
         return out
 
-    pairs = []
-    for bmu in partitions(rank_big):
-        try:
-            big = construct_irrep(ctx, bmu, which="big")
-        except ResourceLimitError:
-            continue
-        for smu in partitions(rank_sub):
+    def models(rank: int, which: str):
+        for mu in partitions(rank):
             try:
-                sub = construct_irrep(ctx, smu, which="sub")
+                yield construct_irrep(ctx, mu, which=which)
             except ResourceLimitError:
                 continue
+
+    subs = list(models(rank_sub, "sub"))
+    pairs = []
+    for big in models(rank_big, "big"):
+        for sub in subs:
             mult, ops = hom_space(big, sub)
             if mult == 0:
                 continue

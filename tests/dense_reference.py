@@ -10,6 +10,12 @@ columns into lists of rows, and ``qi_matmul`` multiplies such rows.
 matrices the direct way, one polynomial application per column, for
 comparison with the matrices the package derives from the closure.
 
+The root system the other way round: ``pair_action`` derives the action of
+one X[a,b] on a frame's variables through the real coordinates (zeta+- =
+z_p -+ i z_q), and ``solved_root_vectors`` finds every root vector as the
+kernel of the ad(h_k) eigen-equations.  Neither reads the closed forms that
+``Frame`` writes down.
+
 Three independent routes to what the package computes another way:
 ``hom_space_dense`` solves the full equivariance system for the dimension
 ``hom_space`` finds from highest-weight vectors, ``primary_projector`` spans
@@ -22,12 +28,13 @@ from fractions import Fraction
 from typing import List, Optional
 
 from orthobranch import linalg  # its nullspace; the one below is Fraction-only
-from orthobranch.enveloping import ad_gn, canon_gen, commutator, gen, normal_order
+from orthobranch.enveloping import ad_gn, commutator, gen, normal_order
 from orthobranch.homspace import _operator_pairs
 from orthobranch.linalg import (
-    QI_ONE, QI_ZERO, TrackedEchelon, qadd, qi, qis0, qmul, qsub, sv_scale,
+    QI_ONE, QI_ZERO, TrackedEchelon, qadd, qi, qis0, qmul, qneg, qsub, sv_add_scaled,
+    sv_scale,
 )
-from orthobranch.matrixrep import MatrixRep, poly_apply_table, poly_reflect
+from orthobranch.matrixrep import MatrixRep, poly_apply_table, poly_reflect, so_bracket
 from orthobranch.measure import (
     IdentityViolationError,
     casimir_shifted_step,
@@ -41,12 +48,90 @@ def dense(cols, nrows):
     return [[col.get(i, QI_ZERO) for col in cols] for i in range(nrows)]
 
 
+def _real_coordinates(frame):
+    """(var_to_z, z_to_var): each variable as a combination of the real
+    coordinates (set, index), zeta+- = z_p -+ i z_q and the spare itself, and
+    the inverse, z_p = (zeta+ + zeta-)/2 and z_q = i(zeta+ - zeta-)/2."""
+    half = Fraction(1, 2)
+    var_to_z, z_to_var = [], {}
+    for set_id, kind, k in frame.var_specs:
+        if kind == "0":
+            var_to_z.append([((set_id, frame.spare), QI_ONE)])
+        else:
+            p, q = frame.pairs[k - 1]
+            i_sign = -1 if kind == "+" else 1
+            var_to_z.append([((set_id, p), QI_ONE), ((set_id, q), qi(0, i_sign))])
+    for set_id in (0, 1):
+        for k, (p, q) in enumerate(frame.pairs, start=1):
+            vp = frame.var_index[(set_id, "+", k)]
+            vm = frame.var_index[(set_id, "-", k)]
+            z_to_var[(set_id, p)] = [(vp, qi(half)), (vm, qi(half))]
+            z_to_var[(set_id, q)] = [(vp, qi(0, half)), (vm, qi(0, -half))]
+        if frame.spare is not None:
+            z_to_var[(set_id, frame.spare)] = [(frame.var_index[(set_id, "0", 0)], QI_ONE)]
+    return var_to_z, z_to_var
+
+
+def pair_action(frame, a, b):
+    """Action of X[a,b] (any two frame indices) on the variables,
+    var -> {var': coeff}: X[a,b] sends z_b to z_a and z_a to -z_b."""
+    var_to_z, z_to_var = _real_coordinates(frame)
+    table = {}
+    for v, expansion in enumerate(var_to_z):
+        out = {}
+        for (set_id, j), coeff in expansion:
+            if j == b:
+                target, c = (set_id, a), coeff
+            elif j == a:
+                target, c = (set_id, b), qneg(coeff)
+            else:
+                continue
+            for v2, c2 in z_to_var[target]:
+                sv_add_scaled(out, {v2: c2}, c)
+        if out:
+            table[v] = out
+    return table
+
+
 def poly_apply_pair(frame, a, b, poly):
     """X[a,b] applied to a polynomial in the frame's variables."""
-    sign, pair = canon_gen(a, b)
-    if not sign:
-        return {}
-    return poly_apply_table(frame.pair_action(*pair), poly, qi(sign), {})
+    return poly_apply_table(pair_action(frame, a, b), poly)
+
+
+def solved_root_vectors(frame):
+    """{root: X[a,b] combination} with every root vector solved for: the one
+    kernel vector, in the span of the generators joining the root's index
+    pairs (or the spare and its pair), of ad(h_k) - c_k on each nonzero
+    coordinate c_k of the root."""
+
+    def solve_root(span, constraints):
+        rows = []
+        for k, c in constraints:
+            h = {frame.pairs[k - 1]: qi(0, 1)}
+            ad = [so_bracket(h, {g: QI_ONE}) for g in span]
+            assert all(g in span for col in ad for g in col), "ad image left the span"
+            for r, g in enumerate(span):
+                rows.append([qsub(col.get(g, QI_ZERO), qi(c) if s == r else QI_ZERO)
+                             for s, col in enumerate(ad)])
+        kern = linalg.nullspace(rows)
+        assert len(kern) == 1, f"root space in {span} has dimension {len(kern)}"
+        return {g: c for g, c in zip(span, kern[0]) if not qis0(c)}
+
+    roots = {}
+    m = frame.rank
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            span = [tuple(sorted((x, y))) for x in frame.pairs[i - 1] for y in frame.pairs[j - 1]]
+            for ci in (1, -1):
+                for cj in (1, -1):
+                    root = tuple(ci if k == i else cj if k == j else 0 for k in range(1, m + 1))
+                    roots[root] = solve_root(span, [(i, ci), (j, cj)])
+        if frame.spare is not None:
+            span = [(frame.spare, x) for x in frame.pairs[i - 1]]
+            for c in (1, -1):
+                root = tuple(c if k == i else 0 for k in range(1, m + 1))
+                roots[root] = solve_root(span, [(i, c)])
+    return roots
 
 
 def polynomial_columns(rep):

@@ -178,3 +178,14 @@ def test_equivariance_check_can_fail(reps):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("operator not equivariant for generator (1,2)"), done.stdout
+
+
+def test_singular_gram_block_raises(reps):
+    # the pairing of the weight-0 vector with itself, the one entry of its
+    # 1-by-1 block of the Gram matrix, set to zero
+    big = reps.get(3, (2, 1))
+    sub = construct_irrep(rank_context(3), (2,), which="sub")   # fresh: changed below
+    zero = sub.model.tags.index((0,))
+    sub.model.gram_rows()[zero].clear()
+    with pytest.raises(ValueError, match="singular"):
+        hom_space(big, sub)

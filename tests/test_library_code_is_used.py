@@ -8,7 +8,8 @@ benchmark in ``bench/``, unless ``PAPER_API`` names it as a result of the
 paper offered to users.  Helpers that only the tests need live under
 ``tests/``.  References are matched by name in the syntax tree (names,
 attributes and imported aliases), not in docstrings or comments; an import
-that nothing uses does not count.
+that nothing uses does not count, and is itself an error: every name a
+library module imports must be used by that module.
 """
 import ast
 from pathlib import Path
@@ -80,6 +81,22 @@ def uncalled_methods(trees):
     return uncalled
 
 
+def unused_imports(trees):
+    """Qualified names 'module.name' of the names that an import statement of
+    a module tree binds and that no name in the module reads."""
+    unused = []
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not _is_import(node) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{module}.{bound}")
+    return unused
+
+
 def unused_exports(trees, init, outside):
     """Names the package module init re-exports from the module trees that no
     top-level statement other than their own definition uses and that are
@@ -118,6 +135,12 @@ def test_every_method_is_called_by_the_library():
     assert uncalled_methods(trees) == []
 
 
+def test_every_import_is_used():
+    trees = _package_trees()
+    trees.pop("__init__")   # its imports are the exports
+    assert unused_imports(trees) == []
+
+
 def test_every_export_is_used_or_paper_api():
     trees = _package_trees()
     init = trees.pop("__init__")
@@ -134,10 +157,15 @@ def test_the_guard_sees_what_only_imports_or_recursion_reach():
         "a": ast.parse("def used():\n    return 1\n\n"
                        "def recursive(k):\n    return recursive(k - 1)\n\n"
                        "class Exported:\n    pass\n"),
-        "b": ast.parse("from a import used, recursive\n\n"
-                       "def caller():\n    return used()\n"),
+        "b": ast.parse("from __future__ import annotations\n"
+                       "import os.path\n"
+                       "from a import used, recursive\n"
+                       "from a import Exported as Alias\n\n"
+                       "def caller():\n    from json import dumps, loads\n"
+                       "    return dumps(used(), os.sep)\n"),
     }
     assert unused_definitions(trees, {"Exported", "caller"}) == ["a.recursive"]
+    assert unused_imports(trees) == ["b.recursive", "b.Alias", "b.loads"]
 
 
 def test_the_guard_sees_uncalled_methods_and_unused_exports():

@@ -14,7 +14,7 @@ from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
 from orthobranch.enveloping import build_A, casimir, gen
 from orthobranch import matrixrep
-from orthobranch.linalg import qi, qmul
+from orthobranch.linalg import qi, qmul, qneg, sv_add_scaled
 from orthobranch.matrixrep import (
     _verify_rep,
     act,
@@ -23,6 +23,7 @@ from orthobranch.matrixrep import (
     construct_irrep,
     det_twisted,
     expected_casimir_scalar,
+    Frame,
     get_frame,
     qi_from_string,
     qi_to_string,
@@ -33,7 +34,13 @@ from orthobranch.matrixrep import (
 )
 from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_context
 
-from dense_reference import dense, polynomial_columns, qi_matmul
+from dense_reference import (
+    dense,
+    pair_action,
+    polynomial_columns,
+    qi_matmul,
+    solved_root_vectors,
+)
 
 CTX2 = rank_context(2)
 CTX3 = rank_context(3)
@@ -279,6 +286,57 @@ def test_generator_matrices_match_the_polynomial_route(reps, n, rows, eps, side)
     for (a, b), cols in gens.items():
         assert rep.action(a, b) == cols, (a, b)
     assert rep.reflection() == refl
+
+
+def test_closed_form_roots_match_the_solver():
+    # frames (0..L-1) and (1..L) for L = 1..9: with and without a spare, and
+    # with the spare at 0 or 1
+    count = 0
+    for size in range(1, 10):
+        for indices in (tuple(range(size)), tuple(range(1, size + 1))):
+            frame = Frame(indices)
+            solved = solved_root_vectors(frame)
+            assert list(frame.root_vectors().items()) == list(solved.items()), indices
+            assert frame.root_tables.keys() == solved.keys()
+            for root, combo in solved.items():
+                want = {}
+                for (a, b), c in combo.items():
+                    for v, image in pair_action(frame, a, b).items():
+                        sv_add_scaled(want.setdefault(v, {}), image, c)
+                assert frame.root_tables[root] == {v: x for v, x in want.items() if x}, (
+                    indices, root)
+                count += 1
+    assert count == 200
+
+
+def _flip_one_lowering_entry(setitem):
+    """Negate the first entry of the first lowering root's table on the frame
+    0..3, through setitem(table, variable, images)."""
+    frame = get_frame((0, 1, 2, 3))
+    table = frame.root_tables[frame.lowering_ops()[0][0]]
+    v = next(iter(table))
+    setitem(table, v, {v2: qneg(c) for v2, c in table[v].items()})
+
+
+def test_closed_form_table_corruption_is_caught(monkeypatch):
+    _flip_one_lowering_entry(monkeypatch.setitem)   # undone after the test
+    with pytest.raises(AssertionError, match="character theory says 16"):
+        construct_irrep(CTX3, (2, 1))
+    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+    code = ("from orthobranch.weights import rank_context\n"
+            "from orthobranch.linalg import qneg\n"
+            "from orthobranch.matrixrep import construct_irrep, get_frame\n"
+            + inspect.getsource(_flip_one_lowering_entry) +
+            "_flip_one_lowering_entry(dict.__setitem__)\n"
+            "try:\n"
+            "    construct_irrep(rank_context(3), (2, 1))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "character theory says 16" in done.stdout, done.stdout
 
 
 def _corrupt_where_the_square_is_unchanged(rep):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from orthobranch import matrixrep
 from orthobranch.homspace import hom_space
 from orthobranch.matrixrep import act, construct_irrep, standard_rep, trivial_rep
 from orthobranch.measure import (
@@ -126,3 +127,19 @@ def test_b_reconstruct_small():
     assert got[2] == {((1, 0), (0,)): 1, ((0, 1), (0,)): 1,
                       ((0, 0), (1,)): -1, ((0, 0), (0,)): -F(3, 4)}
     assert got[1] == {}
+
+
+def test_reconstruction_grid_builds_each_model_once(monkeypatch):
+    # the grid of n = 3 holds 6 big and 3 subgroup labels; each b_reconstruct
+    # call builds each of them once
+    built = []
+
+    def counted(ctx, mu, eps=None, which="big", **kw):
+        built.append((tuple(mu), which))
+        return construct_irrep(ctx, mu, eps=eps, which=which, **kw)
+
+    monkeypatch.setattr(matrixrep, "construct_irrep", counted)
+    for ell in (1, 2, 3):
+        b_reconstruct(ell, CTX3)
+    assert len(built) == 27
+    assert len(set(built)) == 9
