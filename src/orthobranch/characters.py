@@ -95,20 +95,16 @@ def is_so_dominant(m: int, mu) -> bool:
 
 
 def _orbit(kind: str, v):
-    """All weights in the Weyl orbit of a dominant v."""
+    """All weights in the Weyl orbit of a dominant v: the signed permutations
+    of v, with an even number of sign changes in type D when no entry is 0."""
     out = set()
-    has_zero = any(c == 0 for c in v)
-    base_parity = sum(1 for c in v if c < 0) % 2
+    parity = None
+    if kind == "D" and 0 not in v:
+        parity = sum(1 for c in v if c < 0) % 2
     for perm in set(permutations(v)):
-        nonzero_positions = [k for k, c in enumerate(perm) if c != 0]
-        for flips in product((1, -1), repeat=len(nonzero_positions)):
-            w = list(perm)
-            for pos, f in zip(nonzero_positions, flips):
-                w[pos] *= f
-            if kind == "D" and not has_zero:
-                if sum(1 for c in w if c < 0) % 2 != base_parity:
-                    continue
-            out.add(tuple(w))
+        for w in product(*[(c, -c) if c else (c,) for c in perm]):
+            if parity is None or sum(1 for c in w if c < 0) % 2 == parity:
+                out.add(w)
     return out
 
 

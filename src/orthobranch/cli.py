@@ -125,16 +125,18 @@ def _csv_text(rows: Sequence[Sequence[str]]) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_regions(args) -> int:
-    desc = region_descriptor(args.xi, args.nu)
-    obj = {
+def _region_obj(desc) -> dict:
+    return {
         "base": _weight_obj(desc.base),
         "nu": _weight_obj(desc.nu),
         "support": [[k.i, k.j, k.delta] for k in desc.signature.support],
         "signature": [[[k.i, k.j, k.delta], s] for k, s in desc.signature.entries],
         "away_from_fences": desc.away_from_fences,
     }
-    _emit(_json_text(obj), args.out)
+
+
+def _cmd_regions(args) -> int:
+    _emit(_json_text(_region_obj(region_descriptor(args.xi, args.nu))), args.out)
     return 0
 
 
@@ -182,14 +184,7 @@ def _cmd_stability(args) -> int:
     report = stability_scan(args.xi, sub, args.bound, args.eps, dim_cap=args.dim_cap)
     desc = report.region
     obj = {
-        "region": {
-            "base": _weight_obj(desc.base),
-            "nu": _weight_obj(desc.nu),
-            "support": [[k.i, k.j, k.delta] for k in desc.signature.support],
-            "signature": [[[k.i, k.j, k.delta], s]
-                          for k, s in desc.signature.entries],
-            "away_from_fences": desc.away_from_fences,
-        },
+        "region": _region_obj(desc),
         "sub": _label_obj(sub),
         "samples": [[_weight_obj(lam), m] for lam, m in report.samples],
         "constant": report.constant,
@@ -208,7 +203,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_verify_ue(args) -> int:
-    from .enveloping import build_A, casimir, verify_identities
+    from .enveloping import build_A, ladder_casimir, verify_identities
     from .matrixrep import act, casimir_scalar, expected_casimir_scalar, rep_from_bundle
     from .measure import verify_power_identity
 
@@ -233,12 +228,7 @@ def _cmd_verify_ue(args) -> int:
             }, args.out)
         for N in (2, 3):
             bundle_checks += 1
-            lhs = act(build_A(N, n), rep)
-            if N == 2:
-                ref = casimir(n, "full") - casimir(n, "sub")
-            else:
-                ref = casimir(n, "full").scale(1 - n) + casimir(n, "sub").scale(n)
-            if lhs != act(ref, rep):
+            if act(build_A(N, n), rep) != act(ladder_casimir(N, n), rep):
                 return _fail({
                     "check": f"bundle-ladder{N}",
                     "params": {"bundle": args.bundle, "N": N},

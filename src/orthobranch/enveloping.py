@@ -199,6 +199,18 @@ def casimir(ctx, which: str = "full") -> UEElement:
     return UEElement(terms)
 
 
+def ladder_casimir(N: int, ctx) -> UEElement:
+    """The Casimir combination that the ladder element A^(N) equals, N = 2, 3:
+    A^(2) = C_G - C_G' and A^(3) = (1 - n) C_G + n C_G'."""
+    n = _ctx_n(ctx)
+    cG, cGp = casimir(n, "full"), casimir(n, "sub")
+    if N == 2:
+        return cG - cGp
+    if N == 3:
+        return cG.scale(1 - n) + cGp.scale(n)
+    raise ValueError(f"A^({N}) has no Casimir closed form here; N must be 2 or 3")
+
+
 _AB_MEMO: Dict[Tuple[int, int], Tuple[UEElement, Tuple[UEElement, ...]]] = {}
 
 
@@ -340,13 +352,9 @@ def verify_identities(ctx, max_degree: int = 4):
     failures: list = []
     checks = [0]
 
-    # low-degree ladder elements vs Casimir combinations
-    cG = casimir(n, "full")
-    cGp = casimir(n, "sub")
-    _check(failures, checks, "ladder2-casimir", {"n": n},
-           build_A(2, n), cG - cGp)
-    _check(failures, checks, "ladder3-casimir", {"n": n},
-           build_A(3, n), cG.scale(1 - n) + cGp.scale(n))
+    for N in (2, 3):
+        _check(failures, checks, f"ladder{N}-casimir", {"n": n},
+               build_A(N, n), ladder_casimir(N, n))
 
     sub_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 

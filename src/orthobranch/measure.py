@@ -23,15 +23,21 @@ projector onto the ``lam + eps e_i`` primary part is the product of the
 factors ``cDelta - (|lam + mu|^2 - |rho|^2)`` over the other extreme weights
 ``mu`` of ``F``; dividing by the product of eigenvalue gaps
 ``prod_mu (|lam + eps e_i|^2 - |lam + mu|^2)`` normalizes it to an honest
-projector.  ``measure_scalar`` measures the scalar of ``(T (x)
-first-slot-restriction) o projector o (u -> u (x) f_0)`` against ``T`` as an
-exact ratio; non-proportionality to ``T`` raises ``IdentityViolationError``.
+projector.  Each factor is ``2 ctilde + (casimir(big) + n - shift)``, so the
+projector is a polynomial of degree n in ``ctilde``.  ``measure_scalar``
+measures the scalar of ``(T (x) first-slot-restriction) o projector o (u -> u
+(x) f_0)`` against ``T`` as an exact ratio; non-proportionality to ``T``
+raises ``IdentityViolationError``.
 
-The projected probe tuples depend only on ``(big, i, eps)`` — not on the
-target representation — so they are cached on the big representation and
-shared across every operator measured out of it.  The probe vectors are
-drawn deterministically from the representation data; exact arithmetic makes
-each probe a rigid consistency equation rather than a floating-point guess.
+One probe chain per big representation serves every measurement: for each
+probe vector u, the first slots of ``ctilde^k (u (x) f_0)``, k = 0, 1, ...,
+cached on the representation and extended on demand.  ``measure_scalar``
+combines them with the projector polynomial's coefficients for every
+``(i, eps)``, and ``b_eval`` reads the ell-th one; none of this depends on
+the target of the operator, so every operator measured out of the
+representation shares it.  The probe vectors are drawn deterministically
+from the representation data; exact arithmetic makes each probe a rigid
+consistency equation rather than a floating-point guess.
 
 ``b_eval`` measures the same composition for powers of ``ctilde`` instead of
 the projector, and ``b_reconstruct`` interpolates those measurements across a
@@ -114,22 +120,6 @@ def _norm2(v: Sequence[Fraction]) -> Fraction:
     return sum(Fraction(c) * Fraction(c) for c in v)
 
 
-def casimir_shifted_step(big: MatrixRep, ctx: RankContext, V: Tuple_,
-                         shift: Fraction) -> Tuple_:
-    """One factor (cDelta - shift) V with cDelta the tensor-product Casimir."""
-    cas = expected_casimir_scalar(big)
-    diag = qi(cas + ctx.n - shift)
-    two = qi(2)
-    ct = coupling_step(big, V)
-    out: Tuple_ = []
-    for pos in range(len(V)):
-        acc: CoordVec = {}
-        sv_add_scaled(acc, V[pos], diag)
-        sv_add_scaled(acc, ct[pos], two)
-        out.append(acc)
-    return out
-
-
 def projector_factors(ctx: RankContext, lam: Sequence[Fraction], i: int,
                       eps: int) -> Tuple[List[Fraction], Fraction]:
     """Shifts for the spectral-projector factors and the normalizing product.
@@ -159,14 +149,8 @@ def projector_factors(ctx: RankContext, lam: Sequence[Fraction], i: int,
 
 
 # ---------------------------------------------------------------------------
-# probe management (cached per representation and direction)
+# the probe chain (cached per representation)
 # ---------------------------------------------------------------------------
-
-def _probe_rng(big: MatrixRep, tag) -> random.Random:
-    key = repr((tag, big.dim, tuple(str(c) for c in big.inf_char),
-                big.group_tag, big.twist_sign))
-    return random.Random(key)
-
 
 def _rand_coordvec(dim: int, rng: random.Random) -> CoordVec:
     out: CoordVec = {}
@@ -184,47 +168,30 @@ def _insert_first_slot(big: MatrixRep, u: CoordVec) -> Tuple_:
     return V
 
 
-def _projected_probes(big: MatrixRep, i: int, eps: int) -> List[Tuple[CoordVec, CoordVec]]:
-    """Pairs (u, first slot of the unnormalized projector image of u (x) f_0),
-    cached on the representation: the heavy factor product does not depend on
-    the target of the operator being measured."""
-    key = ("primary-probes", i, eps)
-    cached = big.cache.get(key)
-    if cached is not None:
-        return cached
-    ctx = rank_context(len(big.indices) - 1)
-    shifts, _norm = projector_factors(ctx, big.inf_char, i, eps)
-    rng = _probe_rng(big, ("measure", i, eps))
-    us: List[CoordVec] = [{0: QI_ONE}]
-    while len(us) < PROBES:
-        us.append(_rand_coordvec(big.dim, rng))
-    out = []
-    for u in us:
-        V = _insert_first_slot(big, u)
-        for s in shifts:
-            V = casimir_shifted_step(big, ctx, V, s)
-        out.append((u, V[0]))
-    big.cache[key] = out
-    return out
+def _power_chain(big: MatrixRep, K: int) -> List[Tuple[CoordVec, List[CoordVec]]]:
+    """Pairs (u, firsts) with firsts[k] the first slot of ctilde^k (u (x) f_0)
+    for k = 0..K at least, one pair per probe vector u.
 
-
-def _power_probes(big: MatrixRep, ell: int) -> List[Tuple[CoordVec, CoordVec]]:
-    key = ("power-probes", ell)
-    cached = big.cache.get(key)
-    if cached is not None:
-        return cached
-    rng = _probe_rng(big, ("power", ell))
-    us: List[CoordVec] = [{0: QI_ONE}]
-    while len(us) < PROBES:
-        us.append(_rand_coordvec(big.dim, rng))
-    out = []
-    for u in us:
-        V = _insert_first_slot(big, u)
-        for _ in range(ell):
+    Kept in ``big.cache`` and extended on demand: each probe stores its first
+    slots and the last full tuple only.  The probes are drawn from what the
+    chain depends on, so a det twin (which shares the cache) sees the same
+    ones."""
+    chain = big.cache.get("power-chain")
+    if chain is None:
+        rng = random.Random(repr((big.dim, tuple(str(c) for c in big.inf_char),
+                                  big.indices)))
+        us: List[CoordVec] = [{0: QI_ONE}]
+        while len(us) < PROBES:
+            us.append(_rand_coordvec(big.dim, rng))
+        chain = big.cache["power-chain"] = [[u, [u], _insert_first_slot(big, u)]
+                                            for u in us]
+    for probe in chain:
+        _u, firsts, V = probe
+        while len(firsts) <= K:
             V = coupling_step(big, V)
-        out.append((u, V[0]))
-    big.cache[key] = out
-    return out
+            firsts.append(V[0])
+        probe[2] = V
+    return [(u, firsts) for u, firsts, _V in chain]
 
 
 def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, CoordVec]],
@@ -276,10 +243,21 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureRes
     IdentityViolationError if the composition fails proportionality to T on
     any probe; a zero normalizer yields ``defined=False``."""
     big = op.big
-    _ctx = rank_context(len(big.indices) - 1)
-    pairs = _projected_probes(big, i, eps)
+    ctx = rank_context(len(big.indices) - 1)
+    shifts, norm = projector_factors(ctx, big.inf_char, i, eps)
+    # p(x) = prod (2x + cas + n - shift), lowest degree first: the projector
+    # is p(ctilde), since each factor cDelta - shift is 2 ctilde + cas + n - shift
+    diag = expected_casimir_scalar(big) + ctx.n
+    poly = [Fraction(1)]
+    for s in shifts:
+        poly = [(diag - s) * a + 2 * b for a, b in zip(poly + [0], [0] + poly)]
+    pairs = []
+    for u, firsts in _power_chain(big, len(shifts)):
+        w0: CoordVec = {}
+        for c, first in zip(poly, firsts):
+            sv_add_scaled(w0, first, qi(c))
+        pairs.append((u, w0))
     ratio = _ratio_against(op, pairs, "projector")
-    _shifts, norm = projector_factors(_ctx, big.inf_char, i, eps)
     if norm == 0:
         return MeasureResult(
             value=RationalFunctionValue(numerator=Fraction(0), denominator=Fraction(0),
@@ -297,8 +275,9 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureRes
 def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
     """Measured coefficient of the ell-th coupled power:
     T((ctilde^ell (u (x) f_0))_0) = b * T(u), checked across probe vectors."""
-    big = op.big
-    pairs = _power_probes(big, ell)
+    if ell < 0:
+        raise ValueError(f"power ell={ell} must be >= 0")
+    pairs = [(u, firsts[ell]) for u, firsts in _power_chain(op.big, ell)]
     ratio = _ratio_against(op, pairs, "power")
     if ratio[1] != 0:
         raise IdentityViolationError("power scalar is not real")

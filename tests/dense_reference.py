@@ -34,13 +34,13 @@ from orthobranch.linalg import (
     QI_ONE, QI_ZERO, TrackedEchelon, qadd, qi, qis0, qmul, qneg, qsub, sv_add_scaled,
     sv_scale,
 )
-from orthobranch.matrixrep import MatrixRep, poly_apply_table, poly_reflect, so_bracket
-from orthobranch.measure import (
-    IdentityViolationError,
-    casimir_shifted_step,
-    projector_factors,
+from orthobranch.matrixrep import (
+    MatrixRep, expected_casimir_scalar, poly_apply_table, poly_reflect, so_bracket,
 )
-from orthobranch.weights import InvalidRankError, rank_context, rho
+from orthobranch.measure import (
+    CoordVec, IdentityViolationError, Tuple_, coupling_step, projector_factors,
+)
+from orthobranch.weights import InvalidRankError, RankContext, rank_context, rho
 
 
 def dense(cols, nrows):
@@ -269,6 +269,22 @@ def _flatten(V):
 
 def _norm2(v):
     return sum(Fraction(c) * Fraction(c) for c in v)
+
+
+def casimir_shifted_step(big: MatrixRep, ctx: RankContext, V: Tuple_,
+                         shift: Fraction) -> Tuple_:
+    """One factor (cDelta - shift) V with cDelta the tensor-product Casimir."""
+    cas = expected_casimir_scalar(big)
+    diag = qi(cas + ctx.n - shift)
+    two = qi(2)
+    ct = coupling_step(big, V)
+    out: Tuple_ = []
+    for pos in range(len(V)):
+        acc: CoordVec = {}
+        sv_add_scaled(acc, V[pos], diag)
+        sv_add_scaled(acc, ct[pos], two)
+        out.append(acc)
+    return out
 
 
 def primary_projector(big, i: int, eps: int) -> PrimaryComponent:

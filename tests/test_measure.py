@@ -1,6 +1,15 @@
+import dataclasses
+import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from orthobranch import matrixrep
+import pytest
+
+import orthobranch
+from orthobranch import matrixrep, measure
 from orthobranch.homspace import hom_space
 from orthobranch.matrixrep import act, construct_irrep, standard_rep, trivial_rep
 from orthobranch.measure import (
@@ -13,7 +22,7 @@ from orthobranch.measure import (
 from orthobranch.scalars import C_val, b_closed, scalar_query
 from orthobranch.weights import rank_context
 
-from dense_reference import primary_projector
+from dense_reference import casimir_shifted_step, primary_projector
 
 CTX3 = rank_context(3)
 CTX4 = rank_context(4)
@@ -86,6 +95,106 @@ def test_b_eval_matches_closed_forms(reps):
     lam2, nu2 = op2.big.inf_char, op2.sub.inf_char
     for ell in (1, 2, 3):
         assert b_eval(op2, ell) == b_closed(ell, CTX3, lam2, nu2)
+
+
+def test_b_eval_rejects_a_negative_power(reps):
+    op = only_op(reps.get(3, (2, 1)), reps.get(3, (1,), None, which="sub"))
+    assert b_eval(op, 0) == 1
+    with pytest.raises(ValueError, match="ell=-1"):
+        b_eval(op, -1)
+
+
+@pytest.mark.parametrize("n, big_rows, big_eps, sub_rows, sub_eps", [
+    (3, (2, 1), None, (1,), None),
+    (4, (2, 1), 1, (1, 1), None),
+    (6, (1, 0, 0), 1, (1, 0, 0), 1),
+], ids=["O4-2,1", "O5-2,1", "O7-1,0,0"])
+def test_projector_polynomial_matches_the_factor_product(
+        reps, monkeypatch, n, big_rows, big_eps, sub_rows, sub_eps):
+    # the projector read off the power chain, sum_k p_k ctilde^k, against the
+    # product of the factors (cDelta - shift) applied one after the other
+    op = only_op(reps.get(n, big_rows, big_eps), reps.get(n, sub_rows, sub_eps, which="sub"))
+    big, ctx = op.big, rank_context(n)
+    seen = []
+
+    def recording(op_, pairs, what):
+        seen.append(pairs)
+        return ratio_against(op_, pairs, what)
+
+    ratio_against = measure._ratio_against
+    monkeypatch.setattr(measure, "_ratio_against", recording)
+    for i in range(1, ctx.r + 1):
+        for eps in (1, -1):
+            seen.clear()
+            measure_scalar(op, i, eps)
+            (pairs,) = seen
+            assert len(pairs) == measure.PROBES
+            shifts, _norm = measure.projector_factors(ctx, big.inf_char, i, eps)
+            for u, w0 in pairs:
+                V = [dict(u)] + [dict() for _ in big.indices[1:]]
+                for s in shifts:
+                    V = casimir_shifted_step(big, ctx, V, s)
+                assert w0 == V[0], (i, eps)
+
+
+def test_one_chain_serves_every_direction_and_power(reps, monkeypatch):
+    # O(5) (2,1): four directions of four factors each and the powers 1..3,
+    # on three probes, take the chain to ctilde^4: 12 coupling steps (a
+    # product per direction and a chain per power would take 66)
+    op = only_op(reps.get(4, (2, 1), 1), reps.get(4, (1, 1), None, which="sub"))
+    op = dataclasses.replace(op, big=dataclasses.replace(op.big, cache={}))
+    steps = []
+    step = measure.coupling_step
+
+    def counted(big, V):
+        steps.append(1)
+        return step(big, V)
+
+    monkeypatch.setattr(measure, "coupling_step", counted)
+    for i in (1, 2):
+        for eps in (1, -1):
+            measure_scalar(op, i, eps)
+    for ell in (1, 2, 3):
+        b_eval(op, ell)
+    assert len(steps) == 12
+
+
+def _double_one_entry(op):
+    """A copy of op whose first nonzero matrix entry is doubled."""
+    cols = [dict(col) for col in op.matrix]
+    j = next(j for j, col in enumerate(cols) if col)
+    row, (re, im) = next(iter(cols[j].items()))
+    cols[j][row] = (2 * re, 2 * im)
+    return dataclasses.replace(op, matrix=cols)
+
+
+def test_a_wrong_operator_fails_the_measurement(reps):
+    bad = _double_one_entry(only_op(reps.get(3, (2, 1)), reps.get(3, (1,), None, which="sub")))
+    with pytest.raises(IdentityViolationError, match="projector composition"):
+        measure_scalar(bad, 1, 1)
+    with pytest.raises(IdentityViolationError, match="power composition"):
+        b_eval(bad, 2)
+    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+    code = ("import dataclasses\n"
+            "from orthobranch.weights import rank_context\n"
+            "from orthobranch.matrixrep import construct_irrep\n"
+            "from orthobranch.homspace import hom_space\n"
+            "from orthobranch.measure import IdentityViolationError, b_eval, measure_scalar\n"
+            + inspect.getsource(_double_one_entry) +
+            "big = construct_irrep(rank_context(3), (2, 1))\n"
+            "sub = construct_irrep(rank_context(3), (1,), which='sub')\n"
+            "bad = _double_one_entry(hom_space(big, sub)[1][0])\n"
+            "for measure in (lambda: measure_scalar(bad, 1, 1), lambda: b_eval(bad, 2)):\n"
+            "    try:\n"
+            "        measure()\n"
+            "    except IdentityViolationError as exc:\n"
+            "        print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["projector composition is not proportional to the operator",
+                                        "power composition is not proportional to the operator"]
 
 
 def test_primary_projector_examples(reps):
