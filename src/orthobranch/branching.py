@@ -125,8 +125,6 @@ class FDLabel:
 def fd_label(group_size: int, mu, eps: Optional[int] = None) -> FDLabel:
     """Build a canonical FDLabel for O(group_size) from row lengths."""
     rank = so_rank(group_size) if group_size > 2 else 1
-    if group_size == 2:
-        rank = 1
     tag = O_ODD if group_size % 2 else O_EVEN
     mu = tuple(int(c) for c in mu)
     if len(mu) < rank:

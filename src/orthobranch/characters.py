@@ -276,9 +276,7 @@ def partition_to_label(m: int, alpha):
     rank = so_rank(m)
     if len(alpha) <= rank:
         mu = alpha + (0,) * (rank - len(alpha))
-        if m % 2 == 0 and len(alpha) == rank:
-            return mu, 1  # self-associate: canonical sign +
-        return mu, 1
+        return mu, 1  # also for a self-associate label (m even, len(alpha) == rank)
     beta = associate_partition(m, alpha)
     mu = beta + (0,) * (rank - len(beta))
     return mu, -1

@@ -51,6 +51,7 @@ from .branching import (
     oracle_multiplicity,
     stability_scan,
 )
+from .matrixrep import DEFAULT_DIM_CAP as MODEL_DIM_CAP
 from .verma import FusionQuery, fusion_grid, fusion_oracle
 
 
@@ -585,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sub-eps", type=_parse_eps, default=None)
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--eps", type=_parse_eps, required=True)
-    sp.add_argument("--dim-cap", type=int, default=400)
+    sp.add_argument("--dim-cap", type=int, default=MODEL_DIM_CAP)
     sp.add_argument("--emit-big", help="write the big model's matrix bundle")
     sp.add_argument("--emit-sub", help="write the sub model's matrix bundle")
     sp.add_argument("--out")

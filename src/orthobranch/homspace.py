@@ -46,25 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .linalg import (
-    Cols,
-    Qi,
-    QI_ONE,
-    QI_ZERO,
-    apply_cols,
-    inverse,
-    nullspace,
-    qi,
-    qis0,
-    qsub,
-    solve,
-    sv_add_scaled,
-    sv_scale,
-)
+from .linalg import Cols, Scalar, apply_cols, inverse, nullspace, solve
+from .polyarith import p_add_into
 from .weights import InvalidRankError
 from .matrixrep import MatrixRep
 
-CoordVec = Dict[int, Qi]
+CoordVec = Dict[int, Scalar]
 
 
 @dataclass
@@ -93,12 +80,13 @@ def _require_models(big: MatrixRep, sub: MatrixRep) -> None:
         )
 
 
-def _apply_combo(rep: MatrixRep, combo: Dict[Tuple[int, int], Qi], vec: CoordVec) -> CoordVec:
+def _apply_combo(rep: MatrixRep, combo: Dict[Tuple[int, int], Scalar],
+                 vec: CoordVec) -> CoordVec:
     """The combination {(a, b): c} of generators X[a,b] applied to vec
     through rep's columns."""
     out: CoordVec = {}
     for (a, b), c in combo.items():
-        sv_add_scaled(out, apply_cols(rep.action(a, b), vec), c)
+        p_add_into(out, apply_cols(rep.action(a, b), vec), c)
     return out
 
 
@@ -111,15 +99,15 @@ def subgroup_hw_space(big: MatrixRep, sub: MatrixRep) -> List[CoordVec]:
     if not cand:
         return []
     # kernel of the stacked raising actions on the candidate span
-    rows: List[List[Qi]] = []
+    rows: List[List[Scalar]] = []
     for _w, combo in sub.frame.raising_ops():
-        images = [_apply_combo(big, combo, {i: QI_ONE}) for i in cand]
+        images = [_apply_combo(big, combo, {i: 1}) for i in cand]
         for k in sorted({k for img in images for k in img}):
-            rows.append([img.get(k, QI_ZERO) for img in images])
+            rows.append([img.get(k, 0) for img in images])
     kern = nullspace(rows) if rows else [
-        [QI_ONE if i == j else QI_ZERO for i in range(len(cand))] for j in range(len(cand))
+        [1 if i == j else 0 for i in range(len(cand))] for j in range(len(cand))
     ]
-    return [{cand[i]: c for i, c in enumerate(vec) if not qis0(c)} for vec in kern]
+    return [{cand[i]: c for i, c in enumerate(vec) if c} for vec in kern]
 
 
 def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
@@ -128,7 +116,7 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
     highest-weight image w.  Reflection steps apply big's reflection times
     the subgroup's twist sign, so both det-twists enter."""
     smodel = sub.model
-    twist = qi(sub.twist_sign)
+    twist = sub.twist_sign
     images: Cols = []
     for rec in smodel.recipes:
         if rec.kind == "seed":
@@ -136,14 +124,15 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
         elif rec.kind == "op":
             images.append(_apply_combo(big, smodel.ops[rec.op_index], images[rec.parent]))
         elif rec.kind == "refl":
-            images.append(sv_scale(apply_cols(big.reflection(), images[rec.parent]), twist))
+            image = apply_cols(big.reflection(), images[rec.parent])
+            images.append({i: twist * x for i, x in image.items()})
         else:  # pragma: no cover
             raise AssertionError(f"unknown recipe kind {rec.kind!r}")
     return images
 
 
 def _reflection_fixed_space(big: MatrixRep, sub: MatrixRep,
-                            hw_basis: List[CoordVec]) -> List[List[Qi]]:
+                            hw_basis: List[CoordVec]) -> List[List[Scalar]]:
     """Basis, as coefficient vectors over hw_basis, of the vectors fixed by
     the involution w -> R_big S_w(R_sub e_0), both reflections det-twisted:
     the obstruction for non-induced subgroup labels."""
@@ -152,17 +141,17 @@ def _reflection_fixed_space(big: MatrixRep, sub: MatrixRep,
             for w in hw_basis]
     # solve each column against the hw basis
     keys = sorted({k for w in hw_basis for k in w} | {k for c in cols for k in c})
-    basis_mat = [[w.get(k, QI_ZERO) for w in hw_basis] for k in keys]
-    out_cols: List[List[Qi]] = []
+    basis_mat = [[w.get(k, 0) for w in hw_basis] for k in keys]
+    out_cols: List[List[Scalar]] = []
     for c in cols:
-        rhs = [c.get(k, QI_ZERO) for k in keys]
+        rhs = [c.get(k, 0) for k in keys]
         sol = solve(basis_mat, rhs)
         if sol is None:
             raise AssertionError("involution image is not a hw-space member")
         out_cols.append(sol)
     # the fixed vectors: kernel of M - I, M having the solutions as columns
     m = len(hw_basis)
-    return nullspace([[qsub(out_cols[j][i], QI_ONE if i == j else QI_ZERO) for j in range(m)]
+    return nullspace([[out_cols[j][i] - (1 if i == j else 0) for j in range(m)]
                       for i in range(m)])
 
 
@@ -185,9 +174,9 @@ def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep, s_cols: Cols) -> Cols
         cols = by_tag.get(tuple(-c for c in tag), [])
         if len(cols) != len(rows):
             raise ValueError("matrix is singular")
-        block = inverse([[gram[r].get(c, QI_ZERO) for c in cols] for r in rows])
+        block = inverse([[gram[r].get(c, 0) for c in cols] for r in rows])
         for r_pos, r in enumerate(rows):
-            binv_cols[r] = {c: row[r_pos] for c, row in zip(cols, block) if not qis0(row[r_pos])}
+            binv_cols[r] = {c: row[r_pos] for c, row in zip(cols, block) if row[r_pos]}
     return [apply_cols(binv_cols, col) for col in stb]
 
 

@@ -1,9 +1,14 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Scalars are pairs (re, im) of Fractions ("qi" values).
+A scalar is an exact number: a Python int or Fraction when it is real, a
+``Gi`` only when its imaginary part is nonzero.  The matrix models are built
+in a Chevalley basis with rational structure constants, so most entries are
+real; ``Gi`` carries the i of the short root vectors and of X[p,q] = -i h_k.
+Since ``int / int`` is a float, a library division has a Fraction or a
+``Gi`` on one side (``Fraction(1) / x``).
 
 Sparse vectors are dicts mapping a hashable key (e.g. a monomial exponent
-tuple) to a nonzero qi value.  ``sv_add_scaled`` is their one
+tuple) to a nonzero scalar; ``polyarith.p_add_into`` is their one
 accumulate-and-drop-zeros step.  Every linear operator the package builds is
 held as sparse columns (``Cols``): column j maps row index i to the nonzero
 entry (i, j), and ``apply_cols`` applies one to a sparse vector.
@@ -20,81 +25,91 @@ kernel basis, inverse or particular solution.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-Qi = Tuple[Fraction, Fraction]
-SparseVec = Dict[Hashable, Qi]
-Cols = List[Dict[int, Qi]]  # a matrix as sparse columns: cols[j] = {i: entry}
+from .polyarith import p_add_into
 
-QI_ZERO: Qi = (Fraction(0), Fraction(0))
-QI_ONE: Qi = (Fraction(1), Fraction(0))
+_REAL = (int, Fraction)
+
+
+class Gi:
+    """The Gaussian rational re + im*i with im != 0; parts are ints or
+    Fractions.  ``Gi(re, 0)`` returns ``re`` itself, so a real result of any
+    operation is a plain int or Fraction.  ``+ - * /`` take an int or a
+    Fraction on either side; a ``Gi`` is never zero and never equal to a
+    real number, and it has no ordering."""
+
+    __slots__ = ("re", "im")
+
+    def __new__(cls, re, im=0):
+        if not im:
+            return re
+        self = object.__new__(cls)
+        self.re, self.im = re, im
+        return self
+
+    def __add__(self, other):
+        if type(other) is Gi:
+            return Gi(self.re + other.re, self.im + other.im)
+        return Gi(self.re + other, self.im) if isinstance(other, _REAL) else NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is Gi:
+            return Gi(self.re - other.re, self.im - other.im)
+        return Gi(self.re - other, self.im) if isinstance(other, _REAL) else NotImplemented
+
+    def __rsub__(self, other):
+        return Gi(other - self.re, -self.im) if isinstance(other, _REAL) else NotImplemented
+
+    def __mul__(self, other):
+        a, b = self.re, self.im
+        if type(other) is Gi:  # the zero real parts of imaginary numbers are skipped
+            c, d = other.re, other.im
+            if not a:
+                return Gi(-(b * d), b * c) if c else -(b * d)
+            if not c:
+                return Gi(-(b * d), a * d)
+            return Gi(a * c - b * d, a * d + b * c)
+        if isinstance(other, _REAL):
+            return Gi(a * other, b * other) if a else Gi(0, b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (Fraction(1) / other) if isinstance(other, (Gi, *_REAL)) else NotImplemented
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, _REAL):
+            return NotImplemented
+        inv = other / Fraction(self.re * self.re + self.im * self.im)
+        return Gi(self.re * inv, -self.im * inv)
+
+    def __neg__(self):
+        return Gi(-self.re, -self.im)
+
+    def __eq__(self, other):
+        if type(other) is Gi:
+            return self.re == other.re and self.im == other.im
+        return False if isinstance(other, _REAL) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"Gi({self.re!r}, {self.im!r})"
+
+
+Scalar = Union[int, Fraction, Gi]
+SparseVec = Dict[Hashable, Scalar]
+Cols = List[Dict[int, Scalar]]  # a matrix as sparse columns: cols[j] = {i: entry}
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-rational scalars
+# Sparse vectors
 # ---------------------------------------------------------------------------
-
-
-def qi(re=0, im=0) -> Qi:
-    return (Fraction(re), Fraction(im))
-
-
-def qadd(a: Qi, b: Qi) -> Qi:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def qsub(a: Qi, b: Qi) -> Qi:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def qmul(a: Qi, b: Qi) -> Qi:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def qdiv(a: Qi, b: Qi) -> Qi:
-    d = b[0] * b[0] + b[1] * b[1]
-    if not d:
-        raise ZeroDivisionError("division by complex zero")
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
-def qneg(a: Qi) -> Qi:
-    return (-a[0], -a[1])
-
-
-def qis0(a: Qi) -> bool:
-    return not a[0] and not a[1]
-
-
-# ---------------------------------------------------------------------------
-# Sparse complex vectors
-# ---------------------------------------------------------------------------
-
-
-def sv_add_scaled(target: SparseVec, src: SparseVec, coeff: Qi) -> None:
-    """target += coeff * src, in place, dropping exact zeros.  A coefficient of
-    exactly 1 or -1 adds or subtracts the terms without a multiplication."""
-    if qis0(coeff):
-        return
-    sign = coeff[0] if not coeff[1] and coeff[0] in (1, -1) else 0
-    for key, val in src.items():
-        cur = target.get(key, QI_ZERO)
-        if sign == 1:
-            new = qadd(cur, val)
-        elif sign == -1:
-            new = qsub(cur, val)
-        else:
-            new = qadd(cur, qmul(coeff, val))
-        if qis0(new):
-            target.pop(key, None)
-        else:
-            target[key] = new
-
-
-def sv_scale(vec: SparseVec, coeff: Qi) -> SparseVec:
-    if qis0(coeff):
-        return {}
-    return {k: qmul(coeff, v) for k, v in vec.items()}
 
 
 def apply_cols(cols: Cols, vec: SparseVec,
@@ -104,23 +119,23 @@ def apply_cols(cols: Cols, vec: SparseVec,
     if out is None:
         out = {}
     for j, c in vec.items():
-        sv_add_scaled(out, cols[j], c)
+        p_add_into(out, cols[j], c)
     return out
 
 
 class TrackedEchelon:
-    """Reduced spanning set of sparse complex vectors, pivoted on the largest
-    key present (keys must be mutually comparable, e.g. same-length tuples).
+    """Reduced spanning set of sparse vectors, pivoted on the largest key
+    present (keys must be mutually comparable, e.g. same-length tuples).
     It also tracks how each stored row expands in the originally inserted
     vectors, so membership comes with coordinates."""
 
     __slots__ = ("rows", "count")
 
     def __init__(self):
-        self.rows: Dict[Hashable, Tuple[SparseVec, Dict[int, Qi]]] = {}
+        self.rows: Dict[Hashable, Tuple[SparseVec, Dict[int, Scalar]]] = {}
         self.count = 0
 
-    def _reduce(self, vec: SparseVec, combo: Dict[int, Qi]):
+    def _reduce(self, vec: SparseVec, combo: Dict[int, Scalar]):
         vec = dict(vec)
         while vec:
             key = max(vec)
@@ -128,33 +143,34 @@ class TrackedEchelon:
             if entry is None:
                 return vec, combo
             row, row_combo = entry
-            c = qneg(vec[key])
-            sv_add_scaled(vec, row, c)
-            sv_add_scaled(combo, row_combo, c)
+            c = -vec[key]
+            p_add_into(vec, row, c)
+            p_add_into(combo, row_combo, c)
         return vec, combo
 
-    def insert(self, vec: SparseVec) -> Tuple[Optional[int], Dict[int, Qi]]:
+    def insert(self, vec: SparseVec) -> Tuple[Optional[int], Dict[int, Scalar]]:
         """(index, {index: 1}) after storing vec if it is independent of the
         inserted vectors, else (None, its ``coordinates`` over them)."""
         idx = self.count
-        red, combo = self._reduce(vec, {idx: QI_ONE})
+        red, combo = self._reduce(vec, {idx: 1})
         if not red:
             del combo[idx]
-            return None, {i: qneg(c) for i, c in combo.items()}
+            return None, {i: -c for i, c in combo.items()}
         key = max(red)
-        inv = qdiv(QI_ONE, red[key])
-        self.rows[key] = (sv_scale(red, inv), sv_scale(combo, inv))
+        inv = Fraction(1) / red[key]
+        self.rows[key] = ({k: inv * v for k, v in red.items()},
+                          {k: inv * v for k, v in combo.items()})
         self.count += 1
-        return idx, {idx: QI_ONE}
+        return idx, {idx: 1}
 
-    def coordinates(self, vec: SparseVec) -> Optional[Dict[int, Qi]]:
+    def coordinates(self, vec: SparseVec) -> Optional[Dict[int, Scalar]]:
         """Expansion of vec over the inserted independent vectors, or None if
         vec is outside their span.  Coefficients satisfy
         vec = sum coeff[i] * inserted_i."""
         red, combo = self._reduce(vec, {})
         if red:
             return None
-        return {i: qneg(c) for i, c in combo.items()}
+        return {i: -c for i, c in combo.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +178,30 @@ class TrackedEchelon:
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: List[List[Qi]], ncols: int) -> List[int]:
+def rref(rows: List[List[Scalar]], ncols: int) -> List[int]:
     """Bring rows to reduced row echelon form in place, pivoting only in the
     first ncols columns (later columns ride along, e.g. a right-hand side);
     returns the pivot columns in order."""
     pivots: List[int] = []
     for col in range(ncols):
         prow = len(pivots)
-        piv = next((i for i in range(prow, len(rows)) if not qis0(rows[i][col])), None)
+        piv = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[prow], rows[piv] = rows[piv], rows[prow]
-        pv = rows[prow][col]
-        top = rows[prow] = [qdiv(x, pv) for x in rows[prow]]
+        inv = Fraction(1) / rows[prow][col]
+        top = rows[prow] = [x * inv for x in rows[prow]]
         for i, row in enumerate(rows):
             f = row[col]
-            if i != prow and not qis0(f):
-                rows[i] = [qsub(x, qmul(f, y)) for x, y in zip(row, top)]
+            if i != prow and f:
+                rows[i] = [x - f * y for x, y in zip(row, top)]
         pivots.append(col)
         if len(pivots) == len(rows):
             break
     return pivots
 
 
-def nullspace(rows: List[List[Qi]]) -> List[List[Qi]]:
+def nullspace(rows: List[List[Scalar]]) -> List[List[Scalar]]:
     """Basis of the right kernel, one vector per non-pivot column."""
     if not rows:
         return []
@@ -197,33 +213,32 @@ def nullspace(rows: List[List[Qi]]) -> List[List[Qi]]:
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        vec = [QI_ZERO] * ncols
-        vec[fc] = QI_ONE
+        vec: List[Scalar] = [0] * ncols
+        vec[fc] = 1
         for prow, pcol in enumerate(pivots):
-            vec[pcol] = qneg(work[prow][fc])
+            vec[pcol] = -work[prow][fc]
         basis.append(vec)
     return basis
 
 
-def solve(rows: List[List[Qi]], rhs: List[Qi]) -> Optional[List[Qi]]:
+def solve(rows: List[List[Scalar]], rhs: List[Scalar]) -> Optional[List[Scalar]]:
     """One solution of rows * x = rhs (free unknowns set to zero), or None if
     the system is inconsistent."""
     ncols = len(rows[0]) if rows else 0
     work = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivots = rref(work, ncols)
-    if any(not qis0(row[ncols]) for row in work[len(pivots):]):
+    if any(row[ncols] for row in work[len(pivots):]):
         return None
-    x = [QI_ZERO] * ncols
+    x: List[Scalar] = [0] * ncols
     for prow, pcol in enumerate(pivots):
         x[pcol] = work[prow][ncols]
     return x
 
 
-def inverse(rows: List[List[Qi]]) -> List[List[Qi]]:
+def inverse(rows: List[List[Scalar]]) -> List[List[Scalar]]:
     """Inverse of a square matrix; raises ValueError if it is singular."""
     n = len(rows)
-    work = [list(r) + [QI_ONE if i == j else QI_ZERO for j in range(n)]
-            for i, r in enumerate(rows)]
+    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
     if len(rref(work, n)) != n:
         raise ValueError("matrix is singular")
     return [r[n:] for r in work]

@@ -67,6 +67,16 @@ pairing, ``PolyModel.gram_rows``, cached on the model: hom spaces read it
 together with the tags, the recipes and the columns, and nothing else of the
 polynomials.
 
+Every scalar is the one exact number of ``linalg`` (an int or a Fraction
+when real, else a ``linalg.Gi``), and ``polyarith.p_add_into`` is the one
+sparse accumulate.  Most of it is real: the seed is integral, a long root's
+table has entries +-2 and moves the weight's coordinate sum by 0 or +-2, a
+short root's has +-i, +-2i and moves it by +-1.  So each basis polynomial is
+real or imaginary by the parity of that sum; the columns of every root
+vector, h_k and the reflection are real, and so is the Gram matrix (it pairs
+mu with -mu).  Only the exported X[a,b] carry i (X[p,q] = -i h_k), each one
+purely real or purely imaginary.
+
 Construction is self-verifying by checks apart from that derivation: the seed
 is annihilated by the raising operators, the dimension matches character
 theory, a non-induced span is reflection-stable, the quadratic Casimir acts by
@@ -84,34 +94,20 @@ from math import comb, factorial
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (
-    Cols,
-    Qi,
-    QI_ONE,
-    QI_ZERO,
-    TrackedEchelon,
-    apply_cols,
-    inverse,
-    qadd,
-    qi,
-    qis0,
-    qmul,
-    qneg,
-    sv_add_scaled,
-    sv_scale,
-)
+from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, inverse
+from .polyarith import p_add_into
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
 from .characters import o_irrep_dim, so_rank
 from .branching import FDLabel, fd_label, inf_char_of
 from .enveloping import gen_bracket
 
 Pair = Tuple[int, int]
-Combo = Dict[Pair, Qi]  # element of the rotation algebra as a combination of X[a,b]
+Combo = Dict[Pair, Scalar]  # element of the rotation algebra as a combination of X[a,b]
 Mono = Tuple[int, ...]  # dense exponent tuple over a frame's variable list
-Poly = Dict[Mono, Qi]
-VarTable = Dict[int, Dict[int, Qi]]  # a linear map on a frame's variables: var -> {var': coeff}
+Poly = Dict[Mono, Scalar]
+VarTable = Dict[int, Dict[int, Scalar]]  # a linear map on a frame's variables: var -> {var': coeff}
 
-_DEFAULT_DIM_CAP = 400
+DEFAULT_DIM_CAP = 400
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +122,7 @@ def so_bracket(e1: Combo, e2: Combo) -> Combo:
         for p2, c2 in e2.items():
             table = gen_bracket(p1, p2)
             if table:
-                sv_add_scaled(out, {pair: qi(s) for pair, s in table.items()}, qmul(c1, c2))
+                p_add_into(out, table, c1 * c2)
     return out
 
 
@@ -197,7 +193,7 @@ class Frame:
                 refl[v0] = (v0, Fraction(-1))
         self.reflection_var_map = tuple(refl)
 
-        self._gen_coords: Optional[Dict[Pair, Dict[object, Qi]]] = None
+        self._gen_coords: Optional[Dict[Pair, Dict[object, Scalar]]] = None
 
         # the root vectors in closed form (module docstring), each with its
         # action on the variables of both vector sets; an image (c, k, c2, k2, x)
@@ -206,7 +202,7 @@ class Frame:
             return self.var_index[(set_id, "+" if c > 0 else "-" if c < 0 else "0", k)]
 
         def add_root(w: Dict[int, int], combo: Combo,
-                     images: List[Tuple[int, int, int, int, Qi]]) -> None:
+                     images: List[Tuple[int, int, int, int, Scalar]]) -> None:
             root = tuple(w.get(k, 0) for k in range(1, self.rank + 1))
             self._roots[root] = combo
             self.root_tables[root] = {zeta(s, c, k): {zeta(s, c2, k2): x}
@@ -220,38 +216,37 @@ class Frame:
                     for cj in (1, -1):
                         s = ci * cj
                         add_root({i: ci, j: cj},
-                                 {(p_j, p_i): qi(-s), (q_j, p_i): qi(0, ci),
-                                  (p_j, q_i): qi(0, cj), (q_j, q_i): QI_ONE},
-                                 [(-ci, i, cj, j, qi(-2 * s)), (-cj, j, ci, i, qi(2 * s))])
+                                 {(p_j, p_i): -s, (q_j, p_i): Gi(0, ci),
+                                  (p_j, q_i): Gi(0, cj), (q_j, q_i): 1},
+                                 [(-ci, i, cj, j, -2 * s), (-cj, j, ci, i, 2 * s)])
             if self.spare is not None:
                 u = self.spare
                 for c in (1, -1):
-                    add_root({i: c}, {(u, p_i): qi(0, c), (u, q_i): QI_ONE},
-                             [(-c, i, 0, 0, qi(0, 2 * c)), (0, 0, c, i, qi(0, -c))])
+                    add_root({i: c}, {(u, p_i): Gi(0, c), (u, q_i): 1},
+                             [(-c, i, 0, 0, Gi(0, 2 * c)), (0, 0, c, i, Gi(0, -c))])
 
     # -- Cartan and root vectors -------------------------------------------
 
     def cartan_combo(self, k: int) -> Combo:
         """h_k = i * X[p_k, q_k]; weights are its eigenvalues' k-th entries."""
-        return {self.pairs[k - 1]: qi(0, 1)}
+        return {self.pairs[k - 1]: Gi(0, 1)}
 
     def root_vectors(self) -> Dict[Tuple[int, ...], Combo]:
         """All root vectors keyed by the root in weight coordinates."""
         return self._roots
 
-    def root_coords(self, combo: Combo) -> Dict[object, Qi]:
+    def root_coords(self, combo: Combo) -> Dict[object, Scalar]:
         """combo expanded over the root vectors (keyed by root) and the Cartan
         elements h_k (keyed by k), by the inverse of that basis, built once."""
         if self._gen_coords is None:
             basis: Dict[object, Combo] = dict(self.root_vectors())
             basis.update((k, self.cartan_combo(k)) for k in range(1, self.rank + 1))
-            inv = inverse([[e.get(g, QI_ZERO) for e in basis.values()] for g in self.generators])
-            self._gen_coords = {g: {key: row[gi] for key, row in zip(basis, inv)
-                                    if not qis0(row[gi])}
+            inv = inverse([[e.get(g, 0) for e in basis.values()] for g in self.generators])
+            self._gen_coords = {g: {key: row[gi] for key, row in zip(basis, inv) if row[gi]}
                                 for gi, g in enumerate(self.generators)}
-        out: Dict[object, Qi] = {}
+        out: Dict[object, Scalar] = {}
         for pair, c in combo.items():
-            sv_add_scaled(out, self._gen_coords[pair], c)
+            p_add_into(out, self._gen_coords[pair], c)
         return out
 
     def lowering_ops(self) -> List[Tuple[Tuple[int, ...], Combo]]:
@@ -290,18 +285,17 @@ def poly_apply_table(table: VarTable, poly: Poly) -> Poly:
             tab = table.get(v)
             if not tab:
                 continue
-            base = coeff if exp == 1 else qmul(coeff, qi(exp))
+            base = coeff if exp == 1 else coeff * exp
             for v2, c in tab.items():
                 lst = list(mono)
                 lst[v] -= 1
                 lst[v2] += 1
                 key = tuple(lst)
-                cur = out.get(key, QI_ZERO)
-                new = qadd(cur, qmul(base, c))
-                if qis0(new):
-                    out.pop(key, None)
-                else:
+                new = out.get(key, 0) + base * c
+                if new:
                     out[key] = new
+                else:
+                    out.pop(key, None)
     return out
 
 
@@ -318,13 +312,11 @@ def poly_reflect(frame: Frame, poly: Poly) -> Poly:
             if s < 0 and exp % 2:
                 sgn = -sgn
         key = tuple(lst)
-        c = coeff if sgn > 0 else qneg(coeff)
-        cur = out.get(key, QI_ZERO)
-        new = qadd(cur, c)
-        if qis0(new):
-            out.pop(key, None)
-        else:
+        new = out.get(key, 0) + (coeff if sgn > 0 else -coeff)
+        if new:
             out[key] = new
+        else:
+            out.pop(key, None)
     return out
 
 
@@ -349,13 +341,13 @@ def poly_weight(frame: Frame, poly: Poly) -> Tuple[int, ...]:
     return first
 
 
-def fischer_pair(frame: Frame, p1: Poly, p2: Poly) -> Qi:
+def fischer_pair(frame: Frame, p1: Poly, p2: Poly) -> Scalar:
     """Invariant bilinear pairing: monomials pair with their sign-swapped
     duals, contributing (product of exponent factorials) * 2^(paired-variable
     degree).  Symmetric, nondegenerate, and infinitesimally invariant:
     B(Xu, v) = -B(u, Xv) for every rotation generator, B(gu, gv) = B(u, v)
     for the distinguished reflection."""
-    total = QI_ZERO
+    total = 0
     for mono, c1 in p1.items():
         lst = [0] * frame.nvars
         val = 1
@@ -376,7 +368,7 @@ def fischer_pair(frame: Frame, p1: Poly, p2: Poly) -> Qi:
         c2 = p2.get(tuple(lst))
         if c2 is None:
             continue
-        total = qadd(total, qmul(qmul(c1, c2), qi(Fraction(val * (2 ** shift)))))
+        total = total + c1 * c2 * (val * 2 ** shift)
     return total
 
 
@@ -404,17 +396,17 @@ class PolyModel:
         self.recipes: List[Recipe] = []
         self.ops: List[Combo] = []  # lowering operators used during closure
         self.ech = TrackedEchelon()
-        self._gram_diag: Optional[List[Dict[int, Qi]]] = None
+        self._gram_diag: Optional[List[Dict[int, Scalar]]] = None
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
-    def coordinates(self, poly: Poly) -> Optional[Dict[int, Qi]]:
+    def coordinates(self, poly: Poly) -> Optional[Dict[int, Scalar]]:
         return self.ech.coordinates(poly)
 
     def try_insert(self, poly: Poly, tag: Tuple[int, ...],
-                   recipe: Recipe) -> Tuple[Optional[int], Dict[int, Qi]]:
+                   recipe: Recipe) -> Tuple[Optional[int], Dict[int, Scalar]]:
         """Adds poly as a basis vector when it is independent of the basis:
         returns (its index, {index: 1}) then, else (None, its coordinates)."""
         idx, coords = self.ech.insert(poly)
@@ -426,18 +418,18 @@ class PolyModel:
             self.recipes.append(recipe)
         return idx, coords
 
-    def gram_rows(self) -> List[Dict[int, Qi]]:
+    def gram_rows(self) -> List[Dict[int, Scalar]]:
         """Sparse rows of the pairing matrix B[i][j] = B(b_i, b_j)."""
         if self._gram_diag is None:
             by_weight: Dict[Tuple[int, ...], List[int]] = {}
             for i, t in enumerate(self.tags):
                 by_weight.setdefault(t, []).append(i)
-            rows: List[Dict[int, Qi]] = [dict() for _ in range(self.dim)]
+            rows: List[Dict[int, Scalar]] = [dict() for _ in range(self.dim)]
             for i in range(self.dim):
                 dual = tuple(-c for c in self.tags[i])
                 for j in by_weight.get(dual, ()):  # pairing vanishes off opposite weights
                     v = fischer_pair(self.frame, self.vectors[i], self.vectors[j])
-                    if not qis0(v):
+                    if v:
                         rows[i][j] = v
             self._gram_diag = rows
         return self._gram_diag
@@ -459,7 +451,7 @@ def _binom_seed(frame: Frame, mu: Sequence[int]) -> Poly:
     if m2 == 0:
         mono = [0] * frame.nvars
         mono[vz1] = a
-        seed[tuple(mono)] = QI_ONE
+        seed[tuple(mono)] = 1
         return seed
     vz2 = frame.var_index[(0, "+", 2)]
     vw1 = frame.var_index[(1, "+", 1)]
@@ -470,8 +462,7 @@ def _binom_seed(frame: Frame, mu: Sequence[int]) -> Poly:
         mono[vw2] = m2 - k
         mono[vz2] = k
         mono[vw1] = k
-        c = Fraction(comb(m2, k) * ((-1) ** k))
-        seed[tuple(mono)] = qi(c)
+        seed[tuple(mono)] = comb(m2, k) * (-1) ** k
     return seed
 
 
@@ -495,8 +486,8 @@ def _close_model(frame: Frame, label: FDLabel,
     use_refl = label.induced
 
     model.try_insert(seed, tag, Recipe("seed"))
-    lower: List[Dict[int, Dict[int, Qi]]] = [dict() for _ in lows]  # [op][i]: F_op v_i
-    refl: Dict[int, Dict[int, Qi]] = {}  # [i]: R v_i
+    lower: List[Dict[int, Dict[int, Scalar]]] = [dict() for _ in lows]  # [op][i]: F_op v_i
+    refl: Dict[int, Dict[int, Scalar]] = {}  # [i]: R v_i
     queue = [0]
     while queue:
         i = queue.pop()
@@ -533,18 +524,18 @@ def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
     recursion; column j of a raising root vector reads columns p < j only."""
     mats: Dict[object, Cols] = {w: cols for (w, _f), cols in zip(frame.lowering_ops(), lower)}
     for k in range(1, frame.rank + 1):
-        mats[k] = [{j: qi(t[k - 1])} if t[k - 1] else {} for j, t in enumerate(model.tags)]
+        mats[k] = [{j: t[k - 1]} if t[k - 1] else {} for j, t in enumerate(model.tags)]
 
-    def combine(coords: Dict[object, Qi], j: int) -> Dict[int, Qi]:
-        out: Dict[int, Qi] = {}
+    def combine(coords: Dict[object, Scalar], j: int) -> Dict[int, Scalar]:
+        out: Dict[int, Scalar] = {}
         for key, c in coords.items():
-            sv_add_scaled(out, mats[key][j], c)
+            p_add_into(out, mats[key][j], c)
         return out
 
     flip = frame.reflection_index
     raising = frame.raising_ops()
     brackets = [[frame.root_coords(so_bracket(e, f)) for f in model.ops] for _w, e in raising]
-    conjugates = [frame.root_coords({(a, b): qneg(c) if (a == flip) != (b == flip) else c
+    conjugates = [frame.root_coords({(a, b): -c if (a == flip) != (b == flip) else c
                                      for (a, b), c in e.items()}) for _w, e in raising]
     mats.update((w, [{}]) for w, _e in raising)  # E v_0 = 0 at the seed
     for rec in model.recipes[1:]:
@@ -556,7 +547,7 @@ def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
             else:
                 col = apply_cols(refl, combine(conjugates[r], p))
             mats[w].append(col)
-    gen_coords = {g: frame.root_coords({g: QI_ONE}) for g in frame.generators}
+    gen_coords = {g: frame.root_coords({g: 1}) for g in frame.generators}
     return {g: [combine(c, j) for j in range(model.dim)] for g, c in gen_coords.items()}
 
 
@@ -644,7 +635,7 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
     mu = (1,) + (0,) * (so_rank(size) - 1) if size > 2 else (1,)
     label = fd_label(size, mu, 1 if size % 2 else None)
     # X[a,b] = E[a,b] - E[b,a]; each index is its own position
-    cols = {(a, b): [{a: QI_ONE} if j == b else {b: qneg(QI_ONE)} if j == a else {}
+    cols = {(a, b): [{a: 1} if j == b else {b: -1} if j == a else {}
                      for j in range(size)] for a, b in get_frame(indices).generators}
     rep = MatrixRep(
         dim=size,
@@ -657,7 +648,7 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
         kind="standard",
         model=None,
         _cols=cols,
-        _refl=[{i: qi(-1 if i == size - 1 else 1)} for i in range(size)],
+        _refl=[{i: -1 if i == size - 1 else 1} for i in range(size)],
     )
     _verify_rep(rep, probes=size)
     return rep
@@ -674,7 +665,7 @@ def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
     label = fd_label(size, (0,) * rank, eps if (size % 2 or eps == -1) else None)
     frame = get_frame(indices)
     model = PolyModel(frame)
-    model.try_insert({tuple([0] * frame.nvars): QI_ONE}, (0,) * frame.rank, Recipe("seed"))
+    model.try_insert({tuple([0] * frame.nvars): 1}, (0,) * frame.rank, Recipe("seed"))
     return MatrixRep(
         dim=1,
         group_tag=label.group_tag,
@@ -685,7 +676,7 @@ def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
         twist_sign=eps,
         kind="model",
         model=model,
-        _refl=[{0: qi(eps)}],
+        _refl=[{0: eps}],
     )
 
 
@@ -694,7 +685,7 @@ def construct_irrep(
     mu,
     eps: Optional[int] = None,
     which: str = "big",
-    dim_cap: int = _DEFAULT_DIM_CAP,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> MatrixRep:
     """Build the orthogonal-group irreducible with row lengths mu and sign eps
     over the requested coordinate set ('big' = 0..n, 'sub' = 1..n when given a
@@ -735,7 +726,7 @@ def construct_irrep(
         kind="model",
         model=model,
         _cols=_generator_matrices(frame, model, lower, refl),
-        _refl=[sv_scale(col, qi(label.eps)) for col in refl],
+        _refl=[{i: label.eps * x for i, x in col.items()} for col in refl],
     )
     _verify_rep(rep)
     return rep
@@ -748,22 +739,22 @@ def construct_irrep(
 def casimir_scalar(rep: MatrixRep) -> Fraction:
     """Scalar of the quadratic invariant -sum X[a,b]^2 over the frame's own
     generators; raises if the action is not scalar."""
-    expected: Optional[Qi] = None
+    expected: Optional[Scalar] = None
     for j in range(rep.dim):
-        acc: Dict[int, Qi] = {}  # sum of X[a,b]^2 e_j, the invariant's negative
+        acc: Dict[int, Scalar] = {}  # sum of X[a,b]^2 e_j, the invariant's negative
         for (a, b) in rep.frame.generators:
             cols = rep.action(a, b)
             apply_cols(cols, cols[j], acc)
         if any(i != j for i in acc):
             raise AssertionError("quadratic invariant does not act by a scalar")
-        scal = qneg(acc.get(j, QI_ZERO))
+        scal = -acc.get(j, 0)
         if expected is None:
             expected = scal
         elif expected != scal:
             raise AssertionError("quadratic invariant scalar differs between basis vectors")
-    if expected is None or expected[1] != 0:
+    if expected is None or isinstance(expected, Gi):
         raise AssertionError(f"quadratic invariant scalar {expected} is not real")
-    return expected[0]
+    return Fraction(expected)
 
 
 def expected_casimir_scalar(rep: MatrixRep) -> Fraction:
@@ -783,10 +774,10 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
     gens = rep.frame.generators
     pos = {g: k for k, g in enumerate(gens)}
     cols = [rep.action(*g) for g in gens]
-    pv: List[Dict[int, Qi]] = []
+    pv: List[Dict[int, Scalar]] = []
     step = max(1, rep.dim // max(probes, 1))
     for t in range(0, rep.dim, step):
-        pv.append({t: QI_ONE, (t + 1) % rep.dim: qi(1, 1)})
+        pv.append({t: 1, (t + 1) % rep.dim: Gi(1, 1)})
     xv = [[apply_cols(c, vec) for c in cols] for vec in pv]  # xv[probe][k] = X_k v
     for i, gi in enumerate(gens):
         for j in range(i + 1, len(gens)):
@@ -795,7 +786,7 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
                 lhs = apply_cols(cols[i], x[j])
                 rhs = apply_cols(cols[j], x[i])
                 for pair, s in br.items():
-                    sv_add_scaled(rhs, x[pos[pair]], qi(s))
+                    p_add_into(rhs, x[pos[pair]], s)
                 if lhs != rhs:
                     raise AssertionError(
                         f"bracket fidelity failed for [{gi},{gens[j]}] on {rep.label}"
@@ -814,20 +805,19 @@ def act(element, rep: MatrixRep) -> Cols:
     terms = element.terms if hasattr(element, "terms") else element
     cols: Cols = [dict() for _ in range(rep.dim)]
     for word, coeff in terms.items():
-        c = qi(coeff)
         for (a, b) in word:
             if a not in rep.indices or b not in rep.indices:
                 raise InvalidRankError(
                     f"generator ({a},{b}) outside representation coordinates {rep.indices}"
                 )
         # right to left on each basis vector, starting from the last letter's column
-        last = rep.action(*word[-1]) if word else [{j: QI_ONE} for j in range(rep.dim)]
+        last = rep.action(*word[-1]) if word else [{j: 1} for j in range(rep.dim)]
         for j, vec in enumerate(last):
             for (a, b) in reversed(word[:-1]):
                 if not vec:
                     break
                 vec = apply_cols(rep.action(a, b), vec)
-            sv_add_scaled(cols[j], vec, c)
+            p_add_into(cols[j], vec, coeff)
     return cols
 
 
@@ -835,14 +825,14 @@ def act(element, rep: MatrixRep) -> Cols:
 # serialization
 # ---------------------------------------------------------------------------
 
-def qi_to_string(x: Qi) -> str:
-    re, im = x
-    if im == 0:
-        return f"{re.numerator}/{re.denominator}"
+def qi_to_string(x: Scalar) -> str:
+    if not isinstance(x, Gi):
+        return f"{x.numerator}/{x.denominator}"
+    re, im = x.re, x.im
     return f"{re.numerator}/{re.denominator}+{im.numerator}/{im.denominator}i"
 
 
-def qi_from_string(s: str) -> Qi:
+def qi_from_string(s: str) -> Scalar:
     s = s.strip()
     if s.endswith("i"):
         body = s[:-1]
@@ -853,14 +843,14 @@ def qi_from_string(s: str) -> Qi:
                 cut = body.find("-", cut + 1)
         if cut == -1:
             raise ValueError(f"cannot parse complex rational {s!r}")
-        return (Fraction(body[:cut]), Fraction(body[cut:] if body[cut] != "+" else body[cut + 1:]))
-    return (Fraction(s), Fraction(0))
+        return Gi(Fraction(body[:cut]), Fraction(body[cut:] if body[cut] != "+" else body[cut + 1:]))
+    return Fraction(s)
 
 
 def _flat_strings(cols: Cols) -> List[str]:
     """Row-major exact strings of a square matrix given by its columns."""
     dim = len(cols)
-    flat = [qi_to_string(QI_ZERO)] * (dim * dim)
+    flat = [qi_to_string(0)] * (dim * dim)
     for j, col in enumerate(cols):
         for i, x in col.items():
             flat[i * dim + j] = qi_to_string(x)
@@ -875,7 +865,7 @@ def _cols_from_strings(flat: List[str], dim: int, what: str) -> Cols:
         raise ValueError(f"{what} has {len(flat)} entries, expected {dim * dim}")
     cols: Cols = [dict() for _ in range(dim)]
     for k, x in vals:
-        if not qis0(x):
+        if x:
             cols[k % dim][k // dim] = x
     return cols
 
@@ -932,7 +922,7 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
         model=rep.model,
         _cols=rep._cols,
         _refl=(None if rep._refl is None
-               else [{i: qneg(x) for i, x in col.items()} for col in rep._refl]),
+               else [{i: -x for i, x in col.items()} for col in rep._refl]),
         cache=rep.cache,
     )
 

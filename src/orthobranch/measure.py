@@ -53,24 +53,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (
-    Qi,
-    QI_ONE,
-    QI_ZERO,
-    apply_cols,
-    qdiv,
-    qi,
-    qis0,
-    qneg,
-    rref,
-    sv_add_scaled,
-)
+from .linalg import Gi, Scalar, apply_cols, rref
+from .polyarith import p_add_into
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
 from .matrixrep import MatrixRep, expected_casimir_scalar
 from .homspace import SymmetryBreakingOperator
 
-CoordVec = Dict[int, Qi]
+CoordVec = Dict[int, Scalar]
 Tuple_ = List[CoordVec]
 
 PROBES = 3  # probe vectors per measurement: e_0 and two seeded random vectors
@@ -96,7 +86,7 @@ def coupling_step(big: MatrixRep, V: Tuple_) -> Tuple_:
             if b < a:
                 apply_cols(big.action(b, a), V[pos_b], acc)
             elif b > a:
-                neg = {j: qneg(c) for j, c in V[pos_b].items()}
+                neg = {j: -c for j, c in V[pos_b].items()}
                 apply_cols(big.action(a, b), neg, acc)
     return out
 
@@ -155,10 +145,10 @@ def projector_factors(ctx: RankContext, lam: Sequence[Fraction], i: int,
 def _rand_coordvec(dim: int, rng: random.Random) -> CoordVec:
     out: CoordVec = {}
     for i in range(dim):
-        re = Fraction(rng.randint(-9, 9))
-        im = Fraction(rng.randint(-9, 9))
+        re = rng.randint(-9, 9)
+        im = rng.randint(-9, 9)
         if re or im:
-            out[i] = (re, im)
+            out[i] = Gi(re, im)
     return out
 
 
@@ -180,7 +170,7 @@ def _power_chain(big: MatrixRep, K: int) -> List[Tuple[CoordVec, List[CoordVec]]
     if chain is None:
         rng = random.Random(repr((big.dim, tuple(str(c) for c in big.inf_char),
                                   big.indices)))
-        us: List[CoordVec] = [{0: QI_ONE}]
+        us: List[CoordVec] = [{0: 1}]
         while len(us) < PROBES:
             us.append(_rand_coordvec(big.dim, rng))
         chain = big.cache["power-chain"] = [[u, [u], _insert_first_slot(big, u)]
@@ -195,10 +185,10 @@ def _power_chain(big: MatrixRep, K: int) -> List[Tuple[CoordVec, List[CoordVec]]
 
 
 def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, CoordVec]],
-                   what: str) -> Qi:
+                   what: str) -> Scalar:
     """The unique c with T(W0(u)) = c T(u) across all probe pairs with
     T(u) != 0; raises IdentityViolationError on any inconsistency."""
-    ratio: Optional[Qi] = None
+    ratio: Optional[Scalar] = None
     usable = 0
     for (u, w0) in pairs:
         Tu = apply_cols(op.matrix, u)
@@ -206,7 +196,7 @@ def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, Coo
             continue
         usable += 1
         TV0 = apply_cols(op.matrix, w0)
-        quotients = {qdiv(TV0.get(i, QI_ZERO), b) for i, b in Tu.items()}
+        quotients = {TV0.get(i, 0) * (Fraction(1) / b) for i, b in Tu.items()}
         if len(quotients) != 1 or any(i not in Tu for i in TV0):
             raise IdentityViolationError(
                 f"{what} composition is not proportional to the operator"
@@ -225,10 +215,14 @@ def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, Coo
 
 @dataclass
 class MeasureResult:
-    """Outcome of measuring the spectral-projector composition against T."""
+    """Outcome of measuring the spectral-projector composition against T.
+
+    ``raw_numerator`` is the measured ratio against the raw factor product:
+    a Fraction, or a ``linalg.Gi`` when it is not real, which only a zero
+    ``normalizer`` lets through (``value.defined`` is then False)."""
 
     value: RationalFunctionValue
-    raw_numerator: Qi
+    raw_numerator: Scalar
     normalizer: Fraction
     probes_checked: int
 
@@ -255,21 +249,20 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureRes
     for u, firsts in _power_chain(big, len(shifts)):
         w0: CoordVec = {}
         for c, first in zip(poly, firsts):
-            sv_add_scaled(w0, first, qi(c))
+            p_add_into(w0, first, c)
         pairs.append((u, w0))
     ratio = _ratio_against(op, pairs, "projector")
+    if not isinstance(ratio, Gi):
+        ratio = Fraction(ratio)
     if norm == 0:
-        return MeasureResult(
-            value=RationalFunctionValue(numerator=Fraction(0), denominator=Fraction(0),
-                                        defined=False),
-            raw_numerator=ratio, normalizer=norm, probes_checked=len(pairs),
-        )
-    if ratio[1] != 0:
+        value = RationalFunctionValue(numerator=Fraction(0), denominator=Fraction(0),
+                                      defined=False)
+    elif isinstance(ratio, Gi):
         raise IdentityViolationError("measured scalar is not real")
-    return MeasureResult(
-        value=RationalFunctionValue(numerator=ratio[0], denominator=norm, defined=True),
-        raw_numerator=ratio, normalizer=norm, probes_checked=len(pairs),
-    )
+    else:
+        value = RationalFunctionValue(numerator=ratio, denominator=norm, defined=True)
+    return MeasureResult(value=value, raw_numerator=ratio, normalizer=norm,
+                         probes_checked=len(pairs))
 
 
 def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
@@ -279,9 +272,9 @@ def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
         raise ValueError(f"power ell={ell} must be >= 0")
     pairs = [(u, firsts[ell]) for u, firsts in _power_chain(op.big, ell)]
     ratio = _ratio_against(op, pairs, "power")
-    if ratio[1] != 0:
+    if isinstance(ratio, Gi):
         raise IdentityViolationError("power scalar is not real")
-    return ratio[0]
+    return Fraction(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +292,7 @@ def verify_power_identity(big: MatrixRep, N: int) -> bool:
     A = act(build_A(N, ctx), big)
     Bs = [act(b, big) for b in build_B(N, ctx)]
     for j in range(big.dim):
-        V = _insert_first_slot(big, {j: QI_ONE})
+        V = _insert_first_slot(big, {j: 1})
         for _ in range(N):
             V = coupling_step(big, V)
         if V != [A[j]] + [B[j] for B in Bs]:
@@ -387,7 +380,7 @@ def b_reconstruct(ell: int, ctx: RankContext):
     IdentityViolationError if the measurements are not polynomial of that
     shape at all."""
     monos = _inv_monomials(ctx.r, ctx.s, ell // 2)
-    aug: List[List[Qi]] = []
+    aug: List[List[Fraction]] = []
     for (op, lam, nu) in reconstruction_grid(ctx):
         row = []
         for (ea, eb) in monos:
@@ -396,12 +389,12 @@ def b_reconstruct(ell: int, ctx: RankContext):
                 v *= Fraction(lam[k]) ** (2 * e)
             for k, e in enumerate(eb):
                 v *= Fraction(nu[k]) ** (2 * e)
-            row.append(qi(v))
-        aug.append(row + [qi(b_eval(op, ell))])
+            row.append(v)
+        aug.append(row + [b_eval(op, ell)])
     ncols = len(monos)
     pivots = rref(aug, ncols)
     for row in aug[len(pivots):]:
-        if not qis0(row[ncols]):
+        if row[ncols]:
             raise IdentityViolationError(
                 "power coefficients are not a polynomial of the requested shape"
             )
@@ -412,7 +405,7 @@ def b_reconstruct(ell: int, ctx: RankContext):
         )
     coeffs = {}
     for r_i, col in enumerate(pivots):
-        c = aug[r_i][ncols][0]
+        c = aug[r_i][ncols]
         if c != 0:
             coeffs[monos[col]] = c
     return coeffs

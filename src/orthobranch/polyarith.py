@@ -1,10 +1,12 @@
 """Sparse polynomial arithmetic with exact coefficients.
 
 A polynomial is a dict mapping exponent tuples to nonzero coefficients,
-Python ints or Fractions; exponents may be negative (Laurent polynomials),
-and a key may be any tuple whose entries add.  ``p_add_into`` and ``p_mul``
-are the package's one add-into/multiply pair for such dicts: the enveloping
-algebra, the character layer and the branching oracle all go through them.
+Python ints or Fractions (or ``linalg.Gi`` values, which mix with both);
+exponents may be negative (Laurent polynomials), and a key may be any tuple
+whose entries add.  ``p_mul`` is the package's one multiply for such dicts,
+and ``p_add_into`` its one sparse accumulate: the enveloping algebra, the
+character layer and the branching oracle go through it, and so do the sparse
+vectors and columns of ``linalg`` and the matrix models built on them.
 """
 from __future__ import annotations
 
@@ -12,11 +14,19 @@ from operator import add
 
 
 def p_add_into(target, src, scale=1) -> None:
-    """target += scale * src, in place, dropping zero coefficients.  With the
-    default scale the terms are added without a multiplication."""
-    plain = scale == 1
+    """target += scale * src, in place, dropping zero coefficients.  A scale
+    of exactly 1 or -1 adds or subtracts the terms without a multiplication,
+    and a zero scale leaves target as it is."""
+    if not scale:
+        return
+    sign = scale if scale == 1 or scale == -1 else 0
     for e, c in src.items():
-        v = target.get(e, 0) + (c if plain else scale * c)
+        if sign == 1:
+            v = target.get(e, 0) + c
+        elif sign:
+            v = target.get(e, 0) - c
+        else:
+            v = target.get(e, 0) + scale * c
         if v:
             target[e] = v
         else:

@@ -5,7 +5,8 @@ that the references the tests compare against stay independent of the
 package's own kernel (``orthobranch.linalg.rref``): the band elimination of
 ``verma.fusion_oracle`` and the Gaussian-rational ``nullspace`` are both
 checked against ``nullspace`` below.  ``dense`` turns the package's sparse
-columns into lists of rows, and ``qi_matmul`` multiplies such rows.
+columns into lists of rows, ``qi_matmul`` multiplies such rows, and
+``parts`` reads any scalar as its (real, imaginary) pair.
 ``polynomial_columns`` computes a polynomial model's generator and reflection
 matrices the direct way, one polynomial application per column, for
 comparison with the matrices the package derives from the closure.
@@ -30,13 +31,11 @@ from typing import List, Optional
 from orthobranch import linalg  # its nullspace; the one below is Fraction-only
 from orthobranch.enveloping import ad_gn, commutator, gen, normal_order
 from orthobranch.homspace import _operator_pairs
-from orthobranch.linalg import (
-    QI_ONE, QI_ZERO, TrackedEchelon, qadd, qi, qis0, qmul, qneg, qsub, sv_add_scaled,
-    sv_scale,
-)
+from orthobranch.linalg import Gi, TrackedEchelon
 from orthobranch.matrixrep import (
     MatrixRep, expected_casimir_scalar, poly_apply_table, poly_reflect, so_bracket,
 )
+from orthobranch.polyarith import p_add_into
 from orthobranch.measure import (
     CoordVec, IdentityViolationError, Tuple_, coupling_step, projector_factors,
 )
@@ -45,7 +44,12 @@ from orthobranch.weights import InvalidRankError, RankContext, rank_context, rho
 
 def dense(cols, nrows):
     """Rows of the matrix whose sparse columns are cols: cols[j] = {i: entry}."""
-    return [[col.get(i, QI_ZERO) for col in cols] for i in range(nrows)]
+    return [[col.get(i, 0) for col in cols] for i in range(nrows)]
+
+
+def parts(x):
+    """(re, im) of a scalar: an int, a Fraction or a Gi."""
+    return (x.re, x.im) if isinstance(x, Gi) else (x, 0)
 
 
 def _real_coordinates(frame):
@@ -56,19 +60,19 @@ def _real_coordinates(frame):
     var_to_z, z_to_var = [], {}
     for set_id, kind, k in frame.var_specs:
         if kind == "0":
-            var_to_z.append([((set_id, frame.spare), QI_ONE)])
+            var_to_z.append([((set_id, frame.spare), 1)])
         else:
             p, q = frame.pairs[k - 1]
             i_sign = -1 if kind == "+" else 1
-            var_to_z.append([((set_id, p), QI_ONE), ((set_id, q), qi(0, i_sign))])
+            var_to_z.append([((set_id, p), 1), ((set_id, q), Gi(0, i_sign))])
     for set_id in (0, 1):
         for k, (p, q) in enumerate(frame.pairs, start=1):
             vp = frame.var_index[(set_id, "+", k)]
             vm = frame.var_index[(set_id, "-", k)]
-            z_to_var[(set_id, p)] = [(vp, qi(half)), (vm, qi(half))]
-            z_to_var[(set_id, q)] = [(vp, qi(0, half)), (vm, qi(0, -half))]
+            z_to_var[(set_id, p)] = [(vp, half), (vm, half)]
+            z_to_var[(set_id, q)] = [(vp, Gi(0, half)), (vm, Gi(0, -half))]
         if frame.spare is not None:
-            z_to_var[(set_id, frame.spare)] = [(frame.var_index[(set_id, "0", 0)], QI_ONE)]
+            z_to_var[(set_id, frame.spare)] = [(frame.var_index[(set_id, "0", 0)], 1)]
     return var_to_z, z_to_var
 
 
@@ -83,11 +87,11 @@ def pair_action(frame, a, b):
             if j == b:
                 target, c = (set_id, a), coeff
             elif j == a:
-                target, c = (set_id, b), qneg(coeff)
+                target, c = (set_id, b), -coeff
             else:
                 continue
             for v2, c2 in z_to_var[target]:
-                sv_add_scaled(out, {v2: c2}, c)
+                p_add_into(out, {v2: c2}, c)
         if out:
             table[v] = out
     return table
@@ -107,15 +111,15 @@ def solved_root_vectors(frame):
     def solve_root(span, constraints):
         rows = []
         for k, c in constraints:
-            h = {frame.pairs[k - 1]: qi(0, 1)}
-            ad = [so_bracket(h, {g: QI_ONE}) for g in span]
+            h = {frame.pairs[k - 1]: Gi(0, 1)}
+            ad = [so_bracket(h, {g: 1}) for g in span]
             assert all(g in span for col in ad for g in col), "ad image left the span"
             for r, g in enumerate(span):
-                rows.append([qsub(col.get(g, QI_ZERO), qi(c) if s == r else QI_ZERO)
+                rows.append([col.get(g, 0) - (c if s == r else 0)
                              for s, col in enumerate(ad)])
         kern = linalg.nullspace(rows)
         assert len(kern) == 1, f"root space in {span} has dimension {len(kern)}"
-        return {g: c for g, c in zip(span, kern[0]) if not qis0(c)}
+        return {g: c for g, c in zip(span, kern[0]) if c}
 
     roots = {}
     m = frame.rank
@@ -148,8 +152,9 @@ def polynomial_columns(rep):
 
     gens = {(a, b): [coords(poly_apply_pair(frame, a, b, v)) for v in model.vectors]
             for (a, b) in frame.generators}
-    tw = qi(rep.twist_sign)
-    return gens, [sv_scale(coords(poly_reflect(frame, v)), tw) for v in model.vectors]
+    tw = rep.twist_sign
+    return gens, [{i: tw * x for i, x in coords(poly_reflect(frame, v)).items()}
+                  for v in model.vectors]
 
 
 def qi_matmul(a, b):
@@ -160,15 +165,15 @@ def qi_matmul(a, b):
     ncols = len(b[0])
     out = []
     for row in a:
-        acc = [QI_ZERO] * ncols
+        acc = [0] * ncols
         for k in range(inner):
             c = row[k]
-            if qis0(c):
+            if not c:
                 continue
             bk = b[k]
             for j in range(ncols):
-                if not qis0(bk[j]):
-                    acc[j] = qadd(acc[j], qmul(c, bk[j]))
+                if bk[j]:
+                    acc[j] = acc[j] + c * bk[j]
         out.append(acc)
     return out
 
@@ -228,15 +233,15 @@ def hom_space_dense(big, sub, max_unknowns: int = 1500) -> int:
         # row (i, j): (T X_big - X_sub T)[i][j] in the unknowns T[i][k] at i*dim(big)+k
         for i in range(sub.dim):
             for j in range(big.dim):
-                row = [QI_ZERO] * nu
+                row = [0] * nu
                 for k, x in xbig[j].items():
                     row[i * big.dim + k] = x
                 for k in range(sub.dim):
                     x = xsub[k].get(i)
                     if x is not None:
                         u = k * big.dim + j
-                        row[u] = qsub(row[u], x)
-                if any(not qis0(x) for x in row):
+                        row[u] = row[u] - x
+                if any(row):
                     rows.append(row)
     if not rows:
         return nu
@@ -275,14 +280,13 @@ def casimir_shifted_step(big: MatrixRep, ctx: RankContext, V: Tuple_,
                          shift: Fraction) -> Tuple_:
     """One factor (cDelta - shift) V with cDelta the tensor-product Casimir."""
     cas = expected_casimir_scalar(big)
-    diag = qi(cas + ctx.n - shift)
-    two = qi(2)
+    diag = cas + ctx.n - shift
     ct = coupling_step(big, V)
     out: Tuple_ = []
     for pos in range(len(V)):
         acc: CoordVec = {}
-        sv_add_scaled(acc, V[pos], diag)
-        sv_add_scaled(acc, ct[pos], two)
+        p_add_into(acc, V[pos], diag)
+        p_add_into(acc, ct[pos], 2)
         out.append(acc)
     return out
 
@@ -299,7 +303,7 @@ def primary_projector(big, i: int, eps: int) -> PrimaryComponent:
     for pos in range(slots):
         for j in range(big.dim):
             V = [dict() for _ in range(slots)]
-            V[pos] = {j: QI_ONE}
+            V[pos] = {j: 1}
             for s in shifts:
                 V = casimir_shifted_step(big, ctx, V, s)
             flat = _flatten(V)

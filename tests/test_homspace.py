@@ -11,12 +11,11 @@ import pytest
 import orthobranch
 from orthobranch.branching import fd_label, full_decomposition, oracle_multiplicity
 from orthobranch.homspace import hom_space
-from orthobranch.linalg import qi, qis0
 from orthobranch.matrixrep import act, construct_irrep
 from orthobranch.enveloping import gen
 from orthobranch.weights import InvalidRankError, rank_context
 
-from dense_reference import dense, hom_space_dense
+from dense_reference import dense, hom_space_dense, parts
 
 
 def test_vector_to_trivial(reps):
@@ -25,7 +24,7 @@ def test_vector_to_trivial(reps):
     mult, ops = hom_space(big, sub)
     assert mult == 1
     assert ops[0].verified
-    assert any(not qis0(c) for row in dense(ops[0].matrix, sub.dim) for c in row)
+    assert any(c for row in dense(ops[0].matrix, sub.dim) for c in row)
 
 
 def test_vector_to_vector(reps):
@@ -57,10 +56,9 @@ def test_operator_equivariance_literal(reps):
 
 
 def sum_prod(A, B, i, j):
-    from orthobranch.linalg import qadd, qmul
-    s = qi(0)
+    s = 0
     for k in range(len(B)):
-        s = qadd(s, qmul(A[i][k], B[k][j]))
+        s = s + A[i][k] * B[k][j]
     return s
 
 
@@ -112,7 +110,7 @@ def test_dense_route_unknown_cap(reps):
 
 def operator_digest(cols):
     """sha256 of an operator's sparse columns, each column's entries in row order."""
-    entries = [[[i, str(x[0]), str(x[1])] for i, x in sorted(col.items())] for col in cols]
+    entries = [[[i, *map(str, parts(x))] for i, x in sorted(col.items())] for col in cols]
     return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
 
 
@@ -151,7 +149,7 @@ def _double_one_gram_entry(rep):
     from an equivariant map by a non-scalar factor."""
     row = rep.model.gram_rows()[0]
     j = next(iter(row))
-    row[j] = qi(row[j][0] * 2, row[j][1] * 2)
+    row[j] = row[j] * 2
 
 
 def test_equivariance_check_can_fail(reps):
@@ -162,7 +160,6 @@ def test_equivariance_check_can_fail(reps):
         hom_space(big, sub)
     src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("from orthobranch.weights import rank_context\n"
-            "from orthobranch.linalg import qi\n"
             "from orthobranch.matrixrep import construct_irrep\n"
             "from orthobranch.homspace import hom_space\n"
             + inspect.getsource(_double_one_gram_entry) +

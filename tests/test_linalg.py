@@ -6,20 +6,15 @@ import pytest
 import dense_reference
 from dense_reference import qi_matmul
 from orthobranch.linalg import (
+    Gi,
     TrackedEchelon,
     apply_cols,
     inverse,
     nullspace,
-    qadd,
-    qdiv,
-    qi,
-    qis0,
-    qmul,
     rref,
     solve,
-    sv_add_scaled,
-    sv_scale,
 )
+from orthobranch.polyarith import p_add_into
 
 F = Fraction
 
@@ -30,11 +25,11 @@ def rand_mat(rng, rows, cols, den=3):
 
 
 def lift(rows):
-    return [[qi(x) for x in row] for row in rows]
+    return [list(row) for row in rows]
 
 
 def identity(n):
-    return [[qi(1) if i == j else qi(0) for j in range(n)] for i in range(n)]
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def matvec(rows, vec):
@@ -47,7 +42,7 @@ def test_rank_and_nullspace():
     ns = nullspace(lift(m))
     assert len(ns) == 1
     v = ns[0]
-    assert all(qis0(x) for x in matvec(lift(m), v))
+    assert not any(matvec(lift(m), v))
 
 
 def test_solve_and_inverse_round_trip():
@@ -58,15 +53,15 @@ def test_solve_and_inverse_round_trip():
             a = rand_mat(rng, 4, 4)
         inv = inverse(lift(a))
         assert qi_matmul(lift(a), inv) == identity(4)
-        rhs = [qi(rng.randint(-5, 5)) for _ in range(4)]
+        rhs = [rng.randint(-5, 5) for _ in range(4)]
         x = solve(lift(a), rhs)
         assert matvec(lift(a), x) == rhs
 
 
 def test_inconsistent_solve_and_singular_inverse():
     m = lift([[F(1), F(2)], [F(2), F(4)]])
-    assert solve(m, [qi(1), qi(3)]) is None
-    assert solve(m, [qi(1), qi(2)]) == [qi(1), qi(0)]  # free unknown set to zero
+    assert solve(m, [1, 3]) is None
+    assert solve(m, [1, 2]) == [1, 0]  # free unknown set to zero
     with pytest.raises(ValueError):
         inverse(m)
 
@@ -78,61 +73,89 @@ def test_nullspace_matches_dense_reference():
             a = rand_mat(rng, *shape)
             if rng.random() < 0.5:  # repeat a combination of rows: lower the rank
                 a[-1] = [x + 2 * y for x, y in zip(a[0], a[1 % len(a)])]
-            want = [[qi(x) for x in vec] for vec in dense_reference.nullspace(a)]
+            want = dense_reference.nullspace(a)
             assert nullspace(lift(a)) == want
 
 
 def test_qi_scalar_arithmetic():
-    a, b = qi(1, 2), qi(3, -1)
-    assert qadd(a, b) == qi(4, 1)
-    assert qmul(a, b) == qi(5, 5)          # (1+2i)(3-i) = 5+5i
-    assert qdiv(qmul(a, b), b) == a
-    assert qis0(qi(0, 0)) and not qis0(a)
+    a, b = Gi(1, 2), Gi(3, -1)
+    assert a + b == Gi(4, 1) and a - b == Gi(-2, 3)
+    assert a * b == Gi(5, 5)          # (1+2i)(3-i) = 5+5i
+    assert a * b / b == a and (a / b) * b == a   # division round trips
+    for x in (0, 7, F(-2, 3)):
+        assert Gi(x, 0) is x and Gi(x, F(0)) is x
+    assert Gi(0, 1) * Gi(0, -1) == 1 and type(Gi(0, 1) * Gi(0, -1)) is int
+    assert type(a - a) is int and a - a == 0
+    # an int or a Fraction on either side
+    assert F(1, 2) / Gi(0, 1) == Gi(0, F(-1, 2))
+    assert 3 * Gi(1, 1) == Gi(3, 3) == Gi(1, 1) * 3
+    assert 1 - Gi(1, 1) == Gi(0, -1) and F(1) + Gi(0, 2) == Gi(1, 2) == Gi(0, 2) + 1
+    assert -Gi(1, -1) == Gi(-1, 1)
+    # equality and hash against reals
+    assert Gi(1, 1) != 1 and 1 != Gi(1, 1) and Gi(1, 1) != F(1)
+    assert Gi(2, F(1, 2)) == Gi(F(2), F(1, 2))
+    assert hash(Gi(2, F(1, 2))) == hash(Gi(F(2), F(1, 2)))
+    assert {Gi(0, 1) * Gi(0, -1), F(1), 1, Gi(1, 1), Gi(F(1), 1)} == {1, Gi(1, 1)}
+    with pytest.raises(ZeroDivisionError):
+        Gi(1, 1) / 0
+    with pytest.raises(ZeroDivisionError):
+        Gi(1, 1) / F(0)
+    with pytest.raises(TypeError):
+        Gi(1, 1) < Gi(2, 1)           # no ordering
+    # no float from int operands
+    for x in (Gi(3, 4) / 2, 3 / Gi(3, 4), Gi(3, 4) / Gi(1, 2)):
+        assert isinstance(x, Gi) and {type(x.re), type(x.im)} <= {int, F}
+    assert type(Gi(2, 2) / Gi(1, 1)) is F
+    assert {type(x) for row in inverse([[2, 1], [1, 1]]) for x in row} <= {int, F}
+    assert {type(x) for x in solve([[2, 0], [0, 3]], [1, 1])} == {F}
 
 
 def test_sparse_vector_helpers():
-    u = {0: qi(1), 2: qi(0, 1)}
-    v = {0: qi(2), 1: qi(1, 1)}
-    sv_add_scaled(u, v, qi(2))
-    assert u == {0: qi(5), 1: qi(2, 2), 2: qi(0, 1)}
-    sv_add_scaled(u, {0: qi(1)}, qi(-5))   # exact zeros are dropped
-    assert u == {1: qi(2, 2), 2: qi(0, 1)}
-    sv_add_scaled(u, {1: qi(1), 2: qi(0, 1)}, qi(-1))   # coefficients +-1 add, subtract
-    assert u == {1: qi(1, 2)}
-    sv_add_scaled(u, {1: qi(-1, -2), 3: qi(4)}, qi(1))
-    assert u == {3: qi(4)}
-    assert sv_scale(u, qi(0)) == {}
-    cols = [{1: qi(1)}, {0: qi(0, 1)}]     # the matrix [[0, i], [1, 0]]
-    assert apply_cols(cols, {0: qi(2), 1: qi(3)}) == {0: qi(0, 3), 1: qi(2)}
-    out = {0: qi(0, -3)}
-    assert apply_cols(cols, {1: qi(3)}, out) is out and out == {}
+    u = {0: 1, 2: Gi(0, 1)}
+    v = {0: 2, 1: Gi(1, 1)}
+    p_add_into(u, v, 2)
+    assert u == {0: 5, 1: Gi(2, 2), 2: Gi(0, 1)}
+    p_add_into(u, {0: 1}, -5)   # exact zeros are dropped
+    assert u == {1: Gi(2, 2), 2: Gi(0, 1)}
+    p_add_into(u, {1: 1, 2: Gi(0, 1)}, -1)   # coefficients +-1 add, subtract
+    assert u == {1: Gi(1, 2)}
+    p_add_into(u, {1: Gi(-1, -2), 3: 4}, 1)
+    assert u == {3: 4}
+    p_add_into(u, {3: 1, 4: 1}, 0)   # a zero scale changes nothing
+    assert u == {3: 4}
+    p_add_into(u, {3: Gi(0, 1)}, Gi(0, 1))   # i * i leaves a real entry
+    assert u == {3: 3} and type(u[3]) is int
+    cols = [{1: 1}, {0: Gi(0, 1)}]     # the matrix [[0, i], [1, 0]]
+    assert apply_cols(cols, {0: 2, 1: 3}) == {0: Gi(0, 3), 1: 2}
+    out = {0: Gi(0, -3)}
+    assert apply_cols(cols, {1: 3}, out) is out and out == {}
 
 
 def test_qi_echelon_rank_tracking():
     ech = TrackedEchelon()
-    assert ech.insert({0: qi(1), 1: qi(0, 1)}) == (0, {0: qi(1)})
-    assert ech.insert({0: qi(2), 1: qi(0, 2)}) == (None, {0: qi(2)})   # dependent
-    assert ech.insert({1: qi(1)}) == (1, {1: qi(1)})
-    assert ech.insert({0: qi(7, 1)}) == (None, {0: qi(7, 1), 1: qi(1, -7)})
+    assert ech.insert({0: 1, 1: Gi(0, 1)}) == (0, {0: 1})
+    assert ech.insert({0: 2, 1: Gi(0, 2)}) == (None, {0: 2})   # dependent
+    assert ech.insert({1: 1}) == (1, {1: 1})
+    assert ech.insert({0: Gi(7, 1)}) == (None, {0: Gi(7, 1), 1: Gi(1, -7)})
     assert ech.count == 2
-    assert ech.coordinates({0: qi(7, 1)}) == {0: qi(7, 1), 1: qi(1, -7)}
-    assert ech.coordinates({2: qi(1)}) is None
+    assert ech.coordinates({0: Gi(7, 1)}) == {0: Gi(7, 1), 1: Gi(1, -7)}
+    assert ech.coordinates({2: 1}) is None
 
 
 def test_qi_matrix_routines():
     rng = random.Random(11)
-    a = [[qi(F(rng.randint(-3, 3)), F(rng.randint(-3, 3))) for _ in range(3)]
+    a = [[Gi(F(rng.randint(-3, 3)), F(rng.randint(-3, 3))) for _ in range(3)]
          for _ in range(3)]
     # force invertibility by adding 5 on the diagonal
     for i in range(3):
-        a[i][i] = qadd(a[i][i], qi(5))
+        a[i][i] = a[i][i] + 5
     inv = inverse(a)
     assert qi_matmul(a, inv) == identity(3)
-    wide = [[qi(1), qi(0, 1), qi(2)]]
+    wide = [[1, Gi(0, 1), 2]]
     ns = nullspace(wide)
     assert len(ns) == 2
     for v in ns:
-        s = qi(0)
+        s = 0
         for j in range(3):
-            s = qadd(s, qmul(wide[0][j], v[j]))
-        assert qis0(s)
+            s = s + wide[0][j] * v[j]
+        assert s == 0

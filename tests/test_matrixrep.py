@@ -14,7 +14,8 @@ from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
 from orthobranch.enveloping import build_A, casimir, gen
 from orthobranch import matrixrep
-from orthobranch.linalg import qi, qmul, qneg, sv_add_scaled
+from orthobranch.linalg import Gi
+from orthobranch.polyarith import p_add_into
 from orthobranch.matrixrep import (
     _verify_rep,
     act,
@@ -37,6 +38,7 @@ from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_conte
 from dense_reference import (
     dense,
     pair_action,
+    parts,
     polynomial_columns,
     qi_matmul,
     solved_root_vectors,
@@ -54,8 +56,7 @@ def mat_eq(a, b):
 
 
 def scaled_identity(c, dim):
-    z, o = qi(0), qi(F(c))
-    return [[o if i == j else z for j in range(dim)] for i in range(dim)]
+    return [[F(c) if i == j else 0 for j in range(dim)] for i in range(dim)]
 
 
 def test_standard_rep_basics():
@@ -67,8 +68,8 @@ def test_standard_rep_basics():
     m = dense(rep.action(0, 3), 5)
     for i in range(5):
         for j in range(5):
-            re, im = m[i][j]
-            rre, rim = m[j][i]
+            re, im = parts(m[i][j])
+            rre, rim = parts(m[j][i])
             assert re == -rre and im == -rim == 0
     # the distinguished basis vector is killed by every subgroup generator
     pos = rep.indices.index(0)
@@ -76,7 +77,7 @@ def test_standard_rep_basics():
         for b in range(a + 1, 5):
             col = rep.action(a, b)
             for j, c in enumerate(col):
-                assert c.get(pos, qi(0)) == qi(0) or j != pos
+                assert c.get(pos, 0) == 0 or j != pos
             assert col[pos] == {}
 
 
@@ -86,7 +87,7 @@ def test_act_is_a_homomorphism():
     lhs = dense(act(x * y, rep), rep.dim)
     rhs = qi_matmul(dense(act(x, rep), rep.dim), dense(act(y, rep), rep.dim))
     assert mat_eq(lhs, rhs)
-    assert dense(act(gen(1, 0), rep), rep.dim) == [[(-re, -im) for re, im in row]
+    assert dense(act(gen(1, 0), rep), rep.dim) == [[-x for x in row]
                                                    for row in dense(act(gen(0, 1), rep), rep.dim)]
 
 
@@ -96,7 +97,7 @@ def test_act_ladder_identity_on_standard_rep():
         lhs = dense(act(build_A(2, n), rep), rep.dim)
         rhs_full = dense(act(casimir(n, "full"), rep), rep.dim)
         rhs_sub = dense(act(casimir(n, "sub"), rep), rep.dim)
-        want = [[(a[0] - b[0], a[1] - b[1]) for a, b in zip(r1, r2)]
+        want = [[a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(rhs_full, rhs_sub)]
         assert mat_eq(lhs, want)
 
@@ -140,7 +141,7 @@ def test_reflection_conjugation(reps):
         m = dense(act(gen(a, b), rep), rep.dim)
         conj = qi_matmul(qi_matmul(refl, m), refl)
         sign = -1 if (a == nmax) != (b == nmax) else 1
-        want = [[(sign * re, sign * im) for re, im in row] for row in m]
+        want = [[sign * x for x in row] for row in m]
         assert mat_eq(conj, want)
 
 
@@ -158,7 +159,7 @@ def test_subgroup_irrep_lives_on_shifted_indices():
 
 
 def test_qi_string_round_trip():
-    vals = [qi(F(1, 2)), qi(F(-3), F(2, 5)), qi(0, F(-1)), qi(0)]
+    vals = [F(1, 2), Gi(F(-3), F(2, 5)), Gi(0, F(-1)), 0]
     for v in vals:
         assert qi_from_string(qi_to_string(v)) == v
 
@@ -229,7 +230,7 @@ def test_casimir_check_survives_optimize(reps, tmp_path):
     # real scalar, which casimir_scalar must reject also under python -O
     bundle = rep_to_bundle(reps.get(3, (1, 0)))
     bundle["matrices"] = {
-        key: [qi_to_string(qmul(qi_from_string(x), qi(1, 1))) for x in flat]
+        key: [qi_to_string(qi_from_string(x) * Gi(1, 1)) for x in flat]
         for key, flat in bundle["matrices"].items()
     }
     path = tmp_path / "scaled.json"
@@ -258,7 +259,7 @@ def test_det_twisted_properties(reps):
     assert tw.action(0, 1) == base.action(0, 1)   # same connected action
     # reflections differ by the overall sign
     r0, r1 = dense(base.reflection(), base.dim), dense(tw.reflection(), tw.dim)
-    assert r1 == [[(-re, -im) for re, im in row] for row in r0]
+    assert r1 == [[-x for x in row] for row in r0]
     # even-size groups with full rows: the twist is isomorphic, same object
     full = reps.get(3, (1, 1))
     assert det_twisted(full) is full
@@ -302,7 +303,7 @@ def test_closed_form_roots_match_the_solver():
                 want = {}
                 for (a, b), c in combo.items():
                     for v, image in pair_action(frame, a, b).items():
-                        sv_add_scaled(want.setdefault(v, {}), image, c)
+                        p_add_into(want.setdefault(v, {}), image, c)
                 assert frame.root_tables[root] == {v: x for v, x in want.items() if x}, (
                     indices, root)
                 count += 1
@@ -315,7 +316,7 @@ def _flip_one_lowering_entry(setitem):
     frame = get_frame((0, 1, 2, 3))
     table = frame.root_tables[frame.lowering_ops()[0][0]]
     v = next(iter(table))
-    setitem(table, v, {v2: qneg(c) for v2, c in table[v].items()})
+    setitem(table, v, {v2: -c for v2, c in table[v].items()})
 
 
 def test_closed_form_table_corruption_is_caught(monkeypatch):
@@ -324,7 +325,6 @@ def test_closed_form_table_corruption_is_caught(monkeypatch):
         construct_irrep(CTX3, (2, 1))
     src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("from orthobranch.weights import rank_context\n"
-            "from orthobranch.linalg import qneg\n"
             "from orthobranch.matrixrep import construct_irrep, get_frame\n"
             + inspect.getsource(_flip_one_lowering_entry) +
             "_flip_one_lowering_entry(dict.__setitem__)\n"
@@ -349,7 +349,7 @@ def _corrupt_where_the_square_is_unchanged(rep):
     tags = rep.model.tags
     assert tags[0][k - 1] == 0
     r = next(j for j, t in enumerate(tags) if j and t[k - 1] == 0)
-    rep.action(*rep.frame.pairs[k - 1])[0][r] = qi(1)
+    rep.action(*rep.frame.pairs[k - 1])[0][r] = 1
 
 
 def test_bracket_check_can_fail():
@@ -360,7 +360,6 @@ def test_bracket_check_can_fail():
         _verify_rep(rep)
     src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("from orthobranch.weights import rank_context\n"
-            "from orthobranch.linalg import qi\n"
             "from orthobranch.matrixrep import _verify_rep, construct_irrep\n"
             + inspect.getsource(_corrupt_where_the_square_is_unchanged) +
             "rep = construct_irrep(rank_context(3), (2, 0), eps=1)\n"
@@ -404,7 +403,7 @@ def test_recursion_corruption_is_caught_bracket(monkeypatch, n, rows, eps):
         out = bracket(x, y)
         if x == e0 and y == f0:
             key = next(iter(out))
-            out[key] = qmul(out[key], qi(2))
+            out[key] = out[key] * 2
             hits.append(key)
         return out
 

@@ -163,8 +163,8 @@ def _double_one_entry(op):
     """A copy of op whose first nonzero matrix entry is doubled."""
     cols = [dict(col) for col in op.matrix]
     j = next(j for j, col in enumerate(cols) if col)
-    row, (re, im) = next(iter(cols[j].items()))
-    cols[j][row] = (2 * re, 2 * im)
+    row, x = next(iter(cols[j].items()))
+    cols[j][row] = 2 * x
     return dataclasses.replace(op, matrix=cols)
 
 
