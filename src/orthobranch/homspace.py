@@ -116,7 +116,6 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
     highest-weight image w.  Reflection steps apply big's reflection times
     the subgroup's twist sign, so both det-twists enter."""
     smodel = sub.model
-    twist = sub.twist_sign
     images: Cols = []
     for rec in smodel.recipes:
         if rec.kind == "seed":
@@ -125,7 +124,7 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
             images.append(_apply_combo(big, smodel.ops[rec.op_index], images[rec.parent]))
         elif rec.kind == "refl":
             image = apply_cols(big.reflection(), images[rec.parent])
-            images.append({i: twist * x for i, x in image.items()})
+            images.append({i: sub.twist_sign * x for i, x in image.items()})
         else:  # pragma: no cover
             raise AssertionError(f"unknown recipe kind {rec.kind!r}")
     return images

@@ -5,7 +5,8 @@ A scalar is an exact number: a Python int or Fraction when it is real, a
 in a Chevalley basis with rational structure constants, so most entries are
 real; ``Gi`` carries the i of the short root vectors and of X[p,q] = -i h_k.
 Since ``int / int`` is a float, a library division has a Fraction or a
-``Gi`` on one side (``Fraction(1) / x``).
+``Gi`` on one side (``Fraction(1) / x``).  ``qi_to_string`` and
+``qi_from_string`` write and read the exact strings of matrix bundles.
 
 Sparse vectors are dicts mapping a hashable key (e.g. a monomial exponent
 tuple) to a nonzero scalar; ``polyarith.p_add_into`` is their one
@@ -90,10 +91,10 @@ class Gi:
     def __neg__(self):
         return Gi(-self.re, -self.im)
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # a real number falls back to identity: never equal
         if type(other) is Gi:
             return self.re == other.re and self.im == other.im
-        return False if isinstance(other, _REAL) else NotImplemented
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -105,6 +106,30 @@ class Gi:
 Scalar = Union[int, Fraction, Gi]
 SparseVec = Dict[Hashable, Scalar]
 Cols = List[Dict[int, Scalar]]  # a matrix as sparse columns: cols[j] = {i: entry}
+
+
+def qi_to_string(x: Scalar) -> str:
+    """The exact string bundles hold: "p/q", or "p/q+r/si" for a ``Gi``."""
+    if not isinstance(x, Gi):
+        return f"{x.numerator}/{x.denominator}"
+    re, im = x.re, x.im
+    return f"{re.numerator}/{re.denominator}+{im.numerator}/{im.denominator}i"
+
+
+def qi_from_string(s: str) -> Scalar:
+    """The scalar of an exact string; "p/q-r/si" reads as well."""
+    s = s.strip()
+    if s.endswith("i"):
+        body = s[:-1]
+        cut = body.find("+", 1)
+        if cut == -1:
+            cut = body.find("-", 1)
+            while cut != -1 and body[cut - 1] in "+-/eE":
+                cut = body.find("-", cut + 1)
+        if cut == -1:
+            raise ValueError(f"cannot parse complex rational {s!r}")
+        return Gi(Fraction(body[:cut]), Fraction(body[cut:] if body[cut] != "+" else body[cut + 1:]))
+    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------

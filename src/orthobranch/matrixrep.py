@@ -95,6 +95,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, inverse
+from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
 from .characters import o_irrep_dim, so_rank
@@ -300,6 +301,8 @@ def poly_apply_table(table: VarTable, poly: Poly) -> Poly:
 
 
 def poly_reflect(frame: Frame, poly: Poly) -> Poly:
+    """The distinguished reflection of poly; it permutes the variables up to
+    sign, so distinct monomials have distinct images."""
     out: Poly = {}
     for mono, coeff in poly.items():
         lst = [0] * frame.nvars
@@ -311,12 +314,7 @@ def poly_reflect(frame: Frame, poly: Poly) -> Poly:
             lst[v2] += exp
             if s < 0 and exp % 2:
                 sgn = -sgn
-        key = tuple(lst)
-        new = out.get(key, 0) + (coeff if sgn > 0 else -coeff)
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+        out[tuple(lst)] = coeff if sgn > 0 else -coeff
     return out
 
 
@@ -824,28 +822,6 @@ def act(element, rep: MatrixRep) -> Cols:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def qi_to_string(x: Scalar) -> str:
-    if not isinstance(x, Gi):
-        return f"{x.numerator}/{x.denominator}"
-    re, im = x.re, x.im
-    return f"{re.numerator}/{re.denominator}+{im.numerator}/{im.denominator}i"
-
-
-def qi_from_string(s: str) -> Scalar:
-    s = s.strip()
-    if s.endswith("i"):
-        body = s[:-1]
-        cut = body.find("+", 1)
-        if cut == -1:
-            cut = body.find("-", 1)
-            while cut != -1 and body[cut - 1] in "+-/eE":
-                cut = body.find("-", cut + 1)
-        if cut == -1:
-            raise ValueError(f"cannot parse complex rational {s!r}")
-        return Gi(Fraction(body[:cut]), Fraction(body[cut:] if body[cut] != "+" else body[cut + 1:]))
-    return Fraction(s)
-
 
 def _flat_strings(cols: Cols) -> List[str]:
     """Row-major exact strings of a square matrix given by its columns."""

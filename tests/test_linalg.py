@@ -24,10 +24,6 @@ def rand_mat(rng, rows, cols, den=3):
             for _ in range(rows)]
 
 
-def lift(rows):
-    return [list(row) for row in rows]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -38,11 +34,11 @@ def matvec(rows, vec):
 
 def test_rank_and_nullspace():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert len(rref(lift(m), 3)) == 2
-    ns = nullspace(lift(m))
+    assert len(rref([list(row) for row in m], 3)) == 2
+    ns = nullspace(m)
     assert len(ns) == 1
     v = ns[0]
-    assert not any(matvec(lift(m), v))
+    assert not any(matvec(m, v))
 
 
 def test_solve_and_inverse_round_trip():
@@ -51,15 +47,15 @@ def test_solve_and_inverse_round_trip():
         a = rand_mat(rng, 4, 4)
         while dense_reference.rank(a) < 4:
             a = rand_mat(rng, 4, 4)
-        inv = inverse(lift(a))
-        assert qi_matmul(lift(a), inv) == identity(4)
+        inv = inverse(a)
+        assert qi_matmul(a, inv) == identity(4)
         rhs = [rng.randint(-5, 5) for _ in range(4)]
-        x = solve(lift(a), rhs)
-        assert matvec(lift(a), x) == rhs
+        x = solve(a, rhs)
+        assert matvec(a, x) == rhs
 
 
 def test_inconsistent_solve_and_singular_inverse():
-    m = lift([[F(1), F(2)], [F(2), F(4)]])
+    m = [[F(1), F(2)], [F(2), F(4)]]
     assert solve(m, [1, 3]) is None
     assert solve(m, [1, 2]) == [1, 0]  # free unknown set to zero
     with pytest.raises(ValueError):
@@ -74,7 +70,7 @@ def test_nullspace_matches_dense_reference():
             if rng.random() < 0.5:  # repeat a combination of rows: lower the rank
                 a[-1] = [x + 2 * y for x, y in zip(a[0], a[1 % len(a)])]
             want = dense_reference.nullspace(a)
-            assert nullspace(lift(a)) == want
+            assert nullspace(a) == want
 
 
 def test_qi_scalar_arithmetic():
