@@ -43,8 +43,8 @@ subgroup generators and ``T R_big = R_sub T`` for the reflections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .linalg import Cols, Scalar, apply_cols, inverse, nullspace, solve
 from .polyarith import p_add_into
@@ -59,13 +59,22 @@ class SymmetryBreakingOperator:
     """An equivariant map from the big model onto the subgroup model.
 
     ``matrix`` holds dim(big) sparse columns: column j is the image of big
-    basis vector j in sub-model coordinates.
+    basis vector j in sub-model coordinates.  ``hw`` is the subgroup
+    highest-weight vector of big that the operator was built from; measuring
+    an operator without one (a hand-built operator) raises ``ValueError``.
+    ``verified`` holds while the models and the matrix content are those
+    that the equivariance check last passed on.
     """
 
     big: MatrixRep
     sub: MatrixRep
     matrix: Cols
-    verified: bool = False
+    hw: Optional[CoordVec] = None
+    _checked: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def verified(self) -> bool:
+        return self._checked == (self.big, self.sub, self.matrix)
 
 
 def _require_models(big: MatrixRep, sub: MatrixRep) -> None:
@@ -193,7 +202,7 @@ def _verify_operator(op: SymmetryBreakingOperator) -> None:
         for j in range(op.big.dim):
             if apply_cols(T, xbig[j]) != apply_cols(xsub, T[j]):
                 raise AssertionError(f"operator not equivariant for {what}")
-    op.verified = True
+    op._checked = (op.big, op.sub, [dict(col) for col in T])
 
 
 def hom_space(big: MatrixRep, sub: MatrixRep) -> Tuple[int, List[SymmetryBreakingOperator]]:
@@ -212,7 +221,7 @@ def hom_space(big: MatrixRep, sub: MatrixRep) -> Tuple[int, List[SymmetryBreakin
     ops: List[SymmetryBreakingOperator] = []
     for w in chosen:
         T = _transpose_pair_matrix(big, sub, _mirror_embedding(big, sub, w))
-        op = SymmetryBreakingOperator(big=big, sub=sub, matrix=T)
+        op = SymmetryBreakingOperator(big=big, sub=sub, matrix=T, hw=w)
         _verify_operator(op)
         ops.append(op)
     return len(ops), ops

@@ -29,15 +29,19 @@ measures the scalar of ``(T (x) first-slot-restriction) o projector o (u -> u
 (x) f_0)`` against ``T`` as an exact ratio; non-proportionality to ``T``
 raises ``IdentityViolationError``.
 
-One probe chain per big representation serves every measurement: for each
-probe vector u, the first slots of ``ctilde^k (u (x) f_0)``, k = 0, 1, ...,
-cached on the representation and extended on demand.  ``measure_scalar``
-combines them with the projector polynomial's coefficients for every
-``(i, eps)``, and ``b_eval`` reads the ell-th one; none of this depends on
-the target of the operator, so every operator measured out of the
-representation shares it.  The probe vectors are drawn deterministically
-from the representation data; exact arithmetic makes each probe a rigid
-consistency equation rather than a floating-point guess.
+Everything is measured on the subgroup highest-weight vector ``w`` that the
+operator was built from.  ``W_k(u)``, the first slot of ``ctilde^k (u (x)
+f_0)``, is a subgroup endomorphism of big (``f_0`` is subgroup-fixed and the
+slot projection runs along a subgroup-stable complement), and big restricts
+to the subgroup without multiplicities (Gelfand-Tsetlin), so ``W_k w = b_k
+w`` exactly.  The chain of first slots of ``w``, k = 0, 1, ..., is cached on
+big under ``w`` (det twins share it with the cache and the generator
+columns); ``measure_scalar`` combines its slots with the projector
+polynomial's coefficients, ``b_eval`` reads the ell-th one, and both check
+that each slot is an exact multiple of ``w`` and that ``T`` of the result is
+proportional to ``T w``.  As ``W_k w = b_k w`` holds whatever ``T`` is, the
+line cannot see a wrong operator, so a measurement first re-runs the
+equivariance check of ``hom_space`` unless it passed on the current matrix.
 
 ``b_eval`` measures the same composition for powers of ``ctilde`` instead of
 the projector, and ``b_reconstruct`` interpolates those measurements across a
@@ -48,7 +52,6 @@ orthogonal Weyl groups (even powers coordinate-wise).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -58,12 +61,11 @@ from .polyarith import p_add_into
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
 from .matrixrep import MatrixRep, expected_casimir_scalar
-from .homspace import SymmetryBreakingOperator
+from .homspace import SymmetryBreakingOperator, _verify_operator
 
 CoordVec = Dict[int, Scalar]
 Tuple_ = List[CoordVec]
 
-PROBES = 3  # probe vectors per measurement: e_0 and two seeded random vectors
 GRID_BOX = 2  # the reconstruction grid's bound on every label row
 
 
@@ -139,18 +141,8 @@ def projector_factors(ctx: RankContext, lam: Sequence[Fraction], i: int,
 
 
 # ---------------------------------------------------------------------------
-# the probe chain (cached per representation)
+# the highest-weight chain (cached per representation and hw vector)
 # ---------------------------------------------------------------------------
-
-def _rand_coordvec(dim: int, rng: random.Random) -> CoordVec:
-    out: CoordVec = {}
-    for i in range(dim):
-        re = rng.randint(-9, 9)
-        im = rng.randint(-9, 9)
-        if re or im:
-            out[i] = Gi(re, im)
-    return out
-
 
 def _insert_first_slot(big: MatrixRep, u: CoordVec) -> Tuple_:
     V: Tuple_ = [dict() for _ in big.indices]
@@ -158,58 +150,57 @@ def _insert_first_slot(big: MatrixRep, u: CoordVec) -> Tuple_:
     return V
 
 
-def _power_chain(big: MatrixRep, K: int) -> List[Tuple[CoordVec, List[CoordVec]]]:
-    """Pairs (u, firsts) with firsts[k] the first slot of ctilde^k (u (x) f_0)
-    for k = 0..K at least, one pair per probe vector u.
-
-    Kept in ``big.cache`` and extended on demand: each probe stores its first
-    slots and the last full tuple only.  The probes are drawn from what the
-    chain depends on, so a det twin (which shares the cache) sees the same
-    ones."""
-    chain = big.cache.get("power-chain")
-    if chain is None:
-        rng = random.Random(repr((big.dim, tuple(str(c) for c in big.inf_char),
-                                  big.indices)))
-        us: List[CoordVec] = [{0: 1}]
-        while len(us) < PROBES:
-            us.append(_rand_coordvec(big.dim, rng))
-        chain = big.cache["power-chain"] = [[u, [u], _insert_first_slot(big, u)]
-                                            for u in us]
-    for probe in chain:
-        _u, firsts, V = probe
-        while len(firsts) <= K:
-            V = coupling_step(big, V)
-            firsts.append(V[0])
-        probe[2] = V
-    return [(u, firsts) for u, firsts, _V in chain]
+def _hw_chain(op: SymmetryBreakingOperator, K: int, what: str) -> List[CoordVec]:
+    """W_0 w, ..., W_K w for the operator's hw vector w, after the equivariance
+    check (unless it passed on the current matrix) and with each slot checked
+    to be an exact multiple of w: IdentityViolationError if either fails.  The
+    first slots and the last full tuple are cached on big under w."""
+    w = op.hw
+    if w is None:
+        raise ValueError("operator has no subgroup highest-weight vector; "
+                         "measure the operators hom_space returns")
+    if not op.verified:
+        try:
+            _verify_operator(op)
+        except AssertionError:
+            raise IdentityViolationError(
+                f"{what} composition is not proportional to the operator") from None
+    big = op.big
+    chain = big.cache.setdefault(("hw-chain", frozenset(w.items())),
+                                 [[w], _insert_first_slot(big, w)])
+    firsts, V = chain
+    while len(firsts) <= K:
+        V = coupling_step(big, V)
+        firsts.append(V[0])
+    chain[1] = V
+    for v in firsts[:K + 1]:
+        if any(j not in w for j in v) or len({v.get(j, 0) * (Fraction(1) / c)
+                                              for j, c in w.items()}) != 1:
+            raise IdentityViolationError(f"{what} chain leaves the subgroup highest-weight line")
+    return firsts[:K + 1]
 
 
 def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, CoordVec]],
                    what: str) -> Scalar:
-    """The unique c with T(W0(u)) = c T(u) across all probe pairs with
-    T(u) != 0; raises IdentityViolationError on any inconsistency."""
+    """The unique c with T(v) = c T(u) across the pairs (u, v) with
+    T(u) != 0, such as u = w and v its measured image; raises
+    IdentityViolationError on any inconsistency."""
     ratio: Optional[Scalar] = None
-    usable = 0
     for (u, w0) in pairs:
         Tu = apply_cols(op.matrix, u)
         if not Tu:
             continue
-        usable += 1
         TV0 = apply_cols(op.matrix, w0)
         quotients = {TV0.get(i, 0) * (Fraction(1) / b) for i, b in Tu.items()}
         if len(quotients) != 1 or any(i not in Tu for i in TV0):
-            raise IdentityViolationError(
-                f"{what} composition is not proportional to the operator"
-            )
+            raise IdentityViolationError(f"{what} composition is not proportional to the operator")
         c_here = quotients.pop()
         if ratio is None:
             ratio = c_here
         elif ratio != c_here:
             raise IdentityViolationError(f"{what} scalar differs between probe vectors")
-    if usable == 0:
-        raise IdentityViolationError(
-            f"{what}: no probe vector had T u != 0 (operator may be zero)"
-        )
+    if ratio is None:
+        raise IdentityViolationError(f"{what}: no probe vector had T u != 0 (operator may be zero)")
     return ratio
 
 
@@ -219,7 +210,8 @@ class MeasureResult:
 
     ``raw_numerator`` is the measured ratio against the raw factor product:
     a Fraction, or a ``linalg.Gi`` when it is not real, which only a zero
-    ``normalizer`` lets through (``value.defined`` is then False)."""
+    ``normalizer`` lets through (``value.defined`` is then False).
+    ``probes_checked`` counts the hw vectors measured on: 1 per operator."""
 
     value: RationalFunctionValue
     raw_numerator: Scalar
@@ -234,8 +226,9 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureRes
     (u -> u (x) f_0) = scalar * T`` and returns the scalar as an exact
     rational-function value: numerator measured against the raw factor
     product, denominator the eigenvalue-gap normalizer.  Raises
-    IdentityViolationError if the composition fails proportionality to T on
-    any probe; a zero normalizer yields ``defined=False``."""
+    IdentityViolationError if the operator fails its equivariance check or
+    the composition fails proportionality to T on the hw vector; a zero
+    normalizer yields ``defined=False``."""
     big = op.big
     ctx = rank_context(len(big.indices) - 1)
     shifts, norm = projector_factors(ctx, big.inf_char, i, eps)
@@ -245,13 +238,10 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureRes
     poly = [Fraction(1)]
     for s in shifts:
         poly = [(diag - s) * a + 2 * b for a, b in zip(poly + [0], [0] + poly)]
-    pairs = []
-    for u, firsts in _power_chain(big, len(shifts)):
-        w0: CoordVec = {}
-        for c, first in zip(poly, firsts):
-            p_add_into(w0, first, c)
-        pairs.append((u, w0))
-    ratio = _ratio_against(op, pairs, "projector")
+    w0: CoordVec = {}
+    for c, first in zip(poly, _hw_chain(op, len(shifts), "projector")):
+        p_add_into(w0, first, c)
+    ratio = _ratio_against(op, [(op.hw, w0)], "projector")
     if not isinstance(ratio, Gi):
         ratio = Fraction(ratio)
     if norm == 0:
@@ -262,16 +252,16 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureRes
     else:
         value = RationalFunctionValue(numerator=ratio, denominator=norm, defined=True)
     return MeasureResult(value=value, raw_numerator=ratio, normalizer=norm,
-                         probes_checked=len(pairs))
+                         probes_checked=1)
 
 
 def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
     """Measured coefficient of the ell-th coupled power:
-    T((ctilde^ell (u (x) f_0))_0) = b * T(u), checked across probe vectors."""
+    T((ctilde^ell (w (x) f_0))_0) = b * T(w) on the operator's hw vector w,
+    with the checks of ``measure_scalar``."""
     if ell < 0:
         raise ValueError(f"power ell={ell} must be >= 0")
-    pairs = [(u, firsts[ell]) for u, firsts in _power_chain(op.big, ell)]
-    ratio = _ratio_against(op, pairs, "power")
+    ratio = _ratio_against(op, [(op.hw, _hw_chain(op, ell, "power")[ell])], "power")
     if isinstance(ratio, Gi):
         raise IdentityViolationError("power scalar is not real")
     return Fraction(ratio)

@@ -17,13 +17,16 @@ z_p -+ i z_q), and ``solved_root_vectors`` finds every root vector as the
 kernel of the ad(h_k) eigen-equations.  Neither reads the closed forms that
 ``Frame`` writes down.
 
-Three independent routes to what the package computes another way:
+Four independent routes to what the package computes another way:
 ``hom_space_dense`` solves the full equivariance system for the dimension
 ``hom_space`` finds from highest-weight vectors, ``primary_projector`` spans
-the image of the spectral projector that ``measure_scalar`` applies to probe
-vectors only, and ``is_invariant`` tests an enveloping element against every
-subalgebra generator and the twist.
+the image of the spectral projector that ``measure_scalar`` applies to one
+highest-weight vector only, ``dense_projector_ratio`` and ``dense_b`` measure
+the universal scalars on three dense probe vectors instead of that one, and
+``is_invariant`` tests an enveloping element against every subalgebra
+generator and the twist.
 """
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -37,7 +40,8 @@ from orthobranch.matrixrep import (
 )
 from orthobranch.polyarith import p_add_into
 from orthobranch.measure import (
-    CoordVec, IdentityViolationError, Tuple_, coupling_step, projector_factors,
+    CoordVec, IdentityViolationError, Tuple_, _insert_first_slot, _ratio_against, coupling_step,
+    projector_factors,
 )
 from orthobranch.weights import InvalidRankError, RankContext, rank_context, rho
 
@@ -289,6 +293,54 @@ def casimir_shifted_step(big: MatrixRep, ctx: RankContext, V: Tuple_,
         p_add_into(acc, ct[pos], 2)
         out.append(acc)
     return out
+
+
+PROBES = 3  # dense probe vectors: e_0 and two seeded random Gaussian vectors
+
+
+def _rand_coordvec(dim: int, rng: random.Random) -> CoordVec:
+    out: CoordVec = {}
+    for i in range(dim):
+        re = rng.randint(-9, 9)
+        im = rng.randint(-9, 9)
+        if re or im:
+            out[i] = Gi(re, im)
+    return out
+
+
+def dense_probes(big: MatrixRep) -> List[CoordVec]:
+    """e_0 and two dense random vectors, drawn from the representation data."""
+    rng = random.Random(repr((big.dim, tuple(str(c) for c in big.inf_char), big.indices)))
+    return [{0: 1}] + [_rand_coordvec(big.dim, rng) for _ in range(PROBES - 1)]
+
+
+def dense_projector_ratio(op, i: int, eps: int):
+    """(raw_numerator, normalizer) of ``measure_scalar``, measured on the
+    dense probes: the factor product applied to each u (x) f_0, its first
+    slot against u through T, one ratio for all probes."""
+    big = op.big
+    ctx = rank_context(len(big.indices) - 1)
+    shifts, norm = projector_factors(ctx, big.inf_char, i, eps)
+    pairs = []
+    for u in dense_probes(big):
+        V = _insert_first_slot(big, u)
+        for s in shifts:
+            V = casimir_shifted_step(big, ctx, V, s)
+        pairs.append((u, V[0]))
+    ratio = _ratio_against(op, pairs, "projector")
+    return (ratio if isinstance(ratio, Gi) else Fraction(ratio)), norm
+
+
+def dense_b(op, ell: int) -> Fraction:
+    """``b_eval`` measured on the dense probes: the first slot of
+    ctilde^ell (u (x) f_0) against u through T, one ratio for all probes."""
+    pairs = []
+    for u in dense_probes(op.big):
+        V = _insert_first_slot(op.big, u)
+        for _ in range(ell):
+            V = coupling_step(op.big, V)
+        pairs.append((u, V[0]))
+    return Fraction(_ratio_against(op, pairs, "power"))
 
 
 def primary_projector(big, i: int, eps: int) -> PrimaryComponent:

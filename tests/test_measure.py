@@ -10,7 +10,7 @@ import pytest
 
 import orthobranch
 from orthobranch import matrixrep, measure
-from orthobranch.homspace import hom_space
+from orthobranch.homspace import SymmetryBreakingOperator, hom_space, subgroup_hw_space
 from orthobranch.matrixrep import act, construct_irrep, standard_rep, trivial_rep
 from orthobranch.measure import (
     IdentityViolationError,
@@ -22,7 +22,7 @@ from orthobranch.measure import (
 from orthobranch.scalars import C_val, b_closed, scalar_query
 from orthobranch.weights import rank_context
 
-from dense_reference import casimir_shifted_step, primary_projector
+from dense_reference import casimir_shifted_step, dense_b, dense_projector_ratio, primary_projector
 
 CTX3 = rank_context(3)
 CTX4 = rank_context(4)
@@ -128,7 +128,7 @@ def test_projector_polynomial_matches_the_factor_product(
             seen.clear()
             measure_scalar(op, i, eps)
             (pairs,) = seen
-            assert len(pairs) == measure.PROBES
+            assert [u for u, _w0 in pairs] == [op.hw]
             shifts, _norm = measure.projector_factors(ctx, big.inf_char, i, eps)
             for u, w0 in pairs:
                 V = [dict(u)] + [dict() for _ in big.indices[1:]]
@@ -139,8 +139,9 @@ def test_projector_polynomial_matches_the_factor_product(
 
 def test_one_chain_serves_every_direction_and_power(reps, monkeypatch):
     # O(5) (2,1): four directions of four factors each and the powers 1..3,
-    # on three probes, take the chain to ctilde^4: 12 coupling steps (a
-    # product per direction and a chain per power would take 66)
+    # on the one hw vector, take the chain to ctilde^4: 4 coupling steps
+    # (three dense probes took 12; a product per direction and a chain per
+    # power would take 66)
     op = only_op(reps.get(4, (2, 1), 1), reps.get(4, (1, 1), None, which="sub"))
     op = dataclasses.replace(op, big=dataclasses.replace(op.big, cache={}))
     steps = []
@@ -156,7 +157,7 @@ def test_one_chain_serves_every_direction_and_power(reps, monkeypatch):
             measure_scalar(op, i, eps)
     for ell in (1, 2, 3):
         b_eval(op, ell)
-    assert len(steps) == 12
+    assert len(steps) == 4
 
 
 def _double_one_entry(op):
@@ -195,6 +196,131 @@ def test_a_wrong_operator_fails_the_measurement(reps):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["projector composition is not proportional to the operator",
                                         "power composition is not proportional to the operator"]
+
+
+def _double_one_entry_in_place(op):
+    """Double op's first nonzero matrix entry, in op's own columns."""
+    col = next(col for col in op.matrix if col)
+    row, x = next(iter(col.items()))
+    col[row] = 2 * x
+
+
+def _run_optimized(code):
+    """stdout lines of code run in a ``python -O`` subprocess."""
+    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_a_changed_matrix_is_checked_again(reps):
+    # an in-place change after a passing measurement: the next measurement
+    # sees that the matrix is not the one the equivariance check passed on
+    op = only_op(reps.get(3, (2, 1)), reps.get(3, (1,), None, which="sub"))
+    measure_scalar(op, 1, 1)
+    _double_one_entry_in_place(op)
+    assert not op.verified
+    with pytest.raises(IdentityViolationError, match="projector composition"):
+        measure_scalar(op, 1, 1)
+    with pytest.raises(IdentityViolationError, match="power composition"):
+        b_eval(op, 2)
+    code = ("from orthobranch.weights import rank_context\n"
+            "from orthobranch.matrixrep import construct_irrep\n"
+            "from orthobranch.homspace import hom_space\n"
+            "from orthobranch.measure import IdentityViolationError, b_eval, measure_scalar\n"
+            + inspect.getsource(_double_one_entry_in_place) +
+            "big = construct_irrep(rank_context(3), (2, 1))\n"
+            "sub = construct_irrep(rank_context(3), (1,), which='sub')\n"
+            "op = hom_space(big, sub)[1][0]\n"
+            "measure_scalar(op, 1, 1)\n"
+            "_double_one_entry_in_place(op)\n"
+            "for run in (lambda: measure_scalar(op, 1, 1), lambda: b_eval(op, 2)):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except IdentityViolationError as exc:\n"
+            "        print(exc)\n")
+    assert _run_optimized(code) == ["projector composition is not proportional to the operator",
+                                    "power composition is not proportional to the operator"]
+
+
+def test_an_operator_without_hw_vector_is_a_usage_error(reps):
+    op = only_op(reps.get(3, (2, 1)), reps.get(3, (1,), None, which="sub"))
+    hand_built = SymmetryBreakingOperator(big=op.big, sub=op.sub, matrix=op.matrix)
+    with pytest.raises(ValueError, match="highest-weight vector"):
+        measure_scalar(hand_built, 1, 1)
+    with pytest.raises(ValueError, match="highest-weight vector"):
+        b_eval(hand_built, 1)
+
+
+def _corrupt_each_step(step, hw):
+    """coupling_step with one entry of its output's first slot changed:
+    1 is added at the first big index outside the support of hw."""
+
+    def corrupted(big, V):
+        out = step(big, V)
+        k = min(set(range(big.dim)) - set(hw))
+        out[0][k] = out[0].get(k, 0) + 1
+        return out
+
+    return corrupted
+
+
+def _fresh_cache(op):
+    """A copy of op whose big model has an empty chain cache."""
+    return dataclasses.replace(op, big=dataclasses.replace(op.big, cache={}))
+
+
+def test_a_chain_off_the_hw_line_fails_the_measurement(reps, monkeypatch):
+    op = only_op(reps.get(4, (2, 1), 1), reps.get(4, (1, 1), None, which="sub"))
+    monkeypatch.setattr(measure, "coupling_step", _corrupt_each_step(measure.coupling_step, op.hw))
+    with pytest.raises(IdentityViolationError, match="projector chain leaves"):
+        measure_scalar(_fresh_cache(op), 1, 1)
+    with pytest.raises(IdentityViolationError, match="power chain leaves"):
+        b_eval(_fresh_cache(op), 1)
+    code = ("import dataclasses\n"
+            "from orthobranch import measure\n"
+            "from orthobranch.weights import rank_context\n"
+            "from orthobranch.matrixrep import construct_irrep\n"
+            "from orthobranch.homspace import hom_space\n"
+            "from orthobranch.measure import IdentityViolationError, b_eval, measure_scalar\n"
+            + inspect.getsource(_corrupt_each_step) + inspect.getsource(_fresh_cache) +
+            "big = construct_irrep(rank_context(4), (2, 1), eps=1)\n"
+            "sub = construct_irrep(rank_context(4), (1, 1), which='sub')\n"
+            "op = hom_space(big, sub)[1][0]\n"
+            "measure.coupling_step = _corrupt_each_step(measure.coupling_step, op.hw)\n"
+            "for run in (lambda: measure_scalar(_fresh_cache(op), 1, 1),\n"
+            "            lambda: b_eval(_fresh_cache(op), 1)):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except IdentityViolationError as exc:\n"
+            "        print(exc)\n")
+    assert _run_optimized(code) == [
+        "projector chain leaves the subgroup highest-weight line",
+        "power chain leaves the subgroup highest-weight line"]
+
+
+@pytest.mark.parametrize("n, big_rows, big_eps, sub_rows, sub_eps", [
+    (3, (2, 1), None, (1,), None),
+    (3, (3, 1), None, (2,), None),
+    (4, (2, 1), -1, (1, 1), None),
+    (4, (1, 1), -1, (1, 0), -1),
+], ids=["O4-2,1-hw2", "O4-3,1-hw2", "O5-2,1-det", "O5-1,1-det-det"])
+def test_the_hw_line_matches_the_dense_probes(reps, n, big_rows, big_eps, sub_rows, sub_eps):
+    # induced big (n = 3, with a 2-dimensional hw space), det-twisted big,
+    # induced sub: the hw line gives what three dense probes give
+    big, sub = reps.get(n, big_rows, big_eps), reps.get(n, sub_rows, sub_eps, which="sub")
+    op = only_op(big, sub)
+    if n == 3:
+        assert len(subgroup_hw_space(big, sub)) == 2
+    for i in range(1, rank_context(n).r + 1):
+        for eps in (1, -1):
+            res = measure_scalar(op, i, eps)
+            assert res.probes_checked == 1
+            assert repr((res.raw_numerator, res.normalizer)) == repr(dense_projector_ratio(op, i, eps))
+    for ell in range(4):
+        assert repr(b_eval(op, ell)) == repr(dense_b(op, ell))
 
 
 def test_primary_projector_examples(reps):
