@@ -37,6 +37,12 @@ included), the weight tags and construction recipes, and the Gram matrices
     Row k of ``S^T B_big`` is ``s_k^T B_big``, the combination of the rows
     of big's Gram matrix given by column k of ``S``.
 
+Every solve reads its answer from a ``linalg.TrackedEchelon``, the package's
+one elimination: the kernels of steps 1 and 2 through ``linalg.kernel``, the
+involution images of step 2 as coordinates over the highest-weight basis, and
+``B_sub^{-1}`` of step 4 as the coordinates of each unit vector over the rows
+of the symmetric ``B_sub``.
+
 Every returned operator is verified literally: ``T X = X T`` for all
 subgroup generators and ``T R_big = R_sub T`` for the reflections.
 """
@@ -46,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .linalg import Cols, Scalar, apply_cols, inverse, nullspace, solve
+from .linalg import Cols, Scalar, TrackedEchelon, apply_cols, kernel
 from .polyarith import p_add_into
 from .weights import InvalidRankError
 from .matrixrep import MatrixRep
@@ -105,18 +111,12 @@ def subgroup_hw_space(big: MatrixRep, sub: MatrixRep) -> List[CoordVec]:
     srank = sub.frame.rank
     target = tuple(sub.label.mu)
     cand = [i for i, t in enumerate(big.model.tags) if t[:srank] == target]
-    if not cand:
-        return []
-    # kernel of the stacked raising actions on the candidate span
-    rows: List[List[Scalar]] = []
-    for _w, combo in sub.frame.raising_ops():
-        images = [_apply_combo(big, combo, {i: 1}) for i in cand]
-        for k in sorted({k for img in images for k in img}):
-            rows.append([img.get(k, 0) for img in images])
-    kern = nullspace(rows) if rows else [
-        [1 if i == j else 0 for i in range(len(cand))] for j in range(len(cand))
-    ]
-    return [{cand[i]: c for i, c in enumerate(vec) if c} for vec in kern]
+    raising = [combo for _w, combo in sub.frame.raising_ops()]
+    # kernel of the stacked raising actions on the candidate span: a
+    # candidate's column holds its image under raising operator r at (r, row)
+    cols = [{(r, k): x for r, combo in enumerate(raising)
+             for k, x in _apply_combo(big, combo, {i: 1}).items()} for i in cand]
+    return [{cand[i]: c for i, c in vec.items()} for vec in kernel(cols)]
 
 
 def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
@@ -140,27 +140,25 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
 
 
 def _reflection_fixed_space(big: MatrixRep, sub: MatrixRep,
-                            hw_basis: List[CoordVec]) -> List[List[Scalar]]:
-    """Basis, as coefficient vectors over hw_basis, of the vectors fixed by
-    the involution w -> R_big S_w(R_sub e_0), both reflections det-twisted:
-    the obstruction for non-induced subgroup labels."""
+                            hw_basis: List[CoordVec]) -> List[CoordVec]:
+    """Basis, as sparse coefficient vectors over hw_basis, of the vectors
+    fixed by the involution w -> R_big S_w(R_sub e_0), both reflections
+    det-twisted: the obstruction for non-induced subgroup labels."""
+    ech = TrackedEchelon()
+    for w in hw_basis:
+        ech.insert(w)
     refl_seed = sub.reflection()[0]
-    cols = [apply_cols(big.reflection(), apply_cols(_mirror_embedding(big, sub, w), refl_seed))
-            for w in hw_basis]
-    # solve each column against the hw basis
-    keys = sorted({k for w in hw_basis for k in w} | {k for c in cols for k in c})
-    basis_mat = [[w.get(k, 0) for w in hw_basis] for k in keys]
-    out_cols: List[List[Scalar]] = []
-    for c in cols:
-        rhs = [c.get(k, 0) for k in keys]
-        sol = solve(basis_mat, rhs)
-        if sol is None:
+    # the fixed vectors: kernel of M - I, column j of M holding the
+    # coordinates of the involution image of hw_basis[j]
+    cols: List[CoordVec] = []
+    for j, w in enumerate(hw_basis):
+        col = ech.coordinates(apply_cols(big.reflection(),
+                                         apply_cols(_mirror_embedding(big, sub, w), refl_seed)))
+        if col is None:
             raise AssertionError("involution image is not a hw-space member")
-        out_cols.append(sol)
-    # the fixed vectors: kernel of M - I, M having the solutions as columns
-    m = len(hw_basis)
-    return nullspace([[out_cols[j][i] - (1 if i == j else 0) for j in range(m)]
-                      for i in range(m)])
+        p_add_into(col, {j: 1}, -1)
+        cols.append(col)
+    return kernel(cols)
 
 
 def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep, s_cols: Cols) -> Cols:
@@ -171,20 +169,13 @@ def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep, s_cols: Cols) -> Cols
     for k, s in enumerate(s_cols):
         for j, v in apply_cols(gram_big, s).items():
             stb[j][k] = v
-    # B_sub pairs weight mu only with -mu, so B_sub^{-1} is made of the
-    # inverses of its blocks: rows of tag mu, columns of tag -mu
-    gram = sub.model.gram_rows()
-    by_tag: Dict[Tuple[int, ...], List[int]] = {}
-    for i, t in enumerate(sub.model.tags):
-        by_tag.setdefault(t, []).append(i)
-    binv_cols: Cols = [dict() for _ in range(sub.dim)]
-    for tag, rows in by_tag.items():
-        cols = by_tag.get(tuple(-c for c in tag), [])
-        if len(cols) != len(rows):
+    # B_sub is symmetric, so column r of B_sub^{-1} is the expansion of e_r
+    # over its rows
+    ech = TrackedEchelon()
+    for row in sub.model.gram_rows():
+        if ech.insert(row)[0] is None:
             raise ValueError("matrix is singular")
-        block = inverse([[gram[r].get(c, 0) for c in cols] for r in rows])
-        for r_pos, r in enumerate(rows):
-            binv_cols[r] = {c: row[r_pos] for c, row in zip(cols, block) if row[r_pos]}
+    binv_cols: Cols = [dict(sorted(ech.coordinates({r: 1}).items())) for r in range(sub.dim)]
     return [apply_cols(binv_cols, col) for col in stb]
 
 
@@ -216,8 +207,7 @@ def hom_space(big: MatrixRep, sub: MatrixRep) -> Tuple[int, List[SymmetryBreakin
     if sub.label.induced:
         chosen = hw
     else:
-        chosen = [apply_cols(hw, dict(enumerate(combo)))
-                  for combo in _reflection_fixed_space(big, sub, hw)]
+        chosen = [apply_cols(hw, combo) for combo in _reflection_fixed_space(big, sub, hw)]
     ops: List[SymmetryBreakingOperator] = []
     for w in chosen:
         T = _transpose_pair_matrix(big, sub, _mirror_embedding(big, sub, w))

@@ -13,15 +13,15 @@ tuple) to a nonzero scalar; ``polyarith.p_add_into`` is their one
 accumulate-and-drop-zeros step.  Every linear operator the package builds is
 held as sparse columns (``Cols``): column j maps row index i to the nonzero
 entry (i, j), and ``apply_cols`` applies one to a sparse vector.
-``TrackedEchelon`` keeps a reduced spanning set of sparse vectors and tracks
-how each stored row expands in the inserted vectors, so membership comes with
-coordinates, also for a vector that an insert finds dependent.
 
-Dense lists of rows appear only as the input of ``rref``, the package's one
-Gauss-Jordan elimination; ``nullspace``, ``solve`` and ``inverse`` read their
-results from it.  It pivots on the first nonzero entry of each column, and
-since the reduced row echelon form is unique, the pivot choice changes no
-kernel basis, inverse or particular solution.
+``TrackedEchelon`` is the package's one elimination.  It keeps a reduced
+spanning set of sparse vectors and tracks how each stored row expands in the
+inserted vectors, so membership comes with coordinates, also for a vector
+that an insert finds dependent.  Every solve reads its answer from one: a
+solution of M x = b is ``coordinates(b)`` over the columns of M, column r of
+the inverse of a symmetric M is ``coordinates({r: 1})`` over its rows, and
+``kernel`` takes a kernel basis from the dependent columns.  Coordinates over
+independent vectors are unique, so none of these depends on the pivot order.
 """
 from __future__ import annotations
 
@@ -198,72 +198,21 @@ class TrackedEchelon:
         return {i: -c for i, c in combo.items()}
 
 
-# ---------------------------------------------------------------------------
-# Elimination on dense rows
-# ---------------------------------------------------------------------------
-
-
-def rref(rows: List[List[Scalar]], ncols: int) -> List[int]:
-    """Bring rows to reduced row echelon form in place, pivoting only in the
-    first ncols columns (later columns ride along, e.g. a right-hand side);
-    returns the pivot columns in order."""
-    pivots: List[int] = []
-    for col in range(ncols):
-        prow = len(pivots)
-        piv = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
-        if piv is None:
+def kernel(cols: List[SparseVec]) -> List[Dict[int, Scalar]]:
+    """Basis of the kernel of the matrix with sparse columns cols: for each
+    column j that depends on the columns before it, the vector {j: 1} minus
+    its coordinates over the independent ones.  These coordinates are unique,
+    so the basis is the one a reduced row echelon form reads off its free
+    columns."""
+    ech = TrackedEchelon()
+    independent: List[int] = []
+    out: List[Dict[int, Scalar]] = []
+    for j, col in enumerate(cols):
+        idx, combo = ech.insert(col)
+        if idx is not None:
+            independent.append(j)
             continue
-        rows[prow], rows[piv] = rows[piv], rows[prow]
-        inv = Fraction(1) / rows[prow][col]
-        top = rows[prow] = [x * inv for x in rows[prow]]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != prow and f:
-                rows[i] = [x - f * y for x, y in zip(row, top)]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return pivots
-
-
-def nullspace(rows: List[List[Scalar]]) -> List[List[Scalar]]:
-    """Basis of the right kernel, one vector per non-pivot column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots = rref(work, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec: List[Scalar] = [0] * ncols
-        vec[fc] = 1
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -work[prow][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve(rows: List[List[Scalar]], rhs: List[Scalar]) -> Optional[List[Scalar]]:
-    """One solution of rows * x = rhs (free unknowns set to zero), or None if
-    the system is inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = rref(work, ncols)
-    if any(row[ncols] for row in work[len(pivots):]):
-        return None
-    x: List[Scalar] = [0] * ncols
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = work[prow][ncols]
-    return x
-
-
-def inverse(rows: List[List[Scalar]]) -> List[List[Scalar]]:
-    """Inverse of a square matrix; raises ValueError if it is singular."""
-    n = len(rows)
-    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    if len(rref(work, n)) != n:
-        raise ValueError("matrix is singular")
-    return [r[n:] for r in work]
+        vec = {independent[i]: -c for i, c in combo.items()}
+        vec[j] = 1
+        out.append(dict(sorted(vec.items())))
+    return out

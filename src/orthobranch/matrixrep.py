@@ -94,7 +94,7 @@ from math import comb, factorial
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, inverse
+from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols
 from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
@@ -238,13 +238,17 @@ class Frame:
 
     def root_coords(self, combo: Combo) -> Dict[object, Scalar]:
         """combo expanded over the root vectors (keyed by root) and the Cartan
-        elements h_k (keyed by k), by the inverse of that basis, built once."""
+        elements h_k (keyed by k), by each generator's coordinates over that
+        basis, read once off an echelon of it."""
         if self._gen_coords is None:
             basis: Dict[object, Combo] = dict(self.root_vectors())
             basis.update((k, self.cartan_combo(k)) for k in range(1, self.rank + 1))
-            inv = inverse([[e.get(g, 0) for e in basis.values()] for g in self.generators])
-            self._gen_coords = {g: {key: row[gi] for key, row in zip(basis, inv) if row[gi]}
-                                for gi, g in enumerate(self.generators)}
+            ech = TrackedEchelon()
+            for e in basis.values():
+                ech.insert(e)
+            keys = list(basis)
+            self._gen_coords = {g: {keys[i]: c for i, c in sorted(ech.coordinates({g: 1}).items())}
+                                for g in self.generators}
         out: Dict[object, Scalar] = {}
         for pair, c in combo.items():
             p_add_into(out, self._gen_coords[pair], c)

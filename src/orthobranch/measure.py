@@ -54,9 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .linalg import Gi, Scalar, apply_cols, rref
+from .linalg import Gi, Scalar, TrackedEchelon, apply_cols
 from .polyarith import p_add_into
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
@@ -180,28 +180,18 @@ def _hw_chain(op: SymmetryBreakingOperator, K: int, what: str) -> List[CoordVec]
     return firsts[:K + 1]
 
 
-def _ratio_against(op: SymmetryBreakingOperator, pairs: List[Tuple[CoordVec, CoordVec]],
+def _ratio_against(op: SymmetryBreakingOperator, w: CoordVec, image: CoordVec,
                    what: str) -> Scalar:
-    """The unique c with T(v) = c T(u) across the pairs (u, v) with
-    T(u) != 0, such as u = w and v its measured image; raises
-    IdentityViolationError on any inconsistency."""
-    ratio: Optional[Scalar] = None
-    for (u, w0) in pairs:
-        Tu = apply_cols(op.matrix, u)
-        if not Tu:
-            continue
-        TV0 = apply_cols(op.matrix, w0)
-        quotients = {TV0.get(i, 0) * (Fraction(1) / b) for i, b in Tu.items()}
-        if len(quotients) != 1 or any(i not in Tu for i in TV0):
-            raise IdentityViolationError(f"{what} composition is not proportional to the operator")
-        c_here = quotients.pop()
-        if ratio is None:
-            ratio = c_here
-        elif ratio != c_here:
-            raise IdentityViolationError(f"{what} scalar differs between probe vectors")
-    if ratio is None:
-        raise IdentityViolationError(f"{what}: no probe vector had T u != 0 (operator may be zero)")
-    return ratio
+    """The unique c with T(image) = c T(w), for the hw vector w and its
+    measured image; raises IdentityViolationError if there is none."""
+    Tw = apply_cols(op.matrix, w)
+    if not Tw:
+        raise IdentityViolationError(f"{what}: T w = 0 on the hw vector (operator may be zero)")
+    Timage = apply_cols(op.matrix, image)
+    quotients = {Timage.get(i, 0) * (Fraction(1) / b) for i, b in Tw.items()}
+    if len(quotients) != 1 or any(i not in Tw for i in Timage):
+        raise IdentityViolationError(f"{what} composition is not proportional to the operator")
+    return quotients.pop()
 
 
 @dataclass
@@ -241,7 +231,7 @@ def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureRes
     w0: CoordVec = {}
     for c, first in zip(poly, _hw_chain(op, len(shifts), "projector")):
         p_add_into(w0, first, c)
-    ratio = _ratio_against(op, [(op.hw, w0)], "projector")
+    ratio = _ratio_against(op, op.hw, w0, "projector")
     if not isinstance(ratio, Gi):
         ratio = Fraction(ratio)
     if norm == 0:
@@ -261,7 +251,7 @@ def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
     with the checks of ``measure_scalar``."""
     if ell < 0:
         raise ValueError(f"power ell={ell} must be >= 0")
-    ratio = _ratio_against(op, [(op.hw, _hw_chain(op, ell, "power")[ell])], "power")
+    ratio = _ratio_against(op, op.hw, _hw_chain(op, ell, "power")[ell], "power")
     if isinstance(ratio, Gi):
         raise IdentityViolationError("power scalar is not real")
     return Fraction(ratio)
@@ -362,40 +352,40 @@ def b_reconstruct(ell: int, ctx: RankContext):
 
     Evaluates ``b_eval`` on the grid of representation pairs built from the
     highest-weight box ``GRID_BOX`` and solves, through the package's one
-    elimination kernel, for the coefficients of the Weyl-invariant monomials
-    of plain degree <= ell.
+    elimination (``linalg.TrackedEchelon``), for the coefficients of the
+    Weyl-invariant monomials of plain degree <= ell.
     Returns {((a_1..a_r), (b_1..b_s)): coefficient} for the polynomial
     sum c * prod lam_k^{2 a_k} prod nu_k^{2 b_k}.  Raises ResourceLimitError
     if the grid does not determine every coefficient, and
     IdentityViolationError if the measurements are not polynomial of that
     shape at all."""
     monos = _inv_monomials(ctx.r, ctx.s, ell // 2)
-    aug: List[List[Fraction]] = []
-    for (op, lam, nu) in reconstruction_grid(ctx):
-        row = []
-        for (ea, eb) in monos:
+    # column m holds monomial m at each grid point, keyed by the point's index
+    cols: List[Dict[int, Fraction]] = [{} for _ in monos]
+    rhs: Dict[int, Fraction] = {}
+    for g, (op, lam, nu) in enumerate(reconstruction_grid(ctx)):
+        for col, (ea, eb) in zip(cols, monos):
             v = Fraction(1)
             for k, e in enumerate(ea):
                 v *= Fraction(lam[k]) ** (2 * e)
             for k, e in enumerate(eb):
                 v *= Fraction(nu[k]) ** (2 * e)
-            row.append(v)
-        aug.append(row + [b_eval(op, ell)])
-    ncols = len(monos)
-    pivots = rref(aug, ncols)
-    for row in aug[len(pivots):]:
-        if row[ncols]:
-            raise IdentityViolationError(
-                "power coefficients are not a polynomial of the requested shape"
-            )
-    if len(pivots) < ncols:
+            if v:
+                col[g] = v
+        b = b_eval(op, ell)
+        if b:
+            rhs[g] = b
+    ech = TrackedEchelon()
+    for col in cols:
+        ech.insert(col)
+    coeffs = ech.coordinates(rhs)
+    if coeffs is None:
+        raise IdentityViolationError(
+            "power coefficients are not a polynomial of the requested shape"
+        )
+    if ech.count < len(monos):
         raise ResourceLimitError(
             f"interpolation grid (rows <= {GRID_BOX}) determines only "
-            f"{len(pivots)} of {ncols} coefficients"
+            f"{ech.count} of {len(monos)} coefficients"
         )
-    coeffs = {}
-    for r_i, col in enumerate(pivots):
-        c = aug[r_i][ncols]
-        if c != 0:
-            coeffs[monos[col]] = c
-    return coeffs
+    return {monos[m]: c for m, c in sorted(coeffs.items())}

@@ -4,11 +4,18 @@ Constructing a polynomial model is the expensive step (closure under the
 lowering operators plus full verification), so every test that needs a model
 goes through one session-wide cache keyed by (n, rows, eps, side).  Det
 twists of already-built models are produced by sharing the generator caches
-instead of re-running the closure.
+instead of re-running the closure.  ``run_optimized`` runs a snippet under
+``python -O``, where a self-check must still raise.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orthobranch
 from orthobranch.weights import rank_context
 from orthobranch.matrixrep import MatrixRep, construct_irrep, det_twisted
 
@@ -44,3 +51,18 @@ class RepCache:
 @pytest.fixture(scope="session")
 def reps() -> RepCache:
     return RepCache()
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """run(code, *argv): the stdout of code run in a ``python -O`` subprocess
+    with this package importable, after checking that it exited with 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(orthobranch.__file__).resolve().parent.parent))
+
+    def run(code: str, *argv: str) -> str:
+        done = subprocess.run([sys.executable, "-O", "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

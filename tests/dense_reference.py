@@ -1,12 +1,14 @@
 """Dense reference routines that only the tests use.
 
-A plain Fraction Gauss-Jordan elimination, written out here on purpose so
-that the references the tests compare against stay independent of the
-package's own kernel (``orthobranch.linalg.rref``): the band elimination of
-``verma.fusion_oracle`` and the Gaussian-rational ``nullspace`` are both
-checked against ``nullspace`` below.  ``dense`` turns the package's sparse
-columns into lists of rows, ``qi_matmul`` multiplies such rows, and
-``parts`` reads any scalar as its (real, imaginary) pair.
+A dense Gauss-Jordan elimination on lists of rows, written out here on
+purpose so that the references the tests compare against stay independent
+of the package's own kernel (``orthobranch.linalg.TrackedEchelon``): the band
+elimination of ``verma.fusion_oracle`` and ``linalg.kernel`` are both checked
+against ``nullspace`` below, and every reference that needs a kernel calls
+that ``nullspace``.  It takes ints, Fractions and ``Gi`` entries alike.
+``dense`` turns the package's sparse columns into lists of rows,
+``qi_matmul`` multiplies such rows, and ``parts`` reads any scalar as its
+(real, imaginary) pair.
 ``polynomial_columns`` computes a polynomial model's generator and reflection
 matrices the direct way, one polynomial application per column, for
 comparison with the matrices the package derives from the closure.
@@ -22,7 +24,8 @@ Four independent routes to what the package computes another way:
 ``hom_space`` finds from highest-weight vectors, ``primary_projector`` spans
 the image of the spectral projector that ``measure_scalar`` applies to one
 highest-weight vector only, ``dense_projector_ratio`` and ``dense_b`` measure
-the universal scalars on three dense probe vectors instead of that one, and
+the universal scalars on three dense probe vectors instead of that one
+(``probe_ratio`` asks all three for one ratio), and
 ``is_invariant`` tests an enveloping element against every subalgebra
 generator and the twist.
 """
@@ -31,16 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from orthobranch import linalg  # its nullspace; the one below is Fraction-only
 from orthobranch.enveloping import ad_gn, commutator, gen, normal_order
 from orthobranch.homspace import _operator_pairs
-from orthobranch.linalg import Gi, TrackedEchelon
+from orthobranch.linalg import Gi, TrackedEchelon, apply_cols
 from orthobranch.matrixrep import (
     MatrixRep, expected_casimir_scalar, poly_apply_table, poly_reflect, so_bracket,
 )
 from orthobranch.polyarith import p_add_into
 from orthobranch.measure import (
-    CoordVec, IdentityViolationError, Tuple_, _insert_first_slot, _ratio_against, coupling_step,
+    CoordVec, IdentityViolationError, Tuple_, _insert_first_slot, coupling_step,
     projector_factors,
 )
 from orthobranch.weights import InvalidRankError, RankContext, rank_context, rho
@@ -121,7 +123,7 @@ def solved_root_vectors(frame):
             for r, g in enumerate(span):
                 rows.append([col.get(g, 0) - (c if s == r else 0)
                              for s, col in enumerate(ad)])
-        kern = linalg.nullspace(rows)
+        kern = nullspace(rows)
         assert len(kern) == 1, f"root space in {span} has dimension {len(kern)}"
         return {g: c for g, c in zip(span, kern[0]) if c}
 
@@ -191,8 +193,8 @@ def _rref(rows, ncols):
         if piv is None:
             continue
         rows[prow], rows[piv] = rows[piv], rows[prow]
-        pv = rows[prow][col]
-        rows[prow] = [x / pv for x in rows[prow]]
+        inv = Fraction(1) / rows[prow][col]
+        rows[prow] = [x * inv for x in rows[prow]]
         for i in range(len(rows)):
             f = rows[i][col]
             if i != prow and f:
@@ -249,7 +251,7 @@ def hom_space_dense(big, sub, max_unknowns: int = 1500) -> int:
                     rows.append(row)
     if not rows:
         return nu
-    return len(linalg.nullspace(rows))
+    return len(nullspace(rows))
 
 
 @dataclass
@@ -314,6 +316,28 @@ def dense_probes(big: MatrixRep) -> List[CoordVec]:
     return [{0: 1}] + [_rand_coordvec(big.dim, rng) for _ in range(PROBES - 1)]
 
 
+def probe_ratio(op, pairs, what: str):
+    """The unique c with T(v) = c T(u) across the pairs (u, v) with
+    T(u) != 0; raises IdentityViolationError if the pairs disagree."""
+    ratio = None
+    for u, v in pairs:
+        Tu = apply_cols(op.matrix, u)
+        if not Tu:
+            continue
+        Tv = apply_cols(op.matrix, v)
+        quotients = {Tv.get(i, 0) * (Fraction(1) / b) for i, b in Tu.items()}
+        if len(quotients) != 1 or any(i not in Tu for i in Tv):
+            raise IdentityViolationError(f"{what} composition is not proportional to the operator")
+        c = quotients.pop()
+        if ratio is None:
+            ratio = c
+        elif ratio != c:
+            raise IdentityViolationError(f"{what} scalar differs between probe vectors")
+    if ratio is None:
+        raise IdentityViolationError(f"{what}: no probe vector had T u != 0 (operator may be zero)")
+    return ratio
+
+
 def dense_projector_ratio(op, i: int, eps: int):
     """(raw_numerator, normalizer) of ``measure_scalar``, measured on the
     dense probes: the factor product applied to each u (x) f_0, its first
@@ -327,7 +351,7 @@ def dense_projector_ratio(op, i: int, eps: int):
         for s in shifts:
             V = casimir_shifted_step(big, ctx, V, s)
         pairs.append((u, V[0]))
-    ratio = _ratio_against(op, pairs, "projector")
+    ratio = probe_ratio(op, pairs, "projector")
     return (ratio if isinstance(ratio, Gi) else Fraction(ratio)), norm
 
 
@@ -340,7 +364,7 @@ def dense_b(op, ell: int) -> Fraction:
         for _ in range(ell):
             V = coupling_step(op.big, V)
         pairs.append((u, V[0]))
-    return Fraction(_ratio_against(op, pairs, "power"))
+    return Fraction(probe_ratio(op, pairs, "power"))
 
 
 def primary_projector(big, i: int, eps: int) -> PrimaryComponent:

@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 
-import orthobranch
 from orthobranch.characters import (
     CharacterCheckError,
     associate_partition,
@@ -185,15 +180,10 @@ def test_peel_rejects_a_multiset_that_is_not_a_character():
         peel({(1, 0): 1}, 5)
 
 
-def test_character_check_survives_optimize():
-    src = str(Path(orthobranch.__file__).resolve().parent.parent)
+def test_character_check_survives_optimize(run_optimized):
     code = ("from orthobranch.characters import CharacterCheckError, peel\n"
             "try:\n"
             "    peel({(1, 0): 1}, 5)\n"
             "except CharacterCheckError:\n"
             "    print('raised')\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised"
+    assert run_optimized(code).strip() == "raised"

@@ -1,14 +1,9 @@
 import hashlib
 import inspect
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import orthobranch
 from orthobranch.branching import fd_label, full_decomposition, oracle_multiplicity
 from orthobranch.homspace import hom_space
 from orthobranch.matrixrep import act, construct_irrep
@@ -152,13 +147,12 @@ def _double_one_gram_entry(rep):
     row[j] = row[j] * 2
 
 
-def test_equivariance_check_can_fail(reps):
+def test_equivariance_check_can_fail(reps, run_optimized):
     big = reps.get(3, (2, 1))
     sub = construct_irrep(rank_context(3), (2,), which="sub")   # fresh: changed below
     _double_one_gram_entry(sub)
     with pytest.raises(AssertionError, match=r"operator not equivariant for generator \(1,2\)"):
         hom_space(big, sub)
-    src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("from orthobranch.weights import rank_context\n"
             "from orthobranch.matrixrep import construct_irrep\n"
             "from orthobranch.homspace import hom_space\n"
@@ -170,11 +164,8 @@ def test_equivariance_check_can_fail(reps):
             "    hom_space(big, sub)\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("operator not equivariant for generator (1,2)"), done.stdout
+    out = run_optimized(code)
+    assert out.startswith("operator not equivariant for generator (1,2)"), out
 
 
 def test_singular_gram_block_raises(reps):
@@ -186,3 +177,34 @@ def test_singular_gram_block_raises(reps):
     sub.model.gram_rows()[zero].clear()
     with pytest.raises(ValueError, match="singular"):
         hom_space(big, sub)
+
+
+def _push_the_seed_image_off_the_hw_span(sub):
+    """Add basis vector k to column 0 of sub's reflection, k the first one
+    whose weight is neither sub's label nor the label with its last entry
+    negated: S_w(R_sub e_0) then has a part of a weight that no subgroup
+    highest-weight vector of big has, for every hw vector w."""
+    mu = tuple(sub.label.mu)
+    k = next(k for k, t in enumerate(sub.model.tags) if t not in (mu, mu[:-1] + (-mu[-1],)))
+    sub.reflection()[0][k] = 1
+
+
+def test_an_involution_image_off_the_hw_span_raises(reps, run_optimized):
+    # O(4) (2,1) -> O(3) (1): a 2-dimensional hw space, a non-induced label
+    big = reps.get(3, (2, 1))
+    sub = construct_irrep(rank_context(3), (1,), which="sub")   # fresh: changed below
+    _push_the_seed_image_off_the_hw_span(sub)
+    with pytest.raises(AssertionError, match="involution image is not a hw-space member"):
+        hom_space(big, sub)
+    code = ("from orthobranch.weights import rank_context\n"
+            "from orthobranch.matrixrep import construct_irrep\n"
+            "from orthobranch.homspace import hom_space\n"
+            + inspect.getsource(_push_the_seed_image_off_the_hw_span) +
+            "big = construct_irrep(rank_context(3), (2, 1))\n"
+            "sub = construct_irrep(rank_context(3), (1,), which='sub')\n"
+            "_push_the_seed_image_off_the_hw_span(sub)\n"
+            "try:\n"
+            "    hom_space(big, sub)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    assert run_optimized(code) == "involution image is not a hw-space member\n"

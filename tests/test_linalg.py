@@ -5,15 +5,7 @@ import pytest
 
 import dense_reference
 from dense_reference import qi_matmul
-from orthobranch.linalg import (
-    Gi,
-    TrackedEchelon,
-    apply_cols,
-    inverse,
-    nullspace,
-    rref,
-    solve,
-)
+from orthobranch.linalg import Gi, TrackedEchelon, apply_cols, kernel
 from orthobranch.polyarith import p_add_into
 
 F = Fraction
@@ -32,13 +24,54 @@ def matvec(rows, vec):
     return [qi_matmul([row], [[x] for x in vec])[0][0] for row in rows]
 
 
+def sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def columns(rows):
+    """The sparse columns of a matrix given by its dense rows."""
+    return [sparse(col) for col in zip(*rows)]
+
+
+def solve(rows, rhs):
+    """One solution of rows * x = rhs, read as the coordinates of rhs over
+    the columns (zero at the dependent ones), or None if inconsistent."""
+    ech = TrackedEchelon()
+    independent = [j for j, col in enumerate(columns(rows)) if ech.insert(col)[0] is not None]
+    x = ech.coordinates(sparse(rhs))
+    if x is None:
+        return None
+    out = [0] * len(rows[0])
+    for i, c in x.items():
+        out[independent[i]] = c
+    return out
+
+
+def inverse(rows):
+    """Row r of the inverse is the expansion of e_r over the rows."""
+    ech = TrackedEchelon()
+    if any(ech.insert(sparse(row))[0] is None for row in rows):
+        raise ValueError("matrix is singular")
+    n = len(rows)
+    return [[row.get(i, 0) for i in range(n)] for row in (ech.coordinates({r: 1}) for r in range(n))]
+
+
+def dense_kernel(rows):
+    n = len(rows[0])
+    return [[v.get(j, 0) for j in range(n)] for v in kernel(columns(rows))]
+
+
 def test_rank_and_nullspace():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert len(rref([list(row) for row in m], 3)) == 2
-    ns = nullspace(m)
+    ech = TrackedEchelon()
+    assert [ech.insert(sparse(row))[0] for row in m] == [0, None, 1]   # rank 2
+    ns = dense_kernel(m)
     assert len(ns) == 1
     v = ns[0]
     assert not any(matvec(m, v))
+    # a zero column is a kernel vector on its own; all-zero columns give the identity
+    assert kernel([{0: 1}, {}, {0: 2, 1: 1}]) == [{1: 1}]
+    assert kernel([{}, {}]) == [{0: 1}, {1: 1}] and kernel([]) == []
 
 
 def test_solve_and_inverse_round_trip():
@@ -48,7 +81,7 @@ def test_solve_and_inverse_round_trip():
         while dense_reference.rank(a) < 4:
             a = rand_mat(rng, 4, 4)
         inv = inverse(a)
-        assert qi_matmul(a, inv) == identity(4)
+        assert qi_matmul(a, inv) == identity(4) == qi_matmul(inv, a)
         rhs = [rng.randint(-5, 5) for _ in range(4)]
         x = solve(a, rhs)
         assert matvec(a, x) == rhs
@@ -70,7 +103,12 @@ def test_nullspace_matches_dense_reference():
             if rng.random() < 0.5:  # repeat a combination of rows: lower the rank
                 a[-1] = [x + 2 * y for x, y in zip(a[0], a[1 % len(a)])]
             want = dense_reference.nullspace(a)
-            assert nullspace(a) == want
+            assert dense_kernel(a) == want
+    for _ in range(6):   # Gaussian rationals, rank 2 of 3 rows
+        a = [[Gi(F(rng.randint(-3, 3)), F(rng.randint(-3, 3), rng.randint(1, 3)))
+              for _ in range(5)] for _ in range(2)]
+        a.append([x - Gi(0, 2) * y for x, y in zip(a[0], a[1])])
+        assert dense_kernel(a) == dense_reference.nullspace(a)
 
 
 def test_qi_scalar_arithmetic():
@@ -104,6 +142,7 @@ def test_qi_scalar_arithmetic():
     assert type(Gi(2, 2) / Gi(1, 1)) is F
     assert {type(x) for row in inverse([[2, 1], [1, 1]]) for x in row} <= {int, F}
     assert {type(x) for x in solve([[2, 0], [0, 3]], [1, 1])} == {F}
+    assert {type(x) for v in kernel([{0: 2}, {0: 3}, {1: 1}, {1: 5}]) for x in v.values()} == {int, F}
 
 
 def test_sparse_vector_helpers():
@@ -148,8 +187,8 @@ def test_qi_matrix_routines():
     inv = inverse(a)
     assert qi_matmul(a, inv) == identity(3)
     wide = [[1, Gi(0, 1), 2]]
-    ns = nullspace(wide)
-    assert len(ns) == 2
+    ns = dense_kernel(wide)
+    assert len(ns) == 2 and ns == dense_reference.nullspace(wide)
     for v in ns:
         s = 0
         for j in range(3):

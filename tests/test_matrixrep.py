@@ -1,15 +1,10 @@
 import hashlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import orthobranch
 from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
 from orthobranch.enveloping import build_A, casimir, gen
@@ -225,7 +220,7 @@ def test_bundle_without_reflection_has_none(reps):
         back.reflection()
 
 
-def test_casimir_check_survives_optimize(reps, tmp_path):
+def test_casimir_check_survives_optimize(reps, tmp_path, run_optimized):
     # every generator times 1+i: the quadratic invariant becomes 2i times a
     # real scalar, which casimir_scalar must reject also under python -O
     bundle = rep_to_bundle(reps.get(3, (1, 0)))
@@ -235,7 +230,6 @@ def test_casimir_check_survives_optimize(reps, tmp_path):
     }
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps(bundle))
-    src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("import json, sys\n"
             "from orthobranch.matrixrep import casimir_scalar, rep_from_bundle\n"
             "rep = rep_from_bundle(json.load(open(sys.argv[1])))\n"
@@ -243,11 +237,7 @@ def test_casimir_check_survives_optimize(reps, tmp_path):
             "    print(casimir_scalar(rep))\n"
             "except AssertionError:\n"
             "    print('raised')\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code, str(path)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised"
+    assert run_optimized(code, str(path)).strip() == "raised"
 
 
 def test_det_twisted_properties(reps):
@@ -319,11 +309,10 @@ def _flip_one_lowering_entry(setitem):
     setitem(table, v, {v2: -c for v2, c in table[v].items()})
 
 
-def test_closed_form_table_corruption_is_caught(monkeypatch):
+def test_closed_form_table_corruption_is_caught(monkeypatch, run_optimized):
     _flip_one_lowering_entry(monkeypatch.setitem)   # undone after the test
     with pytest.raises(AssertionError, match="character theory says 16"):
         construct_irrep(CTX3, (2, 1))
-    src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("from orthobranch.weights import rank_context\n"
             "from orthobranch.matrixrep import construct_irrep, get_frame\n"
             + inspect.getsource(_flip_one_lowering_entry) +
@@ -332,11 +321,8 @@ def test_closed_form_table_corruption_is_caught(monkeypatch):
             "    construct_irrep(rank_context(3), (2, 1))\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "character theory says 16" in done.stdout, done.stdout
+    out = run_optimized(code)
+    assert "character theory says 16" in out, out
 
 
 def _corrupt_where_the_square_is_unchanged(rep):
@@ -352,13 +338,12 @@ def _corrupt_where_the_square_is_unchanged(rep):
     rep.action(*rep.frame.pairs[k - 1])[0][r] = 1
 
 
-def test_bracket_check_can_fail():
+def test_bracket_check_can_fail(run_optimized):
     rep = construct_irrep(CTX3, (2, 0), eps=1)   # a fresh model: it is changed below
     _corrupt_where_the_square_is_unchanged(rep)
     assert casimir_scalar(rep) == expected_casimir_scalar(rep)
     with pytest.raises(AssertionError, match=r"bracket fidelity failed for \[\(0, 1\),\(0, 2\)\]"):
         _verify_rep(rep)
-    src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("from orthobranch.weights import rank_context\n"
             "from orthobranch.matrixrep import _verify_rep, construct_irrep\n"
             + inspect.getsource(_corrupt_where_the_square_is_unchanged) +
@@ -368,11 +353,8 @@ def test_bracket_check_can_fail():
             "    _verify_rep(rep)\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("bracket fidelity failed for [(0, 1),(0, 2)]"), done.stdout
+    out = run_optimized(code)
+    assert out.startswith("bracket fidelity failed for [(0, 1),(0, 2)]"), out
 
 
 def test_recursion_corruption_is_caught_cartan(monkeypatch):

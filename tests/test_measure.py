@@ -1,14 +1,9 @@
 import dataclasses
 import inspect
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import orthobranch
 from orthobranch import matrixrep, measure
 from orthobranch.homspace import SymmetryBreakingOperator, hom_space, subgroup_hw_space
 from orthobranch.matrixrep import act, construct_irrep, standard_rep, trivial_rep
@@ -20,7 +15,7 @@ from orthobranch.measure import (
     verify_power_identity,
 )
 from orthobranch.scalars import C_val, b_closed, scalar_query
-from orthobranch.weights import rank_context
+from orthobranch.weights import ResourceLimitError, rank_context
 
 from dense_reference import casimir_shifted_step, dense_b, dense_projector_ratio, primary_projector
 
@@ -117,9 +112,9 @@ def test_projector_polynomial_matches_the_factor_product(
     big, ctx = op.big, rank_context(n)
     seen = []
 
-    def recording(op_, pairs, what):
-        seen.append(pairs)
-        return ratio_against(op_, pairs, what)
+    def recording(op_, w, image, what):
+        seen.append((w, image))
+        return ratio_against(op_, w, image, what)
 
     ratio_against = measure._ratio_against
     monkeypatch.setattr(measure, "_ratio_against", recording)
@@ -127,14 +122,13 @@ def test_projector_polynomial_matches_the_factor_product(
         for eps in (1, -1):
             seen.clear()
             measure_scalar(op, i, eps)
-            (pairs,) = seen
-            assert [u for u, _w0 in pairs] == [op.hw]
+            ((w, w0),) = seen
+            assert w == op.hw
             shifts, _norm = measure.projector_factors(ctx, big.inf_char, i, eps)
-            for u, w0 in pairs:
-                V = [dict(u)] + [dict() for _ in big.indices[1:]]
-                for s in shifts:
-                    V = casimir_shifted_step(big, ctx, V, s)
-                assert w0 == V[0], (i, eps)
+            V = [dict(w)] + [dict() for _ in big.indices[1:]]
+            for s in shifts:
+                V = casimir_shifted_step(big, ctx, V, s)
+            assert w0 == V[0], (i, eps)
 
 
 def test_one_chain_serves_every_direction_and_power(reps, monkeypatch):
@@ -169,13 +163,12 @@ def _double_one_entry(op):
     return dataclasses.replace(op, matrix=cols)
 
 
-def test_a_wrong_operator_fails_the_measurement(reps):
+def test_a_wrong_operator_fails_the_measurement(reps, run_optimized):
     bad = _double_one_entry(only_op(reps.get(3, (2, 1)), reps.get(3, (1,), None, which="sub")))
     with pytest.raises(IdentityViolationError, match="projector composition"):
         measure_scalar(bad, 1, 1)
     with pytest.raises(IdentityViolationError, match="power composition"):
         b_eval(bad, 2)
-    src = str(Path(orthobranch.__file__).resolve().parent.parent)
     code = ("import dataclasses\n"
             "from orthobranch.weights import rank_context\n"
             "from orthobranch.matrixrep import construct_irrep\n"
@@ -190,12 +183,9 @@ def test_a_wrong_operator_fails_the_measurement(reps):
             "        measure()\n"
             "    except IdentityViolationError as exc:\n"
             "        print(exc)\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["projector composition is not proportional to the operator",
-                                        "power composition is not proportional to the operator"]
+    assert run_optimized(code).splitlines() == [
+        "projector composition is not proportional to the operator",
+        "power composition is not proportional to the operator"]
 
 
 def _double_one_entry_in_place(op):
@@ -205,17 +195,7 @@ def _double_one_entry_in_place(op):
     col[row] = 2 * x
 
 
-def _run_optimized(code):
-    """stdout lines of code run in a ``python -O`` subprocess."""
-    src = str(Path(orthobranch.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
-
-
-def test_a_changed_matrix_is_checked_again(reps):
+def test_a_changed_matrix_is_checked_again(reps, run_optimized):
     # an in-place change after a passing measurement: the next measurement
     # sees that the matrix is not the one the equivariance check passed on
     op = only_op(reps.get(3, (2, 1)), reps.get(3, (1,), None, which="sub"))
@@ -241,8 +221,9 @@ def test_a_changed_matrix_is_checked_again(reps):
             "        run()\n"
             "    except IdentityViolationError as exc:\n"
             "        print(exc)\n")
-    assert _run_optimized(code) == ["projector composition is not proportional to the operator",
-                                    "power composition is not proportional to the operator"]
+    assert run_optimized(code).splitlines() == [
+        "projector composition is not proportional to the operator",
+        "power composition is not proportional to the operator"]
 
 
 def test_an_operator_without_hw_vector_is_a_usage_error(reps):
@@ -272,7 +253,7 @@ def _fresh_cache(op):
     return dataclasses.replace(op, big=dataclasses.replace(op.big, cache={}))
 
 
-def test_a_chain_off_the_hw_line_fails_the_measurement(reps, monkeypatch):
+def test_a_chain_off_the_hw_line_fails_the_measurement(reps, monkeypatch, run_optimized):
     op = only_op(reps.get(4, (2, 1), 1), reps.get(4, (1, 1), None, which="sub"))
     monkeypatch.setattr(measure, "coupling_step", _corrupt_each_step(measure.coupling_step, op.hw))
     with pytest.raises(IdentityViolationError, match="projector chain leaves"):
@@ -296,7 +277,7 @@ def test_a_chain_off_the_hw_line_fails_the_measurement(reps, monkeypatch):
             "        run()\n"
             "    except IdentityViolationError as exc:\n"
             "        print(exc)\n")
-    assert _run_optimized(code) == [
+    assert run_optimized(code).splitlines() == [
         "projector chain leaves the subgroup highest-weight line",
         "power chain leaves the subgroup highest-weight line"]
 
@@ -362,6 +343,29 @@ def test_b_reconstruct_small():
     assert got[2] == {((1, 0), (0,)): 1, ((0, 1), (0,)): 1,
                       ((0, 0), (1,)): -1, ((0, 0), (0,)): -F(3, 4)}
     assert got[1] == {}
+
+
+def test_b_reconstruct_rejects_a_non_polynomial_grid(monkeypatch):
+    # one grid value shifted by 1: the ten measurements of b^(2) are no
+    # longer a polynomial of its four monomials
+    grid = measure.reconstruction_grid(CTX3)
+    monkeypatch.setattr(measure, "reconstruction_grid", lambda ctx: grid)
+    first, exact = grid[0][0], measure.b_eval
+
+    def shifted(op, ell):
+        return exact(op, ell) + (1 if op is first else 0)
+
+    monkeypatch.setattr(measure, "b_eval", shifted)
+    with pytest.raises(IdentityViolationError, match="not a polynomial"):
+        b_reconstruct(2, CTX3)
+
+
+def test_b_reconstruct_rejects_a_grid_that_is_too_small(monkeypatch):
+    # two grid points cannot fix the four coefficients of b^(2)
+    grid = measure.reconstruction_grid(CTX3)[:2]
+    monkeypatch.setattr(measure, "reconstruction_grid", lambda ctx: grid)
+    with pytest.raises(ResourceLimitError, match="determines only 2 of 4 coefficients"):
+        b_reconstruct(2, CTX3)
 
 
 def test_reconstruction_grid_builds_each_model_once(monkeypatch):
