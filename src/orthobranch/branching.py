@@ -141,13 +141,8 @@ def label_from_partition(group_size: int, alpha) -> FDLabel:
     return fd_label(group_size, mu, eps if group_size % 2 else (eps if eps == -1 else None))
 
 
-def inf_char_of(label: FDLabel, ctx: Optional[RankContext] = None) -> Weight:
+def inf_char_of(label: FDLabel) -> Weight:
     """Infinitesimal character mu + rho taken with the label's own group."""
-    if ctx is not None and label.group_size not in (ctx.n, ctx.n + 1):
-        raise ValueError(
-            f"label lives on O({label.group_size}), not part of the pair "
-            f"O({ctx.n + 1}) > O({ctx.n})"
-        )
     return tuple(Fraction(m) + p for m, p in zip(label.mu, group_rho(label.group_size)))
 
 
@@ -285,15 +280,12 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
 DEFAULT_DIM_CAP = 20000
 
 
-def oracle_multiplicity(big: FDLabel, sub: FDLabel, ctx: Optional[RankContext] = None,
-                        dim_cap: int = DEFAULT_DIM_CAP) -> int:
+def oracle_multiplicity(big: FDLabel, sub: FDLabel, dim_cap: int = DEFAULT_DIM_CAP) -> int:
     """Branching multiplicity [big|_{O(n)} : sub] by exact character arithmetic."""
     if sub.group_size + 1 != big.group_size:
         raise ValueError(
             f"sizes O({big.group_size}) > O({sub.group_size}) do not form an adjacent pair"
         )
-    if ctx is not None and ctx.n != sub.group_size:
-        raise ValueError("context does not match the subgroup size")
     if big.dim() > dim_cap:
         raise ResourceLimitError(
             f"big irrep dimension {big.dim()} exceeds the cap {dim_cap}"
@@ -416,8 +408,7 @@ def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None,
 
     def mult_at(lam) -> int:
         mu = tuple(int(a - b) for a, b in zip(lam, rho_big))
-        return oracle_multiplicity(FDLabel(tag, mu, eps if big_odd else None), sub, ctx,
-                                   dim_cap)
+        return oracle_multiplicity(FDLabel(tag, mu, eps if big_odd else None), sub, dim_cap)
 
     box = lattice_box(xi, bound, ctx)
     in_region = [lam for lam in box if same_region(region, lam)]

@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
+from .linalg import exact
 from .polyarith import p_add_into
 from .weights import RankContext
 
@@ -55,12 +56,6 @@ def gen_bracket(x, y) -> Dict[Pair, int]:
     return out
 
 
-def _exact(c):
-    """c as an int when it is integral, else as an exact Fraction."""
-    c = c if type(c) is int else Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class UEElement:
     """Immutable linear combination of monomials in the X_ij."""
 
@@ -70,9 +65,9 @@ class UEElement:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _exact(coeff)
+                coeff = exact(coeff)
                 if coeff != 0:
-                    clean[tuple(tuple(p) for p in mono)] = coeff
+                    clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *args):
@@ -90,10 +85,12 @@ class UEElement:
         return UEElement(out)
 
     def __sub__(self, other: "UEElement") -> "UEElement":
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        p_add_into(out, other.terms, -1)
+        return UEElement(out)
 
     def scale(self, c) -> "UEElement":
-        c = _exact(c)
+        c = exact(c)
         return UEElement({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "UEElement") -> "UEElement":
@@ -326,14 +323,17 @@ def ue_to_obj(e: UEElement):
 # ---------------------------------------------------------------------------
 
 def _check(failures, checks, name, params, lhs: UEElement, rhs: UEElement):
+    """Counts one check and records a counterexample when lhs != rhs.  Both
+    sides must be in normal order, as every result of ``*``, ``+``, ``-``,
+    ``scale`` and ``ad_gn`` on normal-ordered elements is; then equal
+    elements have equal terms."""
     checks[0] += 1
-    le, re_ = normal_order(lhs), normal_order(rhs)
-    if le != re_:
+    if lhs != rhs:
         failures.append({
             "check": name,
             "params": params,
-            "lhs": ue_to_obj(le),
-            "rhs": ue_to_obj(re_),
+            "lhs": ue_to_obj(lhs),
+            "rhs": ue_to_obj(rhs),
         })
 
 

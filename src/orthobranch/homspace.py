@@ -199,8 +199,6 @@ def _verify_operator(op: SymmetryBreakingOperator) -> None:
 def hom_space(big: MatrixRep, sub: MatrixRep) -> Tuple[int, List[SymmetryBreakingOperator]]:
     """Multiplicity and a verified operator basis for Hom_subgroup(big, sub)."""
     _require_models(big, sub)
-    if sub.label is None:
-        raise InvalidRankError("subgroup representation needs a label")
     hw = subgroup_hw_space(big, sub)
     if not hw:
         return 0, []

@@ -6,7 +6,8 @@ in a Chevalley basis with rational structure constants, so most entries are
 real; ``Gi`` carries the i of the short root vectors and of X[p,q] = -i h_k.
 Since ``int / int`` is a float, a library division has a Fraction or a
 ``Gi`` on one side (``Fraction(1) / x``).  ``qi_to_string`` and
-``qi_from_string`` write and read the exact strings of matrix bundles.
+``qi_from_string`` write and read the exact strings of matrix bundles, and
+``exact`` is the one normaliser (an int wherever a part is integral).
 
 Sparse vectors are dicts mapping a hashable key (e.g. a monomial exponent
 tuple) to a nonzero scalar; ``polyarith.p_add_into`` is their one
@@ -108,6 +109,18 @@ SparseVec = Dict[Hashable, Scalar]
 Cols = List[Dict[int, Scalar]]  # a matrix as sparse columns: cols[j] = {i: entry}
 
 
+def exact(c):
+    """c with every real part an int when it is integral, else an exact
+    Fraction: a ``Gi`` has both parts normalised, and anything else goes
+    through ``Fraction`` first (so "p/q" reads as well)."""
+    if type(c) is int:
+        return c
+    if type(c) is Gi:
+        return Gi(exact(c.re), exact(c.im))
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def qi_to_string(x: Scalar) -> str:
     """The exact string bundles hold: "p/q", or "p/q+r/si" for a ``Gi``."""
     if not isinstance(x, Gi):
@@ -117,7 +130,8 @@ def qi_to_string(x: Scalar) -> str:
 
 
 def qi_from_string(s: str) -> Scalar:
-    """The scalar of an exact string; "p/q-r/si" reads as well."""
+    """The scalar of an exact string, its parts normalised by ``exact``;
+    "p/q-r/si" reads as well."""
     s = s.strip()
     if s.endswith("i"):
         body = s[:-1]
@@ -128,8 +142,8 @@ def qi_from_string(s: str) -> Scalar:
                 cut = body.find("-", cut + 1)
         if cut == -1:
             raise ValueError(f"cannot parse complex rational {s!r}")
-        return Gi(Fraction(body[:cut]), Fraction(body[cut:] if body[cut] != "+" else body[cut + 1:]))
-    return Fraction(s)
+        return Gi(exact(body[:cut]), exact(body[cut:] if body[cut] != "+" else body[cut + 1:]))
+    return exact(s)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,9 @@ short root's has +-i, +-2i and moves it by +-1.  So each basis polynomial is
 real or imaginary by the parity of that sum; the columns of every root
 vector, h_k and the reflection are real, and so is the Gram matrix (it pairs
 mu with -mu).  Only the exported X[a,b] carry i (X[p,q] = -i h_k), each one
-purely real or purely imaginary.
+purely real or purely imaginary.  The stored columns of X[a,b] and R are
+normalised by ``linalg.exact``, the normaliser bundles are read with, so a
+loaded bundle holds the same scalar types as the model it was written from.
 
 Construction is self-verifying by checks apart from that derivation: the seed
 is annihilated by the raising operators, the dimension matches character
@@ -87,14 +89,14 @@ probe vectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols
+from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, exact
 from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
@@ -141,14 +143,12 @@ class Frame:
             raise InvalidRankError("a frame needs at least one index")
         self.indices = tuple(indices)
         L = len(indices)
-        self.size = L
-        self.num_pairs = L // 2
+        self.rank = L // 2
         self.spare: Optional[int] = indices[0] if L % 2 else None
         # weight coordinate k (1-based) <-> pair (indices[L-2k], indices[L-2k+1])
         self.pairs: Tuple[Pair, ...] = tuple(
-            (indices[L - 2 * k], indices[L - 2 * k + 1]) for k in range(1, self.num_pairs + 1)
+            (indices[L - 2 * k], indices[L - 2 * k + 1]) for k in range(1, self.rank + 1)
         )
-        self.rank = self.num_pairs
         self.reflection_index = indices[-1]
         # the rotation generators X[a,b], a < b, in bundle and verification order
         self.generators: Tuple[Pair, ...] = tuple(
@@ -159,7 +159,7 @@ class Frame:
         #   for k = 1..m: "+k" then "-k"; finally the spare if present.
         specs: List[Tuple[int, str, int]] = []  # (set, sign-kind, k)
         for set_id in (0, 1):
-            for k in range(1, self.num_pairs + 1):
+            for k in range(1, self.rank + 1):
                 specs.append((set_id, "+", k))
                 specs.append((set_id, "-", k))
             if self.spare is not None:
@@ -182,7 +182,7 @@ class Frame:
         # In variables: if it is the second member of pair 1, swap +1 <-> -1
         # (per vector set); if it is the spare (size-1 frame), negate it.
         refl: List[Tuple[int, Fraction]] = [(v, Fraction(1)) for v in range(self.nvars)]
-        if self.num_pairs >= 1:
+        if self.rank >= 1:
             for set_id in (0, 1):
                 vp = self.var_index[(set_id, "+", 1)]
                 vm = self.var_index[(set_id, "-", 1)]
@@ -550,7 +550,8 @@ def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
                 col = apply_cols(refl, combine(conjugates[r], p))
             mats[w].append(col)
     gen_coords = {g: frame.root_coords({g: 1}) for g in frame.generators}
-    return {g: [combine(c, j) for j in range(model.dim)] for g, c in gen_coords.items()}
+    return {g: [{i: exact(x) for i, x in combine(c, j).items()} for j in range(model.dim)]
+            for g, c in gen_coords.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +567,31 @@ class MatrixRep:
     ``action`` gives the columns of a generator X[a,b], a < b, and
     ``reflection()`` those of the distinguished reflection (largest-coordinate
     sign flip), det-twist included.
+
+    The label is the one record of what the representation is.  Derived from
+    it: ``inf_char`` (mu + rho of the label's own group), ``twist_sign``
+    (the label's eps, the sign the reflection carries) and ``group_size``
+    (from ``indices``); a bundle's ``group_tag`` and ``highest_weight`` are
+    read off the label by ``_metadata``.
     """
 
     dim: int
-    group_tag: str
-    label: Optional[FDLabel]
-    highest_weight: Optional[Tuple[int, ...]]
-    inf_char: Tuple[Fraction, ...]
+    label: FDLabel
     indices: Tuple[int, ...]
-    twist_sign: int = 1
     kind: str = "model"
     model: Optional[PolyModel] = None
     _cols: Dict[Pair, Cols] = field(default_factory=dict, repr=False)
     _refl: Optional[Cols] = field(default=None, repr=False)
     cache: Dict = field(default_factory=dict, repr=False)
+
+    @property
+    def inf_char(self) -> Tuple[Fraction, ...]:
+        return inf_char_of(self.label)
+
+    @property
+    def twist_sign(self) -> int:
+        """The label's eps: +1 for an induced label, whose twist is isomorphic."""
+        return self.label.eps
 
     @property
     def group_size(self) -> int:
@@ -641,14 +653,9 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
                      for j in range(size)] for a, b in get_frame(indices).generators}
     rep = MatrixRep(
         dim=size,
-        group_tag=label.group_tag,
         label=label,
-        highest_weight=label.mu,
-        inf_char=inf_char_of(label),
         indices=indices,
-        twist_sign=1,
         kind="standard",
-        model=None,
         _cols=cols,
         _refl=[{i: -1 if i == size - 1 else 1} for i in range(size)],
     )
@@ -670,13 +677,8 @@ def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
     model.try_insert({tuple([0] * frame.nvars): 1}, (0,) * frame.rank, Recipe("seed"))
     return MatrixRep(
         dim=1,
-        group_tag=label.group_tag,
         label=label,
-        highest_weight=label.mu,
-        inf_char=inf_char_of(label),
         indices=indices,
-        twist_sign=eps,
-        kind="model",
         model=model,
         _refl=[{0: eps}],
     )
@@ -719,16 +721,11 @@ def construct_irrep(
         )
     rep = MatrixRep(
         dim=model.dim,
-        group_tag=label.group_tag,
         label=label,
-        highest_weight=label.mu,
-        inf_char=inf_char_of(label),
         indices=indices,
-        twist_sign=label.eps,  # an induced label's eps is +1: its twist is isomorphic
-        kind="model",
         model=model,
         _cols=_generator_matrices(frame, model, lower, refl),
-        _refl=[{i: label.eps * x for i, x in col.items()} for col in refl],
+        _refl=[{i: exact(label.eps * x) for i, x in col.items()} for col in refl],
     )
     _verify_rep(rep)
     return rep
@@ -850,28 +847,34 @@ def _cols_from_strings(flat: List[str], dim: int, what: str) -> Cols:
     return cols
 
 
+def _metadata(rep: MatrixRep) -> dict:
+    """The bundle metadata that rep's label determines, as values: what
+    ``rep_to_bundle`` writes and ``rep_from_bundle`` checks."""
+    return {"group_tag": rep.label.group_tag, "highest_weight": rep.label.mu,
+            "inf_char": rep.inf_char, "twist_sign": rep.twist_sign}
+
+
 def rep_to_bundle(rep: MatrixRep) -> dict:
     """JSON-ready bundle: dimension, generator list, row-major matrices of the
     generators and of the distinguished reflection (det-twist included) as
-    exact rational strings, and descriptive metadata."""
+    exact rational strings, and metadata: the label's rows and eps, the
+    indices, the kind, and the fields ``_metadata`` derives from the label
+    (tuples written as lists of exact strings)."""
     generators = rep.frame.generators
     matrices = {f"{a},{b}": _flat_strings(rep.action(a, b)) for (a, b) in generators}
+    derived = {key: [str(c) for c in v] if isinstance(v, tuple) else v
+               for key, v in _metadata(rep).items()}
     return {
         "dim": rep.dim,
         "generators": [[a, b] for (a, b) in generators],
         "matrices": matrices,
         "reflection": _flat_strings(rep.reflection()),
         "metadata": {
-            "group_tag": rep.group_tag,
-            "rows": list(rep.label.mu) if rep.label else None,
-            "eps": rep.label.eps if rep.label else None,
+            "rows": list(rep.label.mu),
+            "eps": rep.label.eps,
             "indices": list(rep.indices),
-            "highest_weight": (
-                [str(c) for c in rep.highest_weight] if rep.highest_weight else None
-            ),
-            "inf_char": [str(Fraction(c)) for c in rep.inf_char],
-            "twist_sign": rep.twist_sign,
             "kind": rep.kind,
+            **derived,
         },
     }
 
@@ -884,36 +887,26 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
     matrix already at hand, e.g. one read from a bundle, is negated).  When the
     twist is isomorphic to the original (even group size with a nonzero last
     row), the representation itself is returned."""
-    if rep.label is None:
-        raise InvalidRankError("det twist needs a labeled representation")
-    lbl = rep.label
-    if lbl.induced:
+    label = rep.label
+    if label.induced:
         return rep
-    new_label = FDLabel(lbl.group_tag, lbl.mu, -lbl.eps)
-    return MatrixRep(
-        dim=rep.dim,
-        group_tag=rep.group_tag,
-        label=new_label,
-        highest_weight=rep.highest_weight,
-        inf_char=rep.inf_char,
-        indices=rep.indices,
-        twist_sign=-rep.twist_sign,
-        kind=rep.kind,
-        model=rep.model,
-        _cols=rep._cols,
-        _refl=(None if rep._refl is None
-               else [{i: -x for i, x in col.items()} for col in rep._refl]),
-        cache=rep.cache,
-    )
+    return replace(rep, label=replace(label, eps=-label.eps),
+                   _refl=(None if rep._refl is None
+                          else [{i: -x for i, x in col.items()} for col in rep._refl]))
 
 
 def rep_from_bundle(bundle: dict) -> MatrixRep:
     """Rebuild a literal matrix representation from a serialized bundle.
 
-    The generator and reflection matrices are stored verbatim; algebraic
-    sanity (bracket fidelity, Casimir scalar) is re-established by the caller
-    via verify-style checks, not assumed.  A bundle without a reflection
-    matrix loads, but its ``reflection()`` raises InvalidRankError."""
+    It reads ``dim``, ``matrices``, ``reflection`` and the metadata ``rows``,
+    ``eps`` and ``indices``; every entry goes through ``qi_from_string``, so
+    the scalars have the types of the model the bundle was written from.  The
+    metadata fields that the label determines (``_metadata``) must equal, as
+    values, what the rows give: a mismatch is a malformed file and raises
+    ValueError.  The matrices are stored verbatim; algebraic sanity (bracket
+    fidelity, Casimir scalar) is re-established by the caller via
+    verify-style checks, not assumed.  A bundle without a reflection matrix
+    loads, but its ``reflection()`` raises InvalidRankError."""
     meta = bundle["metadata"]
     indices = tuple(int(i) for i in meta["indices"])
     dim = int(bundle["dim"])
@@ -921,24 +914,27 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     for key, flat in bundle["matrices"].items():
         a_s, b_s = key.split(",")
         actions[(int(a_s), int(b_s))] = _cols_from_strings(flat, dim, f"matrix {key}")
-    label = None
-    if meta.get("rows") is not None:
-        label = fd_label(len(indices), tuple(meta["rows"]), meta.get("eps"))
-    hw = meta.get("highest_weight")
+    if not isinstance(meta["rows"], list):
+        raise ValueError(f"bundle metadata rows {meta['rows']!r} is not a list of row lengths")
     refl = bundle.get("reflection")
-    return MatrixRep(
+    rep = MatrixRep(
         dim=dim,
-        group_tag=meta["group_tag"],
-        label=label,
-        highest_weight=tuple(Fraction(c) for c in hw) if hw else None,
-        inf_char=tuple(Fraction(c) for c in meta["inf_char"]),
+        label=fd_label(len(indices), meta["rows"], meta.get("eps")),
         indices=indices,
-        twist_sign=int(meta.get("twist_sign", 1)),
         kind="bundle",
-        model=None,
         _cols=actions,
         _refl=None if refl is None else _cols_from_strings(refl, dim, "reflection"),
     )
+    for key, want in _metadata(rep).items():
+        got = meta.get(key)
+        try:
+            same = (tuple(Fraction(c) for c in got) if isinstance(want, tuple) else got) == want
+        except (TypeError, ValueError):
+            same = False
+        if not same:
+            raise ValueError(f"bundle metadata {key} {got!r} does not match rows "
+                             f"{list(rep.label.mu)} and eps {rep.label.eps}")
+    return rep
 
 
 def bundle_to_json(bundle: dict) -> str:

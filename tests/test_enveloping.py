@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from orthobranch import enveloping
 from orthobranch.enveloping import (
     UEElement,
     ad_gn,
@@ -148,6 +149,24 @@ def test_identity_suite_clean():
         checks, failures = verify_identities(n, max_degree=4)
         assert failures == []
         assert checks == count
+
+
+def test_identity_suite_compares_normal_ordered_elements(monkeypatch):
+    # _check compares terms as given, which decides equality only when both
+    # sides are already in normal order
+    seen = []
+    check = enveloping._check
+
+    def ordered_check(failures, checks, name, params, lhs, rhs):
+        assert normal_order(lhs) == lhs and normal_order(rhs) == rhs, (name, params)
+        seen.append(name)
+        check(failures, checks, name, params, lhs, rhs)
+
+    monkeypatch.setattr(enveloping, "_check", ordered_check)
+    for n in (2, 3, 4):
+        checks, failures = verify_identities(n, max_degree=4)
+        assert failures == [] and checks == len(seen)
+        seen.clear()
 
 
 def test_serialization_shape():

@@ -32,6 +32,13 @@ def check_scalar(x):
         assert type(x.re) in (int, Fraction) and type(x.im) in (int, Fraction), repr(x)
 
 
+def scalar_types(cols):
+    """{(column, row): type} of a matrix's entries, a ``Gi`` with the types of
+    its parts."""
+    return {(j, i): (Gi, type(x.re), type(x.im)) if type(x) is Gi else type(x)
+            for j, col in enumerate(cols) for i, x in col.items()}
+
+
 def pure(values):
     """True when the values are all real or all purely imaginary."""
     values = list(values)
@@ -79,6 +86,11 @@ def test_models_hold_one_exact_number_type(reps):
     assert type(b_eval(op, 3)) is Fraction
     back = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(o4))))
     assert back._cols == o4._cols and back.reflection() == o4.reflection()
+    for rep in (o4, o5):  # a loaded bundle holds the types of the model it came from
+        loaded = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(rep))))
+        assert ({g: scalar_types(cols) for g, cols in loaded._cols.items()}
+                == {g: scalar_types(cols) for g, cols in rep._cols.items()})
+        assert scalar_types(loaded.reflection()) == scalar_types(rep.reflection())
     for rep in (o4, o5, o7, sub, back):
         check_rep(rep)
     frame = o7.frame

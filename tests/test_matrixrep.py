@@ -7,6 +7,7 @@ import pytest
 
 from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
+from orthobranch.cli import main
 from orthobranch.enveloping import build_A, casimir, gen
 from orthobranch import matrixrep
 from orthobranch.linalg import Gi
@@ -218,6 +219,49 @@ def test_bundle_without_reflection_has_none(reps):
     assert back.action(0, 1) == reps.get(2, (1,)).action(0, 1)
     with pytest.raises(InvalidRankError):
         back.reflection()
+
+
+# a field the label determines, edited away from what the rows give
+METADATA_EDITS = [("inf_char", ["3", "0"]), ("twist_sign", -1), ("group_tag", "O_odd"),
+                  ("highest_weight", ["2", "0"]), ("inf_char", None), ("rows", None)]
+
+
+def _edited_bundle(reps, key, value):
+    bundle = rep_to_bundle(reps.get(3, (1, 0)))  # O(4) (1,0): inf_char (2, 0)
+    bundle["metadata"][key] = value
+    return bundle
+
+
+@pytest.mark.parametrize("key, value", METADATA_EDITS)
+def test_bundle_metadata_must_match_its_rows(reps, tmp_path, capsys, key, value):
+    with pytest.raises(ValueError):
+        rep_from_bundle(_edited_bundle(reps, key, value))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(_edited_bundle(reps, key, value)))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ue", "--n", "3", "--max-degree", "2", "--bundle", str(path)])
+    assert exc.value.code == 2
+
+
+def test_bundle_metadata_is_compared_as_values(reps):
+    back = rep_from_bundle(_edited_bundle(reps, "inf_char", ["4/2", "0/7"]))
+    assert back.inf_char == (2, 0) and back.label == reps.get(3, (1, 0)).label
+
+
+def test_bundle_metadata_check_survives_optimize(reps, tmp_path, run_optimized):
+    paths = []
+    for k, (key, value) in enumerate(METADATA_EDITS):
+        paths.append(str(tmp_path / f"edited{k}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(_edited_bundle(reps, key, value), fh)
+    code = ("import sys\n"
+            "from orthobranch.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    try:\n"
+            "        main(['verify-ue', '--n', '3', '--max-degree', '2', '--bundle', path])\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code)\n")
+    assert run_optimized(code, *paths).split() == ["2"] * len(METADATA_EDITS)
 
 
 def test_casimir_check_survives_optimize(reps, tmp_path, run_optimized):
