@@ -6,17 +6,17 @@ Given a matrix model ``big`` of an irreducible of the group on coordinates
 maps ``big -> sub`` together with an explicit basis of verified operators.
 
 Method (all exact arithmetic, no character theory).  Every step works on
-coordinate vectors and the models' sparse columns: the generator columns
-``action(a, b)``, the reflection columns ``reflection()`` (det-twist
-included), the weight tags and construction recipes, and the Gram matrices
-``gram_rows()`` of the invariant pairing.
+coordinate vectors and the models' sparse columns: the stored Chevalley
+columns (``MatrixRep.apply``), the reflection columns ``reflection()``
+(det-twist included), the weight tags and construction recipes, and the Gram
+matrices ``gram_rows()`` of the invariant pairing.
 
 1.  Collect the subgroup highest-weight vectors of weight ``mu'`` (the
     subgroup label) inside ``big``.  The candidates are the basis vectors
     whose weight tag restricts (first ``rank(sub)`` coordinates) to ``mu'``;
     the highest-weight vectors among their combinations form the kernel of
-    the subgroup's raising root vectors, each a combination of X[a,b]
-    applied through big's generator columns.
+    the subgroup's raising root vectors.  Each is a big root vector or half
+    the sum of two, so it applies through big's real stored columns.
 
 2.  Refine the rotation-group count to the full orthogonal subgroup.  For an
     induced label (even-size subgroup, last row >= 1) every highest-weight
@@ -28,8 +28,8 @@ included), the weight tags and construction recipes, and the Gram matrices
 
 3.  For each surviving vector ``w`` build the columns of the equivariant
     embedding ``S_w : sub -> big`` by replaying the subgroup model's recipe
-    on top of ``w``: a lowering step applies the same combination of X[a,b]
-    through big's columns, a reflection step applies ``R_big`` times the
+    on top of ``w``: a lowering step applies the subgroup root vector through
+    big's stored columns, a reflection step applies ``R_big`` times the
     subgroup's twist sign.
 
 4.  Convert embeddings to projections with the invariant bilinear pairing:
@@ -44,7 +44,8 @@ involution images of step 2 as coordinates over the highest-weight basis, and
 of the symmetric ``B_sub``.
 
 Every returned operator is verified literally: ``T X = X T`` for all
-subgroup generators and ``T R_big = R_sub T`` for the reflections.
+subgroup generators X[a,b] (formed by ``action``) and ``T R_big = R_sub T``
+for the reflections.
 """
 
 from __future__ import annotations
@@ -95,27 +96,17 @@ def _require_models(big: MatrixRep, sub: MatrixRep) -> None:
         )
 
 
-def _apply_combo(rep: MatrixRep, combo: Dict[Tuple[int, int], Scalar],
-                 vec: CoordVec) -> CoordVec:
-    """The combination {(a, b): c} of generators X[a,b] applied to vec
-    through rep's columns."""
-    out: CoordVec = {}
-    for (a, b), c in combo.items():
-        p_add_into(out, apply_cols(rep.action(a, b), vec), c)
-    return out
-
-
 def subgroup_hw_space(big: MatrixRep, sub: MatrixRep) -> List[CoordVec]:
     """Basis (as big-model coordinate vectors) of the subgroup
     highest-weight vectors of weight mu' (sub's label) inside the big model."""
     srank = sub.frame.rank
     target = tuple(sub.label.mu)
     cand = [i for i, t in enumerate(big.model.tags) if t[:srank] == target]
-    raising = [combo for _w, combo in sub.frame.raising_ops()]
+    raising = [big.frame.root_coords(combo) for _w, combo in sub.frame.raising_ops()]
     # kernel of the stacked raising actions on the candidate span: a
     # candidate's column holds its image under raising operator r at (r, row)
-    cols = [{(r, k): x for r, combo in enumerate(raising)
-             for k, x in _apply_combo(big, combo, {i: 1}).items()} for i in cand]
+    cols = [{(r, k): x for r, coords in enumerate(raising)
+             for k, x in big.apply(coords, {i: 1}).items()} for i in cand]
     return [{cand[i]: c for i, c in vec.items()} for vec in kernel(cols)]
 
 
@@ -125,12 +116,13 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
     highest-weight image w.  Reflection steps apply big's reflection times
     the subgroup's twist sign, so both det-twists enter."""
     smodel = sub.model
+    ops = [big.frame.root_coords(combo) for _w, combo in sub.frame.lowering_ops()]
     images: Cols = []
     for rec in smodel.recipes:
         if rec.kind == "seed":
             images.append(dict(w))
         elif rec.kind == "op":
-            images.append(_apply_combo(big, smodel.ops[rec.op_index], images[rec.parent]))
+            images.append(big.apply(ops[rec.op_index], images[rec.parent]))
         elif rec.kind == "refl":
             image = apply_cols(big.reflection(), images[rec.parent])
             images.append({i: sub.twist_sign * x for i, x in image.items()})

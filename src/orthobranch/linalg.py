@@ -2,8 +2,8 @@
 
 A scalar is an exact number: a Python int or Fraction when it is real, a
 ``Gi`` only when its imaginary part is nonzero.  The matrix models are built
-in a Chevalley basis with rational structure constants, so most entries are
-real; ``Gi`` carries the i of the short root vectors and of X[p,q] = -i h_k.
+in a Chevalley basis with rational structure constants and store real
+columns; ``Gi`` carries the i of the rotation generators X[a,b].
 Since ``int / int`` is a float, a library division has a Fraction or a
 ``Gi`` on one side (``Fraction(1) / x``).  ``qi_to_string`` and
 ``qi_from_string`` write and read the exact strings of matrix bundles, and
@@ -15,7 +15,7 @@ accumulate-and-drop-zeros step.  Every linear operator the package builds is
 held as sparse columns (``Cols``): column j maps row index i to the nonzero
 entry (i, j), and ``apply_cols`` applies one to a sparse vector.
 
-``TrackedEchelon`` is the package's one elimination.  It keeps a reduced
+``TrackedEchelon`` is the package's one elimination.  It keeps an echelon
 spanning set of sparse vectors and tracks how each stored row expands in the
 inserted vectors, so membership comes with coordinates, also for a vector
 that an insert finds dependent.  Every solve reads its answer from one: a
@@ -27,6 +27,7 @@ independent vectors are unique, so none of these depends on the pivot order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from .polyarith import p_add_into
@@ -163,10 +164,13 @@ def apply_cols(cols: Cols, vec: SparseVec,
 
 
 class TrackedEchelon:
-    """Reduced spanning set of sparse vectors, pivoted on the largest key
-    present (keys must be mutually comparable, e.g. same-length tuples).
+    """Spanning set of sparse vectors in echelon form, pivoted on the largest
+    key present (keys must be mutually comparable, e.g. same-length tuples).
     It also tracks how each stored row expands in the originally inserted
-    vectors, so membership comes with coordinates."""
+    vectors, so membership comes with coordinates.  Where the two leading
+    entries are ints, a step is fraction-free (the vector is scaled by the
+    row's pivot over their gcd) and a stored row of ints is divided by its
+    content, so ints stay ints until the returned coordinates."""
 
     __slots__ = ("rows", "count")
 
@@ -174,42 +178,55 @@ class TrackedEchelon:
         self.rows: Dict[Hashable, Tuple[SparseVec, Dict[int, Scalar]]] = {}
         self.count = 0
 
-    def _reduce(self, vec: SparseVec, combo: Dict[int, Scalar]):
+    def _reduce(self, vec: SparseVec):
+        """(vec reduced against the rows, its expansion in the inserted
+        vectors with vec itself at index ``count``)."""
         vec = dict(vec)
+        combo: Dict[int, Scalar] = {self.count: 1}
         while vec:
             key = max(vec)
             entry = self.rows.get(key)
             if entry is None:
-                return vec, combo
+                break
             row, row_combo = entry
-            c = -vec[key]
+            a, p = vec[key], row[key]
+            if type(a) is int and type(p) is int:
+                g = gcd(a, p)
+                m, c = p // g, -(a // g)
+                if m != 1:
+                    for part in (vec, combo):
+                        for k in part:
+                            part[k] *= m
+            else:
+                c = -(a / p)
             p_add_into(vec, row, c)
             p_add_into(combo, row_combo, c)
         return vec, combo
 
+    def _solution(self, combo: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        """The coordinates read off the combo of a vector that reduced to 0."""
+        inv = Fraction(-1) / combo.pop(self.count)
+        return {i: inv * c for i, c in combo.items()}
+
     def insert(self, vec: SparseVec) -> Tuple[Optional[int], Dict[int, Scalar]]:
         """(index, {index: 1}) after storing vec if it is independent of the
         inserted vectors, else (None, its ``coordinates`` over them)."""
-        idx = self.count
-        red, combo = self._reduce(vec, {idx: 1})
+        red, combo = self._reduce(vec)
         if not red:
-            del combo[idx]
-            return None, {i: -c for i, c in combo.items()}
-        key = max(red)
-        inv = Fraction(1) / red[key]
-        self.rows[key] = ({k: inv * v for k, v in red.items()},
-                          {k: inv * v for k, v in combo.items()})
+            return None, self._solution(combo)
+        if all(type(x) is int for x in (*red.values(), *combo.values())):
+            g = gcd(*red.values(), *combo.values())
+            red, combo = ({k: v // g for k, v in d.items()} for d in (red, combo))
+        self.rows[max(red)] = (red, combo)
         self.count += 1
-        return idx, {idx: 1}
+        return self.count - 1, {self.count - 1: 1}
 
     def coordinates(self, vec: SparseVec) -> Optional[Dict[int, Scalar]]:
         """Expansion of vec over the inserted independent vectors, or None if
         vec is outside their span.  Coefficients satisfy
         vec = sum coeff[i] * inserted_i."""
-        red, combo = self._reduce(vec, {})
-        if red:
-            return None
-        return {i: -c for i, c in combo.items()}
+        red, combo = self._reduce(vec)
+        return None if red else self._solution(combo)
 
 
 def kernel(cols: List[SparseVec]) -> List[Dict[int, Scalar]]:

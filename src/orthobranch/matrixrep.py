@@ -61,29 +61,30 @@ Polynomials serve only to find the basis.  The closure's coordinates of each
 lowering image F v_i and reflected vector R v_i are the columns of F and R;
 h_k acts by the weight tags; the raising root vectors follow in basis order
 from the recipes (E v_0 = 0, E F v_p = F E v_p + [E, F] v_p and
-E R v_p = R (R E R) v_p); each X[a,b] is a fixed combination of those.
-The one other use of the polynomials is the Gram matrix of the invariant
-pairing, ``PolyModel.gram_rows``, cached on the model: hom spaces read it
-together with the tags, the recipes and the columns, and nothing else of the
-polynomials.
+E R v_p = R (R E R) v_p).  These Chevalley columns and R are what a model
+stores; ``action`` forms an X[a,b], a fixed combination of them, on first
+request.  The one other use of the polynomials is the Gram matrix of the
+invariant pairing, ``PolyModel.gram_rows``, cached on the model: hom spaces
+read it with the tags, the recipes and the columns, and nothing else.
 
 Every scalar is the one exact number of ``linalg`` (an int or a Fraction
 when real, else a ``linalg.Gi``), and ``polyarith.p_add_into`` is the one
 sparse accumulate.  Most of it is real: the seed is integral, a long root's
 table has entries +-2 and moves the weight's coordinate sum by 0 or +-2, a
 short root's has +-i, +-2i and moves it by +-1.  So each basis polynomial is
-real or imaginary by the parity of that sum; the columns of every root
-vector, h_k and the reflection are real, and so is the Gram matrix (it pairs
-mu with -mu).  Only the exported X[a,b] carry i (X[p,q] = -i h_k), each one
-purely real or purely imaginary.  The stored columns of X[a,b] and R are
-normalised by ``linalg.exact``, the normaliser bundles are read with, so a
-loaded bundle holds the same scalar types as the model it was written from.
+real or imaginary by the parity of that sum (the echelon holds the imaginary
+ones times -i and eliminates in ints); the stored columns and the Gram matrix
+(it pairs mu with -mu) are real.  Only the X[a,b] carry i (X[p,q] = -i h_k),
+each purely real or purely imaginary.  Columns are normalised by
+``linalg.exact``, the normaliser bundles are read with, so a loaded bundle
+holds the same scalar types as the model it was written from.
 
-Construction is self-verifying by checks apart from that derivation: the seed
-is annihilated by the raising operators, the dimension matches character
-theory, a non-induced span is reflection-stable, the quadratic Casimir acts by
-the expected scalar, and ``_verify_rep`` checks every bracket relation on
-probe vectors.
+Construction is self-verifying by checks apart from that derivation, all on
+the real stored columns: the seed is annihilated by the raising operators,
+the dimension matches character theory, a non-induced span is
+reflection-stable, the quadratic Casimir (the frame's ``casimir_form``) acts
+by the expected scalar, and ``_verify_rep`` checks every bracket relation of
+the Chevalley basis (the frame's ``structure``) on probe vectors.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, exact
 from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
-from .characters import o_irrep_dim, so_rank
+from .characters import so_rank
 from .branching import FDLabel, fd_label, inf_char_of
 from .enveloping import gen_bracket
 
@@ -194,8 +195,6 @@ class Frame:
                 refl[v0] = (v0, Fraction(-1))
         self.reflection_var_map = tuple(refl)
 
-        self._gen_coords: Optional[Dict[Pair, Dict[object, Scalar]]] = None
-
         # the root vectors in closed form (module docstring), each with its
         # action on the variables of both vector sets; an image (c, k, c2, k2, x)
         # sends zeta(c e_k) to x zeta(c2 e_k2), k = 0 naming the spare
@@ -205,11 +204,11 @@ class Frame:
         def add_root(w: Dict[int, int], combo: Combo,
                      images: List[Tuple[int, int, int, int, Scalar]]) -> None:
             root = tuple(w.get(k, 0) for k in range(1, self.rank + 1))
-            self._roots[root] = combo
+            self.roots[root] = combo
             self.root_tables[root] = {zeta(s, c, k): {zeta(s, c2, k2): x}
                                       for s in (0, 1) for c, k, c2, k2, x in images}
 
-        self._roots: Dict[Tuple[int, ...], Combo] = {}
+        self.roots: Dict[Tuple[int, ...], Combo] = {}  # keyed by the root in weight coordinates
         self.root_tables: Dict[Tuple[int, ...], VarTable] = {}
         for i, (p_i, q_i) in enumerate(self.pairs, start=1):
             for j, (p_j, q_j) in enumerate(self.pairs[i:], start=i + 1):
@@ -226,49 +225,48 @@ class Frame:
                     add_root({i: c}, {(u, p_i): Gi(0, c), (u, q_i): 1},
                              [(-c, i, 0, 0, Gi(0, 2 * c)), (0, 0, c, i, Gi(0, -c))])
 
+        # the Chevalley basis: the root vectors, then h_k = i X[p_k, q_k]
+        self.basis: Dict[object, Combo] = dict(self.roots)
+        self.basis.update((k, {pair: Gi(0, 1)}) for k, pair in enumerate(self.pairs, start=1))
+        ech = TrackedEchelon()
+        for e in self.basis.values():
+            ech.insert(e)
+        keys = list(self.basis)
+        self.gen_coords: Dict[Pair, Dict[object, Scalar]] = {
+            g: {keys[i]: c for i, c in sorted(ech.coordinates({g: 1}).items())}
+            for g in self.generators}
+        # the quadratic Casimir -sum X[a,b]^2 as the form K over the basis:
+        # sum K[x, y] M_x M_y, with K = -sum_g c_g (x) c_g for c_g = gen_coords[g]
+        form: Dict[Tuple[object, object], Scalar] = {}
+        for c in self.gen_coords.values():
+            for x, cx in c.items():
+                p_add_into(form, {(x, y): cy for y, cy in c.items()}, -cx)
+        self.casimir_form = {xy: exact(k) for xy, k in form.items()}
+        # structure constants, taken when the frame is made: structure[i][k]
+        # holds the items (z, N) of [x, y] = sum N z, x = keys[i], y = keys[i+1+k]
+        self.structure = [[tuple((z, exact(n)) for z, n in self.root_coords(
+            so_bracket(self.basis[x], self.basis[y])).items()) for y in keys[i + 1:]]
+            for i, x in enumerate(keys)]
+
     # -- Cartan and root vectors -------------------------------------------
 
-    def cartan_combo(self, k: int) -> Combo:
-        """h_k = i * X[p_k, q_k]; weights are its eigenvalues' k-th entries."""
-        return {self.pairs[k - 1]: Gi(0, 1)}
-
-    def root_vectors(self) -> Dict[Tuple[int, ...], Combo]:
-        """All root vectors keyed by the root in weight coordinates."""
-        return self._roots
-
     def root_coords(self, combo: Combo) -> Dict[object, Scalar]:
-        """combo expanded over the root vectors (keyed by root) and the Cartan
-        elements h_k (keyed by k), by each generator's coordinates over that
-        basis, read once off an echelon of it."""
-        if self._gen_coords is None:
-            basis: Dict[object, Combo] = dict(self.root_vectors())
-            basis.update((k, self.cartan_combo(k)) for k in range(1, self.rank + 1))
-            ech = TrackedEchelon()
-            for e in basis.values():
-                ech.insert(e)
-            keys = list(basis)
-            self._gen_coords = {g: {keys[i]: c for i, c in sorted(ech.coordinates({g: 1}).items())}
-                                for g in self.generators}
+        """combo expanded over the Chevalley basis: the root vectors (keyed by
+        root) and h_k (keyed by k)."""
         out: Dict[object, Scalar] = {}
         for pair, c in combo.items():
-            p_add_into(out, self._gen_coords[pair], c)
+            p_add_into(out, self.gen_coords[pair], c)
         return out
 
     def lowering_ops(self) -> List[Tuple[Tuple[int, ...], Combo]]:
-        out = []
-        for w, combo in sorted(self.root_vectors().items(), reverse=True):
-            nz = next((c for c in w if c), 0)
-            if nz < 0:
-                out.append((w, combo))
-        return out
+        """The negative roots' vectors (first nonzero coordinate < 0), by
+        descending root."""
+        return [(w, e) for w, e in sorted(self.roots.items(), reverse=True)
+                if next(c for c in w if c) < 0]
 
     def raising_ops(self) -> List[Tuple[Tuple[int, ...], Combo]]:
-        out = []
-        for w, combo in sorted(self.root_vectors().items()):
-            nz = next((c for c in w if c), 0)
-            if nz > 0:
-                out.append((w, combo))
-        return out
+        """The positive roots' vectors, by ascending root."""
+        return [(w, e) for w, e in sorted(self.roots.items()) if next(c for c in w if c) > 0]
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +378,9 @@ def fischer_pair(frame: Frame, p1: Poly, p2: Poly) -> Scalar:
 
 @dataclass
 class Recipe:
-    """How basis vector i arose: kind is 'seed', 'op' (ops[op_index] applied
-    to parent), or 'refl' (distinguished reflection of parent)."""
+    """How basis vector i arose: kind is 'seed', 'op' (the lowering root
+    vector ``frame.lowering_ops()[op_index]`` applied to parent), or 'refl'
+    (distinguished reflection of parent)."""
 
     kind: str
     parent: int = -1
@@ -396,7 +395,6 @@ class PolyModel:
         self.vectors: List[Poly] = []
         self.tags: List[Tuple[int, ...]] = []
         self.recipes: List[Recipe] = []
-        self.ops: List[Combo] = []  # lowering operators used during closure
         self.ech = TrackedEchelon()
         self._gram_diag: Optional[List[Dict[int, Scalar]]] = None
 
@@ -404,14 +402,23 @@ class PolyModel:
     def dim(self) -> int:
         return len(self.vectors)
 
+    def _real(self, poly: Poly) -> Poly:
+        """poly, times -i when its weight's coordinate sum and the seed's
+        differ in parity: real (module docstring).  The echelon holds this
+        form; one weight gets one factor, so coordinates are unchanged."""
+        if poly and self.tags and (sum(mono_weight(self.frame, next(iter(poly))))
+                                   - sum(self.tags[0])) % 2:
+            return {m: c * Gi(0, -1) for m, c in poly.items()}
+        return poly
+
     def coordinates(self, poly: Poly) -> Optional[Dict[int, Scalar]]:
-        return self.ech.coordinates(poly)
+        return self.ech.coordinates(self._real(poly))
 
     def try_insert(self, poly: Poly, tag: Tuple[int, ...],
                    recipe: Recipe) -> Tuple[Optional[int], Dict[int, Scalar]]:
         """Adds poly as a basis vector when it is independent of the basis:
         returns (its index, {index: 1}) then, else (None, its coordinates)."""
-        idx, coords = self.ech.insert(poly)
+        idx, coords = self.ech.insert(self._real(poly))
         if idx is not None:
             if idx != len(self.vectors):
                 raise AssertionError(f"echelon index {idx} != model dimension {len(self.vectors)}")
@@ -484,7 +491,6 @@ def _close_model(frame: Frame, label: FDLabel,
             raise AssertionError(f"seed for {label} not annihilated by raising root {w}")
 
     lows = frame.lowering_ops()
-    model.ops = [combo for _w, combo in lows]
     use_refl = label.induced
 
     model.try_insert(seed, tag, Recipe("seed"))
@@ -521,22 +527,18 @@ def _close_model(frame: Frame, label: FDLabel,
 
 
 def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
-                        refl: Cols) -> Dict[Pair, Cols]:
-    """Columns of every X[a,b] of a closed model by the module docstring's
-    recursion; column j of a raising root vector reads columns p < j only."""
-    mats: Dict[object, Cols] = {w: cols for (w, _f), cols in zip(frame.lowering_ops(), lower)}
+                        refl: Cols) -> Dict[object, Cols]:
+    """Columns of every Chevalley basis element of a closed model by the
+    module docstring's recursion; column j of a raising root vector reads
+    columns p < j only."""
+    lows = frame.lowering_ops()
+    mats: Dict[object, Cols] = {w: cols for (w, _f), cols in zip(lows, lower)}
     for k in range(1, frame.rank + 1):
         mats[k] = [{j: t[k - 1]} if t[k - 1] else {} for j, t in enumerate(model.tags)]
 
-    def combine(coords: Dict[object, Scalar], j: int) -> Dict[int, Scalar]:
-        out: Dict[int, Scalar] = {}
-        for key, c in coords.items():
-            p_add_into(out, mats[key][j], c)
-        return out
-
     flip = frame.reflection_index
     raising = frame.raising_ops()
-    brackets = [[frame.root_coords(so_bracket(e, f)) for f in model.ops] for _w, e in raising]
+    brackets = [[frame.root_coords(so_bracket(e, f)) for _w, f in lows] for _w, e in raising]
     conjugates = [frame.root_coords({(a, b): -c if (a == flip) != (b == flip) else c
                                      for (a, b), c in e.items()}) for _w, e in raising]
     mats.update((w, [{}]) for w, _e in raising)  # E v_0 = 0 at the seed
@@ -545,13 +547,32 @@ def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
         for r, (w, _e) in enumerate(raising):
             if rec.kind == "op":
                 col = apply_cols(lower[rec.op_index], mats[w][p],
-                                 combine(brackets[r][rec.op_index], p))
+                                 _apply(mats, brackets[r][rec.op_index], {p: 1}))
             else:
-                col = apply_cols(refl, combine(conjugates[r], p))
+                col = apply_cols(refl, _apply(mats, conjugates[r], {p: 1}))
             mats[w].append(col)
-    gen_coords = {g: frame.root_coords({g: 1}) for g in frame.generators}
-    return {g: [{i: exact(x) for i, x in combine(c, j).items()} for j in range(model.dim)]
-            for g, c in gen_coords.items()}
+    return {key: _combined(mats, {key: 1}, model.dim) for key in frame.basis}
+
+
+def _apply(mats: Dict, coords: Dict, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """sum coords[key] mats[key] vec for matrices given by their columns."""
+    out: Dict[int, Scalar] = {}
+    for key, c in coords.items():
+        apply_cols(mats[key], {j: c * x for j, x in vec.items()}, out)
+    return out
+
+
+def _combined(mats: Dict, coords: Dict, dim: int) -> Cols:
+    """Columns of sum coords[key] mats[key], entries normalised by ``exact``;
+    a key missing from mats acts by zero."""
+    terms = [(mats[key], c) for key, c in coords.items() if key in mats]
+    out: Cols = []
+    for j in range(dim):
+        col: Dict[int, Scalar] = {}
+        for cols, c in terms:
+            p_add_into(col, cols[j], c)
+        out.append({i: exact(x) for i, x in col.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +585,15 @@ class MatrixRep:
 
     Every operator is held as sparse columns (``linalg.Cols``): column j maps
     a row index to the nonzero coordinate of the image of basis vector j.
-    ``action`` gives the columns of a generator X[a,b], a < b, and
-    ``reflection()`` those of the distinguished reflection (largest-coordinate
-    sign flip), det-twist included.
+    A constructed model stores the columns of the frame's Chevalley basis
+    (``chevalley()``; ``Frame.basis``: each root vector keyed by its root,
+    h_k by k); ``action`` forms a generator X[a,b], a < b, from them on first
+    request and caches it in a dict that det twins share.  The defining and
+    trivial representations and a loaded bundle hold their X[a,b] in that
+    cache instead and derive the Chevalley columns on request.  Every one
+    stores the columns of the distinguished reflection (largest-coordinate
+    sign flip), det-twist included, returned by ``reflection()``; ``apply``
+    applies an element given by its ``Frame.root_coords``.
 
     The label is the one record of what the representation is.  Derived from
     it: ``inf_char`` (mu + rho of the label's own group), ``twist_sign``
@@ -580,8 +607,9 @@ class MatrixRep:
     indices: Tuple[int, ...]
     kind: str = "model"
     model: Optional[PolyModel] = None
-    _cols: Dict[Pair, Cols] = field(default_factory=dict, repr=False)
+    _chev: Dict[object, Cols] = field(default_factory=dict, repr=False)
     _refl: Optional[Cols] = field(default=None, repr=False)
+    _x: Dict[Pair, Cols] = field(default_factory=dict, repr=False)
     cache: Dict = field(default_factory=dict, repr=False)
 
     @property
@@ -601,9 +629,20 @@ class MatrixRep:
     def frame(self) -> Frame:
         return get_frame(self.indices)
 
+    def chevalley(self) -> Dict[object, Cols]:
+        """Columns of the Chevalley basis: stored by a constructed model, else
+        derived from the X[a,b] the representation was made from (one that it
+        lacks acts by zero)."""
+        return self._chev or {key: _combined(self._x, combo, self.dim)
+                              for key, combo in self.frame.basis.items()}
+
+    def apply(self, coords: Dict[object, Scalar], vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        """sum coords[key] M_key vec over the Chevalley columns M_key."""
+        return _apply(self.chevalley(), coords, vec)
+
     def action(self, a: int, b: int) -> Cols:
         """Columns of X[a,b]: col[j] = {i: coeff}.  a < b required."""
-        cols = self._cols.get((a, b))
+        cols = self._x.get((a, b))
         if cols is not None:
             return cols
         if a >= b:
@@ -612,9 +651,8 @@ class MatrixRep:
             raise InvalidRankError(
                 f"generator ({a},{b}) outside representation coordinates {self.indices}"
             )
-        # a generator the rep does not store acts by zero: the trivial rep
-        # stores none, and a bundle may leave some out
-        cols = self._cols[(a, b)] = [dict() for _ in range(self.dim)]
+        cols = self._x[(a, b)] = _combined(self.chevalley(), self.frame.gen_coords[(a, b)],
+                                           self.dim)
         return cols
 
     def reflection(self) -> Cols:
@@ -630,15 +668,17 @@ class MatrixRep:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _indices_for(ctx_or_size, which: str) -> Tuple[int, ...]:
-    if isinstance(ctx_or_size, RankContext):
-        n = ctx_or_size.n
-        if which == "big":
-            return tuple(range(0, n + 1))
-        if which == "sub":
-            return tuple(range(1, n + 1))
-        raise InvalidRankError(f"unknown side {which!r}")
-    raise InvalidRankError("expected a RankContext")
+def _indices_for(ctx_or_indices, which: str) -> Tuple[int, ...]:
+    """The indices of a rank context's side ('big' = 0..n, 'sub' = 1..n), or
+    the given index tuple itself."""
+    if not isinstance(ctx_or_indices, RankContext):
+        return tuple(ctx_or_indices)
+    n = ctx_or_indices.n
+    if which == "big":
+        return tuple(range(0, n + 1))
+    if which == "sub":
+        return tuple(range(1, n + 1))
+    raise InvalidRankError(f"unknown side {which!r}")
 
 
 def standard_rep(ctx: RankContext) -> MatrixRep:
@@ -656,7 +696,7 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
         label=label,
         indices=indices,
         kind="standard",
-        _cols=cols,
+        _x=cols,
         _refl=[{i: -1 if i == size - 1 else 1} for i in range(size)],
     )
     _verify_rep(rep, probes=size)
@@ -665,10 +705,7 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
 
 def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
     """The one-dimensional representation (eps = -1: the determinant)."""
-    if isinstance(ctx_or_indices, RankContext):
-        indices = _indices_for(ctx_or_indices, which)
-    else:
-        indices = tuple(ctx_or_indices)
+    indices = _indices_for(ctx_or_indices, which)
     size = len(indices)
     rank = so_rank(size) if size > 2 else 1
     label = fd_label(size, (0,) * rank, eps if (size % 2 or eps == -1) else None)
@@ -700,16 +737,13 @@ def construct_irrep(
     character theory's dimension, the Casimir scalar, and every bracket
     relation on probe vectors.
     """
-    if isinstance(ctx_or_indices, RankContext):
-        indices = _indices_for(ctx_or_indices, which)
-    else:
-        indices = tuple(ctx_or_indices)
+    indices = _indices_for(ctx_or_indices, which)
     size = len(indices)
     label = fd_label(size, mu, eps)
     if all(c == 0 for c in label.mu):
         return trivial_rep(indices, eps=label.eps if label.eps is not None else 1)
     frame = get_frame(indices)
-    expected = o_irrep_dim(size, label.partition)
+    expected = label.dim()
     if expected > dim_cap:
         raise ResourceLimitError(
             f"irreducible {label} has dimension {expected} > cap {dim_cap}"
@@ -724,7 +758,7 @@ def construct_irrep(
         label=label,
         indices=indices,
         model=model,
-        _cols=_generator_matrices(frame, model, lower, refl),
+        _chev=_generator_matrices(frame, model, lower, refl),
         _refl=[{i: exact(label.eps * x) for i, x in col.items()} for col in refl],
     )
     _verify_rep(rep)
@@ -737,16 +771,17 @@ def construct_irrep(
 
 def casimir_scalar(rep: MatrixRep) -> Fraction:
     """Scalar of the quadratic invariant -sum X[a,b]^2 over the frame's own
-    generators; raises if the action is not scalar."""
+    generators, applied as the frame's ``casimir_form`` to the Chevalley
+    columns; raises if the action is not scalar."""
+    cols = rep.chevalley()
     expected: Optional[Scalar] = None
     for j in range(rep.dim):
-        acc: Dict[int, Scalar] = {}  # sum of X[a,b]^2 e_j, the invariant's negative
-        for (a, b) in rep.frame.generators:
-            cols = rep.action(a, b)
-            apply_cols(cols, cols[j], acc)
+        acc: Dict[int, Scalar] = {}  # the invariant applied to e_j
+        for (x, y), c in rep.frame.casimir_form.items():
+            apply_cols(cols[x], {i: c * v for i, v in cols[y][j].items()}, acc)
         if any(i != j for i in acc):
             raise AssertionError("quadratic invariant does not act by a scalar")
-        scal = -acc.get(j, 0)
+        scal = acc.get(j, 0)
         if expected is None:
             expected = scal
         elif expected != scal:
@@ -763,33 +798,29 @@ def expected_casimir_scalar(rep: MatrixRep) -> Fraction:
 
 
 def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
-    """Casimir scalar plus X_i X_j v - X_j X_i v = [X_i, X_j] v on probe
-    vectors v for generator pairs i < j ((j, i) is the negated identity), each
-    X_k v and each product formed once."""
+    """Casimir scalar plus M_x M_y v - M_y M_x v = sum_z N[z] M_z v on real
+    probe vectors v for the Chevalley columns M and every pair x before y of
+    the frame's basis, with the frame's structure constants N; each M_x v and
+    each product formed once."""
     cas = casimir_scalar(rep)
     exp = expected_casimir_scalar(rep)
     if cas != exp:
         raise AssertionError(f"Casimir scalar {cas} != expected {exp} for {rep.label}")
-    gens = rep.frame.generators
-    pos = {g: k for k, g in enumerate(gens)}
-    cols = [rep.action(*g) for g in gens]
-    pv: List[Dict[int, Scalar]] = []
+    cols = rep.chevalley()
     step = max(1, rep.dim // max(probes, 1))
-    for t in range(0, rep.dim, step):
-        pv.append({t: 1, (t + 1) % rep.dim: Gi(1, 1)})
-    xv = [[apply_cols(c, vec) for c in cols] for vec in pv]  # xv[probe][k] = X_k v
-    for i, gi in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            br = gen_bracket(gi, gens[j])
-            for x in xv:
-                lhs = apply_cols(cols[i], x[j])
-                rhs = apply_cols(cols[j], x[i])
-                for pair, s in br.items():
-                    p_add_into(rhs, x[pos[pair]], s)
+    pv = [{t: 1, (t + 1) % rep.dim: 2} for t in range(0, rep.dim, step)]
+    xv = [{key: apply_cols(c, vec) for key, c in cols.items()} for vec in pv]  # M_x v
+    keys = list(rep.frame.basis)
+    for i, (x, brackets) in enumerate(zip(keys, rep.frame.structure)):
+        for y, br in zip(keys[i + 1:], brackets):
+            for mv in xv:
+                lhs = apply_cols(cols[x], mv[y])
+                rhs = apply_cols(cols[y], mv[x])
+                for z, s in br:
+                    p_add_into(rhs, mv[z], s)
                 if lhs != rhs:
-                    raise AssertionError(
-                        f"bracket fidelity failed for [{gi},{gens[j]}] on {rep.label}"
-                    )
+                    x, y = (f"h{z}" if type(z) is int else f"E{z}" for z in (x, y))
+                    raise AssertionError(f"bracket fidelity failed for [{x},{y}] on {rep.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -902,11 +933,13 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     ``eps`` and ``indices``; every entry goes through ``qi_from_string``, so
     the scalars have the types of the model the bundle was written from.  The
     metadata fields that the label determines (``_metadata``) must equal, as
-    values, what the rows give: a mismatch is a malformed file and raises
-    ValueError.  The matrices are stored verbatim; algebraic sanity (bracket
-    fidelity, Casimir scalar) is re-established by the caller via
-    verify-style checks, not assumed.  A bundle without a reflection matrix
-    loads, but its ``reflection()`` raises InvalidRankError."""
+    values, what the rows give, and ``dim`` must be the dimension character
+    theory gives the rows: a mismatch is a malformed file and raises
+    ValueError.  The matrices read are kept as the X[a,b] cache, so
+    ``action`` returns them verbatim and ``chevalley()`` derives from them;
+    algebraic sanity (bracket fidelity, Casimir scalar) is re-established by
+    the caller via verify-style checks, not assumed.  A bundle without a
+    reflection matrix loads, but its ``reflection()`` raises InvalidRankError."""
     meta = bundle["metadata"]
     indices = tuple(int(i) for i in meta["indices"])
     dim = int(bundle["dim"])
@@ -922,8 +955,8 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
         label=fd_label(len(indices), meta["rows"], meta.get("eps")),
         indices=indices,
         kind="bundle",
-        _cols=actions,
         _refl=None if refl is None else _cols_from_strings(refl, dim, "reflection"),
+        _x=actions,
     )
     for key, want in _metadata(rep).items():
         got = meta.get(key)
@@ -934,6 +967,9 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
         if not same:
             raise ValueError(f"bundle metadata {key} {got!r} does not match rows "
                              f"{list(rep.label.mu)} and eps {rep.label.eps}")
+    if dim != rep.label.dim():
+        raise ValueError(f"bundle dim {dim} does not match rows {list(rep.label.mu)}: "
+                         f"character theory says {rep.label.dim()}")
     return rep
 
 

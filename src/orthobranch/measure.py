@@ -35,8 +35,8 @@ f_0)``, is a subgroup endomorphism of big (``f_0`` is subgroup-fixed and the
 slot projection runs along a subgroup-stable complement), and big restricts
 to the subgroup without multiplicities (Gelfand-Tsetlin), so ``W_k w = b_k
 w`` exactly.  The chain of first slots of ``w``, k = 0, 1, ..., is cached on
-big under ``w`` (det twins share it with the cache and the generator
-columns); ``measure_scalar`` combines its slots with the projector
+big under ``w`` (det twins share it with the cache, the stored columns and
+the formed X[a,b]); ``measure_scalar`` combines its slots with the projector
 polynomial's coefficients, ``b_eval`` reads the ell-th one, and both check
 that each slot is an exact multiple of ``w`` and that ``T`` of the result is
 proportional to ``T w``.  As ``W_k w = b_k w`` holds whatever ``T`` is, the

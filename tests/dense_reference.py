@@ -19,7 +19,9 @@ z_p -+ i z_q), and ``solved_root_vectors`` finds every root vector as the
 kernel of the ad(h_k) eigen-equations.  Neither reads the closed forms that
 ``Frame`` writes down.
 
-Four independent routes to what the package computes another way:
+Five independent routes to what the package computes another way:
+``x_casimir_scalar`` applies the quadratic invariant as -sum X[a,b]^2
+through the X[a,b] columns that ``casimir_scalar`` never forms,
 ``hom_space_dense`` solves the full equivariance system for the dimension
 ``hom_space`` finds from highest-weight vectors, ``primary_projector`` spans
 the image of the spectral projector that ``measure_scalar`` applies to one
@@ -161,6 +163,28 @@ def polynomial_columns(rep):
     tw = rep.twist_sign
     return gens, [{i: tw * x for i, x in coords(poly_reflect(frame, v)).items()}
                   for v in model.vectors]
+
+
+def x_casimir_scalar(rep):
+    """Scalar of -sum X[a,b]^2 over the frame's generators, applied to every
+    basis vector through the columns ``action`` forms; raises AssertionError
+    unless it acts by one real scalar."""
+    expected = None
+    for j in range(rep.dim):
+        acc = {}  # sum of X[a,b]^2 e_j, the invariant's negative
+        for (a, b) in rep.frame.generators:
+            cols = rep.action(a, b)
+            apply_cols(cols, cols[j], acc)
+        if any(i != j for i in acc):
+            raise AssertionError("quadratic invariant does not act by a scalar")
+        scal = -acc.get(j, 0)
+        if expected is None:
+            expected = scal
+        elif expected != scal:
+            raise AssertionError("quadratic invariant scalar differs between basis vectors")
+    if expected is None or isinstance(expected, Gi):
+        raise AssertionError(f"quadratic invariant scalar {expected} is not real")
+    return Fraction(expected)
 
 
 def qi_matmul(a, b):

@@ -1,14 +1,17 @@
-"""The one number type through a model's life: closure, generator and
-reflection columns, Gram matrix, bundle round trip, hom operator and
-measurement.  Every stored scalar is an int, a Fraction or a ``Gi`` with a
-nonzero imaginary part, and the Chevalley basis keeps the pieces that are
-real in exact arithmetic real."""
+"""The one number type through a model's life: closure, stored Chevalley
+and reflection columns, the X[a,b] that ``action`` forms, Gram matrix, bundle
+round trip, hom operator and measurement.  Every stored scalar is an int, a
+Fraction or a ``Gi`` with a nonzero imaginary part, and the Chevalley basis
+keeps the pieces that are real in exact arithmetic real: the stored
+Chevalley columns of a constructed model hold no ``Gi`` at all."""
 import json
 from fractions import Fraction
 
-from orthobranch.homspace import hom_space
+from orthobranch.homspace import _mirror_embedding, hom_space, subgroup_hw_space
 from orthobranch.linalg import Gi
-from orthobranch.matrixrep import rep_from_bundle, rep_to_bundle
+from orthobranch.matrixrep import (
+    _verify_rep, casimir_scalar, get_frame, rep_from_bundle, rep_to_bundle,
+)
 from orthobranch.measure import b_eval, measure_scalar
 
 
@@ -48,10 +51,10 @@ def pure(values):
 
 def stored(rep):
     """Everything a representation holds that is made of scalars."""
-    out = [rep._cols, rep._refl, rep.cache]
+    out = [rep._chev, rep._x, rep._refl, rep.cache]
     if rep.model is not None:
         model = rep.model
-        out += [model.vectors, model.ops, model.gram_rows(),
+        out += [model.vectors, model.gram_rows(),
                 [row for row in model.ech.rows.values()]]
     return out
 
@@ -59,8 +62,10 @@ def stored(rep):
 def check_rep(rep):
     for x in leaves(stored(rep)):
         check_scalar(x)
-    for (a, b), cols in rep._cols.items():
-        assert pure(leaves(cols)), (a, b)
+    if rep.kind == "model":
+        assert not any(isinstance(x, Gi) for x in leaves(rep._chev))
+    for (a, b) in rep.frame.generators:
+        assert pure(leaves(rep.action(a, b))), (a, b)
     assert not any(isinstance(x, Gi) for x in leaves(rep.reflection()))
     if rep.model is not None:
         for poly in rep.model.vectors:
@@ -85,14 +90,52 @@ def test_models_hold_one_exact_number_type(reps):
     assert type(result.value.numerator) is type(result.value.denominator) is Fraction
     assert type(b_eval(op, 3)) is Fraction
     back = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(o4))))
-    assert back._cols == o4._cols and back.reflection() == o4.reflection()
+    assert back.chevalley() == o4.chevalley() and back.reflection() == o4.reflection()
     for rep in (o4, o5):  # a loaded bundle holds the types of the model it came from
         loaded = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(rep))))
-        assert ({g: scalar_types(cols) for g, cols in loaded._cols.items()}
-                == {g: scalar_types(cols) for g, cols in rep._cols.items()})
+        assert ({g: scalar_types(loaded.action(*g)) for g in rep.frame.generators}
+                == {g: scalar_types(rep.action(*g)) for g in rep.frame.generators})
+        assert ({key: scalar_types(cols) for key, cols in loaded.chevalley().items()}
+                == {key: scalar_types(cols) for key, cols in rep.chevalley().items()})
         assert scalar_types(loaded.reflection()) == scalar_types(rep.reflection())
     for rep in (o4, o5, o7, sub, back):
         check_rep(rep)
     frame = o7.frame
-    for x in leaves([frame.root_vectors(), frame.root_tables, frame._gen_coords]):
+    for x in leaves([frame.roots, frame.root_tables, frame.gen_coords]):
         check_scalar(x)
+
+
+def test_frame_tables_are_real():
+    # the Casimir form and the structure constants over the Chevalley basis,
+    # for group sizes 1..9, and every subgroup root vector over the larger
+    # group's basis, for n = 3..6
+    for size in range(1, 10):
+        frame = get_frame(tuple(range(size)))
+        for x in leaves([frame.casimir_form, [dict(br) for row in frame.structure for br in row]]):
+            check_scalar(x)
+            assert not isinstance(x, Gi), (size, x)
+    for n in range(3, 7):
+        big, sub = get_frame(tuple(range(n + 1))), get_frame(tuple(range(1, n + 1)))
+        for combo in sub.roots.values():
+            assert not any(isinstance(x, Gi) for x in big.root_coords(combo).values())
+
+
+def test_model_checks_do_no_complex_arithmetic(reps, monkeypatch):
+    # the Casimir and bracket checks of constructed models (big and sub
+    # frames, a det twin) run on real columns with the frames' real tables;
+    # so do the hom space's highest-weight kernel and embeddings, whose only
+    # complex step expands the subgroup's root vectors over big's basis
+    models = [reps.get(4, (2, 1), -1), reps.get(6, (2, 1, 0)), reps.get(4, (1, 1), None, "sub")]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        method = getattr(Gi, name)
+        monkeypatch.setattr(Gi, name, lambda *args, _m=method: calls.append(1) or _m(*args))
+    for rep in models:
+        casimir_scalar(rep)
+        _verify_rep(rep)
+    assert calls == []
+    big, sub = models[0], models[2]
+    hw = subgroup_hw_space(big, sub)
+    images = _mirror_embedding(big, sub, hw[0])
+    assert not any(isinstance(x, Gi) for x in leaves([hw, images]))

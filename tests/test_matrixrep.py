@@ -38,6 +38,7 @@ from dense_reference import (
     polynomial_columns,
     qi_matmul,
     solved_root_vectors,
+    x_casimir_scalar,
 )
 
 CTX2 = rank_context(2)
@@ -118,6 +119,19 @@ def test_casimir_scalar_law(reps):
         rho = inf_char_of(fd_label(n + 1, (0,) * len(mu), 1 if (n + 1) % 2 else None))
         assert expected_casimir_scalar(rep) == (
             sum(c * c for c in lam) - sum(c * c for c in rho))
+
+
+def test_casimir_scalar_matches_the_x_form(reps):
+    # the Chevalley-basis form against -sum X[a,b]^2 through the formed X[a,b]:
+    # constructed models (big and sub frames, induced or not), a det twin,
+    # the defining representation, both one-dimensional ones and loaded bundles
+    models = [reps.get(n, rows, eps, side) for n, rows, eps, side in POLYNOMIAL_ROUTE_LABELS]
+    models += [reps.get(6, (2, 1, 0)), det_twisted(reps.get(4, (2, 0), 1)),
+               standard_rep(CTX3), standard_rep(CTX4), trivial_rep(CTX3),
+               trivial_rep(CTX4, eps=-1)]
+    models += [rep_from_bundle(json.loads(json.dumps(rep_to_bundle(rep)))) for rep in models[:3]]
+    for rep in models:
+        assert casimir_scalar(rep) == x_casimir_scalar(rep) == expected_casimir_scalar(rep), rep.label
 
 
 def test_dims_match_character_oracle(reps):
@@ -243,6 +257,40 @@ def test_bundle_metadata_must_match_its_rows(reps, tmp_path, capsys, key, value)
     assert exc.value.code == 2
 
 
+def _doubled_bundle(reps):
+    """The O(4) (1,0) bundle with every matrix replaced by the block-diagonal
+    sum of two copies: a representation of dimension 8 that satisfies every
+    relation, under rows whose irreducible has dimension 4."""
+    bundle = rep_to_bundle(reps.get(3, (1, 0)))
+    dim = bundle["dim"]
+
+    def doubled(flat):
+        return [flat[(i % dim) * dim + j % dim] if i // dim == j // dim else "0/1"
+                for i in range(2 * dim) for j in range(2 * dim)]
+
+    bundle["matrices"] = {key: doubled(flat) for key, flat in bundle["matrices"].items()}
+    bundle["reflection"] = doubled(bundle["reflection"])
+    bundle["dim"] = 2 * dim
+    return bundle
+
+
+def test_bundle_dim_must_match_its_rows(reps, tmp_path, run_optimized):
+    with pytest.raises(ValueError, match="bundle dim 8 does not match rows"):
+        rep_from_bundle(_doubled_bundle(reps))
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(_doubled_bundle(reps)))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ue", "--n", "3", "--max-degree", "2", "--bundle", str(path)])
+    assert exc.value.code == 2
+    code = ("import sys\n"
+            "from orthobranch.cli import main\n"
+            "try:\n"
+            "    main(['verify-ue', '--n', '3', '--max-degree', '2', '--bundle', sys.argv[1]])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+    assert run_optimized(code, str(path)).split() == ["2"]
+
+
 def test_bundle_metadata_is_compared_as_values(reps):
     back = rep_from_bundle(_edited_bundle(reps, "inf_char", ["4/2", "0/7"]))
     assert back.inf_char == (2, 0) and back.label == reps.get(3, (1, 0)).label
@@ -331,7 +379,7 @@ def test_closed_form_roots_match_the_solver():
         for indices in (tuple(range(size)), tuple(range(1, size + 1))):
             frame = Frame(indices)
             solved = solved_root_vectors(frame)
-            assert list(frame.root_vectors().items()) == list(solved.items()), indices
+            assert list(frame.roots.items()) == list(solved.items()), indices
             assert frame.root_tables.keys() == solved.keys()
             for root, combo in solved.items():
                 want = {}
@@ -370,24 +418,29 @@ def test_closed_form_table_corruption_is_caught(monkeypatch, run_optimized):
 
 
 def _corrupt_where_the_square_is_unchanged(rep):
-    """Set entry (r, 0) of the last Cartan generator X[p,q] to 1, where basis
-    vectors 0 and r both have a zero last weight entry: X[p,q] is diagonal
-    with that entry times -i, so its row 0 and column r are zero and the
-    changed matrix has the same square.  The Casimir check cannot see this;
-    only a bracket relation can."""
+    """Set entry (r, 0) of the stored column of the last Cartan element h_k
+    to 1, where basis vectors 0 and r both have a zero last weight entry: h_k
+    is diagonal with that entry, so its row 0 and column r are zero and the
+    changed matrix has the same square.  The Casimir check, whose only Cartan
+    terms are the h_k^2, cannot see this; only a bracket relation can."""
     k = rep.frame.rank
     tags = rep.model.tags
     assert tags[0][k - 1] == 0
     r = next(j for j, t in enumerate(tags) if j and t[k - 1] == 0)
-    rep.action(*rep.frame.pairs[k - 1])[0][r] = 1
+    rep._chev[k][0][r] = 1
+
+
+BRACKET_FAILURE = ("bracket fidelity failed for [E(1, 1),E(-1, -1)] on "
+                   "FDLabel(group_tag='O_even', mu=(2, 0), eps=1)")
 
 
 def test_bracket_check_can_fail(run_optimized):
     rep = construct_irrep(CTX3, (2, 0), eps=1)   # a fresh model: it is changed below
     _corrupt_where_the_square_is_unchanged(rep)
     assert casimir_scalar(rep) == expected_casimir_scalar(rep)
-    with pytest.raises(AssertionError, match=r"bracket fidelity failed for \[\(0, 1\),\(0, 2\)\]"):
+    with pytest.raises(AssertionError) as exc:
         _verify_rep(rep)
+    assert str(exc.value) == BRACKET_FAILURE
     code = ("from orthobranch.weights import rank_context\n"
             "from orthobranch.matrixrep import _verify_rep, construct_irrep\n"
             + inspect.getsource(_corrupt_where_the_square_is_unchanged) +
@@ -397,8 +450,7 @@ def test_bracket_check_can_fail(run_optimized):
             "    _verify_rep(rep)\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n")
-    out = run_optimized(code)
-    assert out.startswith("bracket fidelity failed for [(0, 1),(0, 2)]"), out
+    assert run_optimized(code).strip() == BRACKET_FAILURE
 
 
 def test_recursion_corruption_is_caught_cartan(monkeypatch):
