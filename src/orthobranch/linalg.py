@@ -132,7 +132,9 @@ def qi_to_string(x: Scalar) -> str:
 
 def qi_from_string(s: str) -> Scalar:
     """The scalar of an exact string, its parts normalised by ``exact``;
-    "p/q-r/si" reads as well."""
+    "p/q-r/si" reads as well.  Anything but a string is a ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"not an exact string: {s!r}")
     s = s.strip()
     if s.endswith("i"):
         body = s[:-1]

@@ -93,7 +93,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -827,28 +827,45 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
 # enveloping-algebra action
 # ---------------------------------------------------------------------------
 
+def scaled_generators(rep: MatrixRep, pairs) -> Tuple[int, Dict[Pair, Cols]]:
+    """(d, {(a, b): d X[a,b]}) for the generators pairs, d the lcm of the
+    denominators of every part of every entry of their X[a,b]: each scaled
+    entry is an int or a ``Gi`` with int parts.  Nothing is kept on rep."""
+    xs = {g: rep.action(*g) for g in pairs}
+    d = lcm(*{p.denominator for cols in xs.values() for col in cols for x in col.values()
+              for p in ((x.re, x.im) if type(x) is Gi else (x,))})
+    return d, {g: [{i: exact(x * d) for i, x in col.items()} for col in cols]
+               for g, cols in xs.items()}
+
+
+def word_sum(words, scaled: Dict[Pair, Cols], vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """sum c M_g1 ... M_gk vec over the pairs (word (g1, ..., gk), c), M_g = scaled[g]."""
+    out: Dict[int, Scalar] = {}
+    for word, c in words:
+        v = vec
+        for g in reversed(word):
+            if not v:
+                break
+            v = apply_cols(scaled[g], v)
+        p_add_into(out, v, c)
+    return out
+
+
 def act(element, rep: MatrixRep) -> Cols:
     """Columns of a universal-enveloping element (dict of generator-pair words
     to rational coefficients) on the representation.  Word (g1, ..., gk) acts
     as the operator product g1 ... gk.  Generators outside the
-    representation's coordinate set raise InvalidRankError."""
+    representation's coordinate set raise InvalidRankError.  Each word w acts
+    on the columns d X of ``scaled_generators`` with its coefficient times
+    d^(D - len w), D the element's degree: the sum is d^D times the element,
+    in Gaussian integers, and each entry is divided by d^D once (``exact``)."""
     terms = element.terms if hasattr(element, "terms") else element
-    cols: Cols = [dict() for _ in range(rep.dim)]
-    for word, coeff in terms.items():
-        for (a, b) in word:
-            if a not in rep.indices or b not in rep.indices:
-                raise InvalidRankError(
-                    f"generator ({a},{b}) outside representation coordinates {rep.indices}"
-                )
-        # right to left on each basis vector, starting from the last letter's column
-        last = rep.action(*word[-1]) if word else [{j: 1} for j in range(rep.dim)]
-        for j, vec in enumerate(last):
-            for (a, b) in reversed(word[:-1]):
-                if not vec:
-                    break
-                vec = apply_cols(rep.action(a, b), vec)
-            p_add_into(cols[j], vec, coeff)
-    return cols
+    d, scaled = scaled_generators(rep, {g for word in terms for g in word})
+    D = max(map(len, terms), default=0)
+    words = [(word, c * d ** (D - len(word))) for word, c in terms.items()]
+    inv = Fraction(1, d ** D)
+    return [{i: exact(x * inv) for i, x in word_sum(words, scaled, {j: 1}).items()}
+            for j in range(rep.dim)]
 
 
 # ---------------------------------------------------------------------------

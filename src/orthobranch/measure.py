@@ -43,6 +43,12 @@ proportional to ``T w``.  As ``W_k w = b_k w`` holds whatever ``T`` is, the
 line cannot see a wrong operator, so a measurement first re-runs the
 equivariance check of ``hom_space`` unless it passed on the current matrix.
 
+``verify_power_identity`` checks ``ctilde^N (u (x) f_0)`` against the ladder
+elements A_N, B_N one basis vector u at a time, with no division: the chain
+runs on the Gaussian-integer columns d X[a,b] of ``matrixrep.scaled_generators``
+and each word w acts through them with its coefficient times d^(N - len w), so
+both sides are d^N times the true ones (as in fraction-free elimination, Bareiss 1968).
+
 ``b_eval`` measures the same composition for powers of ``ctilde`` instead of
 the projector, and ``b_reconstruct`` interpolates those measurements across a
 grid of representation pairs into an exact polynomial in the two
@@ -54,13 +60,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Gi, Scalar, TrackedEchelon, apply_cols
 from .polyarith import p_add_into
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
-from .matrixrep import MatrixRep, expected_casimir_scalar
+from .matrixrep import MatrixRep, expected_casimir_scalar, scaled_generators, word_sum
 from .homspace import SymmetryBreakingOperator, _verify_operator
 
 CoordVec = Dict[int, Scalar]
@@ -78,18 +84,20 @@ class IdentityViolationError(AssertionError):
 # tuple machinery
 # ---------------------------------------------------------------------------
 
-def coupling_step(big: MatrixRep, V: Tuple_) -> Tuple_:
-    """One application of the coupled operator ctilde on a tuple over F."""
+def coupling_step(big: MatrixRep, V: Tuple_, cols: Optional[Dict] = None) -> Tuple_:
+    """One application of the coupled operator ctilde on a tuple over F,
+    reading each X[a,b] from cols[(a, b)] when given, else ``big.action``."""
     idx = big.indices
+    action = big.action if cols is None else (lambda a, b: cols[a, b])
     out: Tuple_ = [dict() for _ in idx]
     for pos_a, a in enumerate(idx):
         acc = out[pos_a]
         for pos_b, b in enumerate(idx):
             if b < a:
-                apply_cols(big.action(b, a), V[pos_b], acc)
+                apply_cols(action(b, a), V[pos_b], acc)
             elif b > a:
                 neg = {j: -c for j, c in V[pos_b].items()}
-                apply_cols(big.action(a, b), neg, acc)
+                apply_cols(action(a, b), neg, acc)
     return out
 
 
@@ -264,18 +272,21 @@ def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
 def verify_power_identity(big: MatrixRep, N: int) -> bool:
     """Check the universal-enveloping expansion of the N-th coupled power:
     ctilde^N (u (x) f_0) = (A_N u) (x) f_0 + sum_j (B_{N,j} u) (x) f_j with
-    A_N, B_N the symbolic elements of the enveloping-algebra layer, evaluated
-    through the representation's matrices on every basis vector."""
+    A_N, B_N the symbolic elements of the enveloping-algebra layer, on every
+    basis vector u, both sides times d^N as the module docstring describes.
+    An element with a word longer than N fails the check."""
     from .enveloping import build_A, build_B
-    from .matrixrep import act
     ctx = rank_context(len(big.indices) - 1)
-    A = act(build_A(N, ctx), big)
-    Bs = [act(b, big) for b in build_B(N, ctx)]
+    elements = [build_A(N, ctx), *build_B(N, ctx)]
+    if any(len(word) > N for e in elements for word in e.terms):
+        return False
+    d, scaled = scaled_generators(big, big.frame.generators)
+    words = [[(w, c * d ** (N - len(w))) for w, c in e.terms.items()] for e in elements]
     for j in range(big.dim):
         V = _insert_first_slot(big, {j: 1})
         for _ in range(N):
-            V = coupling_step(big, V)
-        if V != [A[j]] + [B[j] for B in Bs]:
+            V = coupling_step(big, V, scaled)
+        if any(v != word_sum(ws, scaled, {j: 1}) for v, ws in zip(V, words)):
             return False
     return True
 

@@ -19,9 +19,11 @@ z_p -+ i z_q), and ``solved_root_vectors`` finds every root vector as the
 kernel of the ad(h_k) eigen-equations.  Neither reads the closed forms that
 ``Frame`` writes down.
 
-Five independent routes to what the package computes another way:
+Six independent routes to what the package computes another way:
 ``x_casimir_scalar`` applies the quadratic invariant as -sum X[a,b]^2
 through the X[a,b] columns that ``casimir_scalar`` never forms,
+``plain_act`` evaluates an enveloping element word by word in the model's
+own numbers, where ``act`` clears one common denominator first,
 ``hom_space_dense`` solves the full equivariance system for the dimension
 ``hom_space`` finds from highest-weight vectors, ``primary_projector`` spans
 the image of the spectral projector that ``measure_scalar`` applies to one
@@ -185,6 +187,29 @@ def x_casimir_scalar(rep):
     if expected is None or isinstance(expected, Gi):
         raise AssertionError(f"quadratic invariant scalar {expected} is not real")
     return Fraction(expected)
+
+
+def plain_act(element, rep):
+    """Columns of a universal-enveloping element on rep, word by word in the
+    model's own exact numbers: each word's letters are applied right to left
+    through ``action`` to every basis vector and the result is added with
+    the word's coefficient, with no common denominator."""
+    terms = element.terms if hasattr(element, "terms") else element
+    cols = [dict() for _ in range(rep.dim)]
+    for word, coeff in terms.items():
+        for (a, b) in word:
+            if a not in rep.indices or b not in rep.indices:
+                raise InvalidRankError(
+                    f"generator ({a},{b}) outside representation coordinates {rep.indices}"
+                )
+        last = rep.action(*word[-1]) if word else [{j: 1} for j in range(rep.dim)]
+        for j, vec in enumerate(last):
+            for (a, b) in reversed(word[:-1]):
+                if not vec:
+                    break
+                vec = apply_cols(rep.action(a, b), vec)
+            p_add_into(cols[j], vec, coeff)
+    return cols
 
 
 def qi_matmul(a, b):

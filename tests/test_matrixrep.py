@@ -8,9 +8,9 @@ import pytest
 from orthobranch.branching import fd_label, inf_char_of
 from orthobranch.characters import o_irrep_dim
 from orthobranch.cli import main
-from orthobranch.enveloping import build_A, casimir, gen
+from orthobranch.enveloping import UEElement, build_A, build_B, casimir, gen
 from orthobranch import matrixrep
-from orthobranch.linalg import Gi
+from orthobranch.linalg import Gi, exact
 from orthobranch.polyarith import p_add_into
 from orthobranch.matrixrep import (
     _verify_rep,
@@ -26,6 +26,7 @@ from orthobranch.matrixrep import (
     qi_to_string,
     rep_from_bundle,
     rep_to_bundle,
+    scaled_generators,
     standard_rep,
     trivial_rep,
 )
@@ -35,6 +36,7 @@ from dense_reference import (
     dense,
     pair_action,
     parts,
+    plain_act,
     polynomial_columns,
     qi_matmul,
     solved_root_vectors,
@@ -97,6 +99,70 @@ def test_act_ladder_identity_on_standard_rep():
         want = [[a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(rhs_full, rhs_sub)]
         assert mat_eq(lhs, want)
+
+
+def _loaded(rep):
+    """rep written to a bundle and read back, as a file would be."""
+    return rep_from_bundle(json.loads(json.dumps(rep_to_bundle(rep))))
+
+
+def _shifted(element, lo):
+    """element with every generator index raised by lo: the same element over
+    the indices lo..lo+n of a subgroup frame."""
+    return UEElement({tuple((a + lo, b + lo) for a, b in word): c
+                      for word, c in element.terms.items()})
+
+
+def _act_elements(rep):
+    """A^(3) and each B_j^(3) (words of lengths 1 to 3), a constant and both
+    Casimirs, over rep's own indices."""
+    n, lo = len(rep.indices) - 1, rep.indices[0]
+    elements = [build_A(3, n), *build_B(3, n), casimir(n, "full"), casimir(n, "sub")]
+    return [_shifted(e, lo) for e in elements] + [UEElement({(): F(7, 2)}), {(): F(2)}]
+
+
+def _is_normalised(x):
+    """Every part of x is an int where it is integral (what linalg.exact makes)."""
+    return all(type(p) is int or (type(p) is F and p.denominator > 1) for p in parts(x))
+
+
+def test_act_matches_the_plain_reference(reps):
+    # constructed models (big and sub frames, induced or not), a det twin, the
+    # defining and trivial representations and loaded bundles, among them the
+    # dim-64 O(4) (5,2), whose common denominator is 239,719,573,094,400
+    models = [reps.get(n, rows, eps, side) for n, rows, eps, side in POLYNOMIAL_ROUTE_LABELS]
+    models += [det_twisted(reps.get(4, (2, 0), 1)), standard_rep(CTX3), standard_rep(CTX4),
+               trivial_rep(CTX3)]
+    models += [_loaded(reps.get(3, rows)) for rows in ((2, 1), (5, 2))]
+    models.append(_loaded(reps.get(4, (2, 0), 1)))
+    for rep in models:
+        for element in _act_elements(rep):
+            got = act(element, rep)
+            assert got == plain_act(element, rep), (rep.label, element)
+            assert all(_is_normalised(x) for col in got for x in col.values()), rep.label
+    sub = reps.get(3, (2,), None, "sub")   # on 1..3: the ladder's X[0,j] are outside it
+    for evaluate in (act, plain_act):
+        with pytest.raises(InvalidRankError, match=r"generator \(0,\d\) outside"):
+            evaluate(build_A(3, 3), sub)
+
+
+def test_scaled_generator_columns_are_gaussian_integers(reps):
+    # the O(4) (2,1) bundle with entry 0 of X[0,1] given parts over 101 and
+    # 103, primes that divide no other entry's denominator: d takes both
+    bundle = rep_to_bundle(reps.get(3, (2, 1)))
+    d21 = scaled_generators(rep_from_bundle(bundle), get_frame((0, 1, 2, 3)).generators)[0]
+    assert d21 % 101 and d21 % 103
+    bundle["matrices"]["0,1"][0] = "1/101+1/103i"
+    for rep, want in [(_loaded(reps.get(3, (5, 2))), 239719573094400),
+                      (reps.get(6, (2, 1, 0)), None),
+                      (rep_from_bundle(bundle), d21 * 101 * 103)]:
+        d, scaled = scaled_generators(rep, rep.frame.generators)
+        assert want is None or d == want
+        assert scaled.keys() == set(rep.frame.generators)
+        for (a, b), cols in scaled.items():
+            assert all(type(p) is int for col in cols for x in col.values() for p in parts(x))
+            assert [{i: exact(x * F(1, d)) for i, x in col.items()} for col in cols] == \
+                rep.action(a, b)
 
 
 def test_construct_irrep_examples(reps):
@@ -224,6 +290,28 @@ def test_bundle_entries_other_than_the_zero_string_are_parsed(reps):
         rep_from_bundle(bundle)
     bundle["matrices"]["0,1"][k] = " 0/1"   # zero written another way: parsed, then dropped
     assert rep_from_bundle(bundle).action(0, 1) == rep.action(0, 1)
+
+
+def test_bundle_entry_that_is_not_a_string_is_malformed(reps, tmp_path, run_optimized):
+    # the O(4) (1,0) bundle with entry 0 of "0,1" a number: a usage error
+    # (exit 2), not a refuted identity, also under python -O
+    bundle = rep_to_bundle(reps.get(3, (1, 0)))
+    bundle["matrices"]["0,1"][0] = 5
+    with pytest.raises(ValueError, match="not an exact string: 5"):
+        rep_from_bundle(bundle)
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(bundle))
+    argv = ["verify-ue", "--n", "3", "--max-degree", "2", "--bundle", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    code = ("import sys\n"
+            "from orthobranch.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+    assert run_optimized(code, *argv).split() == ["2"]
 
 
 def test_bundle_without_reflection_has_none(reps):

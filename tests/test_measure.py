@@ -1,12 +1,18 @@
 import dataclasses
 import inspect
+import json
 from fractions import Fraction
 
 import pytest
 
-from orthobranch import matrixrep, measure
+from orthobranch import enveloping, matrixrep, measure
+from orthobranch.cli import main
+from orthobranch.enveloping import monomial
 from orthobranch.homspace import SymmetryBreakingOperator, hom_space, subgroup_hw_space
-from orthobranch.matrixrep import act, construct_irrep, standard_rep, trivial_rep
+from orthobranch.linalg import qi_from_string, qi_to_string
+from orthobranch.matrixrep import (
+    act, construct_irrep, rep_from_bundle, rep_to_bundle, standard_rep, trivial_rep,
+)
 from orthobranch.measure import (
     IdentityViolationError,
     b_eval,
@@ -78,6 +84,68 @@ def test_power_identity(reps):
     assert verify_power_identity(standard_rep(CTX4), 2)
     assert verify_power_identity(trivial_rep(CTX3), 3)
     assert verify_power_identity(reps.get(3, (2, 0)), 2)
+
+
+def _edited_flat(flat, how):
+    """A matrix of a bundle (row-major exact strings) edited: "double" doubles
+    its first nonzero entry, "seventh" adds 1/7 to entry (0, 0), "negate"
+    negates every entry."""
+    flat = list(flat)
+    if how == "negate":
+        return [qi_to_string(-qi_from_string(x)) for x in flat]
+    k = next(k for k, x in enumerate(flat) if x != "0/1") if how == "double" else 0
+    x = qi_from_string(flat[k])
+    flat[k] = qi_to_string(2 * x if how == "double" else x + Fraction(1, 7))
+    return flat
+
+
+# (edit, generator edited, the check verify-ue --bundle reports): doubling an
+# entry or adding 1/7 changes -sum X[a,b]^2, so the Casimir check reports it
+# first; negating a whole generator leaves the Casimir, and only the power
+# identity sees it
+POWER_EDITS = [("double", "0,1", "self-check"), ("seventh", "1,2", "self-check"),
+               ("negate", "1,2", "bundle-power")]
+
+
+def _edited_power_bundle(reps, how, key):
+    bundle = rep_to_bundle(reps.get(3, (2, 1)))
+    bundle["matrices"][key] = _edited_flat(bundle["matrices"][key], how)
+    return bundle
+
+
+@pytest.mark.parametrize("how, key, check", POWER_EDITS)
+def test_power_identity_can_fail(reps, tmp_path, capsys, run_optimized, how, key, check):
+    rep = rep_from_bundle(_edited_power_bundle(reps, how, key))
+    # N = 1 cannot fail: A_1 = 0 and B_1,j = X_0j, so both sides are the same columns
+    assert [verify_power_identity(rep, N) for N in (1, 2, 3)] == [True, False, False]
+    path = tmp_path / f"{how}.json"
+    path.write_text(json.dumps(_edited_power_bundle(reps, how, key)))
+    argv = ["verify-ue", "--n", "3", "--max-degree", "3", "--bundle", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["check"] == check
+    code = ("import contextlib, io, json, sys\n"
+            "from orthobranch.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, json.loads(out.getvalue())['check'])\n")
+    assert run_optimized(code, *argv).split() == ["1", check]
+
+
+def test_a_word_longer_than_the_power_fails_the_check(reps, monkeypatch):
+    # the trivial model acts by zero, so the extra word adds nothing to either
+    # side: only the degree bound can turn the check down
+    build_B = enveloping.build_B
+
+    def padded(N, ctx):
+        first, *rest = build_B(N, ctx)
+        return (first + monomial([(0, 1)] * (N + 1)), *rest)
+
+    models = [trivial_rep(CTX3), rep_from_bundle(rep_to_bundle(reps.get(3, (2, 1))))]
+    assert all(verify_power_identity(rep, N) for rep in models for N in (1, 2, 3))
+    monkeypatch.setattr(enveloping, "build_B", padded)
+    assert [verify_power_identity(rep, N) for rep in models for N in (1, 2, 3)] == [False] * 6
 
 
 def test_b_eval_matches_closed_forms(reps):
