@@ -218,15 +218,15 @@ def _cmd_verify_ue(args) -> int:
     bundle_checks = 0
     if rep is not None and not failures:
         n = len(rep.indices) - 1
-        cs = casimir_scalar(rep)
         bundle_checks += 1
+        casimir = {"check": "bundle-casimir", "params": {"bundle": args.bundle}}
+        try:
+            cs = casimir_scalar(rep)
+        except AssertionError as exc:  # the invariant does not act by a scalar
+            return _fail({**casimir, "error": str(exc)}, args.out)
         if cs != expected_casimir_scalar(rep):
-            return _fail({
-                "check": "bundle-casimir",
-                "params": {"bundle": args.bundle},
-                "measured": _rat_s(cs),
-                "expected": _rat_s(expected_casimir_scalar(rep)),
-            }, args.out)
+            return _fail({**casimir, "measured": _rat_s(cs),
+                          "expected": _rat_s(expected_casimir_scalar(rep))}, args.out)
         for N in (2, 3):
             bundle_checks += 1
             if act(build_A(N, n), rep) != act(ladder_casimir(N, n), rep):

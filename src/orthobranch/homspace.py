@@ -8,8 +8,8 @@ maps ``big -> sub`` together with an explicit basis of verified operators.
 Method (all exact arithmetic, no character theory).  Every step works on
 coordinate vectors and the models' sparse columns: the stored Chevalley
 columns (``MatrixRep.apply``), the reflection columns ``reflection()``
-(det-twist included), the weight tags and construction recipes, and the Gram
-matrices ``gram_rows()`` of the invariant pairing.
+(det-twist included), and each model's ``PolyModel`` record: weight tags,
+construction recipes and ``gram``, the Gram matrix of the invariant pairing.
 
 1.  Collect the subgroup highest-weight vectors of weight ``mu'`` (the
     subgroup label) inside ``big``.  The candidates are the basis vectors
@@ -35,7 +35,7 @@ matrices ``gram_rows()`` of the invariant pairing.
 4.  Convert embeddings to projections with the invariant bilinear pairing:
     ``T = B_sub^{-1} S^T B_big`` is subgroup-equivariant ``big -> sub``.
     Row k of ``S^T B_big`` is ``s_k^T B_big``, the combination of the rows
-    of big's Gram matrix given by column k of ``S``.
+    of big's ``gram`` (derived at construction) given by column k of ``S``.
 
 Every solve reads its answer from a ``linalg.TrackedEchelon``, the package's
 one elimination: the kernels of steps 1 and 2 through ``linalg.kernel``, the
@@ -43,9 +43,10 @@ involution images of step 2 as coordinates over the highest-weight basis, and
 ``B_sub^{-1}`` of step 4 as the coordinates of each unit vector over the rows
 of the symmetric ``B_sub``.
 
-Every returned operator is verified literally: ``T X = X T`` for all
-subgroup generators X[a,b] (formed by ``action``) and ``T R_big = R_sub T``
-for the reflections.
+Every returned operator is verified on stored columns, no X[a,b] formed:
+``T M = M T`` for each element M of the subgroup's Chevalley basis, which
+spans the complexified subalgebra (on big through ``big.apply``), and
+``T R_big = R_sub T`` for the reflections.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .linalg import Cols, Scalar, TrackedEchelon, apply_cols, kernel
 from .polyarith import p_add_into
 from .weights import InvalidRankError
-from .matrixrep import MatrixRep
+from .matrixrep import MatrixRep, basis_name
 
 CoordVec = Dict[int, Scalar]
 
@@ -156,7 +157,7 @@ def _reflection_fixed_space(big: MatrixRep, sub: MatrixRep,
 def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep, s_cols: Cols) -> Cols:
     """T = B_sub^{-1} S^T B_big as dim(big) sparse columns, S given by its
     columns s_k; row k of S^T B_big combines the rows of big's Gram matrix."""
-    gram_big = big.model.gram_rows()
+    gram_big = big.model.gram
     stb: Cols = [dict() for _ in range(big.dim)]
     for k, s in enumerate(s_cols):
         for j, v in apply_cols(gram_big, s).items():
@@ -164,26 +165,27 @@ def _transpose_pair_matrix(big: MatrixRep, sub: MatrixRep, s_cols: Cols) -> Cols
     # B_sub is symmetric, so column r of B_sub^{-1} is the expansion of e_r
     # over its rows
     ech = TrackedEchelon()
-    for row in sub.model.gram_rows():
+    for row in sub.model.gram:
         if ech.insert(row)[0] is None:
             raise ValueError("matrix is singular")
     binv_cols: Cols = [dict(sorted(ech.coordinates({r: 1}).items())) for r in range(sub.dim)]
     return [apply_cols(binv_cols, col) for col in stb]
 
 
-def _operator_pairs(big: MatrixRep, sub: MatrixRep) -> Iterator[Tuple[str, Cols, Cols]]:
-    """What T X_big = X_sub T must hold for: each subgroup generator, then the
-    distinguished reflection, as (name, X_big, X_sub)."""
-    for (a, b) in sub.frame.generators:
-        yield f"generator ({a},{b})", big.action(a, b), sub.action(a, b)
+def _equivariance_pairs(big: MatrixRep, sub: MatrixRep) -> Iterator[Tuple[str, Cols, Cols]]:
+    """(name, M_big, M_sub) for T M_big = M_sub T: each element of the subgroup's
+    Chevalley basis (on big over big's basis), then the distinguished reflection."""
+    for x, combo in sub.frame.basis.items():
+        coords = big.frame.root_coords(combo)
+        yield basis_name(x), [big.apply(coords, {j: 1}) for j in range(big.dim)], sub.chevalley()[x]
     yield "the reflection", big.reflection(), sub.reflection()
 
 
 def _verify_operator(op: SymmetryBreakingOperator) -> None:
     T = op.matrix
-    for what, xbig, xsub in _operator_pairs(op.big, op.sub):
+    for what, mbig, msub in _equivariance_pairs(op.big, op.sub):
         for j in range(op.big.dim):
-            if apply_cols(T, xbig[j]) != apply_cols(xsub, T[j]):
+            if apply_cols(T, mbig[j]) != apply_cols(msub, T[j]):
                 raise AssertionError(f"operator not equivariant for {what}")
     op._checked = (op.big, op.sub, [dict(col) for col in T])
 

@@ -57,15 +57,17 @@ and raise ``ResourceLimitError``.
 The det-twist ``eps = -1`` never changes the underlying polynomial model:
 it multiplies the action of every reflection by ``-1`` (``twist_sign``).
 
-Polynomials serve only to find the basis.  The closure's coordinates of each
-lowering image F v_i and reflected vector R v_i are the columns of F and R;
-h_k acts by the weight tags; the raising root vectors follow in basis order
-from the recipes (E v_0 = 0, E F v_p = F E v_p + [E, F] v_p and
-E R v_p = R (R E R) v_p).  These Chevalley columns and R are what a model
-stores; ``action`` forms an X[a,b], a fixed combination of them, on first
-request.  The one other use of the polynomials is the Gram matrix of the
-invariant pairing, ``PolyModel.gram_rows``, cached on the model: hom spaces
-read it with the tags, the recipes and the columns, and nothing else.
+Polynomials serve only to find the basis and end with the closure
+(``_close_model``).  Its coordinates of each lowering image F v_i and
+reflected vector R v_i are the columns of F and R; h_k acts by the weight
+tags; the raising root vectors follow in basis order from the recipes
+(E v_0 = 0, E F v_p = F E v_p + [E, F] v_p and E R v_p = R (R E R) v_p).
+A model stores these Chevalley columns, R and a ``PolyModel`` record of the
+tags, the recipes and the Gram matrix of the invariant pairing, which
+invariance fixes up to one scalar (Schur): the seed's row pairs polynomials,
+the other rows follow from the recipes (``_invariant_gram``).  ``action``
+forms an X[a,b] from the columns on request; only ``scaled_generators`` (so
+``act``), ``rep_to_bundle`` and ``measure.coupling_step`` call it.
 
 Every scalar is the one exact number of ``linalg`` (an int or a Fraction
 when real, else a ``linalg.Gi``), and ``polyarith.p_add_into`` is the one
@@ -83,8 +85,9 @@ Construction is self-verifying by checks apart from that derivation, all on
 the real stored columns: the seed is annihilated by the raising operators,
 the dimension matches character theory, a non-induced span is
 reflection-stable, the quadratic Casimir (the frame's ``casimir_form``) acts
-by the expected scalar, and ``_verify_rep`` checks every bracket relation of
-the Chevalley basis (the frame's ``structure``) on probe vectors.
+by the expected scalar, ``_verify_rep`` checks every bracket relation of
+the Chevalley basis (the frame's ``structure``) on probe vectors, and the
+derived Gram matrix must come out symmetric.
 """
 
 from __future__ import annotations
@@ -387,61 +390,15 @@ class Recipe:
     op_index: int = -1
 
 
+@dataclass
 class PolyModel:
-    """A weight-graded polynomial realization with construction recipes."""
+    """What a built model keeps of its closure: the weight tag and the
+    construction recipe of each basis vector, and ``gram``, the sparse rows of
+    the invariant pairing's matrix B[i][j] = B(b_i, b_j)."""
 
-    def __init__(self, frame: Frame):
-        self.frame = frame
-        self.vectors: List[Poly] = []
-        self.tags: List[Tuple[int, ...]] = []
-        self.recipes: List[Recipe] = []
-        self.ech = TrackedEchelon()
-        self._gram_diag: Optional[List[Dict[int, Scalar]]] = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def _real(self, poly: Poly) -> Poly:
-        """poly, times -i when its weight's coordinate sum and the seed's
-        differ in parity: real (module docstring).  The echelon holds this
-        form; one weight gets one factor, so coordinates are unchanged."""
-        if poly and self.tags and (sum(mono_weight(self.frame, next(iter(poly))))
-                                   - sum(self.tags[0])) % 2:
-            return {m: c * Gi(0, -1) for m, c in poly.items()}
-        return poly
-
-    def coordinates(self, poly: Poly) -> Optional[Dict[int, Scalar]]:
-        return self.ech.coordinates(self._real(poly))
-
-    def try_insert(self, poly: Poly, tag: Tuple[int, ...],
-                   recipe: Recipe) -> Tuple[Optional[int], Dict[int, Scalar]]:
-        """Adds poly as a basis vector when it is independent of the basis:
-        returns (its index, {index: 1}) then, else (None, its coordinates)."""
-        idx, coords = self.ech.insert(self._real(poly))
-        if idx is not None:
-            if idx != len(self.vectors):
-                raise AssertionError(f"echelon index {idx} != model dimension {len(self.vectors)}")
-            self.vectors.append(poly)
-            self.tags.append(tag)
-            self.recipes.append(recipe)
-        return idx, coords
-
-    def gram_rows(self) -> List[Dict[int, Scalar]]:
-        """Sparse rows of the pairing matrix B[i][j] = B(b_i, b_j)."""
-        if self._gram_diag is None:
-            by_weight: Dict[Tuple[int, ...], List[int]] = {}
-            for i, t in enumerate(self.tags):
-                by_weight.setdefault(t, []).append(i)
-            rows: List[Dict[int, Scalar]] = [dict() for _ in range(self.dim)]
-            for i in range(self.dim):
-                dual = tuple(-c for c in self.tags[i])
-                for j in by_weight.get(dual, ()):  # pairing vanishes off opposite weights
-                    v = fischer_pair(self.frame, self.vectors[i], self.vectors[j])
-                    if v:
-                        rows[i][j] = v
-            self._gram_diag = rows
-        return self._gram_diag
+    tags: List[Tuple[int, ...]]
+    recipes: List[Recipe]
+    gram: List[Dict[int, Scalar]] = field(default_factory=list)
 
 
 def _binom_seed(frame: Frame, mu: Sequence[int]) -> Poly:
@@ -476,10 +433,9 @@ def _binom_seed(frame: Frame, mu: Sequence[int]) -> Poly:
 
 
 def _close_model(frame: Frame, label: FDLabel,
-                 dim_cap: int) -> Tuple[PolyModel, List[Cols], Cols]:
-    """The model of label, the columns of its lowering root vectors
-    (``lower[op_index]``) and of its reflection without det-twist."""
-    model = PolyModel(frame)
+                 dim_cap: int) -> Tuple[PolyModel, List[Poly], List[Cols], Cols]:
+    """The model of label (no ``gram`` yet), its basis polynomials, and the
+    columns of its lowering root vectors (``lower[op_index]``) and untwisted reflection."""
     mu = tuple(label.mu) + (0,) * (frame.rank - len(label.mu))
     seed = _binom_seed(frame, mu)
     tag = tuple(mu)
@@ -492,14 +448,23 @@ def _close_model(frame: Frame, label: FDLabel,
 
     lows = frame.lowering_ops()
     use_refl = label.induced
+    model, vectors = PolyModel([tag], [Recipe("seed")]), [seed]
+    ech = TrackedEchelon()
+    ech.insert(seed)
 
-    model.try_insert(seed, tag, Recipe("seed"))
+    def real(poly: Poly, weight: Tuple[int, ...]) -> Poly:
+        """poly of that weight, times -i when the weight's coordinate sum and
+        the seed's differ in parity: real (module docstring).  One weight
+        gets one factor, so coordinates are unchanged."""
+        odd = (sum(weight) - sum(tag)) % 2
+        return {m: c * Gi(0, -1) for m, c in poly.items()} if odd else poly
+
     lower: List[Dict[int, Dict[int, Scalar]]] = [dict() for _ in lows]  # [op][i]: F_op v_i
     refl: Dict[int, Dict[int, Scalar]] = {}  # [i]: R v_i
     queue = [0]
     while queue:
         i = queue.pop()
-        base = model.vectors[i]
+        base = vectors[i]
         base_tag = model.tags[i]
         steps = [(poly_apply_table(frame.root_tables[w], base), tuple(map(add, base_tag, w)),
                   Recipe("op", i, op_index), lower[op_index])
@@ -509,21 +474,55 @@ def _close_model(frame: Frame, label: FDLabel,
                           (-base_tag[0],) + base_tag[1:] if frame.rank else base_tag,
                           Recipe("refl", i), refl))
         for img, new_tag, recipe, coords in steps:
-            idx, coords[i] = model.try_insert(img, new_tag, recipe)
-            if idx is not None:
-                if model.dim > dim_cap:
+            idx, coords[i] = ech.insert(real(img, new_tag))
+            if idx is not None:  # img is independent of the basis: added to it
+                if idx != len(vectors):
+                    raise AssertionError(f"echelon index {idx} != model dimension {len(vectors)}")
+                vectors.append(img)
+                model.tags.append(new_tag)
+                model.recipes.append(recipe)
+                if len(vectors) > dim_cap:
                     raise ResourceLimitError(
                         f"model for {label} exceeded dimension cap {dim_cap}"
                     )
                 queue.append(idx)
     if not use_refl:
         # non-induced labels: the span must already be reflection-stable
-        for i, v in enumerate(model.vectors):
-            refl[i] = model.coordinates(poly_reflect(frame, v))
+        for i, v in enumerate(vectors):  # R keeps a weight's coordinate sum's parity
+            refl[i] = ech.coordinates(real(poly_reflect(frame, v), model.tags[i]))
             if refl[i] is None:
                 raise AssertionError(f"model for {label} is not reflection-stable")
-    span = range(model.dim)
-    return model, [[col[i] for i in span] for col in lower], [refl[i] for i in span]
+    span = range(len(vectors))
+    lower_cols = [[{k: exact(x) for k, x in col[i].items()} for i in span] for col in lower]
+    return model, vectors, lower_cols, [{k: exact(x) for k, x in refl[i].items()} for i in span]
+
+
+def _invariant_gram(frame: Frame, model: PolyModel, vectors: List[Poly],
+                    lower: List[Cols], refl: Cols) -> List[Dict[int, Scalar]]:
+    """Sparse rows of B[i][j] = B(b_i, b_j), the invariant pairing.  The seed
+    row pairs polynomials (``fischer_pair``); row i of a recipe follows by
+    invariance, B(F v_p, v_j) = -B(v_p, F v_j) and B(R v_p, v_j) = B(v_p, R v_j)
+    (R untwisted), over j of weight -tag_i.  Asymmetric rows raise AssertionError."""
+    by_weight: Dict[Tuple[int, ...], List[int]] = {}
+    for j, t in enumerate(model.tags):
+        by_weight.setdefault(t, []).append(j)
+    rows: List[Dict[int, Scalar]] = []
+    for i, (t, rec) in enumerate(zip(model.tags, model.recipes)):
+        dual = by_weight.get(tuple(-c for c in t), ())
+        if rec.kind == "seed":
+            row = {j: fischer_pair(frame, vectors[0], vectors[j]) for j in dual}
+        else:
+            cols, sign = (lower[rec.op_index], -1) if rec.kind == "op" else (refl, 1)
+            parent = rows[rec.parent]
+            row = {j: sign * sum(x * parent[k] for k, x in cols[j].items() if k in parent)
+                   for j in dual}
+        rows.append({j: exact(v) for j, v in row.items() if v})
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if rows[j].get(i) != v:
+                raise AssertionError(f"invariant pairing is not symmetric: B[{i}][{j}] = {v}, "
+                                     f"B[{j}][{i}] = {rows[j].get(i, 0)}")
+    return rows
 
 
 def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
@@ -551,7 +550,7 @@ def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
             else:
                 col = apply_cols(refl, _apply(mats, conjugates[r], {p: 1}))
             mats[w].append(col)
-    return {key: _combined(mats, {key: 1}, model.dim) for key in frame.basis}
+    return {key: _combined(mats, {key: 1}, len(model.tags)) for key in frame.basis}
 
 
 def _apply(mats: Dict, coords: Dict, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
@@ -709,16 +708,9 @@ def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
     size = len(indices)
     rank = so_rank(size) if size > 2 else 1
     label = fd_label(size, (0,) * rank, eps if (size % 2 or eps == -1) else None)
-    frame = get_frame(indices)
-    model = PolyModel(frame)
-    model.try_insert({tuple([0] * frame.nvars): 1}, (0,) * frame.rank, Recipe("seed"))
-    return MatrixRep(
-        dim=1,
-        label=label,
-        indices=indices,
-        model=model,
-        _refl=[{0: eps}],
-    )
+    # the constant polynomial 1, whose pairing with itself is 1
+    model = PolyModel([(0,) * get_frame(indices).rank], [Recipe("seed")], [{0: 1}])
+    return MatrixRep(dim=1, label=label, indices=indices, model=model, _refl=[{0: eps}])
 
 
 def construct_irrep(
@@ -735,7 +727,7 @@ def construct_irrep(
     The generator matrices come from the closure's coordinates by the
     recursion of the module docstring and are checked apart from it: against
     character theory's dimension, the Casimir scalar, and every bracket
-    relation on probe vectors.
+    relation on probe vectors; then ``_invariant_gram`` derives the Gram rows.
     """
     indices = _indices_for(ctx_or_indices, which)
     size = len(indices)
@@ -748,13 +740,13 @@ def construct_irrep(
         raise ResourceLimitError(
             f"irreducible {label} has dimension {expected} > cap {dim_cap}"
         )
-    model, lower, refl = _close_model(frame, label, dim_cap)
-    if model.dim != expected:
+    model, vectors, lower, refl = _close_model(frame, label, dim_cap)
+    if len(vectors) != expected:
         raise AssertionError(
-            f"model for {label} has dimension {model.dim}, character theory says {expected}"
+            f"model for {label} has dimension {len(vectors)}, character theory says {expected}"
         )
     rep = MatrixRep(
-        dim=model.dim,
+        dim=expected,
         label=label,
         indices=indices,
         model=model,
@@ -762,6 +754,7 @@ def construct_irrep(
         _refl=[{i: exact(label.eps * x) for i, x in col.items()} for col in refl],
     )
     _verify_rep(rep)
+    model.gram = _invariant_gram(frame, model, vectors, lower, refl)
     return rep
 
 
@@ -797,6 +790,11 @@ def expected_casimir_scalar(rep: MatrixRep) -> Fraction:
     return sum(c * c for c in lam) - sum(c * c for c in rho_own)
 
 
+def basis_name(key) -> str:
+    """A key of ``Frame.basis`` as messages name it: hk, or E(root)."""
+    return f"h{key}" if type(key) is int else f"E{key}"
+
+
 def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
     """Casimir scalar plus M_x M_y v - M_y M_x v = sum_z N[z] M_z v on real
     probe vectors v for the Chevalley columns M and every pair x before y of
@@ -819,8 +817,8 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
                 for z, s in br:
                     p_add_into(rhs, mv[z], s)
                 if lhs != rhs:
-                    x, y = (f"h{z}" if type(z) is int else f"E{z}" for z in (x, y))
-                    raise AssertionError(f"bracket fidelity failed for [{x},{y}] on {rep.label}")
+                    raise AssertionError(f"bracket fidelity failed for "
+                                         f"[{basis_name(x)},{basis_name(y)}] on {rep.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ that ``nullspace``.  It takes ints, Fractions and ``Gi`` entries alike.
 ``dense`` turns the package's sparse columns into lists of rows,
 ``qi_matmul`` multiplies such rows, and ``parts`` reads any scalar as its
 (real, imaginary) pair.
-``polynomial_columns`` computes a polynomial model's generator and reflection
-matrices the direct way, one polynomial application per column, for
-comparison with the matrices the package derives from the closure.
+A built model keeps no polynomial, so ``basis_polynomials`` reads them from a
+fresh closure (``matrixrep._close_model``).  ``polynomial_columns`` computes
+a polynomial model's generator and reflection matrices the direct way, one
+polynomial application per column, for comparison with the matrices the
+package derives from the closure.
 
 The root system the other way round: ``pair_action`` derives the action of
 one X[a,b] on a frame's variables through the real coordinates (zeta+- =
@@ -19,13 +21,17 @@ z_p -+ i z_q), and ``solved_root_vectors`` finds every root vector as the
 kernel of the ad(h_k) eigen-equations.  Neither reads the closed forms that
 ``Frame`` writes down.
 
-Six independent routes to what the package computes another way:
+Seven independent routes to what the package computes another way:
 ``x_casimir_scalar`` applies the quadratic invariant as -sum X[a,b]^2
 through the X[a,b] columns that ``casimir_scalar`` never forms,
 ``plain_act`` evaluates an enveloping element word by word in the model's
 own numbers, where ``act`` clears one common denominator first,
-``hom_space_dense`` solves the full equivariance system for the dimension
-``hom_space`` finds from highest-weight vectors, ``primary_projector`` spans
+``fischer_gram`` pairs every two basis polynomials of opposite weight for
+the Gram matrix that a model derives from its seed's row and its recipes,
+``hom_space_dense`` solves the full equivariance system, one equation per
+subgroup generator X[a,b] (``_operator_pairs``, formed by ``action``), for
+the dimension ``hom_space`` finds from highest-weight vectors and checks on
+the Chevalley basis, ``primary_projector`` spans
 the image of the spectral projector that ``measure_scalar`` applies to one
 highest-weight vector only, ``dense_projector_ratio`` and ``dense_b`` measure
 the universal scalars on three dense probe vectors instead of that one
@@ -39,10 +45,10 @@ from fractions import Fraction
 from typing import List, Optional
 
 from orthobranch.enveloping import ad_gn, commutator, gen, normal_order
-from orthobranch.homspace import _operator_pairs
 from orthobranch.linalg import Gi, TrackedEchelon, apply_cols
 from orthobranch.matrixrep import (
-    MatrixRep, expected_casimir_scalar, poly_apply_table, poly_reflect, so_bracket,
+    MatrixRep, _close_model, expected_casimir_scalar, fischer_pair, poly_apply_table,
+    poly_reflect, so_bracket,
 )
 from orthobranch.polyarith import p_add_into
 from orthobranch.measure import (
@@ -148,23 +154,48 @@ def solved_root_vectors(frame):
     return roots
 
 
+def basis_polynomials(rep):
+    """The basis polynomials of a polynomial model, from a fresh closure of
+    its label: a built model keeps none."""
+    return _close_model(rep.frame, rep.label, rep.dim)[1]
+
+
 def polynomial_columns(rep):
     """({(a, b): columns of X[a,b]}, columns of the reflection with its
     det-twist) of a polynomial model: every generator and the reflection is
     applied to every basis polynomial, and the image's coordinates are read
-    off the model's echelon."""
-    frame, model = rep.frame, rep.model
+    off an echelon of the basis polynomials as they are, complex entries and
+    all."""
+    frame, vectors = rep.frame, basis_polynomials(rep)
+    ech = TrackedEchelon()
+    for v in vectors:
+        ech.insert(v)
 
     def coords(img):
-        found = model.coordinates(img)
+        found = ech.coordinates(img)
         assert found is not None, "image left the model span"
         return found
 
-    gens = {(a, b): [coords(poly_apply_pair(frame, a, b, v)) for v in model.vectors]
+    gens = {(a, b): [coords(poly_apply_pair(frame, a, b, v)) for v in vectors]
             for (a, b) in frame.generators}
     tw = rep.twist_sign
     return gens, [{i: tw * x for i, x in coords(poly_reflect(frame, v)).items()}
-                  for v in model.vectors]
+                  for v in vectors]
+
+
+def fischer_gram(rep):
+    """Sparse rows of B[i][j] = fischer_pair(b_i, b_j) over every pair of
+    basis polynomials of opposite weight: the reference for the Gram matrix
+    that a model derives from its seed's pairings and its recipes."""
+    frame, vectors, tags = rep.frame, basis_polynomials(rep), rep.model.tags
+    rows = [dict() for _ in vectors]
+    for i, v in enumerate(vectors):
+        for j, u in enumerate(vectors):
+            if tags[j] == tuple(-c for c in tags[i]):
+                x = fischer_pair(frame, v, u)
+                if x:
+                    rows[i][j] = x
+    return rows
 
 
 def x_casimir_scalar(rep):
@@ -273,6 +304,15 @@ def nullspace(rows):
             vec[pcol] = -work[prow][fc]
         basis.append(vec)
     return basis
+
+
+def _operator_pairs(big, sub):
+    """What T X_big = X_sub T must hold for: each subgroup generator X[a,b],
+    formed by ``action``, then the distinguished reflection, as (name, X_big,
+    X_sub)."""
+    for (a, b) in sub.frame.generators:
+        yield f"generator ({a},{b})", big.action(a, b), sub.action(a, b)
+    yield "the reflection", big.reflection(), sub.reflection()
 
 
 def hom_space_dense(big, sub, max_unknowns: int = 1500) -> int:

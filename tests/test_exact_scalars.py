@@ -14,6 +14,8 @@ from orthobranch.matrixrep import (
 )
 from orthobranch.measure import b_eval, measure_scalar
 
+from dense_reference import basis_polynomials
+
 
 def leaves(obj):
     """The scalars held in obj: the values of dicts, lists and tuples,
@@ -53,9 +55,7 @@ def stored(rep):
     """Everything a representation holds that is made of scalars."""
     out = [rep._chev, rep._x, rep._refl, rep.cache]
     if rep.model is not None:
-        model = rep.model
-        out += [model.vectors, model.gram_rows(),
-                [row for row in model.ech.rows.values()]]
+        out.append(rep.model.gram)
     return out
 
 
@@ -68,9 +68,9 @@ def check_rep(rep):
         assert pure(leaves(rep.action(a, b))), (a, b)
     assert not any(isinstance(x, Gi) for x in leaves(rep.reflection()))
     if rep.model is not None:
-        for poly in rep.model.vectors:
+        for poly in basis_polynomials(rep):   # the closure's, which the model does not keep
             assert pure(poly.values())
-        assert not any(isinstance(x, Gi) for x in leaves(rep.model.gram_rows()))
+        assert not any(isinstance(x, Gi) for x in leaves(rep.model.gram))
 
 
 def test_models_hold_one_exact_number_type(reps):

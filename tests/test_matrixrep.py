@@ -10,7 +10,7 @@ from orthobranch.characters import o_irrep_dim
 from orthobranch.cli import main
 from orthobranch.enveloping import UEElement, build_A, build_B, casimir, gen
 from orthobranch import matrixrep
-from orthobranch.linalg import Gi, exact
+from orthobranch.linalg import Gi, TrackedEchelon, exact
 from orthobranch.polyarith import p_add_into
 from orthobranch.matrixrep import (
     _verify_rep,
@@ -34,6 +34,7 @@ from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_conte
 
 from dense_reference import (
     dense,
+    fischer_gram,
     pair_action,
     parts,
     plain_act,
@@ -459,6 +460,78 @@ def test_generator_matrices_match_the_polynomial_route(reps, n, rows, eps, side)
     assert rep.reflection() == refl
 
 
+# (n, rows, eps): induced O(4) labels, whose recipes hold reflection steps,
+# and non-induced labels of O(5), O(6) and O(7) (dims 16 to 105)
+GRAM_LABELS = [(3, (2, 1), None), (3, (2, 2), None), (3, (5, 2), None), (4, (2, 1), 1),
+               (5, (2, 2, 0), 1), (6, (2, 1, 0), 1), (6, (2, 1, 0), -1)]
+
+
+@pytest.mark.parametrize("n, rows, eps", GRAM_LABELS)
+def test_derived_gram_matches_the_fischer_reference(reps, n, rows, eps):
+    rep = reps.get(n, rows, eps)
+    assert rep.model.gram == fischer_gram(rep)
+
+
+def _reachable(obj):
+    """obj and everything reachable from it through attributes, dict keys and
+    values, lists and tuples."""
+    stack, seen = [obj], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, dict):
+            stack += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple)):
+            stack += x
+        elif hasattr(x, "__dict__"):
+            stack += vars(x).values()
+
+
+def test_a_built_model_holds_no_polynomial(reps):
+    models = [construct_irrep(CTX3, (2, 1)), det_twisted(construct_irrep(CTX4, (2, 0), 1)),
+              construct_irrep(CTX3, (0, 0), -1), trivial_rep(CTX4)]
+    for rep in models:
+        assert set(vars(rep.model)) == {"tags", "recipes", "gram"}, rep.label
+        nvars = rep.frame.nvars
+        for x in _reachable(rep):
+            assert not isinstance(x, TrackedEchelon), rep.label
+            # a polynomial is a dict keyed by exponent tuples over the variables
+            assert not (isinstance(x, dict) and any(
+                isinstance(k, tuple) and len(k) == nvars for k in x)), rep.label
+
+
+def _gram_with_one_lowering_entry_doubled():
+    """The Gram derivation of O(4) (2,1) from a fresh closure, with the first
+    nonzero entry of the first lowering root vector's columns doubled."""
+    frame = get_frame((0, 1, 2, 3))
+    model, vectors, lower, refl = matrixrep._close_model(frame, fd_label(4, (2, 1), None), 16)
+    col = next(c for c in lower[0] if c)
+    k = next(iter(col))
+    col[k] = col[k] * 2
+    return matrixrep._invariant_gram(frame, model, vectors, lower, refl)
+
+
+GRAM_FAILURE = "invariant pairing is not symmetric: B[0][10] = 2304, B[10][0] = 4608"
+
+
+def test_gram_symmetry_check_can_fail(run_optimized):
+    with pytest.raises(AssertionError) as exc:
+        _gram_with_one_lowering_entry_doubled()
+    assert str(exc.value) == GRAM_FAILURE
+    code = ("from orthobranch import matrixrep\n"
+            "from orthobranch.branching import fd_label\n"
+            "from orthobranch.matrixrep import get_frame\n"
+            + inspect.getsource(_gram_with_one_lowering_entry_doubled) +
+            "try:\n"
+            "    _gram_with_one_lowering_entry_doubled()\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    assert run_optimized(code) == GRAM_FAILURE + "\n"
+
+
 def test_closed_form_roots_match_the_solver():
     # frames (0..L-1) and (1..L) for L = 1..9: with and without a spare, and
     # with the spare at 0 or 1
@@ -547,9 +620,9 @@ def test_recursion_corruption_is_caught_cartan(monkeypatch):
     close = matrixrep._close_model
 
     def shifted_tag(frame, label, dim_cap):
-        model, lower, refl = close(frame, label, dim_cap)
+        model, *rest = close(frame, label, dim_cap)
         model.tags[1] = (model.tags[1][0] + 1,) + model.tags[1][1:]
-        return model, lower, refl
+        return (model, *rest)
 
     monkeypatch.setattr(matrixrep, "_close_model", shifted_tag)
     with pytest.raises(AssertionError, match="quadratic invariant|bracket fidelity"):

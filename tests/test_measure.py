@@ -100,10 +100,10 @@ def _edited_flat(flat, how):
 
 
 # (edit, generator edited, the check verify-ue --bundle reports): doubling an
-# entry or adding 1/7 changes -sum X[a,b]^2, so the Casimir check reports it
-# first; negating a whole generator leaves the Casimir, and only the power
-# identity sees it
-POWER_EDITS = [("double", "0,1", "self-check"), ("seventh", "1,2", "self-check"),
+# entry or adding 1/7 makes -sum X[a,b]^2 act by no scalar, so the Casimir
+# check reports it first; negating a whole generator leaves the Casimir, and
+# only the power identity sees it
+POWER_EDITS = [("double", "0,1", "bundle-casimir"), ("seventh", "1,2", "bundle-casimir"),
                ("negate", "1,2", "bundle-power")]
 
 
@@ -123,7 +123,10 @@ def test_power_identity_can_fail(reps, tmp_path, capsys, run_optimized, how, key
     argv = ["verify-ue", "--n", "3", "--max-degree", "3", "--bundle", str(path)]
     capsys.readouterr()
     assert main(argv) == 1
-    assert json.loads(capsys.readouterr().out)["check"] == check
+    report = json.loads(capsys.readouterr().out)
+    assert report["check"] == check and report["params"]["bundle"] == str(path)
+    if check == "bundle-casimir":
+        assert report["error"].startswith("quadratic invariant "), report  # casimir_scalar's text
     code = ("import contextlib, io, json, sys\n"
             "from orthobranch.cli import main\n"
             "out = io.StringIO()\n"
