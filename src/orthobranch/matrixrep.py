@@ -67,7 +67,7 @@ tags, the recipes and the Gram matrix of the invariant pairing, which
 invariance fixes up to one scalar (Schur): the seed's row pairs polynomials,
 the other rows follow from the recipes (``_invariant_gram``).  ``action``
 forms an X[a,b] from the columns on request; only ``scaled_generators`` (so
-``act``), ``rep_to_bundle`` and ``measure.coupling_step`` call it.
+``act`` and ``measure.verify_power_identity``) and ``rep_to_bundle`` call it.
 
 Every scalar is the one exact number of ``linalg`` (an int or a Fraction
 when real, else a ``linalg.Gi``), and ``polyarith.p_add_into`` is the one
@@ -586,10 +586,10 @@ class MatrixRep:
     a row index to the nonzero coordinate of the image of basis vector j.
     A constructed model stores the columns of the frame's Chevalley basis
     (``chevalley()``; ``Frame.basis``: each root vector keyed by its root,
-    h_k by k); ``action`` forms a generator X[a,b], a < b, from them on first
-    request and caches it in a dict that det twins share.  The defining and
-    trivial representations and a loaded bundle hold their X[a,b] in that
-    cache instead and derive the Chevalley columns on request.  Every one
+    h_k by k); ``action`` forms a generator X[a,b], a < b, from them on each
+    request and keeps nothing.  The defining representation and a loaded
+    bundle hold the X[a,b] they were made from in ``_x`` instead and derive
+    the Chevalley columns on request.  Every one
     stores the columns of the distinguished reflection (largest-coordinate
     sign flip), det-twist included, returned by ``reflection()``; ``apply``
     applies an element given by its ``Frame.root_coords``.
@@ -640,7 +640,7 @@ class MatrixRep:
         return _apply(self.chevalley(), coords, vec)
 
     def action(self, a: int, b: int) -> Cols:
-        """Columns of X[a,b]: col[j] = {i: coeff}.  a < b required."""
+        """Columns of X[a,b], a < b: the stored ones, else formed and not kept."""
         cols = self._x.get((a, b))
         if cols is not None:
             return cols
@@ -650,9 +650,7 @@ class MatrixRep:
             raise InvalidRankError(
                 f"generator ({a},{b}) outside representation coordinates {self.indices}"
             )
-        cols = self._x[(a, b)] = _combined(self.chevalley(), self.frame.gen_coords[(a, b)],
-                                           self.dim)
-        return cols
+        return _combined(self.chevalley(), self.frame.gen_coords[(a, b)], self.dim)
 
     def reflection(self) -> Cols:
         """Columns of the distinguished reflection, det-twist included."""
@@ -928,11 +926,11 @@ def rep_to_bundle(rep: MatrixRep) -> dict:
 def det_twisted(rep: MatrixRep) -> MatrixRep:
     """Sibling representation tensored with the determinant character.
 
-    The generator action is unchanged, so the matrix caches are shared; only
-    the distinguished-reflection sign and the label's sign flip (a reflection
-    matrix already at hand, e.g. one read from a bundle, is negated).  When the
-    twist is isomorphic to the original (even group size with a nonzero last
-    row), the representation itself is returned."""
+    The generator action is unchanged, so twins share the stored columns and
+    the hw-chain cache; only the reflection's sign and the label's flip (a
+    reflection matrix already at hand, e.g. one read from a bundle, is
+    negated).  When the twist is isomorphic to the original (even group size
+    with a nonzero last row), the representation itself is returned."""
     label = rep.label
     if label.induced:
         return rep
@@ -949,8 +947,9 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     the scalars have the types of the model the bundle was written from.  The
     metadata fields that the label determines (``_metadata``) must equal, as
     values, what the rows give, and ``dim`` must be the dimension character
-    theory gives the rows: a mismatch is a malformed file and raises
-    ValueError.  The matrices read are kept as the X[a,b] cache, so
+    theory gives the rows, and the matrix keys must be exactly the frame's
+    generators written "a,b": a mismatch is a malformed file and raises
+    ValueError.  The matrices read are kept as the X[a,b] in ``_x``, so
     ``action`` returns them verbatim and ``chevalley()`` derives from them;
     algebraic sanity (bracket fidelity, Casimir scalar) is re-established by
     the caller via verify-style checks, not assumed.  A bundle without a
@@ -958,10 +957,14 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     meta = bundle["metadata"]
     indices = tuple(int(i) for i in meta["indices"])
     dim = int(bundle["dim"])
-    actions: Dict[Pair, Cols] = {}
-    for key, flat in bundle["matrices"].items():
-        a_s, b_s = key.split(",")
-        actions[(int(a_s), int(b_s))] = _cols_from_strings(flat, dim, f"matrix {key}")
+    keys = {f"{a},{b}": (a, b) for a, b in get_frame(indices).generators}
+    got = set(bundle["matrices"])
+    if got != set(keys):
+        raise ValueError(f"bundle matrix keys must be the generators a,b of indices "
+                         f"{list(indices)}: unexpected {sorted(got - set(keys))}, "
+                         f"missing {sorted(set(keys) - got)}")
+    actions = {g: _cols_from_strings(bundle["matrices"][key], dim, f"matrix {key}")
+               for key, g in keys.items()}
     if not isinstance(meta["rows"], list):
         raise ValueError(f"bundle metadata rows {meta['rows']!r} is not a list of row lengths")
     refl = bundle.get("reflection")

@@ -9,12 +9,14 @@ coordinates are ``+-e_j`` (plus 0 when the group size n+1 is odd).
 
 Everything is phrased on tuples: an element of ``big (x) F`` is the tuple
 ``V = (u_0, ..., u_n)`` standing for ``sum_a u_a (x) f_a`` with each ``u_a``
-a coordinate vector in the big model.  The coupled lowering-type operator
-
-    ctilde(V)_a = sum_{b<a} X[b,a] u_b - sum_{b>a} X[a,b] u_b
-
-is the matrix form of ``-sum_{i<j} X[i,j] (x) X[i,j]`` acting with the second
-leg on ``F``, and the shifted Casimir on the tensor product acts tuple-wise:
+a coordinate vector in the big model.  The coupled operator ctilde, the
+matrix form of -sum_{a<b} X[a,b] (x) X^F[a,b] (X^F[a,b]: f_b -> f_a, f_a ->
+-f_b on ``F``), is the Casimir check's form K (``Frame.casimir_form``) with
+one leg on F: ctilde = sum K[x,y] M_x (x) F_y over the Chevalley basis, M_x
+the stored columns and F_y = ``Frame.basis[y]`` on F, so measurement forms no
+X[a,b].  F is in its f-basis, where F_y carries i, so the chain holds ``Gi``
+(a real weight basis for F is left for later).  The shifted Casimir on the
+tensor product acts tuple-wise:
 
     cDelta(V)_a = (casimir(big) + n) u_a + 2 ctilde(V)_a,
 
@@ -35,13 +37,13 @@ f_0)``, is a subgroup endomorphism of big (``f_0`` is subgroup-fixed and the
 slot projection runs along a subgroup-stable complement), and big restricts
 to the subgroup without multiplicities (Gelfand-Tsetlin), so ``W_k w = b_k
 w`` exactly.  The chain of first slots of ``w``, k = 0, 1, ..., is cached on
-big under ``w`` (det twins share it with the cache, the stored columns and
-the formed X[a,b]); ``measure_scalar`` combines its slots with the projector
-polynomial's coefficients, ``b_eval`` reads the ell-th one, and both check
-that each slot is an exact multiple of ``w`` and that ``T`` of the result is
-proportional to ``T w``.  As ``W_k w = b_k w`` holds whatever ``T`` is, the
-line cannot see a wrong operator, so a measurement first re-runs the
-equivariance check of ``hom_space`` unless it passed on the current matrix.
+big under ``w`` (det twins share that cache and the stored columns);
+``measure_scalar`` combines its slots with the projector polynomial's
+coefficients, ``b_eval`` reads the ell-th one, and both check that each slot
+is an exact multiple of ``w`` and that ``T`` of the result is proportional to
+``T w``.  As ``W_k w = b_k w`` holds whatever ``T`` is, the line cannot see a
+wrong operator, so a measurement first re-runs the equivariance check of
+``hom_space`` unless it passed on the current matrix.
 
 ``verify_power_identity`` checks ``ctilde^N (u (x) f_0)`` against the ladder
 elements A_N, B_N one basis vector u at a time, with no division: the chain
@@ -60,9 +62,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .linalg import Gi, Scalar, TrackedEchelon, apply_cols
+from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols
 from .polyarith import p_add_into
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
@@ -84,20 +86,18 @@ class IdentityViolationError(AssertionError):
 # tuple machinery
 # ---------------------------------------------------------------------------
 
-def coupling_step(big: MatrixRep, V: Tuple_, cols: Optional[Dict] = None) -> Tuple_:
-    """One application of the coupled operator ctilde on a tuple over F,
-    reading each X[a,b] from cols[(a, b)] when given, else ``big.action``."""
-    idx = big.indices
-    action = big.action if cols is None else (lambda a, b: cols[a, b])
-    out: Tuple_ = [dict() for _ in idx]
-    for pos_a, a in enumerate(idx):
-        acc = out[pos_a]
-        for pos_b, b in enumerate(idx):
-            if b < a:
-                apply_cols(action(b, a), V[pos_b], acc)
-            elif b > a:
-                neg = {j: -c for j, c in V[pos_b].items()}
-                apply_cols(action(a, b), neg, acc)
+def coupling_step(mats: Dict[object, Cols], form: Dict, combos: Dict, V: Tuple_) -> Tuple_:
+    """ctilde V = sum form[x, y] M_x (x) F_y on a tuple over F, M_x = mats[x] and
+    F_y = sum combos[y][(a, b)] X^F[a,b]: per (x, y), the slots that F_y sends
+    into each slot are combined first, then M_x is applied once per slot."""
+    out: Tuple_ = [dict() for _ in V]
+    for (x, y), k in form.items():
+        into: Dict[int, CoordVec] = {}
+        for (a, b), c in combos[y].items():
+            p_add_into(into.setdefault(a, {}), V[b], k * c)
+            p_add_into(into.setdefault(b, {}), V[a], -k * c)
+        for slot, u in into.items():
+            apply_cols(mats[x], u, out[slot])
     return out
 
 
@@ -177,8 +177,9 @@ def _hw_chain(op: SymmetryBreakingOperator, K: int, what: str) -> List[CoordVec]
     chain = big.cache.setdefault(("hw-chain", frozenset(w.items())),
                                  [[w], _insert_first_slot(big, w)])
     firsts, V = chain
+    mats, frame = big.chevalley(), big.frame
     while len(firsts) <= K:
-        V = coupling_step(big, V)
+        V = coupling_step(mats, frame.casimir_form, frame.basis, V)
         firsts.append(V[0])
     chain[1] = V
     for v in firsts[:K + 1]:
@@ -281,11 +282,12 @@ def verify_power_identity(big: MatrixRep, N: int) -> bool:
     if any(len(word) > N for e in elements for word in e.terms):
         return False
     d, scaled = scaled_generators(big, big.frame.generators)
+    form, combos = {(g, g): -1 for g in scaled}, {g: {g: 1} for g in scaled}
     words = [[(w, c * d ** (N - len(w))) for w, c in e.terms.items()] for e in elements]
     for j in range(big.dim):
         V = _insert_first_slot(big, {j: 1})
         for _ in range(N):
-            V = coupling_step(big, V, scaled)
+            V = coupling_step(scaled, form, combos, V)
         if any(v != word_sum(ws, scaled, {j: 1}) for v, ws in zip(V, words)):
             return False
     return True

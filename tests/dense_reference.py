@@ -21,9 +21,13 @@ z_p -+ i z_q), and ``solved_root_vectors`` finds every root vector as the
 kernel of the ad(h_k) eigen-equations.  Neither reads the closed forms that
 ``Frame`` writes down.
 
-Seven independent routes to what the package computes another way:
+Eight independent routes to what the package computes another way:
 ``x_casimir_scalar`` applies the quadratic invariant as -sum X[a,b]^2
 through the X[a,b] columns that ``casimir_scalar`` never forms,
+``x_coupling_step`` applies ctilde by its X-index formula, where
+``measure.coupling_step`` applies the Casimir form K to the Chevalley
+columns and the defining representation (``casimir_shifted_step`` and
+``dense_b`` use it),
 ``plain_act`` evaluates an enveloping element word by word in the model's
 own numbers, where ``act`` clears one common denominator first,
 ``fischer_gram`` pairs every two basis polynomials of opposite weight for
@@ -52,8 +56,7 @@ from orthobranch.matrixrep import (
 )
 from orthobranch.polyarith import p_add_into
 from orthobranch.measure import (
-    CoordVec, IdentityViolationError, Tuple_, _insert_first_slot, coupling_step,
-    projector_factors,
+    CoordVec, IdentityViolationError, Tuple_, _insert_first_slot, projector_factors,
 )
 from orthobranch.weights import InvalidRankError, RankContext, rank_context, rho
 
@@ -202,11 +205,11 @@ def x_casimir_scalar(rep):
     """Scalar of -sum X[a,b]^2 over the frame's generators, applied to every
     basis vector through the columns ``action`` forms; raises AssertionError
     unless it acts by one real scalar."""
+    xs = [rep.action(a, b) for (a, b) in rep.frame.generators]
     expected = None
     for j in range(rep.dim):
         acc = {}  # sum of X[a,b]^2 e_j, the invariant's negative
-        for (a, b) in rep.frame.generators:
-            cols = rep.action(a, b)
+        for cols in xs:
             apply_cols(cols, cols[j], acc)
         if any(i != j for i in acc):
             raise AssertionError("quadratic invariant does not act by a scalar")
@@ -227,18 +230,21 @@ def plain_act(element, rep):
     the word's coefficient, with no common denominator."""
     terms = element.terms if hasattr(element, "terms") else element
     cols = [dict() for _ in range(rep.dim)]
+    xs = {}  # each X[a,b] formed once
     for word, coeff in terms.items():
         for (a, b) in word:
             if a not in rep.indices or b not in rep.indices:
                 raise InvalidRankError(
                     f"generator ({a},{b}) outside representation coordinates {rep.indices}"
                 )
-        last = rep.action(*word[-1]) if word else [{j: 1} for j in range(rep.dim)]
+            if (a, b) not in xs:
+                xs[a, b] = rep.action(a, b)
+        last = xs[word[-1]] if word else [{j: 1} for j in range(rep.dim)]
         for j, vec in enumerate(last):
-            for (a, b) in reversed(word[:-1]):
+            for g in reversed(word[:-1]):
                 if not vec:
                     break
-                vec = apply_cols(rep.action(a, b), vec)
+                vec = apply_cols(xs[g], vec)
             p_add_into(cols[j], vec, coeff)
     return cols
 
@@ -371,12 +377,30 @@ def _norm2(v):
     return sum(Fraction(c) * Fraction(c) for c in v)
 
 
+def x_coupling_step(big: MatrixRep, V: Tuple_) -> Tuple_:
+    """One application of ctilde on a tuple over F by the index formula
+    ctilde(V)_a = sum_{b<a} X[b,a] u_b - sum_{b>a} X[a,b] u_b, reading each
+    X[a,b] from ``action``."""
+    idx = big.indices
+    xs = {g: big.action(*g) for g in big.frame.generators}
+    out: Tuple_ = [dict() for _ in idx]
+    for pos_a, a in enumerate(idx):
+        acc = out[pos_a]
+        for pos_b, b in enumerate(idx):
+            if b < a:
+                apply_cols(xs[b, a], V[pos_b], acc)
+            elif b > a:
+                neg = {j: -c for j, c in V[pos_b].items()}
+                apply_cols(xs[a, b], neg, acc)
+    return out
+
+
 def casimir_shifted_step(big: MatrixRep, ctx: RankContext, V: Tuple_,
                          shift: Fraction) -> Tuple_:
     """One factor (cDelta - shift) V with cDelta the tensor-product Casimir."""
     cas = expected_casimir_scalar(big)
     diag = cas + ctx.n - shift
-    ct = coupling_step(big, V)
+    ct = x_coupling_step(big, V)
     out: Tuple_ = []
     for pos in range(len(V)):
         acc: CoordVec = {}
@@ -451,7 +475,7 @@ def dense_b(op, ell: int) -> Fraction:
     for u in dense_probes(op.big):
         V = _insert_first_slot(op.big, u)
         for _ in range(ell):
-            V = coupling_step(op.big, V)
+            V = x_coupling_step(op.big, V)
         pairs.append((u, V[0]))
     return Fraction(probe_ratio(op, pairs, "power"))
 

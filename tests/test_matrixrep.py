@@ -346,6 +346,47 @@ def test_bundle_metadata_must_match_its_rows(reps, tmp_path, capsys, key, value)
     assert exc.value.code == 2
 
 
+def _rekeyed_bundle(reps, how):
+    """The O(4) (1,0) bundle with an extra matrix "0,9", or with its "2,3"
+    matrix keyed "3,2"."""
+    bundle = rep_to_bundle(reps.get(3, (1, 0)))
+    matrices = bundle["matrices"]
+    if how == "extra":
+        matrices["0,9"] = matrices["0,1"]
+    else:
+        matrices["3,2"] = matrices.pop("2,3")
+    return bundle
+
+
+@pytest.mark.parametrize("how, extra, missing", [("extra", "'0,9'", ""),
+                                                 ("swapped", "'3,2'", "'2,3'")])
+def test_bundle_matrix_keys_must_be_the_generators(reps, tmp_path, capsys, run_optimized,
+                                                   how, extra, missing):
+    # a malformed file: exit 2 with one error line after argparse's usage, where
+    # the swapped key used to be reported as a refuted Casimir identity
+    message = (f"bundle matrix keys must be the generators a,b of indices [0, 1, 2, 3]: "
+               f"unexpected [{extra}], missing [{missing}]")
+    with pytest.raises(ValueError) as exc:
+        rep_from_bundle(_rekeyed_bundle(reps, how))
+    assert str(exc.value) == message
+    path = tmp_path / f"{how}.json"
+    path.write_text(json.dumps(_rekeyed_bundle(reps, how)))
+    argv = ["verify-ue", "--n", "3", "--max-degree", "2", "--bundle", str(path)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"orthobranch: error: {message}"]
+    code = ("import sys\n"
+            "from orthobranch.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+    assert run_optimized(code, *argv).split() == ["2"]
+
+
 def _doubled_bundle(reps):
     """The O(4) (1,0) bundle with every matrix replaced by the block-diagonal
     sum of two copies: a representation of dimension 8 that satisfies every

@@ -9,9 +9,10 @@ from orthobranch import enveloping, matrixrep, measure
 from orthobranch.cli import main
 from orthobranch.enveloping import monomial
 from orthobranch.homspace import SymmetryBreakingOperator, hom_space, subgroup_hw_space
-from orthobranch.linalg import qi_from_string, qi_to_string
+from orthobranch.linalg import Gi, qi_from_string, qi_to_string
 from orthobranch.matrixrep import (
-    act, construct_irrep, rep_from_bundle, rep_to_bundle, standard_rep, trivial_rep,
+    _cols_from_strings, act, construct_irrep, det_twisted, rep_from_bundle, rep_to_bundle,
+    standard_rep, trivial_rep,
 )
 from orthobranch.measure import (
     IdentityViolationError,
@@ -23,7 +24,9 @@ from orthobranch.measure import (
 from orthobranch.scalars import C_val, b_closed, scalar_query
 from orthobranch.weights import ResourceLimitError, rank_context
 
-from dense_reference import casimir_shifted_step, dense_b, dense_projector_ratio, primary_projector
+from dense_reference import (
+    casimir_shifted_step, dense_b, dense_projector_ratio, primary_projector, x_coupling_step,
+)
 
 CTX3 = rank_context(3)
 CTX4 = rank_context(4)
@@ -212,9 +215,9 @@ def test_one_chain_serves_every_direction_and_power(reps, monkeypatch):
     steps = []
     step = measure.coupling_step
 
-    def counted(big, V):
+    def counted(mats, form, combos, V):
         steps.append(1)
-        return step(big, V)
+        return step(mats, form, combos, V)
 
     monkeypatch.setattr(measure, "coupling_step", counted)
     for i in (1, 2):
@@ -310,9 +313,9 @@ def _corrupt_each_step(step, hw):
     """coupling_step with one entry of its output's first slot changed:
     1 is added at the first big index outside the support of hw."""
 
-    def corrupted(big, V):
-        out = step(big, V)
-        k = min(set(range(big.dim)) - set(hw))
+    def corrupted(mats, form, combos, V):
+        out = step(mats, form, combos, V)
+        k = min(set(range(len(next(iter(mats.values()))))) - set(hw))
         out[0][k] = out[0].get(k, 0) + 1
         return out
 
@@ -373,6 +376,49 @@ def test_the_hw_line_matches_the_dense_probes(reps, n, big_rows, big_eps, sub_ro
             assert repr((res.raw_numerator, res.normalizer)) == repr(dense_projector_ratio(op, i, eps))
     for ell in range(4):
         assert repr(b_eval(op, ell)) == repr(dense_b(op, ell))
+
+
+@pytest.mark.parametrize("n, rows, eps", [
+    (3, (2, 1), None), (4, (2, 1), 1), (5, (2, 1, 0), 1), (6, (2, 1, 0), 1),
+    (6, (2, 1, 0), -1), (4, (5, 0), 1),
+], ids=["O4-2,1-induced", "O5-2,1", "O6-2,1,0", "O7-2,1,0", "O7-2,1,0-det", "O5-5,0"])
+def test_coupling_step_matches_the_x_reference(reps, n, rows, eps):
+    # ctilde^k (w (x) f_0), k <= n + 2, for w the highest plus i times the
+    # last basis vector: the form K over the Chevalley columns and F gives
+    # what the X-index formula gives, slot for slot
+    big = reps.get(n, rows, eps)
+    frame = big.frame
+    V = W = measure._insert_first_slot(big, {0: 1, big.dim - 1: Gi(0, 1)})
+    for _ in range(n + 2):
+        V = measure.coupling_step(big.chevalley(), frame.casimir_form, frame.basis, V)
+        W = x_coupling_step(big, W)
+        assert V == W
+    assert any(V)
+
+
+def test_a_constructed_model_keeps_no_x(reps):
+    # hom spaces, measurements, act and bundles read the stored Chevalley
+    # columns or form X[a,b] without keeping it, on a model and its det twin
+    big = construct_irrep(CTX4, (2, 1), eps=1)
+    twin = det_twisted(big)
+    for model in (big, twin):
+        op = only_op(model, reps.get(4, (1, 1), None, which="sub"))
+        measure_scalar(op, 1, 1)
+        b_eval(op, 3)
+        act(monomial([(0, 1), (1, 2)]), model)
+        rep_to_bundle(model)
+    assert big._x == {} and twin._x == {}
+    assert big.cache is twin.cache and big._chev is twin._chev
+
+
+def test_a_loaded_bundle_keeps_exactly_its_matrices(reps):
+    bundle = json.loads(json.dumps(rep_to_bundle(reps.get(3, (2, 1)))))
+    rep = rep_from_bundle(bundle)
+    act(monomial([(0, 1), (1, 2)]), rep)
+    assert verify_power_identity(rep, 2)
+    assert rep_to_bundle(rep)["matrices"] == bundle["matrices"]
+    assert rep._x == {tuple(map(int, key.split(","))): _cols_from_strings(flat, rep.dim, key)
+                      for key, flat in bundle["matrices"].items()}
 
 
 def test_primary_projector_examples(reps):
