@@ -23,6 +23,7 @@ invariance check used throughout the representation layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterable, Tuple, Union
 
 from .linalg import exact
@@ -41,6 +42,12 @@ def canon_gen(i: int, j: int):
     if i < j:
         return 1, (i, j)
     return -1, (j, i)
+
+
+def flip_sign(i: int, j: int, top: int) -> int:
+    """The sign of X_ij under conjugation by the sign flip of coordinate top:
+    -1 exactly when one of i, j is top."""
+    return -1 if (i == top) != (j == top) else 1
 
 
 def gen_bracket(x, y) -> Dict[Pair, int]:
@@ -293,16 +300,10 @@ def build_C(ell: int, ctx) -> UEElement:
 
 
 def ad_gn(e: UEElement, ctx) -> UEElement:
-    """Conjugation by diag(1, ..., 1, -1): X_ij -> -X_ij iff exactly one index is n."""
+    """Conjugation by diag(1, ..., 1, -1): X_ij -> flip_sign(i, j, n) X_ij."""
     n = _ctx_n(ctx)
-    out: Dict[Monomial, Coeff] = {}
-    for word, coeff in e.terms.items():
-        sign = 1
-        for i, j in word:
-            if (i == n) != (j == n):
-                sign = -sign
-        out[word] = out.get(word, 0) + sign * coeff
-    return normal_order(UEElement(out))
+    return normal_order(UEElement({word: prod(flip_sign(i, j, n) for i, j in word) * coeff
+                                   for word, coeff in e.terms.items()}))
 
 
 def commutator(a: UEElement, b: UEElement) -> UEElement:
@@ -342,11 +343,11 @@ def verify_identities(ctx, max_degree: int = 4):
 
     Covers: the degree-2 and degree-3 ladder elements against Casimir
     combinations; the splitting of each transfer element off its ladder; the
-    subalgebra commutation relations for every ladder family; the det-twist
-    sign rules; and Jacobi on all generator triples.  Returns (checks_run,
-    failures) where each failure is a replayable JSON-ready counterexample.
-    The defining sums of ``build_Dscript``, ``build_C`` and ``build_Dj`` are
-    not checked here: comparing a builder with its own body cannot fail.
+    subalgebra commutation relations and the det-twist sign rules, the B and
+    D families through one loop each; and Jacobi on all generator triples.
+    Returns (checks_run, failures), each failure a replayable JSON-ready
+    counterexample.  Not checked: the defining sums of ``build_Dscript``,
+    ``build_C`` and ``build_Dj`` (each against its own body cannot fail).
     """
     n = _ctx_n(ctx)
     failures: list = []
@@ -369,29 +370,17 @@ def verify_identities(ctx, max_degree: int = 4):
     # commutation relations with the subalgebra, per family and degree
     for ell in range(1, max_degree):
         A = build_A(ell, n)
-        B = build_B(ell, n)
-        D = build_Dj(ell, n)
+        families = (("commute-B", build_B(ell, n)), ("commute-D", build_Dj(ell, n)))
         for (a, b) in sub_pairs:
             x = gen(a, b)
             _check(failures, checks, "commute-A", {"n": n, "ell": ell, "a": a, "b": b},
                    commutator(x, A), ZERO)
             for j in range(1, n + 1):
-                rhs = ZERO
-                if b == j:
-                    rhs = rhs + B[a - 1]
-                if a == j:
-                    rhs = rhs - B[b - 1]
-                _check(failures, checks, "commute-B",
-                       {"n": n, "ell": ell, "a": a, "b": b, "j": j},
-                       commutator(x, B[j - 1]), rhs)
-                rhs = ZERO
-                if b == j:
-                    rhs = rhs + D[a - 1]
-                if a == j:
-                    rhs = rhs - D[b - 1]
-                _check(failures, checks, "commute-D",
-                       {"n": n, "ell": ell, "a": a, "b": b, "j": j},
-                       commutator(x, D[j - 1]), rhs)
+                for name, fam in families:  # [X_ab, F_j] = d_bj F_a - d_aj F_b
+                    rhs = fam[a - 1] if b == j else fam[b - 1].scale(-1) if a == j else ZERO
+                    _check(failures, checks, name,
+                           {"n": n, "ell": ell, "a": a, "b": b, "j": j},
+                           commutator(x, fam[j - 1]), rhs)
         for N in range(1, max_degree - ell + 1):
             DS = build_Dscript(ell, N, n)
             for (a, b) in sub_pairs:
@@ -401,19 +390,16 @@ def verify_identities(ctx, max_degree: int = 4):
 
     # det-twist sign rules
     for ell in range(1, max_degree):
-        _check(failures, checks, "twist-A", {"n": n, "ell": ell},
-               ad_gn(build_A(ell, n), n), build_A(ell, n))
-        B = build_B(ell, n)
-        D = build_Dj(ell, n)
+        A = build_A(ell, n)
+        _check(failures, checks, "twist-A", {"n": n, "ell": ell}, ad_gn(A, n), A)
+        families = (("twist-B", build_B(ell, n)), ("twist-D", build_Dj(ell, n)))
         for j in range(1, n + 1):
-            sign = -1 if j == n else 1
-            _check(failures, checks, "twist-B", {"n": n, "ell": ell, "j": j},
-                   ad_gn(B[j - 1], n), B[j - 1].scale(sign))
-            _check(failures, checks, "twist-D", {"n": n, "ell": ell, "j": j},
-                   ad_gn(D[j - 1], n), D[j - 1].scale(sign))
+            for name, fam in families:
+                _check(failures, checks, name, {"n": n, "ell": ell, "j": j},
+                       ad_gn(fam[j - 1], n), fam[j - 1].scale(flip_sign(0, j, n)))
         if ell >= 2:
-            _check(failures, checks, "twist-chain", {"n": n, "ell": ell},
-                   ad_gn(build_C(ell, n), n), build_C(ell, n))
+            C = build_C(ell, n)
+            _check(failures, checks, "twist-chain", {"n": n, "ell": ell}, ad_gn(C, n), C)
         for N in range(1, max_degree - ell + 1):
             DS = build_Dscript(ell, N, n)
             _check(failures, checks, "twist-transfer", {"n": n, "ell": ell, "N": N},

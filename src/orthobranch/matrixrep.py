@@ -104,9 +104,8 @@ from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, exact
 from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
-from .characters import so_rank
 from .branching import FDLabel, fd_label, inf_char_of
-from .enveloping import gen_bracket
+from .enveloping import flip_sign, gen_bracket
 
 Pair = Tuple[int, int]
 Combo = Dict[Pair, Scalar]  # element of the rotation algebra as a combination of X[a,b]
@@ -538,8 +537,8 @@ def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
     flip = frame.reflection_index
     raising = frame.raising_ops()
     brackets = [[frame.root_coords(so_bracket(e, f)) for _w, f in lows] for _w, e in raising]
-    conjugates = [frame.root_coords({(a, b): -c if (a == flip) != (b == flip) else c
-                                     for (a, b), c in e.items()}) for _w, e in raising]
+    conjugates = [frame.root_coords({(a, b): flip_sign(a, b, flip) * c for (a, b), c in e.items()})
+                  for _w, e in raising]
     mats.update((w, [{}]) for w, _e in raising)  # E v_0 = 0 at the seed
     for rec in model.recipes[1:]:
         p = rec.parent
@@ -589,10 +588,10 @@ class MatrixRep:
     h_k by k); ``action`` forms a generator X[a,b], a < b, from them on each
     request and keeps nothing.  The defining representation and a loaded
     bundle hold the X[a,b] they were made from in ``_x`` instead and derive
-    the Chevalley columns on request.  Every one
-    stores the columns of the distinguished reflection (largest-coordinate
-    sign flip), det-twist included, returned by ``reflection()``; ``apply``
-    applies an element given by its ``Frame.root_coords``.
+    the Chevalley columns on request.  Every one is made with the columns of
+    the distinguished reflection (largest-coordinate sign flip), det-twist
+    included, which ``reflection()`` returns; ``apply`` applies an element
+    given by its ``Frame.root_coords``.
 
     The label is the one record of what the representation is.  Derived from
     it: ``inf_char`` (mu + rho of the label's own group), ``twist_sign``
@@ -604,10 +603,10 @@ class MatrixRep:
     dim: int
     label: FDLabel
     indices: Tuple[int, ...]
+    _refl: Cols = field(repr=False)
     kind: str = "model"
     model: Optional[PolyModel] = None
     _chev: Dict[object, Cols] = field(default_factory=dict, repr=False)
-    _refl: Optional[Cols] = field(default=None, repr=False)
     _x: Dict[Pair, Cols] = field(default_factory=dict, repr=False)
     cache: Dict = field(default_factory=dict, repr=False)
 
@@ -653,11 +652,8 @@ class MatrixRep:
         return _combined(self.chevalley(), self.frame.gen_coords[(a, b)], self.dim)
 
     def reflection(self) -> Cols:
-        """Columns of the distinguished reflection, det-twist included."""
-        if self._refl is None:
-            raise InvalidRankError(
-                f"{self.kind} representation carries no reflection matrix"
-            )
+        """Columns of the distinguished reflection, det-twist included; every
+        representation carries one."""
         return self._refl
 
 
@@ -683,8 +679,7 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
     with literal antisymmetric generator matrices in the f-basis."""
     indices = _indices_for(ctx, "big")
     size = len(indices)
-    mu = (1,) + (0,) * (so_rank(size) - 1) if size > 2 else (1,)
-    label = fd_label(size, mu, 1 if size % 2 else None)
+    label = fd_label(size, (1,), 1 if size % 2 else None)
     # X[a,b] = E[a,b] - E[b,a]; each index is its own position
     cols = {(a, b): [{a: 1} if j == b else {b: -1} if j == a else {}
                      for j in range(size)] for a, b in get_frame(indices).generators}
@@ -704,8 +699,7 @@ def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
     """The one-dimensional representation (eps = -1: the determinant)."""
     indices = _indices_for(ctx_or_indices, which)
     size = len(indices)
-    rank = so_rank(size) if size > 2 else 1
-    label = fd_label(size, (0,) * rank, eps if (size % 2 or eps == -1) else None)
+    label = fd_label(size, (0,), eps if (size % 2 or eps == -1) else None)
     # the constant polynomial 1, whose pairing with itself is 1
     model = PolyModel([(0,) * get_frame(indices).rank], [Recipe("seed")], [{0: 1}])
     return MatrixRep(dim=1, label=label, indices=indices, model=model, _refl=[{0: eps}])
@@ -817,6 +811,21 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
                 if lhs != rhs:
                     raise AssertionError(f"bracket fidelity failed for "
                                          f"[{basis_name(x)},{basis_name(y)}] on {rep.label}")
+
+
+def verify_reflection(rep: MatrixRep) -> None:
+    """R^2 = 1 and R X[a,b] = flip_sign(a, b, top) X[a,b] R for the reflection
+    R, every generator and top the largest index; raises AssertionError naming
+    the first relation that fails."""
+    refl, top = rep.reflection(), rep.frame.reflection_index
+    if any(apply_cols(refl, col) != {j: 1} for j, col in enumerate(refl)):
+        raise AssertionError("reflection does not square to the identity")
+    for a, b in rep.frame.generators:
+        x, s = rep.action(a, b), flip_sign(a, b, top)
+        if any(apply_cols(refl, xj) != {i: s * v for i, v in apply_cols(x, rj).items()}
+               for xj, rj in zip(x, refl)):
+            raise AssertionError(f"reflection does not conjugate X[{a},{b}] to "
+                                 f"{'-' if s < 0 else ''}X[{a},{b}]")
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +944,7 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
     if label.induced:
         return rep
     return replace(rep, label=replace(label, eps=-label.eps),
-                   _refl=(None if rep._refl is None
-                          else [{i: -x for i, x in col.items()} for col in rep._refl]))
+                   _refl=[{i: -x for i, x in col.items()} for col in rep._refl])
 
 
 def rep_from_bundle(bundle: dict) -> MatrixRep:
@@ -951,9 +959,9 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     generators written "a,b": a mismatch is a malformed file and raises
     ValueError.  The matrices read are kept as the X[a,b] in ``_x``, so
     ``action`` returns them verbatim and ``chevalley()`` derives from them;
-    algebraic sanity (bracket fidelity, Casimir scalar) is re-established by
-    the caller via verify-style checks, not assumed.  A bundle without a
-    reflection matrix loads, but its ``reflection()`` raises InvalidRankError."""
+    algebraic sanity (``casimir_scalar``, ``verify_reflection``) is
+    re-established by the caller, not assumed.  A bundle without a
+    ``reflection`` is malformed and raises KeyError."""
     meta = bundle["metadata"]
     indices = tuple(int(i) for i in meta["indices"])
     dim = int(bundle["dim"])
@@ -967,13 +975,12 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
                for key, g in keys.items()}
     if not isinstance(meta["rows"], list):
         raise ValueError(f"bundle metadata rows {meta['rows']!r} is not a list of row lengths")
-    refl = bundle.get("reflection")
     rep = MatrixRep(
         dim=dim,
         label=fd_label(len(indices), meta["rows"], meta.get("eps")),
         indices=indices,
         kind="bundle",
-        _refl=None if refl is None else _cols_from_strings(refl, dim, "reflection"),
+        _refl=_cols_from_strings(bundle["reflection"], dim, "reflection"),
         _x=actions,
     )
     for key, want in _metadata(rep).items():

@@ -327,11 +327,6 @@ def reconstruction_grid(ctx: RankContext):
     repeat the same pair of infinitesimal characters."""
     from .matrixrep import construct_irrep
     from .homspace import hom_space
-    from .characters import so_rank
-    big_size = ctx.n + 1
-    sub_size = ctx.n
-    rank_big = so_rank(big_size) if big_size > 2 else 1
-    rank_sub = so_rank(sub_size) if sub_size > 2 else 1
 
     def partitions(rank: int):
         if rank == 1:
@@ -349,9 +344,9 @@ def reconstruction_grid(ctx: RankContext):
             except ResourceLimitError:
                 continue
 
-    subs = list(models(rank_sub, "sub"))
+    subs = list(models(ctx.s, "sub"))
     pairs = []
-    for big in models(rank_big, "big"):
+    for big in models(ctx.r, "big"):
         for sub in subs:
             mult, ops = hom_space(big, sub)
             if mult == 0:

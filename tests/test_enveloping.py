@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,40 @@ def test_identity_suite_compares_normal_ordered_elements(monkeypatch):
         checks, failures = verify_identities(n, max_degree=4)
         assert failures == [] and checks == len(seen)
         seen.clear()
+
+
+# (edit of [X_12, X_01], n, checks_run, failures, sha256 of the failure list
+# as sorted-key JSON), recorded from the suite before its B and D families
+# shared one loop
+PLANTED = [
+    ("doubled", 3, 135, 43, "62ae63d5b03bae8d0e78c7db0e5be02e4b0a04cb129563a6046c9ebd3403ba4b"),
+    ("doubled", 4, 358, 69, "b1ea3ae6286be75b199d50197d18d5f5d854d18af946654ea4be6b55e1e4893c"),
+    ("to-the-top", 3, 135, 62, "1da1929c28eaf3cf725d4410db6833bf239714d72df6b7ddf6f871219d779c16"),
+    ("to-the-top", 4, 358, 90, "280e650191db90926d5e02dc4c6da2aeed18fb2f725abc4a1780e5facba39527"),
+]
+
+
+@pytest.mark.parametrize("how, n, count, failed, digest", PLANTED)
+def test_identity_suite_under_a_planted_bracket_edit(monkeypatch, how, n, count, failed, digest):
+    # "doubled" doubles the entry; "to-the-top" moves it to X_03, which the
+    # twist by diag(1, ..., 1, -1) does not fix, so twist checks fail too
+    real = enveloping.gen_bracket
+    edits = {"doubled": lambda out: {p: 2 * c for p, c in out.items()},
+             "to-the-top": lambda out: {(0, 3): c for c in out.values()}}
+
+    def planted(x, y):
+        out = real(x, y)
+        return edits[how](out) if (x, y) == ((1, 2), (0, 1)) else out
+
+    monkeypatch.setattr(enveloping, "gen_bracket", planted)
+    for memo in ("_ORDER_MEMO", "_AB_MEMO", "_D_MEMO"):
+        monkeypatch.setattr(enveloping, memo, {})
+    checks, failures = verify_identities(n, max_degree=4)
+    text = json.dumps(failures, sort_keys=True).encode("utf-8")
+    assert (checks, len(failures), hashlib.sha256(text).hexdigest()) == (count, failed, digest)
+    assert [f["check"] for f in failures[:2]] == ["ladder3-casimir", "transfer-split"]
+    twisted = any(f["check"].startswith("twist-") for f in failures)
+    assert twisted == ((how, n) == ("to-the-top", 3))
 
 
 def test_serialization_shape():

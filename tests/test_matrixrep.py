@@ -29,6 +29,7 @@ from orthobranch.matrixrep import (
     scaled_generators,
     standard_rep,
     trivial_rep,
+    verify_reflection,
 )
 from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_context
 
@@ -315,13 +316,108 @@ def test_bundle_entry_that_is_not_a_string_is_malformed(reps, tmp_path, run_opti
     assert run_optimized(code, *argv).split() == ["2"]
 
 
-def test_bundle_without_reflection_has_none(reps):
+def test_bundle_without_reflection_has_none(reps, tmp_path, run_optimized):
+    # every bundle the writer makes has a reflection: one without is a
+    # malformed file, a usage error (exit 2) also under python -O
     bundle = rep_to_bundle(reps.get(2, (1,)))
     del bundle["reflection"]
-    back = rep_from_bundle(bundle)
-    assert back.action(0, 1) == reps.get(2, (1,)).action(0, 1)
-    with pytest.raises(InvalidRankError):
-        back.reflection()
+    with pytest.raises(KeyError, match="reflection"):
+        rep_from_bundle(bundle)
+    path = tmp_path / "no_reflection.json"
+    path.write_text(json.dumps(bundle))
+    argv = ["verify-ue", "--n", "2", "--max-degree", "2", "--bundle", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    code = ("import sys\n"
+            "from orthobranch.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+    assert run_optimized(code, *argv).split() == ["2"]
+
+
+def _reflection_edited(reps, how):
+    """The O(4) (2,1) bundle (dim 16) with its reflection replaced by the
+    identity ("identity") or with column how negated (an int)."""
+    bundle = rep_to_bundle(reps.get(3, (2, 1)))
+    dim = bundle["dim"]
+    if how == "identity":
+        bundle["reflection"] = [qi_to_string(int(i == j)) for i in range(dim) for j in range(dim)]
+    else:
+        bundle["reflection"] = [qi_to_string(-qi_from_string(x)) if k % dim == how else x
+                                for k, x in enumerate(bundle["reflection"])]
+    return bundle
+
+
+def test_reflection_check_holds_on_models(reps):
+    # both twists of O(5) models, induced O(4) models, a subgroup model, the
+    # defining and the one-dimensional representations, and their bundles
+    models = [reps.get(n, rows, eps, which=side) for n, rows, eps, side in (
+        (3, (2, 1), None, "big"), (3, (5, 2), None, "big"), (4, (2, 1), 1, "big"),
+        (4, (2, 1), -1, "big"), (4, (1, 1), -1, "big"), (4, (2, 1), None, "sub"))]
+    models += [standard_rep(CTX4), trivial_rep(CTX3, -1), trivial_rep(CTX3, 1, "sub")]
+    for rep in models:
+        verify_reflection(rep)
+        verify_reflection(rep_from_bundle(rep_to_bundle(rep)))
+
+
+def test_every_negated_reflection_column_is_caught(reps):
+    for k in range(16):
+        with pytest.raises(AssertionError, match="reflection does not square to the identity"):
+            verify_reflection(rep_from_bundle(_reflection_edited(reps, k)))
+
+
+# (edit of the O(4) (2,1) reflection, the first relation that fails)
+REFLECTION_EDITS = [("identity", "reflection does not conjugate X[0,3] to -X[0,3]"),
+                    (5, "reflection does not square to the identity")]
+
+
+@pytest.mark.parametrize("how, message", REFLECTION_EDITS)
+def test_reflection_check_can_fail(reps, tmp_path, capsys, run_optimized, how, message):
+    # the identity is an involution, so only the conjugation sign of X[a,3] catches it
+    with pytest.raises(AssertionError) as exc:
+        verify_reflection(rep_from_bundle(_reflection_edited(reps, how)))
+    assert str(exc.value) == message
+    path = tmp_path / f"{how}.json"
+    path.write_text(json.dumps(_reflection_edited(reps, how)))
+    argv = ["verify-ue", "--n", "3", "--max-degree", "3", "--bundle", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"check": "bundle-reflection", "params": {"bundle": str(path)},
+                      "error": message}
+    code = ("import contextlib, io, json, sys\n"
+            "from orthobranch.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, json.loads(out.getvalue()))\n")
+    assert run_optimized(code, *argv).strip() == f"1 {report}"
+
+
+def test_bundle_check_count_per_max_degree(reps, tmp_path, capsys, run_optimized):
+    # Casimir and reflection, plus the power identity for N = 2 .. max-degree
+    # (at most 3); N = 1 is not run, since it cannot fail
+    path = tmp_path / "o4.json"
+    path.write_text(json.dumps(rep_to_bundle(reps.get(3, (2, 1)))))
+    argvs = [["verify-ue", "--n", "3", "--max-degree", str(d), "--bundle", str(path)]
+             for d in (1, 2, 3)]
+    counts = []
+    for argv in argvs:
+        capsys.readouterr()
+        assert main(argv) == 0
+        counts.append(json.loads(capsys.readouterr().out)["bundle_checks"])
+    assert counts == [2, 3, 4]
+    code = ("import contextlib, io, json, sys\n"
+            "from orthobranch.cli import main\n"
+            "for d in ('1', '2', '3'):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        main(['verify-ue', '--n', '3', '--max-degree', d, '--bundle', sys.argv[1]])\n"
+            "    print(json.loads(out.getvalue())['bundle_checks'])\n")
+    assert run_optimized(code, str(path)).split() == ["2", "3", "4"]
 
 
 # a field the label determines, edited away from what the rows give
