@@ -10,7 +10,10 @@ realization:
 4. resolution of the O(n)-labels (det-twists) by evaluating the universal
    h-determinant character on an eigenvalue multiset drawn from the
    non-identity component of O(n), and peeling that Laurent polynomial over
-   the twisted constituent characters.
+   the twisted constituent characters in one loop; the subgroup's parity
+   only picks the constituent's character (the h-determinant at the
+   subgroup's own coset eigenvalues for even size, the signed so-character
+   for odd size).
 
 Labels are `FDLabel` records: group parity tag, weakly decreasing nonnegative
 integer rows mu, and an optional sign eps selecting the det-twist (equivalent
@@ -36,7 +39,6 @@ from .characters import (
     peel,
     restrict_weights,
     so_char,
-    so_char_laurent,
     so_rank,
 )
 from .polyarith import p_add_into
@@ -137,8 +139,7 @@ def fd_label(group_size: int, mu, eps: Optional[int] = None) -> FDLabel:
 
 
 def label_from_partition(group_size: int, alpha) -> FDLabel:
-    mu, eps = partition_to_label(group_size, alpha)
-    return fd_label(group_size, mu, eps if group_size % 2 else (eps if eps == -1 else None))
+    return fd_label(group_size, *partition_to_label(group_size, alpha))
 
 
 def inf_char_of(label: FDLabel) -> Weight:
@@ -160,26 +161,13 @@ def _coset_eigenvalues(big_size: int):
     {-t_k^{+-1} : k <= s'}.
     """
     m = big_size - 1
-    if m % 2 == 0:
-        s2 = m // 2
-        nvars = s2 - 1
-        zero = (0,) * nvars
-        terms = [(zero, 1), (zero, 1), (zero, -1)]
-        for k in range(nvars):
-            e = tuple(1 if j == k else 0 for j in range(nvars))
-            ei = tuple(-1 if j == k else 0 for j in range(nvars))
-            terms.append((e, 1))
-            terms.append((ei, 1))
-    else:
-        s2 = m // 2
-        nvars = s2
-        zero = (0,) * nvars
-        terms = [(zero, 1), (zero, -1)]
-        for k in range(nvars):
-            e = tuple(1 if j == k else 0 for j in range(nvars))
-            ei = tuple(-1 if j == k else 0 for j in range(nvars))
-            terms.append((e, -1))
-            terms.append((ei, -1))
+    odd = m % 2
+    nvars = (m - 1) // 2
+    zero = (0,) * nvars
+    terms = [(zero, 1)] * (2 - odd) + [(zero, -1)]
+    for k in range(nvars):
+        for s in (1, -1):
+            terms.append((tuple(s if j == k else 0 for j in range(nvars)), -1 if odd else 1))
     return terms, nvars
 
 
@@ -202,12 +190,10 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
     mu, _eps = partition_to_label(big_size, alpha)
 
     # SO-level weight multiset (label sign does not matter on the torus).
+    weights = so_char(big_size, mu)
     if big_size % 2 == 0 and mu[-1] >= 1:
-        weights = dict(so_char(big_size, mu))
-        for w, c in so_char(big_size, mu[:-1] + (-mu[-1],)).items():
-            weights[w] = weights.get(w, 0) + c
-    else:
-        weights = so_char(big_size, mu)
+        weights = dict(weights)
+        p_add_into(weights, so_char(big_size, mu[:-1] + (-mu[-1],)))
     so_labels = peel(restrict_weights(weights, big_size), m)
 
     def failed(what: str) -> CharacterCheckError:
@@ -232,35 +218,27 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
         terms, nvars = _coset_eigenvalues(big_size)
         residual = o_char_on_multiset(alpha, terms, nvars)
         diffs: dict[tuple, int] = {}
-        if m % 2 == 0:
-            # constituents: W_beta = universal char of beta at the subgroup's
-            # own coset eigenvalues (big multiset minus the leading 1).
-            sub_terms = terms[1:]
-            while residual:
-                e = max(residual)
-                if not _is_partition_exponent(e):
-                    raise failed(f"leading exponent {e} is not a partition")
-                beta = tuple(x for x in e if x)
-                w = o_char_on_multiset(beta, sub_terms, nvars)
-                lead = w.get(e, 0)
-                if not lead:
-                    raise failed(f"constituent {beta} has no term at its leading exponent")
-                d, rem = divmod(residual[e], lead)
-                if rem:
-                    raise failed(f"coefficient {residual[e]} at {e} is not a multiple of {lead}")
-                p_add_into(residual, w, -d)
-                diffs[beta] = diffs.get(beta, 0) + d
-        else:
-            # constituents: (-1)^{|tau|} times the so(m)-character.
-            while residual:
-                e = max(residual)
-                if not _is_partition_exponent(e):
-                    raise failed(f"leading exponent {e} is not a partition")
+        while residual:
+            e = max(residual)
+            if not _is_partition_exponent(e):
+                raise failed(f"leading exponent {e} is not a partition")
+            beta = tuple(x for x in e if x)
+            if m % 2:
+                # (-1)^{|beta|} times the so(m)-character: nvars is the rank
                 sign = -1 if sum(e) % 2 else 1
-                d = residual[e] * sign
-                p_add_into(residual, so_char_laurent(m, e, nvars), -sign * d)
-                beta = tuple(x for x in e if x)
-                diffs[beta] = diffs.get(beta, 0) + d
+                w = {k: sign * c for k, c in so_char(m, e).items()}
+            else:
+                # the universal character of beta at the subgroup's own coset
+                # eigenvalues (the big multiset minus its leading 1)
+                w = o_char_on_multiset(beta, terms[1:], nvars)
+            lead = w.get(e, 0)
+            if not lead:
+                raise failed(f"constituent {beta} has no term at its leading exponent")
+            d, rem = divmod(residual[e], lead)
+            if rem:
+                raise failed(f"coefficient {residual[e]} at {e} is not a multiple of {lead}")
+            p_add_into(residual, w, -d)
+            diffs[beta] = diffs.get(beta, 0) + d
         for tau, c in ambiguous.items():
             beta = tuple(x for x in tau if x)
             d = diffs.pop(beta, 0)
@@ -280,27 +258,27 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
 DEFAULT_DIM_CAP = 20000
 
 
+def _capped_decomposition(big: FDLabel, dim_cap: int) -> "dict[tuple, int]":
+    """o_restrict_decomposition of big, whose dimension may be at most dim_cap."""
+    if big.dim() > dim_cap:
+        raise ResourceLimitError(
+            f"big irrep dimension {big.dim()} exceeds the cap {dim_cap}"
+        )
+    return o_restrict_decomposition(big.group_size, big.partition)
+
+
 def oracle_multiplicity(big: FDLabel, sub: FDLabel, dim_cap: int = DEFAULT_DIM_CAP) -> int:
     """Branching multiplicity [big|_{O(n)} : sub] by exact character arithmetic."""
     if sub.group_size + 1 != big.group_size:
         raise ValueError(
             f"sizes O({big.group_size}) > O({sub.group_size}) do not form an adjacent pair"
         )
-    if big.dim() > dim_cap:
-        raise ResourceLimitError(
-            f"big irrep dimension {big.dim()} exceeds the cap {dim_cap}"
-        )
-    decomp = o_restrict_decomposition(big.group_size, big.partition)
-    return decomp.get(sub.partition, 0)
+    return _capped_decomposition(big, dim_cap).get(sub.partition, 0)
 
 
 def full_decomposition(big: FDLabel, dim_cap: int = DEFAULT_DIM_CAP):
     """All (sub FDLabel, multiplicity) constituents of the restriction."""
-    if big.dim() > dim_cap:
-        raise ResourceLimitError(
-            f"big irrep dimension {big.dim()} exceeds the cap {dim_cap}"
-        )
-    decomp = o_restrict_decomposition(big.group_size, big.partition)
+    decomp = _capped_decomposition(big, dim_cap)
     pairs = [(label_from_partition(big.group_size - 1, beta), c) for beta, c in decomp.items()]
     pairs.sort(key=lambda pc: (pc[0].mu, -(pc[0].eps or 1)))
     return pairs
@@ -348,6 +326,11 @@ def family_base(ctx: RankContext, eps: Optional[int] = None) -> Weight:
     return tuple(c + 1 for c in rho(ctx))
 
 
+def _family_label(ctx: RankContext, lam, eps: Optional[int]) -> FDLabel:
+    """The big group's label F(lam - rho) at the family point lam."""
+    return fd_label(ctx.n + 1, (a - b for a, b in zip(lam, rho(ctx))), eps)
+
+
 def reduced_family(ctx: RankContext, eps: Optional[int] = None, bound: int = 0):
     """FDLabels of the big group whose infinitesimal characters enumerate
     the lattice box around the family base.  Even-size groups exclude labels
@@ -355,13 +338,7 @@ def reduced_family(ctx: RankContext, eps: Optional[int] = None, bound: int = 0):
     if bound < 0:
         raise ValueError("bound must be >= 0")
     xi = family_base(ctx, eps)
-    rho_big = rho(ctx)
-    tag = O_ODD if (ctx.n + 1) % 2 else O_EVEN
-    labels = []
-    for lam in lattice_box(xi, bound, ctx):
-        mu = tuple(int(a - b) for a, b in zip(lam, rho_big))
-        labels.append(FDLabel(tag, mu, eps if tag == O_ODD else None))
-    return labels
+    return [_family_label(ctx, lam, eps) for lam in lattice_box(xi, bound, ctx)]
 
 
 @dataclass(frozen=True)
@@ -391,24 +368,17 @@ def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None,
     nu = inf_char_of(sub)
     if not away_from_fences(xi, nu):
         raise FencePreconditionError(f"base point {xi} sits on or next to a fence of {nu}")
-    big_odd = (ctx.n + 1) % 2 == 1
-    if big_odd:
-        if eps is None:
-            eps = 1
-    elif eps is not None:
+    if (ctx.n + 1) % 2 == 0 and eps is not None:
         raise ValueError("even-size big groups carry no family sign")
-    rho_big = rho(ctx)
-    for a, b in zip(xi, rho_big):
+    for a, b in zip(xi, rho(ctx)):
         if (a - b).denominator != 1:
             raise ValueError(
                 f"base point {xi} is not aligned with the finite-dimensional lattice"
             )
-    tag = O_ODD if big_odd else O_EVEN
     region = region_descriptor(xi, nu)
 
     def mult_at(lam) -> int:
-        mu = tuple(int(a - b) for a, b in zip(lam, rho_big))
-        return oracle_multiplicity(FDLabel(tag, mu, eps if big_odd else None), sub, dim_cap)
+        return oracle_multiplicity(_family_label(ctx, lam, eps), sub, dim_cap)
 
     box = lattice_box(xi, bound, ctx)
     in_region = [lam for lam in box if same_region(region, lam)]

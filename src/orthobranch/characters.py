@@ -21,6 +21,7 @@ recursion uses the integral vector 2*rho (twice ``weights.group_rho``) and
 divides exactly, and Laurent polynomials in torus variables are dicts
 {exponent tuple: int} (exponents may be negative), added and multiplied
 through the ``polyarith`` pair; peeling subtracts characters through it too.
+An ``so_char`` weight multiset is such a polynomial in its rank's variables.
 Every self-check of the arithmetic raises CharacterCheckError, also under
 ``python -O``.
 """
@@ -371,11 +372,3 @@ def o_char_on_multiset(alpha, terms, nvars: int):
             row.append(entry)
         rows.append(row)
     return _det(rows)
-
-
-def so_char_laurent(m: int, mu, nvars: int):
-    """The so(m) character as a Laurent polynomial in its torus variables."""
-    out = {}
-    for w, c in so_char(m, tuple(mu)).items():
-        out[w[:nvars]] = out.get(w[:nvars], 0) + c
-    return out

@@ -31,6 +31,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from .weights import ResourceLimitError, rank_context
@@ -209,7 +210,8 @@ def _cmd_verify_ue(args) -> int:
     - ``bundle-casimir``: -sum X[a,b]^2 is the label's scalar (catches e.g. a
       doubled generator entry);
     - ``bundle-reflection``: ``verify_reflection`` (catches e.g. the identity
-      as the reflection, or one of its columns negated);
+      as the reflection, one of its columns negated, or the whole of it
+      negated where the label is not induced);
     - ``bundle-power``, N = 2 .. min(max-degree, 3): ``verify_power_identity``
       (catches e.g. a negated generator, whose Casimir is unchanged).  N = 1
       cannot fail: A_1 = 0 and B_1,j = X_0j read the same columns."""
@@ -354,7 +356,7 @@ def _cmd_verma_demo(args) -> int:
                 "params": {"a": _rat_s(a), "b": _rat_s(b), "c": _rat_s(c)},
                 "predicted": mult,
                 "oracle": oracle,
-            }, None)
+            }, args.out)
         rows.append([_rat_s(a), _rat_s(b), _rat_s(c), str(mult), str(oracle)])
     _emit(_csv_text(rows), args.out)
     return 0
@@ -385,7 +387,7 @@ def render_region_slice(n: int, xi, nu, axes: Tuple[int, int],
     translates of the base point inside its chamber.
     """
     from .regions import multi_signature, signature_support
-    from .weights import in_chamber
+    from .weights import in_chamber, is_nonsingular
 
     ctx = rank_context(n)
     xi = tuple(Fraction(c) for c in xi)
@@ -486,22 +488,17 @@ def render_region_slice(n: int, xi, nu, axes: Tuple[int, int],
     )
 
     # lattice dots: integral translates of the base along the two axes,
-    # restricted to the base's chamber
+    # restricted to the base's chamber (a singular base has none)
     k_lo = math.ceil(lo - xi[ax1 - 1])
     k_hi = math.floor(hi - xi[ax1 - 1])
     l_lo = math.ceil(lo - xi[ax2 - 1])
     l_hi = math.floor(hi - xi[ax2 - 1])
-    for k in range(k_lo, k_hi + 1):
-        for l in range(l_lo, l_hi + 1):
-            pt = list(xi)
-            pt[ax1 - 1] = xi[ax1 - 1] + k
-            pt[ax2 - 1] = xi[ax2 - 1] + l
-            try:
-                ok = in_chamber(xi, pt)
-            except Exception:
-                ok = False
-            if not ok:
-                continue
+    dots = product(range(k_lo, k_hi + 1), range(l_lo, l_hi + 1)) if is_nonsingular(xi) else ()
+    for k, l in dots:
+        pt = list(xi)
+        pt[ax1 - 1] = xi[ax1 - 1] + k
+        pt[ax2 - 1] = xi[ax2 - 1] + l
+        if in_chamber(xi, pt):
             parts.append(
                 f'<circle cx="{px(pt[ax1 - 1])}" cy="{py(pt[ax2 - 1])}" '
                 f'r="3" fill="#1a4d8f"/>'

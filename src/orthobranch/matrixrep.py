@@ -100,6 +100,7 @@ from math import comb, factorial, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .characters import o_char_on_multiset
 from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, exact
 from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
@@ -679,7 +680,7 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
     with literal antisymmetric generator matrices in the f-basis."""
     indices = _indices_for(ctx, "big")
     size = len(indices)
-    label = fd_label(size, (1,), 1 if size % 2 else None)
+    label = fd_label(size, (1,), 1)
     # X[a,b] = E[a,b] - E[b,a]; each index is its own position
     cols = {(a, b): [{a: 1} if j == b else {b: -1} if j == a else {}
                      for j in range(size)] for a, b in get_frame(indices).generators}
@@ -699,7 +700,7 @@ def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
     """The one-dimensional representation (eps = -1: the determinant)."""
     indices = _indices_for(ctx_or_indices, which)
     size = len(indices)
-    label = fd_label(size, (0,), eps if (size % 2 or eps == -1) else None)
+    label = fd_label(size, (0,), eps)
     # the constant polynomial 1, whose pairing with itself is 1
     model = PolyModel([(0,) * get_frame(indices).rank], [Recipe("seed")], [{0: 1}])
     return MatrixRep(dim=1, label=label, indices=indices, model=model, _refl=[{0: eps}])
@@ -725,7 +726,7 @@ def construct_irrep(
     size = len(indices)
     label = fd_label(size, mu, eps)
     if all(c == 0 for c in label.mu):
-        return trivial_rep(indices, eps=label.eps if label.eps is not None else 1)
+        return trivial_rep(indices, eps=label.eps)
     frame = get_frame(indices)
     expected = label.dim()
     if expected > dim_cap:
@@ -815,8 +816,9 @@ def _verify_rep(rep: MatrixRep, probes: int = 3) -> None:
 
 def verify_reflection(rep: MatrixRep) -> None:
     """R^2 = 1 and R X[a,b] = flip_sign(a, b, top) X[a,b] R for the reflection
-    R, every generator and top the largest index; raises AssertionError naming
-    the first relation that fails."""
+    R, every generator and top the largest index, then tr R = the label's
+    character at a reflection, which fixes the det-twist sign; raises
+    AssertionError naming the first relation that fails."""
     refl, top = rep.reflection(), rep.frame.reflection_index
     if any(apply_cols(refl, col) != {j: 1} for j, col in enumerate(refl)):
         raise AssertionError("reflection does not square to the identity")
@@ -826,6 +828,12 @@ def verify_reflection(rep: MatrixRep) -> None:
                for xj, rj in zip(x, refl)):
             raise AssertionError(f"reflection does not conjugate X[{a},{b}] to "
                                  f"{'-' if s < 0 else ''}X[{a},{b}]")
+    alpha, size = rep.label.partition, rep.label.group_size
+    trace = sum(col.get(j, 0) for j, col in enumerate(refl))
+    want = o_char_on_multiset(alpha, [((), 1)] * (size - 1) + [((), -1)], 0).get((), 0)
+    if trace != want:
+        raise AssertionError(f"reflection has trace {trace}, but the character of {alpha} "
+                             f"at a reflection is {want}")
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols
@@ -300,24 +301,8 @@ def verify_power_identity(big: MatrixRep, N: int) -> bool:
 def _inv_monomials(r: int, s: int, half_degree: int):
     """Exponent pairs (a, b) for the Weyl-invariant monomials
     prod lam_k^{2 a_k} prod nu_k^{2 b_k} of plain degree <= 2*half_degree."""
-    out = []
-
-    def rec_a(k: int, rem: int, acc: List[int]):
-        if k == r:
-            rec_b(0, rem, acc, [])
-            return
-        for e in range(rem + 1):
-            rec_a(k + 1, rem - e, acc + [e])
-
-    def rec_b(k: int, rem: int, acc_a: List[int], acc: List[int]):
-        if k == s:
-            out.append((tuple(acc_a), tuple(acc)))
-            return
-        for e in range(rem + 1):
-            rec_b(k + 1, rem - e, acc_a, acc + [e])
-
-    rec_a(0, half_degree, [])
-    return out
+    return [(e[:r], e[r:]) for e in product(range(half_degree + 1), repeat=r + s)
+            if sum(e) <= half_degree]
 
 
 def reconstruction_grid(ctx: RankContext):
@@ -328,14 +313,9 @@ def reconstruction_grid(ctx: RankContext):
     from .matrixrep import construct_irrep
     from .homspace import hom_space
 
-    def partitions(rank: int):
-        if rank == 1:
-            return [(m,) for m in range(GRID_BOX + 1)]
-        out = []
-        for m1 in range(GRID_BOX + 1):
-            for m2 in range(m1 + 1):
-                out.append((m1, m2))
-        return out
+    def partitions(rank: int):  # at most two nonzero rows
+        return [mu for mu in product(range(GRID_BOX + 1), repeat=min(rank, 2))
+                if list(mu) == sorted(mu, reverse=True)]
 
     def models(rank: int, which: str):
         for mu in partitions(rank):

@@ -135,6 +135,17 @@ def test_verma_demo_table(capsys):
         assert m == o
 
 
+def test_failed_fusion_check_goes_to_out(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "fusion_oracle", lambda query: -1)
+    path = tmp_path / "fusion.json"
+    code, out = run(capsys, "verma-demo", "--a-min", "-2", "--a-max", "0",
+                    "--k-max", "2", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(path.read_text()) == {
+        "check": "fusion-consistency", "params": {"a": "-2", "b": "-2", "c": "-4"},
+        "predicted": 1, "oracle": -1}
+
+
 def test_render_svg(capsys, tmp_path):
     svg_path = tmp_path / "slice.svg"
     code, _ = run(capsys, "render", "--n", "4", "--nu", "4,1",
@@ -143,6 +154,16 @@ def test_render_svg(capsys, tmp_path):
     text = svg_path.read_text()
     assert text.startswith("<svg")
     assert text.count("<line") >= 8  # fence lines at both axes
+
+
+def test_render_singular_base_has_fences_and_no_dots(capsys, tmp_path):
+    # 9/2,9/2 has no chamber: the slice keeps its fences and draws no lattice dots
+    svg_path = tmp_path / "singular.svg"
+    code, _ = run(capsys, "render", "--n", "4", "--nu", "4,1", "--axes", "1,2",
+                  "--range", "0,10", "--xi", "9/2,9/2", "--out", str(svg_path))
+    assert code == 0
+    text = svg_path.read_text()
+    assert text.count("<line") == 8 and "<circle" not in text
 
 
 def test_render_bad_range(capsys):

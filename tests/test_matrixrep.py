@@ -374,15 +374,14 @@ REFLECTION_EDITS = [("identity", "reflection does not conjugate X[0,3] to -X[0,3
                     (5, "reflection does not square to the identity")]
 
 
-@pytest.mark.parametrize("how, message", REFLECTION_EDITS)
-def test_reflection_check_can_fail(reps, tmp_path, capsys, run_optimized, how, message):
-    # the identity is an involution, so only the conjugation sign of X[a,3] catches it
+def _assert_reflection_caught(bundle, n, message, path, capsys, run_optimized):
+    """verify_reflection on the bundle raises message, and verify-ue --n n
+    --bundle reports it as exit 1, in-process and under python -O."""
     with pytest.raises(AssertionError) as exc:
-        verify_reflection(rep_from_bundle(_reflection_edited(reps, how)))
+        verify_reflection(rep_from_bundle(bundle))
     assert str(exc.value) == message
-    path = tmp_path / f"{how}.json"
-    path.write_text(json.dumps(_reflection_edited(reps, how)))
-    argv = ["verify-ue", "--n", "3", "--max-degree", "3", "--bundle", str(path)]
+    path.write_text(json.dumps(bundle))
+    argv = ["verify-ue", "--n", str(n), "--max-degree", "3", "--bundle", str(path)]
     capsys.readouterr()
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)
@@ -395,6 +394,23 @@ def test_reflection_check_can_fail(reps, tmp_path, capsys, run_optimized, how, m
             "    code = main(sys.argv[1:])\n"
             "print(code, json.loads(out.getvalue()))\n")
     assert run_optimized(code, *argv).strip() == f"1 {report}"
+
+
+@pytest.mark.parametrize("how, message", REFLECTION_EDITS)
+def test_reflection_check_can_fail(reps, tmp_path, capsys, run_optimized, how, message):
+    # the identity is an involution, so only the conjugation sign of X[a,3] catches it
+    _assert_reflection_caught(_reflection_edited(reps, how), 3, message,
+                              tmp_path / f"{how}.json", capsys, run_optimized)
+
+
+def test_reflection_of_the_other_twist_is_caught(reps, tmp_path, capsys, run_optimized):
+    # -R keeps R^2 = 1 and every conjugation sign: it is the reflection of the
+    # det-twist, so only the trace tells the O(5) (1,1) eps = +1 bundle apart
+    bundle = rep_to_bundle(reps.get(4, (1, 1), 1))
+    bundle["reflection"] = [qi_to_string(-qi_from_string(x)) for x in bundle["reflection"]]
+    _assert_reflection_caught(
+        bundle, 4, "reflection has trace -2, but the character of (1, 1) at a reflection is 2",
+        tmp_path / "negated.json", capsys, run_optimized)
 
 
 def test_bundle_check_count_per_max_degree(reps, tmp_path, capsys, run_optimized):
