@@ -105,7 +105,6 @@ from .matrixrep import (
     rep_from_bundle,
     rep_to_bundle,
     standard_rep,
-    trivial_rep,
 )
 from .homspace import (
     SymmetryBreakingOperator,

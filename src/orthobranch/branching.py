@@ -126,7 +126,7 @@ class FDLabel:
 
 def fd_label(group_size: int, mu, eps: Optional[int] = None) -> FDLabel:
     """Build a canonical FDLabel for O(group_size) from row lengths."""
-    rank = so_rank(group_size) if group_size > 2 else 1
+    rank = so_rank(group_size)
     tag = O_ODD if group_size % 2 else O_EVEN
     mu = tuple(int(c) for c in mu)
     if len(mu) < rank:

@@ -139,6 +139,9 @@ def _region_obj(desc) -> dict:
 
 
 def _cmd_regions(args) -> int:
+    ctx = rank_context(args.n)
+    if (len(args.xi), len(args.nu)) != (ctx.r, ctx.s):
+        raise ValueError(f"xi must have length {ctx.r} and nu length {ctx.s} for n = {ctx.n}")
     _emit(_json_text(_region_obj(region_descriptor(args.xi, args.nu))), args.out)
     return 0
 

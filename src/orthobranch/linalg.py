@@ -132,11 +132,14 @@ def qi_to_string(x: Scalar) -> str:
 
 def qi_from_string(s: str) -> Scalar:
     """The scalar of an exact string, its parts normalised by ``exact``;
-    "p/q-r/si" reads as well.  Anything but a string is a ValueError."""
+    "p/q-r/si" reads as well.  Anything but a string, and a zero denominator,
+    is a ValueError."""
     if not isinstance(s, str):
         raise ValueError(f"not an exact string: {s!r}")
     s = s.strip()
-    if s.endswith("i"):
+    try:
+        if not s.endswith("i"):
+            return exact(s)
         body = s[:-1]
         cut = body.find("+", 1)
         if cut == -1:
@@ -146,7 +149,8 @@ def qi_from_string(s: str) -> Scalar:
         if cut == -1:
             raise ValueError(f"cannot parse complex rational {s!r}")
         return Gi(exact(body[:cut]), exact(body[cut:] if body[cut] != "+" else body[cut + 1:]))
-    return exact(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ the ascending index tuple, and when the tuple has odd length the smallest
 index is the left-over "spare".  With this suffix pairing the Cartan of the
 smaller group is literally contained in the Cartan of the larger one, and
 dropping the last weight coordinate matches the weight-restriction map used
-by the character layer.  The distinguished reflection of every group is the
-sign flip of the *largest* ambient coordinate, which is also the conjugation
-used by the symbolic enveloping-algebra layer.
+by the character layer.  A frame has at least two indices (O(1) is never a
+member of a pair).  The distinguished reflection of every group is the sign
+flip of the *largest* ambient coordinate, the second member of pair 1, which
+is also the conjugation used by the symbolic enveloping-algebra layer; on the
+variables below it is a permutation, zeta1+ <-> zeta1- in z and in w.
 
 Irreducible models are built inside polynomials in two vector variables
 ``z, w``, written in complex weight coordinates: for each index pair ``(p,q)``
@@ -45,8 +47,9 @@ index pair of weight coordinate k, ``zeta(c e_k)`` the variable of weight
 Each acts by that table on the z variables and on the w variables alike and
 kills every other variable, so the closure applies one table per root.
 
-A highest-weight label ``(m1, m2)`` is
-seeded by ``(zeta1+ in z)^(m1-m2) * D^(m2)`` with
+Every model, the trivial and det labels included, comes from one closure.
+A highest-weight label ``(m1, m2)`` is seeded by
+``(zeta1+ in z)^(m1-m2) * D^(m2)`` (the constant 1 for a zero label) with
 ``D = zeta1+(z) zeta2+(w) - zeta2+(z) zeta1+(w)``, the seed is checked to be
 killed by all raising root vectors, and the module is the closure of the seed
 under the lowering root vectors (plus the distinguished reflection for the
@@ -62,6 +65,9 @@ Polynomials serve only to find the basis and end with the closure
 reflected vector R v_i are the columns of F and R; h_k acts by the weight
 tags; the raising root vectors follow in basis order from the recipes
 (E v_0 = 0, E F v_p = F E v_p + [E, F] v_p and E R v_p = R (R E R) v_p).
+Both tables are the frame's, made once with it: [E, F] is read from
+``structure``, the table the bracket check reads too, and R E R from
+``conjugates``.
 A model stores these Chevalley columns, R and a ``PolyModel`` record of the
 tags, the recipes and the Gram matrix of the invariant pairing, which
 invariance fixes up to one scalar (Schur): the seed's row pairs polynomials,
@@ -106,7 +112,7 @@ from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
 from .branching import FDLabel, fd_label, inf_char_of
-from .enveloping import flip_sign, gen_bracket
+from .enveloping import UEElement, flip_sign, gen_bracket
 
 Pair = Tuple[int, int]
 Combo = Dict[Pair, Scalar]  # element of the rotation algebra as a combination of X[a,b]
@@ -143,8 +149,8 @@ class Frame:
     def __init__(self, indices: Tuple[int, ...]):
         if list(indices) != sorted(set(indices)):
             raise InvalidRankError(f"indices {indices} must be strictly ascending")
-        if len(indices) < 1:
-            raise InvalidRankError("a frame needs at least one index")
+        if len(indices) < 2:
+            raise InvalidRankError(f"indices {indices}: a frame needs at least two indices")
         self.indices = tuple(indices)
         L = len(indices)
         self.rank = L // 2
@@ -182,21 +188,11 @@ class Frame:
             wts.append(tuple(w))
         self.var_weight: Tuple[Tuple[int, ...], ...] = tuple(wts)
 
-        # distinguished reflection: flip the largest ambient index.
-        # In variables: if it is the second member of pair 1, swap +1 <-> -1
-        # (per vector set); if it is the spare (size-1 frame), negate it.
-        refl: List[Tuple[int, Fraction]] = [(v, Fraction(1)) for v in range(self.nvars)]
-        if self.rank >= 1:
-            for set_id in (0, 1):
-                vp = self.var_index[(set_id, "+", 1)]
-                vm = self.var_index[(set_id, "-", 1)]
-                refl[vp] = (vm, Fraction(1))
-                refl[vm] = (vp, Fraction(1))
-        else:
-            for set_id in (0, 1):
-                v0 = self.var_index[(set_id, "0", 0)]
-                refl[v0] = (v0, Fraction(-1))
-        self.reflection_var_map = tuple(refl)
+        # distinguished reflection: flip the largest ambient index, the second
+        # member of pair 1, which swaps the variables +1 <-> -1 of each vector set
+        swap = {self.var_index[(s, c, 1)]: self.var_index[(s, d, 1)]
+                for s in (0, 1) for c, d in (("+", "-"), ("-", "+"))}
+        self.reflection_perm = tuple(swap.get(v, v) for v in range(self.nvars))
 
         # the root vectors in closed form (module docstring), each with its
         # action on the variables of both vector sets; an image (c, k, c2, k2, x)
@@ -250,6 +246,11 @@ class Frame:
         self.structure = [[tuple((z, exact(n)) for z, n in self.root_coords(
             so_bracket(self.basis[x], self.basis[y])).items()) for y in keys[i + 1:]]
             for i, x in enumerate(keys)]
+        # R E R over the basis for each raising root vector E, R the reflection
+        top = self.reflection_index
+        self.conjugates = {w: self.root_coords({(a, b): flip_sign(a, b, top) * c
+                                                for (a, b), c in e.items()})
+                           for w, e in self.raising_ops()}
 
     # -- Cartan and root vectors -------------------------------------------
 
@@ -306,21 +307,10 @@ def poly_apply_table(table: VarTable, poly: Poly) -> Poly:
 
 
 def poly_reflect(frame: Frame, poly: Poly) -> Poly:
-    """The distinguished reflection of poly; it permutes the variables up to
-    sign, so distinct monomials have distinct images."""
-    out: Poly = {}
-    for mono, coeff in poly.items():
-        lst = [0] * frame.nvars
-        sgn = 1
-        for v, exp in enumerate(mono):
-            if not exp:
-                continue
-            v2, s = frame.reflection_var_map[v]
-            lst[v2] += exp
-            if s < 0 and exp % 2:
-                sgn = -sgn
-        out[tuple(lst)] = coeff if sgn > 0 else -coeff
-    return out
+    """The distinguished reflection of poly: an involution permuting the
+    variables, so it permutes the exponents of each monomial."""
+    perm = frame.reflection_perm
+    return {tuple(mono[v] for v in perm): coeff for mono, coeff in poly.items()}
 
 
 def mono_weight(frame: Frame, mono: Mono) -> Tuple[int, ...]:
@@ -470,8 +460,7 @@ def _close_model(frame: Frame, label: FDLabel,
                   Recipe("op", i, op_index), lower[op_index])
                  for op_index, (w, _f) in enumerate(lows)]
         if use_refl:
-            steps.append((poly_reflect(frame, base),
-                          (-base_tag[0],) + base_tag[1:] if frame.rank else base_tag,
+            steps.append((poly_reflect(frame, base), (-base_tag[0],) + base_tag[1:],
                           Recipe("refl", i), refl))
         for img, new_tag, recipe, coords in steps:
             idx, coords[i] = ech.insert(real(img, new_tag))
@@ -528,29 +517,35 @@ def _invariant_gram(frame: Frame, model: PolyModel, vectors: List[Poly],
 def _generator_matrices(frame: Frame, model: PolyModel, lower: List[Cols],
                         refl: Cols) -> Dict[object, Cols]:
     """Columns of every Chevalley basis element of a closed model by the
-    module docstring's recursion; column j of a raising root vector reads
-    columns p < j only."""
+    module docstring's recursion, with [E, F] read from the frame's
+    ``structure`` and R E R from its ``conjugates``; column j of a raising
+    root vector reads columns p < j only."""
     lows = frame.lowering_ops()
     mats: Dict[object, Cols] = {w: cols for (w, _f), cols in zip(lows, lower)}
     for k in range(1, frame.rank + 1):
         mats[k] = [{j: t[k - 1]} if t[k - 1] else {} for j, t in enumerate(model.tags)]
 
-    flip = frame.reflection_index
-    raising = frame.raising_ops()
-    brackets = [[frame.root_coords(so_bracket(e, f)) for _w, f in lows] for _w, e in raising]
-    conjugates = [frame.root_coords({(a, b): flip_sign(a, b, flip) * c for (a, b), c in e.items()})
-                  for _w, e in raising]
-    mats.update((w, [{}]) for w, _e in raising)  # E v_0 = 0 at the seed
+    keys = list(frame.basis)
+
+    def stored(x, y) -> Dict[object, Scalar]:  # [x, y] from structure's [x, y] or [y, x]
+        i, j = keys.index(x), keys.index(y)
+        if i < j:
+            return dict(frame.structure[i][j - i - 1])
+        return {z: -n for z, n in frame.structure[j][i - j - 1]}
+
+    raising = [w for w, _e in frame.raising_ops()]
+    brackets = [[stored(w, f) for f, _f in lows] for w in raising]
+    mats.update((w, [{}]) for w in raising)  # E v_0 = 0 at the seed
     for rec in model.recipes[1:]:
         p = rec.parent
-        for r, (w, _e) in enumerate(raising):
+        for r, w in enumerate(raising):
             if rec.kind == "op":
                 col = apply_cols(lower[rec.op_index], mats[w][p],
                                  _apply(mats, brackets[r][rec.op_index], {p: 1}))
             else:
-                col = apply_cols(refl, _apply(mats, conjugates[r], {p: 1}))
-            mats[w].append(col)
-    return {key: _combined(mats, {key: 1}, len(model.tags)) for key in frame.basis}
+                col = apply_cols(refl, _apply(mats, frame.conjugates[w], {p: 1}))
+            mats[w].append({i: exact(x) for i, x in col.items()})
+    return {key: mats[key] for key in keys}
 
 
 def _apply(mats: Dict, coords: Dict, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
@@ -662,16 +657,12 @@ class MatrixRep:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _indices_for(ctx_or_indices, which: str) -> Tuple[int, ...]:
-    """The indices of a rank context's side ('big' = 0..n, 'sub' = 1..n), or
-    the given index tuple itself."""
-    if not isinstance(ctx_or_indices, RankContext):
-        return tuple(ctx_or_indices)
-    n = ctx_or_indices.n
+def _indices_for(ctx: RankContext, which: str) -> Tuple[int, ...]:
+    """The indices of a rank context's side: 'big' = 0..n, 'sub' = 1..n."""
     if which == "big":
-        return tuple(range(0, n + 1))
+        return tuple(range(0, ctx.n + 1))
     if which == "sub":
-        return tuple(range(1, n + 1))
+        return tuple(range(1, ctx.n + 1))
     raise InvalidRankError(f"unknown side {which!r}")
 
 
@@ -696,37 +687,24 @@ def standard_rep(ctx: RankContext) -> MatrixRep:
     return rep
 
 
-def trivial_rep(ctx_or_indices, eps: int = 1, which: str = "big") -> MatrixRep:
-    """The one-dimensional representation (eps = -1: the determinant)."""
-    indices = _indices_for(ctx_or_indices, which)
-    size = len(indices)
-    label = fd_label(size, (0,), eps)
-    # the constant polynomial 1, whose pairing with itself is 1
-    model = PolyModel([(0,) * get_frame(indices).rank], [Recipe("seed")], [{0: 1}])
-    return MatrixRep(dim=1, label=label, indices=indices, model=model, _refl=[{0: eps}])
-
-
 def construct_irrep(
-    ctx_or_indices,
+    ctx: RankContext,
     mu,
     eps: Optional[int] = None,
     which: str = "big",
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> MatrixRep:
     """Build the orthogonal-group irreducible with row lengths mu and sign eps
-    over the requested coordinate set ('big' = 0..n, 'sub' = 1..n when given a
-    rank context; any ascending index tuple is accepted directly).
+    over a side of the rank context ('big' = 0..n, 'sub' = 1..n); the trivial
+    and det labels (mu = 0) go through the same closure.
 
     The generator matrices come from the closure's coordinates by the
     recursion of the module docstring and are checked apart from it: against
     character theory's dimension, the Casimir scalar, and every bracket
     relation on probe vectors; then ``_invariant_gram`` derives the Gram rows.
     """
-    indices = _indices_for(ctx_or_indices, which)
-    size = len(indices)
-    label = fd_label(size, mu, eps)
-    if all(c == 0 for c in label.mu):
-        return trivial_rep(indices, eps=label.eps)
+    indices = _indices_for(ctx, which)
+    label = fd_label(len(indices), mu, eps)
     frame = get_frame(indices)
     expected = label.dim()
     if expected > dim_cap:
@@ -864,15 +842,15 @@ def word_sum(words, scaled: Dict[Pair, Cols], vec: Dict[int, Scalar]) -> Dict[in
     return out
 
 
-def act(element, rep: MatrixRep) -> Cols:
-    """Columns of a universal-enveloping element (dict of generator-pair words
-    to rational coefficients) on the representation.  Word (g1, ..., gk) acts
+def act(element: UEElement, rep: MatrixRep) -> Cols:
+    """Columns of a universal-enveloping element (its ``terms``: generator-pair
+    words to rational coefficients) on the representation.  Word (g1, ..., gk) acts
     as the operator product g1 ... gk.  Generators outside the
     representation's coordinate set raise InvalidRankError.  Each word w acts
     on the columns d X of ``scaled_generators`` with its coefficient times
     d^(D - len w), D the element's degree: the sum is d^D times the element,
     in Gaussian integers, and each entry is divided by d^D once (``exact``)."""
-    terms = element.terms if hasattr(element, "terms") else element
+    terms = element.terms
     d, scaled = scaled_generators(rep, {g for word in terms for g in word})
     D = max(map(len, terms), default=0)
     words = [(word, c * d ** (D - len(word))) for word, c in terms.items()]
@@ -898,6 +876,8 @@ def _flat_strings(cols: Cols) -> List[str]:
 def _cols_from_strings(flat: List[str], dim: int, what: str) -> Cols:
     """Sparse columns of a row-major list of exact strings; the zero string
     that ``qi_to_string`` writes is skipped without being parsed."""
+    if not isinstance(flat, list):
+        raise ValueError(f"{what} is not an array of exact strings")
     vals = [(k, qi_from_string(s)) for k, s in enumerate(flat) if s != "0/1"]
     if len(flat) != dim * dim:
         raise ValueError(f"{what} has {len(flat)} entries, expected {dim * dim}")
@@ -906,6 +886,13 @@ def _cols_from_strings(flat: List[str], dim: int, what: str) -> Cols:
         if x:
             cols[k % dim][k // dim] = x
     return cols
+
+
+def _int_array(x, what: str) -> Tuple[int, ...]:
+    """A bundle's array of integers what; anything else is a malformed file."""
+    if not isinstance(x, list) or any(type(c) is not int for c in x):
+        raise ValueError(f"bundle {what} {x!r} is not an array of integers")
+    return tuple(x)
 
 
 def _metadata(rep: MatrixRep) -> dict:
@@ -969,10 +956,13 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     ``action`` returns them verbatim and ``chevalley()`` derives from them;
     algebraic sanity (``casimir_scalar``, ``verify_reflection``) is
     re-established by the caller, not assumed.  A bundle without a
-    ``reflection`` is malformed and raises KeyError."""
-    meta = bundle["metadata"]
-    indices = tuple(int(i) for i in meta["indices"])
-    dim = int(bundle["dim"])
+    ``reflection`` is malformed and raises KeyError; a field of another JSON
+    type than the writer's raises ValueError."""
+    if not (isinstance(bundle, dict) and isinstance(bundle["metadata"], dict)
+            and isinstance(bundle["matrices"], dict) and type(bundle["dim"]) is int):
+        raise ValueError("a bundle, its metadata and matrices must be JSON objects, its dim an int")
+    meta, dim = bundle["metadata"], bundle["dim"]
+    indices = _int_array(meta["indices"], "metadata indices")
     keys = {f"{a},{b}": (a, b) for a, b in get_frame(indices).generators}
     got = set(bundle["matrices"])
     if got != set(keys):
@@ -981,11 +971,9 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
                          f"missing {sorted(set(keys) - got)}")
     actions = {g: _cols_from_strings(bundle["matrices"][key], dim, f"matrix {key}")
                for key, g in keys.items()}
-    if not isinstance(meta["rows"], list):
-        raise ValueError(f"bundle metadata rows {meta['rows']!r} is not a list of row lengths")
     rep = MatrixRep(
         dim=dim,
-        label=fd_label(len(indices), meta["rows"], meta.get("eps")),
+        label=fd_label(len(indices), _int_array(meta["rows"], "metadata rows"), meta.get("eps")),
         indices=indices,
         kind="bundle",
         _refl=_cols_from_strings(bundle["reflection"], dim, "reflection"),

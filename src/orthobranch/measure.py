@@ -276,8 +276,11 @@ def verify_power_identity(big: MatrixRep, N: int) -> bool:
     ctilde^N (u (x) f_0) = (A_N u) (x) f_0 + sum_j (B_{N,j} u) (x) f_j with
     A_N, B_N the symbolic elements of the enveloping-algebra layer, on every
     basis vector u, both sides times d^N as the module docstring describes.
-    An element with a word longer than N fails the check."""
+    An element with a word longer than N fails the check; a model that is not
+    on coordinates 0..n (a subgroup side) raises ValueError."""
     from .enveloping import build_A, build_B
+    if big.indices != tuple(range(len(big.indices))):
+        raise ValueError(f"the power check needs a model on coordinates 0..n, not {big.indices}")
     ctx = rank_context(len(big.indices) - 1)
     elements = [build_A(N, ctx), *build_B(N, ctx)]
     if any(len(word) > N for e in elements for word in e.terms):

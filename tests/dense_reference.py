@@ -228,7 +228,7 @@ def plain_act(element, rep):
     model's own exact numbers: each word's letters are applied right to left
     through ``action`` to every basis vector and the result is added with
     the word's coefficient, with no common denominator."""
-    terms = element.terms if hasattr(element, "terms") else element
+    terms = element.terms
     cols = [dict() for _ in range(rep.dim)]
     xs = {}  # each X[a,b] formed once
     for word, coeff in terms.items():

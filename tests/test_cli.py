@@ -34,6 +34,15 @@ def test_regions_empty_support(capsys):
     assert obj["support"] == []
 
 
+@pytest.mark.parametrize("xi, nu", [("1", "1"), ("1,2,3", "1"), ("5/2,3/2", "1,0")])
+def test_regions_lengths_follow_n(capsys, xi, nu):
+    # n = 3: xi of length r = 2 and nu of length s = 1, as scalar and render ask
+    with pytest.raises(SystemExit) as exc:
+        main(["regions", "--n", "3", "--xi", xi, "--nu", nu])
+    assert exc.value.code == 2
+    assert "xi must have length 2 and nu length 1 for n = 3" in capsys.readouterr().err
+
+
 def test_scalar_worked_example(capsys):
     code, obj = run_json(capsys, "scalar", "--n", "4", "--i", "1",
                          "--eps", "+", "--lam", "3/2,1/2", "--nu", "1,0")

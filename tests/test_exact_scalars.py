@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 
 from orthobranch.homspace import _mirror_embedding, hom_space, subgroup_hw_space
-from orthobranch.linalg import Gi
+from orthobranch.linalg import Gi, exact
 from orthobranch.matrixrep import (
     _verify_rep, casimir_scalar, get_frame, rep_from_bundle, rep_to_bundle,
 )
@@ -100,18 +100,21 @@ def test_models_hold_one_exact_number_type(reps):
         assert scalar_types(loaded.reflection()) == scalar_types(rep.reflection())
     for rep in (o4, o5, o7, sub, back):
         check_rep(rep)
+    # every stored Chevalley entry is in exact's form: no Fraction(k, 1)
+    assert all(type(x) is type(exact(x)) for x in leaves(o7._chev))
     frame = o7.frame
     for x in leaves([frame.roots, frame.root_tables, frame.gen_coords]):
         check_scalar(x)
 
 
 def test_frame_tables_are_real():
-    # the Casimir form and the structure constants over the Chevalley basis,
-    # for group sizes 1..9, and every subgroup root vector over the larger
-    # group's basis, for n = 3..6
-    for size in range(1, 10):
+    # the Casimir form, the structure constants and the reflection's
+    # conjugates over the Chevalley basis, for group sizes 2..9, and every
+    # subgroup root vector over the larger group's basis, for n = 3..6
+    for size in range(2, 10):
         frame = get_frame(tuple(range(size)))
-        for x in leaves([frame.casimir_form, [dict(br) for row in frame.structure for br in row]]):
+        for x in leaves([frame.casimir_form, [dict(br) for row in frame.structure for br in row],
+                         frame.conjugates]):
             check_scalar(x)
             assert not isinstance(x, Gi), (size, x)
     for n in range(3, 7):

@@ -28,7 +28,6 @@ from orthobranch.matrixrep import (
     rep_to_bundle,
     scaled_generators,
     standard_rep,
-    trivial_rep,
     verify_reflection,
 )
 from orthobranch.weights import InvalidRankError, ResourceLimitError, rank_context
@@ -64,7 +63,7 @@ def test_standard_rep_basics():
     rep = standard_rep(CTX4)
     assert rep.dim == 5
     assert dense(act(casimir(4, "full"), rep), 5) == scaled_identity(4, 5)
-    assert dense(act({(): F(2)}, rep), 5) == scaled_identity(2, 5)   # the empty word
+    assert dense(act(UEElement({(): F(2)}), rep), 5) == scaled_identity(2, 5)   # the empty word
     # antisymmetric generator images
     m = dense(rep.action(0, 3), 5)
     for i in range(5):
@@ -120,7 +119,7 @@ def _act_elements(rep):
     Casimirs, over rep's own indices."""
     n, lo = len(rep.indices) - 1, rep.indices[0]
     elements = [build_A(3, n), *build_B(3, n), casimir(n, "full"), casimir(n, "sub")]
-    return [_shifted(e, lo) for e in elements] + [UEElement({(): F(7, 2)}), {(): F(2)}]
+    return [_shifted(e, lo) for e in elements] + [UEElement({(): F(7, 2)}), UEElement({(): F(2)})]
 
 
 def _is_normalised(x):
@@ -134,7 +133,7 @@ def test_act_matches_the_plain_reference(reps):
     # dim-64 O(4) (5,2), whose common denominator is 239,719,573,094,400
     models = [reps.get(n, rows, eps, side) for n, rows, eps, side in POLYNOMIAL_ROUTE_LABELS]
     models += [det_twisted(reps.get(4, (2, 0), 1)), standard_rep(CTX3), standard_rep(CTX4),
-               trivial_rep(CTX3)]
+               construct_irrep(CTX3, (0,))]
     models += [_loaded(reps.get(3, rows)) for rows in ((2, 1), (5, 2))]
     models.append(_loaded(reps.get(4, (2, 0), 1)))
     for rep in models:
@@ -171,7 +170,7 @@ def test_construct_irrep_examples(reps):
     r3 = reps.get(2, (1,))
     assert r3.dim == 3
     assert casimir_scalar(r3) == 2
-    triv = trivial_rep(CTX2)
+    triv = construct_irrep(CTX2, (0,))
     assert triv.dim == 1 and casimir_scalar(triv) == 0
     r5 = reps.get(4, (1, 0))
     assert r5.dim == 5
@@ -195,8 +194,8 @@ def test_casimir_scalar_matches_the_x_form(reps):
     # the defining representation, both one-dimensional ones and loaded bundles
     models = [reps.get(n, rows, eps, side) for n, rows, eps, side in POLYNOMIAL_ROUTE_LABELS]
     models += [reps.get(6, (2, 1, 0)), det_twisted(reps.get(4, (2, 0), 1)),
-               standard_rep(CTX3), standard_rep(CTX4), trivial_rep(CTX3),
-               trivial_rep(CTX4, eps=-1)]
+               standard_rep(CTX3), standard_rep(CTX4), construct_irrep(CTX3, (0,)),
+               construct_irrep(CTX4, (0,), -1)]
     models += [rep_from_bundle(json.loads(json.dumps(rep_to_bundle(rep)))) for rep in models[:3]]
     for rep in models:
         assert casimir_scalar(rep) == x_casimir_scalar(rep) == expected_casimir_scalar(rep), rep.label
@@ -338,6 +337,52 @@ def test_bundle_without_reflection_has_none(reps, tmp_path, run_optimized):
     assert run_optimized(code, *argv).split() == ["2"]
 
 
+ONE_INDEX_BUNDLE = {  # what an O(1) model would be written as, metadata matching rows [0]
+    "dim": 1, "generators": [], "matrices": {}, "reflection": ["1/1"],
+    "metadata": {"rows": [0], "eps": 1, "indices": [0], "kind": "model", "group_tag": "O_odd",
+                 "highest_weight": ["0"], "inf_char": ["1/2"], "twist_sign": 1}}
+MALFORMED = {  # edits of a written bundle b
+    "top-level-array": lambda b: [b],
+    "metadata-array": lambda b: {**b, "metadata": [b["metadata"]]},
+    "reflection-number": lambda b: {**b, "reflection": 5},
+    "indices-null": lambda b: {**b, "metadata": {**b["metadata"], "indices": None}},
+    "dim-null": lambda b: {**b, "dim": None},
+    "matrix-null": lambda b: {**b, "matrices": {**b["matrices"], "0,1": None}},
+    "zero-denominator": lambda b: {**b, "matrices": {
+        **b["matrices"], "0,1": ["1/0", *b["matrices"]["0,1"][1:]]}},
+    "zero-denominators-complex": lambda b: {**b, "matrices": {
+        **b["matrices"], "0,1": ["0/0+1/0i", *b["matrices"]["0,1"][1:]]}},
+    "one-index": lambda b: ONE_INDEX_BUNDLE,
+}
+
+
+@pytest.mark.parametrize("how", MALFORMED)
+def test_malformed_bundle_is_a_usage_error(reps, tmp_path, capsys, run_optimized, how):
+    # a field of the wrong JSON shape, an entry with a zero denominator, or a
+    # frame of one index (which once loaded as an O(3) label and failed
+    # bundle-casimir): exit 2 with empty stdout and no traceback, also under -O
+    bundle = MALFORMED[how](rep_to_bundle(reps.get(3, (1, 0))))
+    with pytest.raises(ValueError):
+        rep_from_bundle(bundle)
+    path = tmp_path / f"{how}.json"
+    path.write_text(json.dumps(bundle))
+    argv = ["verify-ue", "--n", "3", "--max-degree", "3", "--bundle", str(path)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "Traceback" not in err, err
+    code = ("import contextlib, io, sys\n"
+            "from orthobranch.cli import main\n"
+            "err = io.StringIO()\n"
+            "try:\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'Traceback' in err.getvalue())\n")
+    assert run_optimized(code, *argv).split() == ["2", "False"]
+
+
 def _reflection_edited(reps, how):
     """The O(4) (2,1) bundle (dim 16) with its reflection replaced by the
     identity ("identity") or with column how negated (an int)."""
@@ -357,7 +402,8 @@ def test_reflection_check_holds_on_models(reps):
     models = [reps.get(n, rows, eps, which=side) for n, rows, eps, side in (
         (3, (2, 1), None, "big"), (3, (5, 2), None, "big"), (4, (2, 1), 1, "big"),
         (4, (2, 1), -1, "big"), (4, (1, 1), -1, "big"), (4, (2, 1), None, "sub"))]
-    models += [standard_rep(CTX4), trivial_rep(CTX3, -1), trivial_rep(CTX3, 1, "sub")]
+    models += [standard_rep(CTX4), construct_irrep(CTX3, (0,), -1),
+               construct_irrep(CTX3, (0,), 1, "sub")]
     for rep in models:
         verify_reflection(rep)
         verify_reflection(rep_from_bundle(rep_to_bundle(rep)))
@@ -645,7 +691,7 @@ def _reachable(obj):
 
 def test_a_built_model_holds_no_polynomial(reps):
     models = [construct_irrep(CTX3, (2, 1)), det_twisted(construct_irrep(CTX4, (2, 0), 1)),
-              construct_irrep(CTX3, (0, 0), -1), trivial_rep(CTX4)]
+              construct_irrep(CTX3, (0, 0), -1), construct_irrep(CTX4, (0,))]
     for rep in models:
         assert set(vars(rep.model)) == {"tags", "recipes", "gram"}, rep.label
         nvars = rep.frame.nvars
@@ -686,10 +732,10 @@ def test_gram_symmetry_check_can_fail(run_optimized):
 
 
 def test_closed_form_roots_match_the_solver():
-    # frames (0..L-1) and (1..L) for L = 1..9: with and without a spare, and
+    # frames (0..L-1) and (1..L) for L = 2..9: with and without a spare, and
     # with the spare at 0 or 1
     count = 0
-    for size in range(1, 10):
+    for size in range(2, 10):
         for indices in (tuple(range(size)), tuple(range(1, size + 1))):
             frame = Frame(indices)
             solved = solved_root_vectors(frame)
@@ -784,22 +830,62 @@ def test_recursion_corruption_is_caught_cartan(monkeypatch):
 
 @pytest.mark.parametrize("n, rows, eps", [(3, (2, 1), None), (4, (2, 1), 1)])
 def test_recursion_corruption_is_caught_bracket(monkeypatch, n, rows, eps):
-    # one [E, F] structure constant: the bracket of the first raising and the
-    # first lowering root vector, doubled in one coefficient
+    # one [E, F] structure constant: the frame's stored bracket of the first
+    # raising and the first lowering root vector, doubled in one coefficient;
+    # the recursion and the bracket check both read it
     frame = get_frame(tuple(range(n + 1)))
-    e0, f0 = frame.raising_ops()[0][1], frame.lowering_ops()[0][1]
-    bracket = matrixrep.so_bracket
-    hits = []
-
-    def perturbed(x, y):
-        out = bracket(x, y)
-        if x == e0 and y == f0:
-            key = next(iter(out))
-            out[key] = out[key] * 2
-            hits.append(key)
-        return out
-
-    monkeypatch.setattr(matrixrep, "so_bracket", perturbed)
+    keys = list(frame.basis)
+    i, j = sorted((keys.index(frame.raising_ops()[0][0]), keys.index(frame.lowering_ops()[0][0])))
+    structure = [list(row) for row in frame.structure]
+    (z, c), *rest = structure[i][j - i - 1]
+    structure[i][j - i - 1] = ((z, 2 * c), *rest)
+    monkeypatch.setattr(frame, "structure", structure)
     with pytest.raises(AssertionError, match="quadratic invariant|bracket fidelity"):
         construct_irrep(rank_context(n), rows, eps=eps)
-    assert hits
+
+
+def _closure_plant(how, setattr):
+    """Plant a fault that one check of the closure must catch on O(5), through
+    setattr(obj, name, value); returns the rows to construct.  "weight": the
+    (2,1) seed times zeta1+(z); "raising": the (2,1) seed's first monomial
+    zeta1+(z)^2 zeta2+(w) alone, of weight (2,1) but moved by E(e1 - e2);
+    "reflection": a reflection swapping the z and w variables, on (1,0)."""
+    from orthobranch import matrixrep
+    frame, seed = matrixrep.get_frame((0, 1, 2, 3, 4)), matrixrep._binom_seed
+    z1 = frame.var_index[(0, "+", 1)]
+    if how == "weight":
+        setattr(matrixrep, "_binom_seed", lambda fr, mu: {
+            tuple(e + (v == z1) for v, e in enumerate(m)): c for m, c in seed(fr, mu).items()})
+    elif how == "raising":
+        setattr(matrixrep, "_binom_seed", lambda fr, mu: dict([next(iter(seed(fr, mu).items()))]))
+    else:
+        setattr(frame, "reflection_perm",
+                tuple(frame.var_index[(1 - s, kind, k)] for s, kind, k in frame.var_specs))
+        return (1, 0)
+    return (2, 1)
+
+
+CLOSURE_FAILURES = {
+    "weight": "seed for FDLabel(group_tag='O_odd', mu=(2, 1), eps=1) does not have weight (2, 1)",
+    "raising": ("seed for FDLabel(group_tag='O_odd', mu=(2, 1), eps=1) not annihilated by "
+                "raising root (1, -1)"),
+    "reflection": "model for FDLabel(group_tag='O_odd', mu=(1, 0), eps=1) is not reflection-stable",
+}
+
+
+@pytest.mark.parametrize("how", CLOSURE_FAILURES)
+def test_closure_checks_can_fail(monkeypatch, run_optimized, how):
+    rows = _closure_plant(how, monkeypatch.setattr)   # undone after the test
+    with pytest.raises(AssertionError) as exc:
+        construct_irrep(CTX4, rows)
+    assert str(exc.value) == CLOSURE_FAILURES[how]
+    code = ("import sys\n"
+            "from orthobranch.weights import rank_context\n"
+            "from orthobranch.matrixrep import construct_irrep\n"
+            + inspect.getsource(_closure_plant) +
+            "rows = _closure_plant(sys.argv[1], setattr)\n"
+            "try:\n"
+            "    construct_irrep(rank_context(4), rows)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    assert run_optimized(code, how).strip() == CLOSURE_FAILURES[how]

@@ -12,7 +12,7 @@ from orthobranch.homspace import SymmetryBreakingOperator, hom_space, subgroup_h
 from orthobranch.linalg import Gi, qi_from_string, qi_to_string
 from orthobranch.matrixrep import (
     _cols_from_strings, act, construct_irrep, det_twisted, rep_from_bundle, rep_to_bundle,
-    standard_rep, trivial_rep,
+    standard_rep,
 )
 from orthobranch.measure import (
     IdentityViolationError,
@@ -85,7 +85,7 @@ def test_power_identity(reps):
     assert verify_power_identity(standard_rep(CTX3), 1)
     assert verify_power_identity(standard_rep(CTX3), 2)
     assert verify_power_identity(standard_rep(CTX4), 2)
-    assert verify_power_identity(trivial_rep(CTX3), 3)
+    assert verify_power_identity(construct_irrep(CTX3, (0,)), 3)
     assert verify_power_identity(reps.get(3, (2, 0)), 2)
 
 
@@ -148,7 +148,7 @@ def test_a_word_longer_than_the_power_fails_the_check(reps, monkeypatch):
         first, *rest = build_B(N, ctx)
         return (first + monomial([(0, 1)] * (N + 1)), *rest)
 
-    models = [trivial_rep(CTX3), rep_from_bundle(rep_to_bundle(reps.get(3, (2, 1))))]
+    models = [construct_irrep(CTX3, (0,)), rep_from_bundle(rep_to_bundle(reps.get(3, (2, 1))))]
     assert all(verify_power_identity(rep, N) for rep in models for N in (1, 2, 3))
     monkeypatch.setattr(enveloping, "build_B", padded)
     assert [verify_power_identity(rep, N) for rep in models for N in (1, 2, 3)] == [False] * 6
@@ -499,3 +499,24 @@ def test_reconstruction_grid_builds_each_model_once(monkeypatch):
         b_reconstruct(ell, CTX3)
     assert len(built) == 27
     assert len(set(built)) == 9
+
+
+def test_power_check_refuses_a_subgroup_side_bundle(tmp_path, capsys):
+    # the O(4) (1,1) model on coordinates 1..4 that verify-scalar writes for
+    # the pair O(5) > O(4): the power check indexes tuple slots by ambient
+    # index, so it refuses the model (exit 2, where it raised IndexError);
+    # without the power check the bundle passes its two checks
+    path = str(tmp_path / "sub.json")
+    assert main(["verify-scalar", "--n", "4", "--big", "2,1", "--sub", "1,1", "--i", "1",
+                 "--eps", "+", "--emit-sub", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        sub = rep_from_bundle(json.load(fh))
+    with pytest.raises(ValueError, match=r"coordinates 0..n, not \(1, 2, 3, 4\)"):
+        verify_power_identity(sub, 2)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ue", "--n", "3", "--max-degree", "3", "--bundle", path])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "coordinates 0..n" in err
+    assert main(["verify-ue", "--n", "3", "--max-degree", "1", "--bundle", path]) == 0
+    assert json.loads(capsys.readouterr().out)["bundle_checks"] == 2
