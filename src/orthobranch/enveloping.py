@@ -18,7 +18,9 @@ unordered words.
 
 On top of this: the two Casimirs, the recursively defined invariant elements
 (the A/B ladder, the D ladder, their pairings), the g_n twist, and the
-invariance check used throughout the representation layer.
+invariance check used throughout the representation layer.  ``commutator``
+with a left side of degree <= 1 applies ad_x as a derivation of normal-ordered
+words, so it forms no product word and orders only the words a bracket changes.
 """
 from __future__ import annotations
 
@@ -306,8 +308,37 @@ def ad_gn(e: UEElement, ctx) -> UEElement:
                                    for word, coeff in e.terms.items()}))
 
 
+def _moved_past(x: Pair, y: Pair) -> Dict[Pair, int]:
+    """[x, y] as normal ordering reads it: from ``gen_bracket`` with the
+    larger pair first, and nothing when x == y."""
+    if y < x:
+        return gen_bracket(x, y)
+    if y > x:
+        return {pair: -c for pair, c in gen_bracket(y, x).items()}
+    return {}
+
+
 def commutator(a: UEElement, b: UEElement) -> UEElement:
-    return a * b - b * a
+    """a*b - b*a, in normal order.  For a of degree <= 1, on each sorted word
+    w of b, [x, w] is the sum over the letters y of w of w with y replaced by
+    ``_moved_past(x, y)``, normal-ordered: the bracket terms that ordering x*w
+    and w*x leaves once the sorted word cancels.  So it equals the product
+    form term for term, for any bracket table.  Unsorted words of b, and a of
+    degree > 1, take the product form."""
+    if any(len(m) > 1 for m in a.terms):
+        return a * b - b * a
+    letters = [(m[0], c) for m, c in a.terms.items() if m]
+    out: Dict[Monomial, Coeff] = {}
+    for w, cw in b.terms.items():
+        if list(w) != sorted(w):
+            word = UEElement({w: cw})
+            p_add_into(out, (a * word - word * a).terms)
+            continue
+        for k, y in enumerate(w):
+            for x, cx in letters:
+                for pair, c in _moved_past(x, y).items():
+                    p_add_into(out, _normal_order_monomial(w[:k] + (pair,) + w[k + 1 :]), c * cx * cw)
+    return UEElement(out)
 
 
 def ue_to_obj(e: UEElement):
@@ -326,8 +357,8 @@ def ue_to_obj(e: UEElement):
 def _check(failures, checks, name, params, lhs: UEElement, rhs: UEElement):
     """Counts one check and records a counterexample when lhs != rhs.  Both
     sides must be in normal order, as every result of ``*``, ``+``, ``-``,
-    ``scale`` and ``ad_gn`` on normal-ordered elements is; then equal
-    elements have equal terms."""
+    ``scale``, ``ad_gn`` and ``commutator`` on normal-ordered elements is;
+    then equal elements have equal terms."""
     checks[0] += 1
     if lhs != rhs:
         failures.append({
@@ -344,7 +375,8 @@ def verify_identities(ctx, max_degree: int = 4):
     Covers: the degree-2 and degree-3 ladder elements against Casimir
     combinations; the splitting of each transfer element off its ladder; the
     subalgebra commutation relations and the det-twist sign rules, the B and
-    D families through one loop each; and Jacobi on all generator triples.
+    D families through one loop each; and Jacobi on all generator triples,
+    summed bilinearly from one ``_moved_past`` table over generator pairs.
     Returns (checks_run, failures), each failure a replayable JSON-ready
     counterexample.  Not checked: the defining sums of ``build_Dscript``,
     ``build_C`` and ``build_Dj`` (each against its own body cannot fail).
@@ -405,17 +437,19 @@ def verify_identities(ctx, max_degree: int = 4):
             _check(failures, checks, "twist-transfer", {"n": n, "ell": ell, "N": N},
                    ad_gn(DS, n), DS)
 
-    # Jacobi on all generator triples
+    # Jacobi on all generator triples: [[x, y], z] is bilinear in the table
+    # of ``_moved_past`` over generator pairs, as ``commutator`` computes it
     gens = [(i, j) for i in range(0, n + 1) for j in range(i + 1, n + 1)]
+    moved = {(p, q): _moved_past(p, q) for p in gens for q in gens}
     for xi_ in range(len(gens)):
         for yi in range(xi_ + 1, len(gens)):
             for zi in range(yi + 1, len(gens)):
-                x, y, z = (gen(*gens[k]) for k in (xi_, yi, zi))
-                _check(failures, checks, "jacobi",
-                       {"n": n, "triple": [gens[xi_], gens[yi], gens[zi]]},
-                       commutator(commutator(x, y), z)
-                       + commutator(commutator(y, z), x)
-                       + commutator(commutator(z, x), y),
-                       ZERO)
+                x, y, z = gens[xi_], gens[yi], gens[zi]
+                lhs: Dict[Monomial, Coeff] = {}
+                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                    for p, c in moved[u, v].items():
+                        p_add_into(lhs, {(q,): d for q, d in moved[p, w].items()}, c)
+                _check(failures, checks, "jacobi", {"n": n, "triple": [x, y, z]},
+                       UEElement(lhs), ZERO)
 
     return checks[0], failures

@@ -147,10 +147,58 @@ def test_invariance():
 
 def test_identity_suite_clean():
     # exact counts: a check dropped from or added to the suite shows here
-    for n, count in ((2, 50), (3, 135)):
+    for n, count in ((2, 50), (3, 135), (4, 358), (5, 891), (6, 2057)):
         checks, failures = verify_identities(n, max_degree=4)
         assert failures == []
         assert checks == count
+
+
+def test_identity_suite_memo_is_bounded(monkeypatch):
+    # commutators order only the words a bracket changes, never the product
+    # words x*w and w*x, so the ordering memo stays small
+    for memo in ("_ORDER_MEMO", "_AB_MEMO", "_D_MEMO"):
+        monkeypatch.setattr(enveloping, memo, {})
+    assert sum(verify_identities(n, max_degree=4)[0] for n in (3, 4, 5, 6)) == 3441
+    assert len(enveloping._ORDER_MEMO) <= 6000
+
+
+def _plant(monkeypatch, how):
+    # moves or doubles the entry [X_12, X_01] of the bracket table, so that
+    # the first-descent order of normal ordering decides the results
+    real = enveloping.gen_bracket
+    edits = {"doubled": lambda out: {p: 2 * c for p, c in out.items()},
+             "to-the-top": lambda out: {(0, 3): c for c in out.values()}}
+
+    def planted(x, y):
+        out = real(x, y)
+        return edits[how](out) if (x, y) == ((1, 2), (0, 1)) else out
+
+    monkeypatch.setattr(enveloping, "gen_bracket", planted)
+    for memo in ("_ORDER_MEMO", "_AB_MEMO", "_D_MEMO"):
+        monkeypatch.setattr(enveloping, memo, {})
+
+
+@pytest.mark.parametrize("how", [None, "doubled", "to-the-top"])
+def test_commutator_matches_the_product_form(monkeypatch, how):
+    if how:
+        _plant(monkeypatch, how)
+    for n in (2, 3, 4):
+        gens = [gen(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+        elements = [build_A(N, n) for N in range(1, 5)]
+        for ell in range(1, 5):
+            elements += build_B(ell, n) + build_Dj(ell, n)
+            elements += [build_Dscript(ell, N, n) for N in range(1, 5 - ell)]
+        for x in gens:
+            for e in elements:
+                assert commutator(x, e) == x * e - e * x
+    raw = [monomial([(1, 2), (0, 1)]), monomial([(0, 2), (1, 2), (0, 1)], Fraction(1, 2)),
+           monomial([(2, 3), (0, 1), (1, 3), (0, 1)]) + monomial([(0, 1), (1, 2)]).scale(3),
+           UEElement({(): 5}), build_B(2, 3)[0] + monomial([(1, 3), (0, 2)])]
+    lefts = [gen(1, 2), gen(0, 1).scale(2) - gen(1, 2) + gen(0, 3).scale(Fraction(1, 3))
+             + UEElement({(): 7}), UEElement({(): 4}), gen(0, 1) * gen(1, 2) + gen(0, 2)]
+    for a in lefts:
+        for b in raw + [build_A(3, 3), build_Dscript(1, 2, 3)]:
+            assert commutator(a, b) == a * b - b * a
 
 
 def test_identity_suite_compares_normal_ordered_elements(monkeypatch):
@@ -172,13 +220,18 @@ def test_identity_suite_compares_normal_ordered_elements(monkeypatch):
 
 
 # (edit of [X_12, X_01], n, checks_run, failures, sha256 of the failure list
-# as sorted-key JSON), recorded from the suite before its B and D families
-# shared one loop
+# as sorted-key JSON); the n = 3, 4 rows recorded from the suite before its B
+# and D families shared one loop, the n = 5, 6 rows from the suite before
+# commutators and Jacobi were computed without product words
 PLANTED = [
     ("doubled", 3, 135, 43, "62ae63d5b03bae8d0e78c7db0e5be02e4b0a04cb129563a6046c9ebd3403ba4b"),
     ("doubled", 4, 358, 69, "b1ea3ae6286be75b199d50197d18d5f5d854d18af946654ea4be6b55e1e4893c"),
     ("to-the-top", 3, 135, 62, "1da1929c28eaf3cf725d4410db6833bf239714d72df6b7ddf6f871219d779c16"),
     ("to-the-top", 4, 358, 90, "280e650191db90926d5e02dc4c6da2aeed18fb2f725abc4a1780e5facba39527"),
+    ("doubled", 5, 891, 97, "30c7fe829acffb967c345348969a2a5f5506f0aaccdb45b5a54cf7b43579b4f3"),
+    ("doubled", 6, 2057, 127, "dddd9732a241114fddf6b208043a644cc5a0de8597623a3699031a05eb517576"),
+    ("to-the-top", 5, 891, 133, "d8c3a3d9c5f1c863f9c2f60967300bf5db6c27bdd378448244a87537b810e0af"),
+    ("to-the-top", 6, 2057, 180, "552cb60ed97d3b661bfbcde05a06d679f5c3cbb2616a2b2c6dcf388832e691ba"),
 ]
 
 
