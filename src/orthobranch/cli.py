@@ -215,13 +215,15 @@ def _cmd_verify_ue(args) -> int:
     - ``bundle-reflection``: ``verify_reflection`` (catches e.g. the identity
       as the reflection, one of its columns negated, or the whole of it
       negated where the label is not induced);
-    - ``bundle-power``, N = 2 .. min(max-degree, 3): ``verify_power_identity``
-      (catches e.g. a negated generator, whose Casimir is unchanged).  N = 1
-      cannot fail: A_1 = 0 and B_1,j = X_0j read the same columns."""
+    - ``bundle-power``, N = 2 .. min(max-degree, 3):
+      ``power_identity_counterexample`` (catches e.g. a negated generator,
+      whose Casimir is unchanged); a failure carries the first basis vector
+      and slot that differ.  N = 1 cannot fail: A_1 = 0 and B_1,j = X_0j read
+      the same columns."""
     from .enveloping import verify_identities
     from .matrixrep import (casimir_scalar, expected_casimir_scalar, rep_from_bundle,
                             verify_reflection)
-    from .measure import verify_power_identity
+    from .measure import power_identity_counterexample
 
     rep = None
     if args.bundle:
@@ -249,8 +251,10 @@ def _cmd_verify_ue(args) -> int:
             return _fail({"check": "bundle-reflection", "params": params, "error": str(exc)},
                          args.out)
         for N in powers:
-            if not verify_power_identity(rep, N):
-                return _fail({"check": "bundle-power", "params": {**params, "N": N}}, args.out)
+            where = power_identity_counterexample(rep, N)
+            if where is not None:
+                return _fail({"check": "bundle-power", "params": {**params, "N": N}, **where},
+                             args.out)
     if failures:
         return _fail({"checks_run": checks, "counterexample": failures[0]}, args.out)
     _emit(_json_text({

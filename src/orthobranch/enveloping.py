@@ -10,7 +10,10 @@ models bracket and canonicalize generator pairs through them too.
 
 A monomial is a tuple of canonical (i, j) pairs; normal order means
 nondecreasing in the lexicographic generator order, achieved by adjacent
-transpositions with bracket correction (memoized).  Elements are dicts from
+transpositions with bracket correction (memoized).  Normal ordering,
+``commutator`` and the Jacobi checks read the bracket from one table over
+generator pairs, ``_moved_past``, which fills ``_BRACKET_MEMO`` from
+``gen_bracket`` (441 entries at most up to n = 6).  Elements are dicts from
 monomials to exact coefficients (an int where integral, else a Fraction) in
 a thin immutable class; `*`
 returns normal-ordered products, while `monomial(...)` lets tests build raw
@@ -151,6 +154,27 @@ def bracket(x, y) -> UEElement:
 
 
 _ORDER_MEMO: Dict[Monomial, Dict[Monomial, int]] = {}
+_BRACKET_MEMO: Dict[Pair, Dict[Pair, Tuple[Tuple[Pair, int], ...]]] = {}
+
+
+def _moved_past(x: Pair, y: Pair) -> Tuple[Tuple[Pair, int], ...]:
+    """[x, y] as normal ordering reads it, as (pair, coefficient) items: from
+    ``gen_bracket`` with the larger pair first, and none when x == y.  It is
+    the one bracket table of normal ordering, ``commutator`` and the Jacobi
+    checks, filled in ``_BRACKET_MEMO[x][y]`` one generator pair at a time."""
+    row = _BRACKET_MEMO.get(x)
+    if row is None:
+        row = _BRACKET_MEMO[x] = {}
+    moved = row.get(y)
+    if moved is None:
+        if y < x:
+            moved = tuple(gen_bracket(x, y).items())
+        elif y > x:
+            moved = tuple((pair, -c) for pair, c in gen_bracket(y, x).items())
+        else:
+            moved = ()
+        row[y] = moved
+    return moved
 
 
 def _normal_order_monomial(word: Monomial) -> Dict[Monomial, int]:
@@ -170,7 +194,7 @@ def _normal_order_monomial(word: Monomial) -> Dict[Monomial, int]:
     k = swap_at
     x, y = word[k], word[k + 1]
     out = dict(_normal_order_monomial(word[:k] + (y, x) + word[k + 2 :]))
-    for pair, sign in gen_bracket(x, y).items():
+    for pair, sign in _moved_past(x, y):
         p_add_into(out, _normal_order_monomial(word[:k] + (pair,) + word[k + 2 :]), sign)
     _ORDER_MEMO[word] = out
     return out
@@ -308,16 +332,6 @@ def ad_gn(e: UEElement, ctx) -> UEElement:
                                    for word, coeff in e.terms.items()}))
 
 
-def _moved_past(x: Pair, y: Pair) -> Dict[Pair, int]:
-    """[x, y] as normal ordering reads it: from ``gen_bracket`` with the
-    larger pair first, and nothing when x == y."""
-    if y < x:
-        return gen_bracket(x, y)
-    if y > x:
-        return {pair: -c for pair, c in gen_bracket(y, x).items()}
-    return {}
-
-
 def commutator(a: UEElement, b: UEElement) -> UEElement:
     """a*b - b*a, in normal order.  For a of degree <= 1, on each sorted word
     w of b, [x, w] is the sum over the letters y of w of w with y replaced by
@@ -336,7 +350,7 @@ def commutator(a: UEElement, b: UEElement) -> UEElement:
             continue
         for k, y in enumerate(w):
             for x, cx in letters:
-                for pair, c in _moved_past(x, y).items():
+                for pair, c in _moved_past(x, y):
                     p_add_into(out, _normal_order_monomial(w[:k] + (pair,) + w[k + 1 :]), c * cx * cw)
     return UEElement(out)
 
@@ -376,7 +390,7 @@ def verify_identities(ctx, max_degree: int = 4):
     combinations; the splitting of each transfer element off its ladder; the
     subalgebra commutation relations and the det-twist sign rules, the B and
     D families through one loop each; and Jacobi on all generator triples,
-    summed bilinearly from one ``_moved_past`` table over generator pairs.
+    summed bilinearly from the bracket table ``_moved_past``.
     Returns (checks_run, failures), each failure a replayable JSON-ready
     counterexample.  Not checked: the defining sums of ``build_Dscript``,
     ``build_C`` and ``build_Dj`` (each against its own body cannot fail).
@@ -437,18 +451,17 @@ def verify_identities(ctx, max_degree: int = 4):
             _check(failures, checks, "twist-transfer", {"n": n, "ell": ell, "N": N},
                    ad_gn(DS, n), DS)
 
-    # Jacobi on all generator triples: [[x, y], z] is bilinear in the table
-    # of ``_moved_past`` over generator pairs, as ``commutator`` computes it
+    # Jacobi on all generator triples: [[x, y], z] is bilinear in the
+    # bracket table ``_moved_past``, as ``commutator`` computes it
     gens = [(i, j) for i in range(0, n + 1) for j in range(i + 1, n + 1)]
-    moved = {(p, q): _moved_past(p, q) for p in gens for q in gens}
     for xi_ in range(len(gens)):
         for yi in range(xi_ + 1, len(gens)):
             for zi in range(yi + 1, len(gens)):
                 x, y, z = gens[xi_], gens[yi], gens[zi]
                 lhs: Dict[Monomial, Coeff] = {}
                 for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    for p, c in moved[u, v].items():
-                        p_add_into(lhs, {(q,): d for q, d in moved[p, w].items()}, c)
+                    for p, c in _moved_past(u, v):
+                        p_add_into(lhs, {(q,): d for q, d in _moved_past(p, w)}, c)
                 _check(failures, checks, "jacobi", {"n": n, "triple": [x, y, z]},
                        UEElement(lhs), ZERO)
 

@@ -3,7 +3,11 @@
 A scalar is an exact number: a Python int or Fraction when it is real, a
 ``Gi`` only when its imaginary part is nonzero.  The matrix models are built
 in a Chevalley basis with rational structure constants and store real
-columns; ``Gi`` carries the i of the rotation generators X[a,b].
+columns; ``Gi`` carries the i of the rotation generators X[a,b] that
+``MatrixRep.action`` returns and bundles hold, and of the measurement chain
+over the defining representation.  The ladder checks (``matrixrep.act`` and
+``measure.verify_power_identity``) split each X[a,b] into a real and an
+imaginary part of int columns and never multiply a ``Gi``.
 Since ``int / int`` is a float, a library division has a Fraction or a
 ``Gi`` on one side (``Fraction(1) / x``).  ``qi_to_string`` and
 ``qi_from_string`` write and read the exact strings of matrix bundles, and
@@ -118,7 +122,8 @@ def exact(c):
         return c
     if type(c) is Gi:
         return Gi(exact(c.re), exact(c.im))
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

@@ -72,8 +72,10 @@ A model stores these Chevalley columns, R and a ``PolyModel`` record of the
 tags, the recipes and the Gram matrix of the invariant pairing, which
 invariance fixes up to one scalar (Schur): the seed's row pairs polynomials,
 the other rows follow from the recipes (``_invariant_gram``).  ``action``
-forms an X[a,b] from the columns on request; only ``scaled_generators`` (so
-``act`` and ``measure.verify_power_identity``) and ``rep_to_bundle`` call it.
+forms an X[a,b] from the columns on request, its real and imaginary parts
+each a real combination of them; only ``scaled_generators`` (so ``act`` and
+``measure.verify_power_identity``), ``verify_reflection`` and
+``rep_to_bundle`` call it.
 
 Every scalar is the one exact number of ``linalg`` (an int or a Fraction
 when real, else a ``linalg.Gi``), and ``polyarith.p_add_into`` is the one
@@ -119,6 +121,9 @@ Combo = Dict[Pair, Scalar]  # element of the rotation algebra as a combination o
 Mono = Tuple[int, ...]  # dense exponent tuple over a frame's variable list
 Poly = Dict[Mono, Scalar]
 VarTable = Dict[int, Dict[int, Scalar]]  # a linear map on a frame's variables: var -> {var': coeff}
+IntPair = Tuple[Dict[int, int], Dict[int, int]]  # the vector re + i im, each part sparse ints
+Letter = Tuple[Cols, Cols]  # d X[a,b] as its real and imaginary int columns ([] where zero)
+Trie = Tuple[Dict[int, Scalar], Dict[Pair, "Trie"]]  # ({slot: coeff}, {letter: child})
 
 DEFAULT_DIM_CAP = 400
 
@@ -556,16 +561,23 @@ def _apply(mats: Dict, coords: Dict, vec: Dict[int, Scalar]) -> Dict[int, Scalar
     return out
 
 
-def _combined(mats: Dict, coords: Dict, dim: int) -> Cols:
-    """Columns of sum coords[key] mats[key], entries normalised by ``exact``;
-    a key missing from mats acts by zero."""
+def _re_im(x: Scalar) -> Tuple[Scalar, Scalar]:
+    """The real and imaginary parts of an exact scalar."""
+    return (x.re, x.im) if type(x) is Gi else (x, 0)
+
+
+def _combined(mats: Dict, coords: Dict, dim: int, q: int = 1) -> Cols:
+    """Columns of sum coords[key] mats[key] / q, entries normalised by
+    ``exact``; a key missing from mats acts by zero.  With real coords over a
+    common denominator q, pass q times them: the sum is then made in ints
+    where the columns are, and each entry is divided once."""
     terms = [(mats[key], c) for key, c in coords.items() if key in mats]
     out: Cols = []
     for j in range(dim):
         col: Dict[int, Scalar] = {}
         for cols, c in terms:
             p_add_into(col, cols[j], c)
-        out.append({i: exact(x) for i, x in col.items()})
+        out.append({i: exact(x if q == 1 else Fraction(x, q)) for i, x in col.items()})
     return out
 
 
@@ -645,7 +657,15 @@ class MatrixRep:
             raise InvalidRankError(
                 f"generator ({a},{b}) outside representation coordinates {self.indices}"
             )
-        return _combined(self.chevalley(), self.frame.gen_coords[(a, b)], self.dim)
+        # the Chevalley columns are real, so each part of X[a,b] is the real
+        # combination of them by that part of its coordinates
+        coords, mats = self.frame.gen_coords[(a, b)], self.chevalley()
+        parts = []
+        for k in (0, 1):
+            part = {key: Fraction(p) for key, c in coords.items() if (p := _re_im(c)[k])}
+            q = lcm(*(p.denominator for p in part.values()))
+            parts.append(_combined(mats, {key: int(p * q) for key, p in part.items()}, self.dim, q))
+        return [{i: Gi(r.get(i, 0), m.get(i, 0)) for i in {**r, **m}} for r, m in zip(*parts)]
 
     def reflection(self) -> Cols:
         """Columns of the distinguished reflection, det-twist included; every
@@ -818,27 +838,71 @@ def verify_reflection(rep: MatrixRep) -> None:
 # enveloping-algebra action
 # ---------------------------------------------------------------------------
 
-def scaled_generators(rep: MatrixRep, pairs) -> Tuple[int, Dict[Pair, Cols]]:
-    """(d, {(a, b): d X[a,b]}) for the generators pairs, d the lcm of the
-    denominators of every part of every entry of their X[a,b]: each scaled
-    entry is an int or a ``Gi`` with int parts.  Nothing is kept on rep."""
+def scaled_generators(rep: MatrixRep, pairs) -> Tuple[int, Dict[Pair, Letter]]:
+    """(d, {(a, b): (re, im)}) for the generators pairs: d is the lcm of the
+    denominators of every part of every entry of their X[a,b], and re and im
+    are int columns with re + i im = d X[a,b].  A part that is zero
+    everywhere is the empty list; each X[a,b] of a model the package writes
+    is purely real or purely imaginary, so one of its parts is.  Each X[a,b]
+    is formed once per call (``action``), and nothing is kept on rep."""
     xs = {g: rep.action(*g) for g in pairs}
     d = lcm(*{p.denominator for cols in xs.values() for col in cols for x in col.values()
-              for p in ((x.re, x.im) if type(x) is Gi else (x,))})
-    return d, {g: [{i: exact(x * d) for i, x in col.items()} for col in cols]
-               for g, cols in xs.items()}
+              for p in _re_im(x)})
+
+    def letter(cols: Cols) -> Letter:
+        re, im = ([{i: p.numerator * (d // p.denominator) for i, x in col.items()
+                    if (p := _re_im(x)[k])} for col in cols] for k in (0, 1))
+        return re if any(re) else [], im if any(im) else []
+
+    return d, {g: letter(cols) for g, cols in xs.items()}
 
 
-def word_sum(words, scaled: Dict[Pair, Cols], vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
-    """sum c M_g1 ... M_gk vec over the pairs (word (g1, ..., gk), c), M_g = scaled[g]."""
-    out: Dict[int, Scalar] = {}
-    for word, c in words:
-        v = vec
-        for g in reversed(word):
-            if not v:
-                break
-            v = apply_cols(scaled[g], v)
-        p_add_into(out, v, c)
+def apply_letter(letter: Letter, vec: IntPair, out: IntPair) -> IntPair:
+    """out += M vec for the letter M = re + i im and the vector vec = (u, v),
+    u + i v, as four ``apply_cols`` on ints: re u - im v into the real part
+    and re v + im u into the imaginary part (an empty part is skipped).
+    Returns out."""
+    (m_re, m_im), (u, v), (o_re, o_im) = letter, vec, out
+    if m_re:
+        apply_cols(m_re, u, o_re)
+        apply_cols(m_re, v, o_im)
+    if m_im:
+        apply_cols(m_im, u, o_im)
+        apply_cols(m_im, {j: -c for j, c in v.items()}, o_re)
+    return out
+
+
+def suffix_trie(sums) -> Trie:
+    """The word sums sums[slot] = [(word (g1, ..., gk), c), ...] as one trie
+    over the words read from the right, the first letter applied first: the
+    node of a suffix holds {slot: c} for the words equal to it and a child
+    per letter that extends it to the left."""
+    root: Trie = ({}, {})
+    for slot, words in enumerate(sums):
+        for word, c in words:
+            node = root
+            for g in reversed(word):
+                node = node[1].setdefault(g, ({}, {}))
+            node[0][slot] = c
+    return root
+
+
+def word_sums(trie: Trie, letters: Dict[Pair, Letter], vec: IntPair, slots: int) -> List[IntPair]:
+    """[sum c M_g1 ... M_gk vec over the words (g1, ..., gk) of slot s] for
+    s < slots, M_g = letters[g]: each distinct suffix of the trie's words
+    is applied to vec once (``apply_letter``), and a suffix that kills vec
+    ends its branch."""
+    out = [({}, {}) for _ in range(slots)]
+    stack = [(trie, vec)]
+    while stack:
+        (coeffs, children), v = stack.pop()
+        for slot, c in coeffs.items():
+            p_add_into(out[slot][0], v[0], c)
+            p_add_into(out[slot][1], v[1], c)
+        for g, child in children.items():
+            w = apply_letter(letters[g], v, ({}, {}))
+            if w[0] or w[1]:
+                stack.append((child, w))
     return out
 
 
@@ -847,16 +911,22 @@ def act(element: UEElement, rep: MatrixRep) -> Cols:
     words to rational coefficients) on the representation.  Word (g1, ..., gk) acts
     as the operator product g1 ... gk.  Generators outside the
     representation's coordinate set raise InvalidRankError.  Each word w acts
-    on the columns d X of ``scaled_generators`` with its coefficient times
-    d^(D - len w), D the element's degree: the sum is d^D times the element,
-    in Gaussian integers, and each entry is divided by d^D once (``exact``)."""
+    through the int letters d X of ``scaled_generators``, with its
+    coefficient times d^(D - len w), D the element's degree, on the (real,
+    imaginary) pair of each basis vector (``word_sums``): the sum is d^D
+    times the element, and each part of each entry is divided by d^D once
+    (``exact``)."""
     terms = element.terms
-    d, scaled = scaled_generators(rep, {g for word in terms for g in word})
+    d, letters = scaled_generators(rep, {g for word in terms for g in word})
     D = max(map(len, terms), default=0)
-    words = [(word, c * d ** (D - len(word))) for word, c in terms.items()]
-    inv = Fraction(1, d ** D)
-    return [{i: exact(x * inv) for i, x in word_sum(words, scaled, {j: 1}).items()}
-            for j in range(rep.dim)]
+    trie = suffix_trie([[(word, c * d ** (D - len(word))) for word, c in terms.items()]])
+    scale = d ** D
+    cols: Cols = []
+    for j in range(rep.dim):
+        (re, im), = word_sums(trie, letters, ({j: 1}, {}), 1)
+        cols.append({i: Gi(exact(Fraction(re.get(i, 0), scale)),
+                           exact(Fraction(im.get(i, 0), scale))) for i in {**re, **im}})
+    return cols
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,17 @@ wrong operator, so a measurement first re-runs the equivariance check of
 ``hom_space`` unless it passed on the current matrix.
 
 ``verify_power_identity`` checks ``ctilde^N (u (x) f_0)`` against the ladder
-elements A_N, B_N one basis vector u at a time, with no division: the chain
-runs on the Gaussian-integer columns d X[a,b] of ``matrixrep.scaled_generators``
-and each word w acts through them with its coefficient times d^(N - len w), so
-both sides are d^N times the true ones (as in fraction-free elimination, Bareiss 1968).
+elements A_N, B_N one basis vector u at a time, with no division and no
+``Gi``: ``matrixrep.scaled_generators`` gives each d X[a,b] as a real and an
+imaginary part of int columns, a vector is a (real, imaginary) pair of int
+dicts, and ``matrixrep.apply_letter`` applies one letter to it.  The chain
+applies d ctilde through the letters (X^F is real), and each word w acts with
+its coefficient times d^(N - len w), so both sides are d^N times the true
+ones (as in fraction-free elimination, Bareiss 1968).  The words of A_N and
+every B_N,j share one suffix trie (``matrixrep.suffix_trie``), so each
+distinct suffix is applied once per basis vector.  A failure is reported by
+``power_identity_counterexample`` as the first basis vector and slot where
+the sides differ.
 
 ``b_eval`` measures the same composition for powers of ``ctilde`` instead of
 the projector, and ``b_reconstruct`` interpolates those measurements across a
@@ -63,13 +70,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols
 from .polyarith import p_add_into
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
-from .matrixrep import MatrixRep, expected_casimir_scalar, scaled_generators, word_sum
+from .matrixrep import (IntPair, Letter, MatrixRep, apply_letter, expected_casimir_scalar,
+                        scaled_generators, suffix_trie, word_sums)
 from .homspace import SymmetryBreakingOperator, _verify_operator
 
 CoordVec = Dict[int, Scalar]
@@ -271,30 +279,55 @@ def b_eval(op: SymmetryBreakingOperator, ell: int) -> Fraction:
 # symbolic-vs-matrix cross-verification of the coupled powers
 # ---------------------------------------------------------------------------
 
-def verify_power_identity(big: MatrixRep, N: int) -> bool:
-    """Check the universal-enveloping expansion of the N-th coupled power:
-    ctilde^N (u (x) f_0) = (A_N u) (x) f_0 + sum_j (B_{N,j} u) (x) f_j with
-    A_N, B_N the symbolic elements of the enveloping-algebra layer, on every
-    basis vector u, both sides times d^N as the module docstring describes.
-    An element with a word longer than N fails the check; a model that is not
-    on coordinates 0..n (a subgroup side) raises ValueError."""
+def _coupled_ints(letters: Dict[Tuple[int, int], Letter], V: List[IntPair]) -> List[IntPair]:
+    """d ctilde V = -sum d X[a,b] (x) X^F[a,b] V on a tuple of int pairs, the
+    letters d X[a,b] of ``scaled_generators``: slot a gains -d X[a,b] V[b]
+    and slot b gains d X[a,b] V[a]."""
+    out: List[IntPair] = [({}, {}) for _ in V]
+    neg = [tuple({j: -c for j, c in part.items()} for part in v) for v in V]
+    for (a, b), letter in letters.items():
+        apply_letter(letter, neg[b], out[a])
+        apply_letter(letter, V[a], out[b])
+    return out
+
+
+def power_identity_counterexample(big: MatrixRep, N: int) -> Optional[dict]:
+    """None when ctilde^N (u (x) f_0) = (A_N u) (x) f_0 + sum_j (B_{N,j} u) (x) f_j
+    holds on every basis vector u, A_N and B_N the symbolic elements of the
+    enveloping-algebra layer, both sides times d^N as the module docstring
+    describes.  Otherwise the first failure, JSON-ready: {"basis_vector": j,
+    "slot": s} for the first basis vector and the first slot (0 for A_N, j
+    for B_{N,j}) where the sides differ, or {"slot": s, "word": [[a, b], ...]}
+    for the first word longer than N, which fails the check.  A model that is
+    not on coordinates 0..n (a subgroup side) raises ValueError."""
     from .enveloping import build_A, build_B
     if big.indices != tuple(range(len(big.indices))):
         raise ValueError(f"the power check needs a model on coordinates 0..n, not {big.indices}")
     ctx = rank_context(len(big.indices) - 1)
     elements = [build_A(N, ctx), *build_B(N, ctx)]
-    if any(len(word) > N for e in elements for word in e.terms):
-        return False
-    d, scaled = scaled_generators(big, big.frame.generators)
-    form, combos = {(g, g): -1 for g in scaled}, {g: {g: 1} for g in scaled}
-    words = [[(w, c * d ** (N - len(w))) for w, c in e.terms.items()] for e in elements]
+    for slot, e in enumerate(elements):
+        for word in e.terms:
+            if len(word) > N:
+                return {"slot": slot, "word": [list(g) for g in word]}
+    d, letters = scaled_generators(big, big.frame.generators)
+    trie = suffix_trie([[(w, c * d ** (N - len(w))) for w, c in e.terms.items()]
+                        for e in elements])
     for j in range(big.dim):
-        V = _insert_first_slot(big, {j: 1})
+        V: List[IntPair] = [({}, {}) for _ in big.indices]
+        V[0] = ({j: 1}, {})
         for _ in range(N):
-            V = coupling_step(scaled, form, combos, V)
-        if any(v != word_sum(ws, scaled, {j: 1}) for v, ws in zip(V, words)):
-            return False
-    return True
+            V = _coupled_ints(letters, V)
+        for slot, (v, want) in enumerate(zip(V, word_sums(trie, letters, ({j: 1}, {}), len(V)))):
+            if v != want:
+                return {"basis_vector": j, "slot": slot}
+    return None
+
+
+def verify_power_identity(big: MatrixRep, N: int) -> bool:
+    """Check the universal-enveloping expansion of the N-th coupled power on
+    every basis vector: True when ``power_identity_counterexample`` finds no
+    counterexample."""
+    return power_identity_counterexample(big, N) is None
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,21 @@ def test_identity_suite_clean():
         assert checks == count
 
 
+def _empty_memos(monkeypatch):
+    # every module memo of the enveloping layer, the bracket table included,
+    # emptied for one test and restored after it
+    for memo in ("_ORDER_MEMO", "_AB_MEMO", "_D_MEMO", "_BRACKET_MEMO"):
+        monkeypatch.setattr(enveloping, memo, {})
+
+
 def test_identity_suite_memo_is_bounded(monkeypatch):
     # commutators order only the words a bracket changes, never the product
-    # words x*w and w*x, so the ordering memo stays small
-    for memo in ("_ORDER_MEMO", "_AB_MEMO", "_D_MEMO"):
-        monkeypatch.setattr(enveloping, memo, {})
+    # words x*w and w*x, so the ordering memo stays small; the bracket table
+    # holds at most one entry per pair of the 21 generators of n = 6
+    _empty_memos(monkeypatch)
     assert sum(verify_identities(n, max_degree=4)[0] for n in (3, 4, 5, 6)) == 3441
     assert len(enveloping._ORDER_MEMO) <= 6000
+    assert sum(map(len, enveloping._BRACKET_MEMO.values())) <= 21 ** 2
 
 
 def _plant(monkeypatch, how):
@@ -174,8 +182,7 @@ def _plant(monkeypatch, how):
         return edits[how](out) if (x, y) == ((1, 2), (0, 1)) else out
 
     monkeypatch.setattr(enveloping, "gen_bracket", planted)
-    for memo in ("_ORDER_MEMO", "_AB_MEMO", "_D_MEMO"):
-        monkeypatch.setattr(enveloping, memo, {})
+    _empty_memos(monkeypatch)
 
 
 @pytest.mark.parametrize("how", [None, "doubled", "to-the-top"])
@@ -239,17 +246,7 @@ PLANTED = [
 def test_identity_suite_under_a_planted_bracket_edit(monkeypatch, how, n, count, failed, digest):
     # "doubled" doubles the entry; "to-the-top" moves it to X_03, which the
     # twist by diag(1, ..., 1, -1) does not fix, so twist checks fail too
-    real = enveloping.gen_bracket
-    edits = {"doubled": lambda out: {p: 2 * c for p, c in out.items()},
-             "to-the-top": lambda out: {(0, 3): c for c in out.values()}}
-
-    def planted(x, y):
-        out = real(x, y)
-        return edits[how](out) if (x, y) == ((1, 2), (0, 1)) else out
-
-    monkeypatch.setattr(enveloping, "gen_bracket", planted)
-    for memo in ("_ORDER_MEMO", "_AB_MEMO", "_D_MEMO"):
-        monkeypatch.setattr(enveloping, memo, {})
+    _plant(monkeypatch, how)
     checks, failures = verify_identities(n, max_degree=4)
     text = json.dumps(failures, sort_keys=True).encode("utf-8")
     assert (checks, len(failures), hashlib.sha256(text).hexdigest()) == (count, failed, digest)

@@ -7,12 +7,13 @@ Chevalley columns of a constructed model hold no ``Gi`` at all."""
 import json
 from fractions import Fraction
 
+from orthobranch.enveloping import build_A
 from orthobranch.homspace import _mirror_embedding, hom_space, subgroup_hw_space
 from orthobranch.linalg import Gi, exact
 from orthobranch.matrixrep import (
-    _verify_rep, casimir_scalar, get_frame, rep_from_bundle, rep_to_bundle,
+    _verify_rep, act, casimir_scalar, get_frame, rep_from_bundle, rep_to_bundle,
 )
-from orthobranch.measure import b_eval, measure_scalar
+from orthobranch.measure import b_eval, measure_scalar, verify_power_identity
 
 from dense_reference import basis_polynomials
 
@@ -127,8 +128,13 @@ def test_model_checks_do_no_complex_arithmetic(reps, monkeypatch):
     # the Casimir and bracket checks of constructed models (big and sub
     # frames, a det twin) run on real columns with the frames' real tables;
     # so do the hom space's highest-weight kernel and embeddings, whose only
-    # complex step expands the subgroup's root vectors over big's basis
+    # complex step expands the subgroup's root vectors over big's basis.  The
+    # power check and act run on the int parts of d X[a,b]: on a loaded
+    # bundle, whose X[a,b] carry Gi entries, and on a constructed model, whose
+    # X[a,b] are formed from the real columns part by part
     models = [reps.get(4, (2, 1), -1), reps.get(6, (2, 1, 0)), reps.get(4, (1, 1), None, "sub")]
+    o4 = reps.get(3, (2, 1))
+    bundle = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(o4))))
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__neg__"):
@@ -137,6 +143,11 @@ def test_model_checks_do_no_complex_arithmetic(reps, monkeypatch):
     for rep in models:
         casimir_scalar(rep)
         _verify_rep(rep)
+    assert calls == []
+    assert verify_power_identity(bundle, 2) and verify_power_identity(bundle, 3)
+    assert calls == []
+    for rep in (o4, bundle):
+        assert any(act(build_A(3, 3), rep))
     assert calls == []
     big, sub = models[0], models[2]
     hw = subgroup_hw_space(big, sub)

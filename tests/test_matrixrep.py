@@ -149,21 +149,46 @@ def test_act_matches_the_plain_reference(reps):
 
 def test_scaled_generator_columns_are_gaussian_integers(reps):
     # the O(4) (2,1) bundle with entry 0 of X[0,1] given parts over 101 and
-    # 103, primes that divide no other entry's denominator: d takes both
+    # 103, primes that divide no other entry's denominator: d takes both, and
+    # that X[0,1] is the one generator with two nonzero parts
     bundle = rep_to_bundle(reps.get(3, (2, 1)))
     d21 = scaled_generators(rep_from_bundle(bundle), get_frame((0, 1, 2, 3)).generators)[0]
     assert d21 % 101 and d21 % 103
     bundle["matrices"]["0,1"][0] = "1/101+1/103i"
-    for rep, want in [(_loaded(reps.get(3, (5, 2))), 239719573094400),
-                      (reps.get(6, (2, 1, 0)), None),
-                      (rep_from_bundle(bundle), d21 * 101 * 103)]:
+    for rep, want, mixed in [(_loaded(reps.get(3, (5, 2))), 239719573094400, set()),
+                             (reps.get(6, (2, 1, 0)), None, set()),
+                             (rep_from_bundle(bundle), d21 * 101 * 103, {(0, 1)})]:
         d, scaled = scaled_generators(rep, rep.frame.generators)
         assert want is None or d == want
         assert scaled.keys() == set(rep.frame.generators)
-        for (a, b), cols in scaled.items():
-            assert all(type(p) is int for col in cols for x in col.values() for p in parts(x))
-            assert [{i: exact(x * F(1, d)) for i, x in col.items()} for col in cols] == \
-                rep.action(a, b)
+        for (a, b), (re, im) in scaled.items():
+            # a part that is zero everywhere is the empty list, else a column
+            # per basis vector, and one part is empty unless X[a,b] is mixed
+            assert [len(part) for part in (re, im)].count(0) == (0 if (a, b) in mixed else 1)
+            assert all(len(part) in (0, rep.dim) for part in (re, im))
+            assert all(type(p) is int for part in (re, im) for col in part for p in col.values())
+            assert all(p for part in (re, im) for col in part for p in col.values())
+            re, im = (part or [{}] * rep.dim for part in (re, im))
+            got = [{i: exact(Gi(F(r.get(i, 0), d), F(m.get(i, 0), d))) for i in {**r, **m}}
+                   for r, m in zip(re, im)]
+            assert got == rep.action(a, b)
+
+
+def test_act_forms_each_generator_once_per_call(reps, monkeypatch):
+    # act reads each X[a,b] through scaled_generators, which forms it once;
+    # the dim-35 O(5) (2,1) model forms it from the Chevalley columns, the
+    # bundle returns its stored columns
+    calls = []
+    action = matrixrep.MatrixRep.action
+    monkeypatch.setattr(matrixrep.MatrixRep, "action",
+                        lambda rep, a, b: calls.append((a, b)) or action(rep, a, b))
+    model = reps.get(4, (2, 1))
+    for rep in (model, _loaded(model)):
+        for element in (build_A(3, 4), casimir(4, "full"), *build_B(3, 4)):
+            calls.clear()
+            act(element, rep)
+            letters = {g for word in element.terms for g in word}
+            assert sorted(calls) == sorted(letters), element
 
 
 def test_construct_irrep_examples(reps):

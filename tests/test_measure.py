@@ -25,7 +25,8 @@ from orthobranch.scalars import C_val, b_closed, scalar_query
 from orthobranch.weights import ResourceLimitError, rank_context
 
 from dense_reference import (
-    casimir_shifted_step, dense_b, dense_projector_ratio, primary_projector, x_coupling_step,
+    casimir_shifted_step, dense_b, dense_projector_ratio, plain_act, primary_projector,
+    x_coupling_step,
 )
 
 CTX3 = rank_context(3)
@@ -116,11 +117,28 @@ def _edited_power_bundle(reps, how, key):
     return bundle
 
 
+def _power_sides(rep, N, j):
+    """Both sides of the power identity on basis vector j, slot by slot, from
+    the dense references: ctilde^N (e_j (x) f_0) by the index formula, and
+    A_N, B_N,1, ..., B_N,n word by word."""
+    n = len(rep.indices) - 1
+    V = measure._insert_first_slot(rep, {j: 1})
+    for _ in range(N):
+        V = x_coupling_step(rep, V)
+    return V, [plain_act(e, rep)[j] for e in (enveloping.build_A(N, n), *enveloping.build_B(N, n))]
+
+
 @pytest.mark.parametrize("how, key, check", POWER_EDITS)
 def test_power_identity_can_fail(reps, tmp_path, capsys, run_optimized, how, key, check):
     rep = rep_from_bundle(_edited_power_bundle(reps, how, key))
     # N = 1 cannot fail: A_1 = 0 and B_1,j = X_0j, so both sides are the same columns
     assert [verify_power_identity(rep, N) for N in (1, 2, 3)] == [True, False, False]
+    # the counterexample replays: on its basis vector the sides differ first in its slot
+    for N in (2, 3):
+        where = measure.power_identity_counterexample(rep, N)
+        lhs, rhs = _power_sides(rep, N, where["basis_vector"])
+        slot = where["slot"]
+        assert lhs[:slot] == rhs[:slot] and lhs[slot] != rhs[slot], (N, where)
     path = tmp_path / f"{how}.json"
     path.write_text(json.dumps(_edited_power_bundle(reps, how, key)))
     argv = ["verify-ue", "--n", "3", "--max-degree", "3", "--bundle", str(path)]
@@ -130,13 +148,21 @@ def test_power_identity_can_fail(reps, tmp_path, capsys, run_optimized, how, key
     assert report["check"] == check and report["params"]["bundle"] == str(path)
     if check == "bundle-casimir":
         assert report["error"].startswith("quadratic invariant "), report  # casimir_scalar's text
+    fields = ["1", check]
+    if check == "bundle-power":  # N = 2 fails first, on basis vector 0 in the slot of B_2,1
+        assert (report["params"]["N"], report["basis_vector"], report["slot"]) == (2, 0, 1)
+        assert report == {"check": check, "params": {"bundle": str(path), "N": 2},
+                          **measure.power_identity_counterexample(rep, 2)}
+        fields += ["0", "1"]
     code = ("import contextlib, io, json, sys\n"
             "from orthobranch.cli import main\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             "    code = main(sys.argv[1:])\n"
-            "print(code, json.loads(out.getvalue())['check'])\n")
-    assert run_optimized(code, *argv).split() == ["1", check]
+            "report = json.loads(out.getvalue())\n"
+            "where = [report[k] for k in ('basis_vector', 'slot') if k in report]\n"
+            "print(code, report['check'], *where)\n")
+    assert run_optimized(code, *argv).split() == fields
 
 
 def test_a_word_longer_than_the_power_fails_the_check(reps, monkeypatch):
@@ -152,6 +178,8 @@ def test_a_word_longer_than_the_power_fails_the_check(reps, monkeypatch):
     assert all(verify_power_identity(rep, N) for rep in models for N in (1, 2, 3))
     monkeypatch.setattr(enveloping, "build_B", padded)
     assert [verify_power_identity(rep, N) for rep in models for N in (1, 2, 3)] == [False] * 6
+    # the counterexample names the element's slot (B_N,1) and the long word
+    assert measure.power_identity_counterexample(models[1], 2) == {"slot": 1, "word": [[0, 1]] * 3}
 
 
 def test_b_eval_matches_closed_forms(reps):
