@@ -13,7 +13,9 @@ realization:
    the twisted constituent characters in one loop; the subgroup's parity
    only picks the constituent's character (the h-determinant at the
    subgroup's own coset eigenvalues for even size, the signed so-character
-   for odd size).
+   for odd size).  A self-associate label of an even-size group is induced
+   from the rotation subgroup, so its character there is zero and no
+   determinant is computed: every ambiguous constituent splits evenly.
 
 Labels are `FDLabel` records: group parity tag, weakly decreasing nonnegative
 integer rows mu, and an optional sign eps selecting the det-twist (equivalent
@@ -191,7 +193,8 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
 
     # SO-level weight multiset (label sign does not matter on the torus).
     weights = so_char(big_size, mu)
-    if big_size % 2 == 0 and mu[-1] >= 1:
+    induced = big_size % 2 == 0 and mu[-1] >= 1  # alpha is self-associate
+    if induced:
         weights = dict(weights)
         p_add_into(weights, so_char(big_size, mu[:-1] + (-mu[-1],)))
     so_labels = peel(restrict_weights(weights, big_size), m)
@@ -216,7 +219,12 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
 
     if ambiguous:
         terms, nvars = _coset_eigenvalues(big_size)
-        residual = o_char_on_multiset(alpha, terms, nvars)
+        if induced:
+            # An induced representation's character vanishes outside SO(2s),
+            # and the coset element has det -1: the residual is zero.
+            residual = {}
+        else:
+            residual = o_char_on_multiset(alpha, terms, nvars)
         diffs: dict[tuple, int] = {}
         while residual:
             e = max(residual)
@@ -316,10 +324,11 @@ def interlace_predicate(big: FDLabel, sub: FDLabel) -> int:
 
 def family_base(ctx: RankContext, eps: Optional[int] = None) -> Weight:
     """Base point xi of the reduced family for the big group O(n+1): rho for
-    odd sizes, rho + (1, ..., 1) for even sizes."""
+    odd sizes (whose sign eps defaults to +1, as in ``fd_label``), rho +
+    (1, ..., 1) for even sizes."""
     if (ctx.n + 1) % 2:
-        if eps not in (1, -1):
-            raise ValueError("odd-size families carry a sign eps")
+        if eps not in (None, 1, -1):
+            raise ValueError("odd-size families carry a sign eps of +1 or -1")
         return rho(ctx)
     if eps is not None:
         raise ValueError("even-size families carry no sign")

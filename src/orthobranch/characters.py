@@ -19,8 +19,11 @@ branching, independently of any matrix realization.
 All arithmetic is on Python ints: weights are integral, Freudenthal's
 recursion uses the integral vector 2*rho (twice ``weights.group_rho``) and
 divides exactly, and Laurent polynomials in torus variables are dicts
-{exponent tuple: int} (exponents may be negative), added and multiplied
-through the ``polyarith`` pair; peeling subtracts characters through it too.
+{exponent tuple: int} (exponents may be negative), added through
+``polyarith.p_add_into``; peeling subtracts characters through it too.  The
+h-determinant packs each exponent tuple into one int in a balanced radix
+sized from its input (Kronecker substitution), multiplies with
+``polyarith.p_mul`` on those keys and unpacks its result to tuples.
 An ``so_char`` weight multiset is such a polynomial in its rank's variables.
 Every self-check of the arithmetic raises CharacterCheckError, also under
 ``python -O``.
@@ -299,25 +302,28 @@ def o_irrep_dim(m: int, alpha) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _h_sequence(terms, K: int, nvars: int):
-    """h_0..h_K of a multiset given as single Laurent terms (exp tuple, coeff).
+def _h_sequence(terms, K: int):
+    """h_0..h_K of a multiset given as single Laurent terms (packed exponent,
+    coeff), as polynomials on packed keys.
 
-    Adds one term x at a time through h_d <- h_d + x * h_{d-1}, for d rising.
+    Adds one term x at a time through h_d <- h_d + x * h_{d-1}, for d rising;
+    multiplying by x adds its packed exponent to every key.  h_d has exponent
+    entries of at most d*M in size (M the largest entry of a term), the bound
+    ``_radix`` is sized from.
     """
-    hs = [{(0,) * nvars: 1}] + [{} for _ in range(K)]
+    hs = [{0: 1}] + [{} for _ in range(K)]
     for exp, coeff in terms:
         if not coeff:
             continue
         for d in range(1, K + 1):
-            p_add_into(hs[d], {tuple(map(add, e, exp)): c
-                               for e, c in hs[d - 1].items()}, coeff)
+            p_add_into(hs[d], {e + exp: c for e, c in hs[d - 1].items()}, coeff)
     return hs
 
 
 def _det(rows):
-    """Determinant of a square matrix of Laurent polynomials, by expansion
-    along the top row with each minor (a set of the lower rows' columns)
-    computed once: n * 2^(n-1) products instead of n!."""
+    """Determinant of a square matrix of Laurent polynomials on packed keys,
+    by expansion along the top row with each minor (a set of the lower rows'
+    columns) computed once: n * 2^(n-1) products instead of n!."""
     n = len(rows)
     memo = {}
 
@@ -338,6 +344,37 @@ def _det(rows):
     return minor(tuple(range(n)))
 
 
+def _radix(alpha, terms) -> int:
+    """Radix 2*l*K*M + 1 of the balanced packing for the h-determinant of
+    alpha (l = len(alpha), K = alpha_1 + l, M the largest exponent entry of
+    the terms in size, at least 1).  A determinant entry is some h_k with
+    k < K, so a product of l entries has exponent entries of size below
+    l*K*M, and each fits one balanced digit in [-l*K*M, l*K*M]."""
+    ell = len(alpha)
+    big = max((abs(x) for exp, _ in terms for x in exp), default=0)
+    return 2 * ell * (alpha[0] + ell) * max(1, big) + 1
+
+
+def _pack(exp, radix: int) -> int:
+    """Exponent tuple -> one int, first entry the most significant balanced
+    digit: sums of tuples become sums of ints (Kronecker substitution), and
+    the ints compare as the tuples do lexicographically."""
+    key = 0
+    for x in exp:
+        key = key * radix + x
+    return key
+
+
+def _unpack(key: int, radix: int, nvars: int):
+    """Inverse of ``_pack`` for tuples of nvars balanced digits."""
+    half = radix // 2
+    out = [0] * nvars
+    for k in range(nvars - 1, -1, -1):
+        out[k] = (key + half) % radix - half
+        key = (key - out[k]) // radix
+    return tuple(out)
+
+
 def _int_coeff(c) -> int:
     q = Fraction(c)
     if q.denominator != 1:
@@ -351,14 +388,19 @@ def o_char_on_multiset(alpha, terms, nvars: int):
     terms: the eigenvalues as single Laurent terms (exp tuple, integer coeff)
     in nvars torus variables (constants 1 / -1 have the zero exponent).
     Returns a Laurent polynomial with int coefficients.
+
+    The h-sequence and the determinant run on exponents packed into one int
+    each (``_pack``, in the radix of ``_radix``), so a product of monomials
+    is one int addition; the result is unpacked to tuples, in the order the
+    tuple arithmetic would give.
     """
     alpha = tuple(a for a in alpha if a)
-    zero_exp = (0,) * nvars
     ell = len(alpha)
     if ell == 0:
-        return {zero_exp: 1}
+        return {(0,) * nvars: 1}
     terms = [(tuple(exp), _int_coeff(c)) for exp, c in terms]
-    hs = _h_sequence(terms, alpha[0] + ell, nvars)
+    radix = _radix(alpha, terms)
+    hs = _h_sequence([(_pack(exp, radix), c) for exp, c in terms], alpha[0] + ell)
 
     def h(k):
         return hs[k] if k >= 0 else {}
@@ -371,4 +413,4 @@ def o_char_on_multiset(alpha, terms, nvars: int):
             p_add_into(entry, h(alpha[i - 1] - i - j), -1)
             row.append(entry)
         rows.append(row)
-    return _det(rows)
+    return {_unpack(e, radix, nvars): c for e, c in _det(rows).items()}

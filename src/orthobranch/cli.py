@@ -520,7 +520,7 @@ def _cmd_render(args) -> int:
     if args.xi is None:
         from .branching import family_base
 
-        xi = family_base(ctx, 1 if (ctx.n + 1) % 2 else None)
+        xi = family_base(ctx)
     else:
         xi = args.xi
     lo, hi = args.range

@@ -2,15 +2,14 @@
 
 A polynomial is a dict mapping exponent tuples to nonzero coefficients,
 Python ints or Fractions (or ``linalg.Gi`` values, which mix with both);
-exponents may be negative (Laurent polynomials), and a key may be any tuple
-whose entries add.  ``p_mul`` is the package's one multiply for such dicts,
-and ``p_add_into`` its one sparse accumulate: the enveloping algebra, the
-character layer and the branching oracle go through it, and so do the sparse
-vectors and columns of ``linalg`` and the matrix models built on them.
+exponents may be negative (Laurent polynomials).  ``p_add_into`` is the
+package's one sparse accumulate, for any hashable keys: the enveloping
+algebra, the character layer and the branching oracle go through it, and so
+do the sparse vectors and columns of ``linalg`` and the matrix models built on
+them.  ``p_mul`` is its one multiply, on keys that add: exponent tuples packed
+into ints (``characters._pack``), as the h-determinant uses it.
 """
 from __future__ import annotations
-
-from operator import add
 
 
 def p_add_into(target, src, scale=1) -> None:
@@ -38,7 +37,7 @@ def p_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             v = out.get(e, 0) + ca * cb
             if v:
                 out[e] = v

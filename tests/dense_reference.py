@@ -42,10 +42,19 @@ the universal scalars on three dense probe vectors instead of that one
 (``probe_ratio`` asks all three for one ratio), and
 ``is_invariant`` tests an enveloping element against every subalgebra
 generator and the twist.
+
+The character layer's h-determinant, too: ``h_determinant`` expands
+det(h_{alpha_i - i + j} - h_{alpha_i - i - j}) by Leibniz, one signed
+product per permutation, with each h_k summed over the k-multisets of the
+eigenvalues and with tuple exponent keys multiplied by ``tuple_mul``, where
+``characters.o_char_on_multiset`` packs the exponents into ints, builds h_k
+one eigenvalue at a time and expands along the top row with shared minors.
 """
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import add
 from typing import List, Optional
 
 from orthobranch.enveloping import ad_gn, commutator, gen, normal_order
@@ -527,3 +536,67 @@ def is_invariant(e, n: int) -> bool:
             if commutator(gen(a, b), e).terms:
                 return False
     return True
+
+
+def tuple_mul(a, b):
+    """Product of two polynomials with exponent-tuple keys."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _h_polys(top, terms, nvars):
+    """Complete homogeneous sums h_0..h_top of the eigenvalues terms, h_k
+    summed over the k-multisets of their positions."""
+    hs = []
+    for k in range(top + 1):
+        out = {}
+        for picked in combinations_with_replacement(range(len(terms)), k):
+            e, c = (0,) * nvars, 1
+            for t in picked:
+                e = tuple(map(add, e, terms[t][0]))
+                c *= terms[t][1]
+            out[e] = out.get(e, 0) + c
+        hs.append({e: c for e, c in out.items() if c})
+    return hs
+
+
+def h_determinant(alpha, terms, nvars):
+    """The universal O-character of the partition alpha at the eigenvalues
+    terms ((exp tuple, int coeff) pairs), by Leibniz expansion of the
+    h-determinant: one signed product per permutation, the rows taken from
+    the last one up, so that products over the same choice of lower rows are
+    formed once."""
+    alpha = tuple(a for a in alpha if a)
+    ell = len(alpha)
+    if not ell:
+        return {(0,) * nvars: 1}
+    hs = _h_polys(alpha[0] + ell - 1, [(tuple(e), c) for e, c in terms], nvars)
+
+    def h(k):
+        return hs[k] if k >= 0 else {}
+
+    entry = {}
+    for i in range(ell):
+        for j in range(ell):
+            entry[i, j] = dict(h(alpha[i] - i + j))
+            p_add_into(entry[i, j], h(alpha[i] - i - j - 2), -1)
+    out = {}
+
+    def expand(i, cols, prod):
+        # rows i+1.. take the columns outside cols; prod is their product
+        if i < 0:
+            inversions = sum(cols[a] > cols[b] for a in range(ell) for b in range(a + 1, ell))
+            p_add_into(out, prod, -1 if inversions % 2 else 1)
+            return
+        for j in range(ell):
+            if j not in cols and entry[i, j]:
+                nxt = tuple_mul(entry[i, j], prod)
+                if nxt:
+                    expand(i - 1, (j,) + cols, nxt)
+
+    expand(ell - 1, (), {(0,) * nvars: 1})
+    return out

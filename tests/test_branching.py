@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from orthobranch.branching import (
     stability_scan,
 )
 from orthobranch import branching
-from orthobranch.characters import CharacterCheckError, so_char
+from orthobranch.characters import CharacterCheckError, associate_partition, so_char
 from orthobranch.regions import FencePreconditionError
 from orthobranch.weights import rank_context
 
@@ -105,11 +106,70 @@ def test_interlace_matches_oracle_small_grid():
                 (big, sub)
 
 
+def _labels(size, top):
+    """Every O(size) label whose first row is at most top, both signs."""
+    rank = size // 2
+    out = []
+    for mu in product(range(top + 1), repeat=rank):
+        if list(mu) == sorted(mu, reverse=True):
+            out.extend({F(size, mu, 1), F(size, mu, -1)})
+    return sorted(out, key=lambda lab: (lab.mu, lab.eps))
+
+
+def test_interlace_matches_oracle_even_sizes():
+    # O(4), O(6), O(8): the self-associate labels take the induced-label
+    # shortcut, and every sub label of first row <= 3 holds every constituent
+    for size in (4, 6, 8):
+        subs = _labels(size - 1, 3)
+        for big in _labels(size, 3):
+            total = 0
+            for sub in subs:
+                mult = oracle_multiplicity(big, sub)
+                assert interlace_predicate(big, sub) == mult, (big, sub)
+                total += mult * sub.dim()
+            assert total == big.dim(), big
+
+
+def test_self_associate_characters_vanish_on_the_coset():
+    # the premise of the shortcut: an induced label's full h-determinant at
+    # the coset eigenvalues is zero
+    for size in (4, 6, 8):
+        terms, nvars = branching._coset_eigenvalues(size)
+        s = size // 2
+        alphas = [mu for mu in product(range(1, 5), repeat=s)
+                  if list(mu) == sorted(mu, reverse=True)]
+        assert alphas
+        for alpha in alphas:
+            assert associate_partition(size, alpha) == alpha
+            assert branching.o_char_on_multiset(alpha, terms, nvars) == {}, (size, alpha)
+
+
+def test_self_associate_label_computes_no_determinant(monkeypatch):
+    real = branching.o_char_on_multiset
+    calls = []
+
+    def counted(alpha, terms, nvars):
+        calls.append(tuple(alpha))
+        return real(alpha, terms, nvars)
+
+    monkeypatch.setattr(branching, "o_char_on_multiset", counted)
+    o_restrict_decomposition.cache_clear()
+    try:
+        decomp = o_restrict_decomposition(6, (3, 2, 1))
+    finally:
+        o_restrict_decomposition.cache_clear()
+    assert (3, 2, 1) not in calls
+    big = F(6, (3, 2, 1))
+    assert decomp == {sub.partition: 1 for sub in _labels(5, 3)
+                      if interlace_predicate(big, sub)}
+
+
 def test_family_base():
     assert family_base(CTX3) == (Fraction(2), Fraction(1))           # big group O(4)
     assert family_base(CTX4, 1) == (Fraction(3, 2), Fraction(1, 2))  # big group O(5)
+    assert family_base(CTX4) == family_base(CTX4, 1)  # the sign defaults to +1
     with pytest.raises(ValueError):
-        family_base(CTX4)  # odd-size big group needs the sign
+        family_base(CTX3, 1)  # even-size big group carries no sign
 
 
 def test_reduced_family():

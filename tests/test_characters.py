@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from dense_reference import h_determinant
+from orthobranch import characters
+from orthobranch.branching import _coset_eigenvalues
+from orthobranch.polyarith import p_mul
 from orthobranch.characters import (
     CharacterCheckError,
     associate_partition,
     is_so_dominant,
     label_to_partition,
+    o_char_on_multiset,
     o_irrep_dim,
     partition_to_label,
     partition_valid_for_o,
@@ -187,3 +193,64 @@ def test_character_check_survives_optimize(run_optimized):
             "except CharacterCheckError:\n"
             "    print('raised')\n")
     assert run_optimized(code).strip() == "raised"
+
+
+def _partitions(size_cap, length_cap):
+    """Every partition with at most size_cap boxes and length_cap rows."""
+    out = []
+
+    def grow(rest, top, rows):
+        out.append(tuple(rows))
+        if len(rows) < length_cap:
+            for k in range(min(rest, top), 0, -1):
+                grow(rest - k, k, rows + [k])
+
+    grow(size_cap, size_cap, [])
+    return out
+
+
+def test_h_determinant_matches_leibniz_at_identity_and_coset_eigenvalues():
+    for m in range(3, 9):
+        coset, nvars = _coset_eigenvalues(m)
+        multisets = (([((), 1)] * m, 0), (coset, nvars), (coset[1:], nvars))
+        for alpha in _partitions(6, m):
+            if not partition_valid_for_o(m, alpha):
+                continue
+            for terms, nv in multisets:
+                assert o_char_on_multiset(alpha, terms, nv) == h_determinant(alpha, terms, nv), \
+                    (m, alpha, terms)
+
+
+def test_h_determinant_matches_leibniz_on_random_multisets():
+    rng = random.Random(23)
+    alphas = [a for a in _partitions(5, 4) if a]
+    for _ in range(150):
+        nvars = rng.randint(0, 3)
+        terms = [(tuple(rng.randint(-3, 3) for _ in range(nvars)), rng.choice((1, -1, 2, -2)))
+                 for _ in range(rng.randint(0, 5))]
+        alpha = rng.choice(alphas)
+        assert o_char_on_multiset(alpha, terms, nvars) == h_determinant(alpha, terms, nvars), \
+            (alpha, terms)
+
+
+def test_packed_exponents_reach_the_radix_bound():
+    # Every exponent entry of a product of len(alpha) determinant entries has
+    # size at most l*K*M (l = len(alpha), K = alpha_1 + l, M the largest entry
+    # of a term): a product whose entries reach +-l*K*M unpacks exactly.
+    alpha, nvars, M = (2, 1), 3, 3
+    terms = [((3, -1, 0), 1), ((0, 2, -3), -2)]
+    radix = characters._radix(alpha, terms)
+    bound = len(alpha) * (alpha[0] + len(alpha)) * M
+    left, right = (bound, -bound, 1), (0, 0, bound - 1)
+    top = tuple(a + b for a, b in zip(left, right))
+    assert top == (bound, -bound, bound)
+    packed = p_mul({characters._pack(left, radix): 1}, {characters._pack(right, radix): -1})
+    assert {characters._unpack(e, radix, nvars): c for e, c in packed.items()} == {top: -1}
+    corners = sorted(product((-bound, 0, bound), repeat=nvars))
+    keys = [characters._pack(e, radix) for e in corners]
+    assert keys == sorted(keys)  # the packing keeps lexicographic order
+    assert [characters._unpack(k, radix, nvars) for k in keys] == corners
+    # the determinant's own exponents stay within the bound
+    poly = o_char_on_multiset(alpha, terms, nvars)
+    assert poly == h_determinant(alpha, terms, nvars)
+    assert max(abs(x) for e in poly for x in e) <= bound

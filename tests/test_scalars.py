@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from orthobranch.polyarith import p_add_into, p_mul
+from dense_reference import tuple_mul
+from orthobranch.polyarith import p_add_into
 from orthobranch.scalars import (
     C_val,
     b_closed,
@@ -51,9 +52,9 @@ def g_symbolic(ctx, i, eps):
     for j in range(ctx.s):
         left = p_sum(li, p_var(ctx.r + j, nvars, -1), half_eps)
         right = p_sum(li, p_var(ctx.r + j, nvars), half_eps)
-        poly = p_mul(poly, p_mul(left, right))
+        poly = tuple_mul(poly, tuple_mul(left, right))
     if ctx.n % 2:
-        poly = p_mul(p_var(i - 1, nvars, eps), poly)
+        poly = tuple_mul(p_var(i - 1, nvars, eps), poly)
     return poly
 
 
