@@ -3,10 +3,13 @@
 The oracle route is pure character arithmetic, independent of any matrix
 realization:
 
-1. weight multiset of the big irrep via Freudenthal tables (both so-pieces
-   merged when the even-size group label has a full-length row vector),
-2. restriction of the multiset to the subgroup torus,
-3. highest-weight peeling into so(n)-constituents,
+1. the dominant part of the big irrep's weight multiset: its Freudenthal
+   table on dominant weights (both so-pieces merged when the even-size group
+   label has a full-length row vector),
+2. restriction of that dominant part to the subgroup, by counting the Weyl
+   orbit points that land on each of the subgroup's dominant weights,
+3. highest-weight peeling into so(n)-constituents, subtracting dominant
+   tables; the peel must run to zero, which checks steps 1 and 2,
 4. resolution of the O(n)-labels (det-twists) by evaluating the universal
    h-determinant character on an eigenvalue multiset drawn from the
    non-identity component of O(n), and peeling that Laurent polynomial over
@@ -33,6 +36,7 @@ from typing import Optional, Tuple
 from .characters import (
     CharacterCheckError,
     associate_partition,
+    dominant_char,
     label_to_partition,
     o_char_on_multiset,
     o_irrep_dim,
@@ -57,7 +61,6 @@ from .weights import (
     Weight,
     as_weight,
     group_rho,
-    in_chamber,
     lattice_box,
     rank_context,
     rho,
@@ -177,6 +180,17 @@ def _is_partition_exponent(e) -> bool:
     return all(x >= 0 for x in e) and all(e[k] >= e[k + 1] for k in range(len(e) - 1))
 
 
+def _so_constituents(big_size: int, mu) -> "dict[tuple, int]":
+    """{so(big_size - 1) highest weight: multiplicity} in the restriction of
+    the O(big_size)-irrep with rows mu (the label's sign does not matter on
+    the torus), on dominant weights throughout (steps 1-3)."""
+    weights = dominant_char(big_size, mu)
+    if big_size % 2 == 0 and mu[-1] >= 1:
+        weights = dict(weights)
+        p_add_into(weights, dominant_char(big_size, mu[:-1] + (-mu[-1],)))
+    return peel(restrict_weights(weights, big_size), big_size - 1)
+
+
 @lru_cache(maxsize=None)
 def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
     """Decompose the O(big_size)-irrep with partition alpha under O(big_size-1).
@@ -191,13 +205,8 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
         raise ValueError("subgroup smaller than O(2) is not supported")
     mu, _eps = partition_to_label(big_size, alpha)
 
-    # SO-level weight multiset (label sign does not matter on the torus).
-    weights = so_char(big_size, mu)
     induced = big_size % 2 == 0 and mu[-1] >= 1  # alpha is self-associate
-    if induced:
-        weights = dict(weights)
-        p_add_into(weights, so_char(big_size, mu[:-1] + (-mu[-1],)))
-    so_labels = peel(restrict_weights(weights, big_size), m)
+    so_labels = _so_constituents(big_size, mu)
 
     def failed(what: str) -> CharacterCheckError:
         return CharacterCheckError(f"restricting O({big_size}) {alpha}: {what}")
@@ -404,9 +413,7 @@ def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None,
                 nb = tuple(c + (step if k == i else 0) for k, c in enumerate(lam))
                 if nb in seen or nb in sample_map:
                     continue
-                if not in_chamber(xi, nb):
-                    continue
-                if same_region(region, nb):
+                if not region.chamber(nb) or same_region(region, nb):
                     continue
                 seen.add(nb)
                 crossings.append((lam, nb, mult_at(nb) - base_mult))

@@ -1,8 +1,12 @@
 """Exact character combinatorics for so(m) and the full orthogonal groups O(m).
 
-Connected side: weight multiplicity tables for so(m)-irreps via Freudenthal's
-recursion (types B_s and D_s plus abelian so(2)), Weyl-orbit spreading, and
-highest-weight peeling of weight multisets.
+Connected side: Freudenthal's recursion for so(m)-irreps (types B_s and D_s
+plus abelian so(2)) run on dominant weights only, a string weight read at
+its dominant representative, into one cached table {dominant weight:
+multiplicity} per highest weight; restriction of such dominant tables to
+so(m-1) by counting orbit points; and highest-weight peeling that subtracts
+dominant tables.  ``so_char`` spreads a table over its Weyl orbits for the
+callers that need every weight.
 
 Disconnected side: O(m)-irreps are indexed by partitions alpha with
 alpha^T_1 + alpha^T_2 <= m; tensoring with det corresponds to the associate
@@ -33,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from operator import add
+from operator import add, sub
 
 from .polyarith import p_add_into, p_mul
 from .weights import group_rho
@@ -130,19 +134,30 @@ def _dominant_below(kind: str, mu, pos):
     while stack:
         u = stack.pop()
         for alpha in pos:
-            v = tuple(a - b for a, b in zip(u, alpha))
+            v = tuple(map(sub, u, alpha))
             if v not in seen and _dominant(kind, v):
                 seen.add(v)
                 stack.append(v)
     return seen
 
 
+def _dominant_rep(kind: str, w):
+    """The dominant weight in the Weyl orbit of w: its absolute entries in
+    decreasing order, with the last one negated in type D when w has an odd
+    number of negative entries and none that is 0."""
+    v = sorted(map(abs, w), reverse=True)
+    if kind == "D" and v[-1] and sum(1 for c in w if c < 0) % 2:
+        v[-1] = -v[-1]
+    return tuple(v)
+
+
 @lru_cache(maxsize=None)
-def so_char(m: int, mu) -> "dict[tuple, int]":
-    """Full weight multiset {weight: multiplicity} of the so(m)-irrep with
-    (dominant, integral) highest weight mu."""
+def dominant_char(m: int, mu) -> "dict[tuple, int]":
+    """Freudenthal table {dominant weight: multiplicity} of the so(m)-irrep
+    with highest weight mu (a tuple of ints): mu first, then the other
+    dominant weights by decreasing length.  Its Weyl orbits make up the
+    whole character (``so_char``)."""
     kind, s = so_alg(m)
-    mu = tuple(int(c) for c in mu)
     if not is_so_dominant(m, mu):
         raise ValueError(f"{mu} is not dominant for so({m})")
     if kind == "so2":
@@ -152,31 +167,60 @@ def so_char(m: int, mu) -> "dict[tuple, int]":
     top = _dot(mu, mu) + _dot(mu, two_rho)
 
     # Freudenthal, outer weights first: every weight v + k*alpha read below
-    # is longer than v, so its whole Weyl orbit is already in `full`.
+    # is longer than v, so its dominant representative is already in `table`
+    # or has multiplicity 0.
     dominants = sorted(_dominant_below(kind, mu, pos), key=lambda v: -_dot(v, v))
-    full: dict[tuple, int] = dict.fromkeys(_orbit(kind, mu), 1)
+    # each positive root e_i + sign*e_j (sign 0 for a short root e_i) as
+    # (alpha, i, j, sign, (alpha, alpha))
+    roots = []
+    for alpha in pos:
+        nonzero = [k for k, a in enumerate(alpha) if a]
+        i, j = nonzero[0], nonzero[-1]
+        roots.append((alpha, i, j, alpha[j] if j != i else 0, len(nonzero)))
+    table: dict[tuple, int] = {mu: 1}
+    reps: dict[tuple, tuple] = {}  # v + k*alpha -> its dominant representative
     for v in dominants:
         if v == mu:
             continue
         denom = top - _dot(v, v) - _dot(v, two_rho)
         total = 0
-        for alpha in pos:
+        for alpha, i, j, sign, step in roots:
             # The alpha-string through the weight v is unbroken, so it ends
-            # at the first k with multiplicity 0.
+            # at the first k with multiplicity 0; (v + k*alpha, alpha) grows
+            # by (alpha, alpha) at each step.
+            pairing = v[i] + sign * v[j]
             w = v
             while True:
                 w = tuple(map(add, w, alpha))
-                mw = full.get(w, 0)
+                pairing += step
+                rep = reps.get(w)
+                if rep is None:
+                    rep = reps[w] = _dominant_rep(kind, w)
+                mw = table.get(rep, 0)
                 if not mw:
                     break
-                total += mw * _dot(w, alpha)
+                total += mw * pairing
         val, rem = divmod(2 * total, denom) if denom > 0 else (0, 0)
         if rem or val <= 0:
             raise CharacterCheckError(
                 f"Freudenthal gives {2 * total}/{denom} at {v} in the so({m}) "
                 f"character of {mu}, not a positive integer"
             )
-        full.update(dict.fromkeys(_orbit(kind, v), val))
+        table[v] = val
+    return table
+
+
+def so_char(m: int, mu) -> "dict[tuple, int]":
+    """Full weight multiset {weight: multiplicity} of the so(m)-irrep with
+    (dominant, integral) highest weight mu: the Weyl orbits of its dominant
+    table, in the table's order."""
+    kind, _ = so_alg(m)
+    table = dominant_char(m, tuple(int(c) for c in mu))
+    if kind == "so2":
+        return dict(table)
+    full: dict[tuple, int] = {}
+    for v, c in table.items():
+        full.update(dict.fromkeys(_orbit(kind, v), c))
     return full
 
 
@@ -185,38 +229,66 @@ def weyl_dim(m: int, mu) -> int:
 
 
 def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
-    """Decompose a Weyl-invariant weight multiset into so(m)-irreps by
-    repeatedly removing the character of the lexicographically largest weight."""
+    """Decompose a Weyl-invariant weight multiset into so(m)-irreps.
+
+    The multiset is given by its dominant part {dominant weight: count} (all
+    of it for so(2)).  Peeling repeatedly subtracts the dominant table of the
+    lexicographically largest weight, so a multiset that is not a character
+    ends in a count that is not positive; that, and a key that is not
+    dominant, raise CharacterCheckError.
+    """
     kind, _ = so_alg(m)
     remaining = {w: c for w, c in weights.items() if c}
     labels: dict[tuple, int] = {}
     if kind == "so2":
         return dict(sorted(remaining.items()))
+    for w in remaining:
+        if not _dominant(kind, w):
+            raise CharacterCheckError(f"peeling so({m}) meets the weight {w}, which is not dominant")
     while remaining:
         top = max(remaining)
         count = remaining[top]
-        if count <= 0 or not _dominant(kind, top):
+        if count <= 0:
             raise CharacterCheckError(
                 f"peeling so({m}) meets multiplicity {count} at the lex-max weight "
                 f"{top}; a character has a positive one at a dominant weight"
             )
         labels[top] = labels.get(top, 0) + count
-        p_add_into(remaining, so_char(m, top), -count)
+        p_add_into(remaining, dominant_char(m, top), -count)
     return labels
 
 
 def restrict_weights(weights: "dict[tuple, int]", m_from: int) -> "dict[tuple, int]":
-    """Push a weight multiset of so(m_from) down to the so(m_from - 1) torus.
+    """Restrict a Weyl-invariant weight multiset of so(m_from), given by its
+    dominant part, to so(m_from - 1); returns the dominant part of the result.
 
-    Even m_from drops the last coordinate (rank decreases); odd keeps all
-    coordinates (equal rank).
+    Each dominant weight v with count c stands for its whole Weyl orbit, and
+    the result counts the orbit's points that land on each dominant weight
+    of the subalgebra:
+
+    - odd m_from, B_s -> D_s (equal rank): the B-orbit of v is the D-orbit
+      of v, and when v_s != 0 also that of its mirror (v_s -> -v_s);
+    - even m_from, D_s -> B_{s-1} (the last coordinate dropped): dropping one
+      absolute entry a of v leaves the dominant u, hit by 1 point if a = 0,
+      by 2 if a > 0 and v has an entry 0 (the dropped entry's sign is free),
+      and by 1 otherwise (the parity of the sign changes fixes it).
     """
-    if m_from % 2:
-        return dict(weights)
     out: dict[tuple, int] = {}
-    for w, c in weights.items():
-        key = w[:-1]
-        out[key] = out.get(key, 0) + c
+    if m_from % 2:
+        for v, c in weights.items():
+            out[v] = out.get(v, 0) + c
+            if v[-1]:
+                mirror = v[:-1] + (-v[-1],)
+                out[mirror] = out.get(mirror, 0) + c
+        return out
+    for v, c in weights.items():
+        mags = sorted(map(abs, v), reverse=True)
+        for k, a in enumerate(mags):
+            if k and mags[k - 1] == a:
+                continue  # one orbit point set per distinct value
+            u = tuple(mags[:k] + mags[k + 1:])
+            hits = 2 if a and mags[-1] == 0 else 1
+            out[u] = out.get(u, 0) + hits * c
     return out
 
 
@@ -400,7 +472,8 @@ def o_char_on_multiset(alpha, terms, nvars: int):
         return {(0,) * nvars: 1}
     terms = [(tuple(exp), _int_coeff(c)) for exp, c in terms]
     radix = _radix(alpha, terms)
-    hs = _h_sequence([(_pack(exp, radix), c) for exp, c in terms], alpha[0] + ell)
+    # the determinant reads h_k for k up to alpha_1 + l - 1 only
+    hs = _h_sequence([(_pack(exp, radix), c) for exp, c in terms], alpha[0] + ell - 1)
 
     def h(k):
         return hs[k] if k >= 0 else {}

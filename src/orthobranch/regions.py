@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 from .weights import (
     SingularWeightError,
     Weight,
     as_weight,
-    in_chamber,
+    chamber_test,
     is_nonsingular,
 )
 
@@ -59,6 +60,12 @@ class RegionDescriptor:
     nu: Weight
     signature: MultiSignature
     away_from_fences: bool
+
+    @cached_property
+    def chamber(self):
+        """The chamber test of the base (``weights.chamber_test``): its
+        positive integral system is computed once per descriptor."""
+        return chamber_test(self.base)
 
 
 def _is_half_integer(q: Fraction) -> bool:
@@ -122,7 +129,7 @@ def same_region(descriptor: RegionDescriptor, lam) -> bool:
             raise LatticeError(f"{lam} is not an integral translate of {descriptor.base}")
     if not descriptor.away_from_fences:
         raise FencePreconditionError("region membership needs an away-from-fences base")
-    if not in_chamber(descriptor.base, lam):
+    if not descriptor.chamber(lam):
         return False
     return multi_signature(lam, descriptor.nu).entries == descriptor.signature.entries
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Tuple
 
 Weight = Tuple[Fraction, ...]
@@ -140,14 +142,30 @@ def positive_system(xi, ctx: RankContext):
     return _positive_system_raw(xi)
 
 
+def chamber_test(xi):
+    """The test eta -> in_chamber(xi, eta), with the positive integral system
+    of xi computed once, each root's chamber pairing as its int coefficients.
+    The test takes eta over a common denominator and pairs in ints."""
+    xi = as_weight(xi)
+    rank = len(xi)
+    units = [tuple(int(k == t) for k in range(rank)) for t in range(rank)]
+    forms = [[int(root.chamber_pairing(u)) for u in units] for root in _positive_system_raw(xi)]
+
+    def inside(eta) -> bool:
+        eta = as_weight(eta)
+        if len(eta) != rank:
+            raise ValueError("weights live in different rank spaces")
+        common = lcm(*(c.denominator for c in eta))
+        ints = [c.numerator * (common // c.denominator) for c in eta]
+        return all(sum(map(mul, form, ints)) > 0 for form in forms)
+
+    return inside
+
+
 def in_chamber(xi, eta) -> bool:
     """True iff eta pairs strictly positively with every root of the positive
     integral system attached to xi (xi must be nonsingular)."""
-    xi = as_weight(xi)
-    eta = as_weight(eta)
-    if len(xi) != len(eta):
-        raise ValueError("weights live in different rank spaces")
-    return all(root.chamber_pairing(eta) > 0 for root in _positive_system_raw(xi))
+    return chamber_test(xi)(eta)
 
 
 def _integer_shifts(rank: int, budget: int):
@@ -172,10 +190,11 @@ def lattice_box(xi, bound, ctx: RankContext):
     if not is_nonsingular(xi):
         raise SingularWeightError(f"lattice box undefined for singular base {xi}")
     budget = int(bound)  # truncation: steps are integral, so only floor matters
+    inside = chamber_test(xi)
     out = []
     for shift in _integer_shifts(len(xi), budget):
         lam = tuple(x + m for x, m in zip(xi, shift))
-        if in_chamber(xi, lam):
+        if inside(lam):
             out.append(lam)
     out.sort()
     return out

@@ -49,14 +49,23 @@ product per permutation, with each h_k summed over the k-multisets of the
 eigenvalues and with tuple exponent keys multiplied by ``tuple_mul``, where
 ``characters.o_char_on_multiset`` packs the exponents into ints, builds h_k
 one eigenvalue at a time and expands along the top row with shared minors.
+
+And the so-character route on whole weight multisets: ``full_orbit_so_char``
+runs Freudenthal on every weight, spreading each multiplicity over its Weyl
+orbit as soon as it is known, ``full_restrict_weights`` drops a coordinate
+of every weight and ``full_peel`` subtracts whole characters, where the
+package's ``dominant_char``, ``restrict_weights`` and ``peel`` work on the
+dominant weights alone and count orbit points.
 """
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
 from operator import add
 from typing import List, Optional
 
+from orthobranch.characters import _dominant, _dominant_below, _positive_roots, so_alg
 from orthobranch.enveloping import ad_gn, commutator, gen, normal_order
 from orthobranch.linalg import Gi, TrackedEchelon, apply_cols
 from orthobranch.matrixrep import (
@@ -67,7 +76,7 @@ from orthobranch.polyarith import p_add_into
 from orthobranch.measure import (
     CoordVec, IdentityViolationError, Tuple_, _insert_first_slot, projector_factors,
 )
-from orthobranch.weights import InvalidRankError, RankContext, rank_context, rho
+from orthobranch.weights import InvalidRankError, RankContext, group_rho, rank_context, rho
 
 
 def dense(cols, nrows):
@@ -600,3 +609,84 @@ def h_determinant(alpha, terms, nvars):
 
     expand(ell - 1, (), {(0,) * nvars: 1})
     return out
+
+
+def full_orbit(kind, v):
+    """All weights in the Weyl orbit of a dominant v: the signed permutations
+    of v, with an even number of sign changes in type D when no entry is 0."""
+    out = set()
+    parity = None
+    if kind == "D" and 0 not in v:
+        parity = sum(1 for c in v if c < 0) % 2
+    for perm in set(permutations(v)):
+        for w in product(*[(c, -c) if c else (c,) for c in perm]):
+            if parity is None or sum(1 for c in w if c < 0) % 2 == parity:
+                out.add(w)
+    return out
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+@lru_cache(maxsize=None)
+def full_orbit_so_char(m, mu):
+    """The whole weight multiset of the so(m)-irrep mu by Freudenthal on every
+    weight: each dominant weight's multiplicity is spread over its orbit at
+    once, and a string weight v + k*alpha is read off that full table."""
+    kind, s = so_alg(m)
+    mu = tuple(int(c) for c in mu)
+    if kind == "so2":
+        return {mu: 1}
+    pos = _positive_roots(kind, s)
+    two_rho = tuple(int(2 * c) for c in group_rho(m))
+    top = _dot(mu, mu) + _dot(mu, two_rho)
+    dominants = sorted(_dominant_below(kind, mu, pos), key=lambda v: -_dot(v, v))
+    full = dict.fromkeys(full_orbit(kind, mu), 1)
+    for v in dominants:
+        if v == mu:
+            continue
+        denom = top - _dot(v, v) - _dot(v, two_rho)
+        total = 0
+        for alpha in pos:
+            w = v
+            while True:
+                w = tuple(map(add, w, alpha))
+                mw = full.get(w, 0)
+                if not mw:
+                    break
+                total += mw * _dot(w, alpha)
+        val, rem = divmod(2 * total, denom)
+        if rem or val <= 0:
+            raise AssertionError(f"Freudenthal gives {2 * total}/{denom} at {v} in {mu}")
+        full.update(dict.fromkeys(full_orbit(kind, v), val))
+    return full
+
+
+def full_restrict_weights(weights, m_from):
+    """Restrict a whole weight multiset of so(m_from) to the so(m_from - 1)
+    torus: odd m_from keeps every coordinate, even m_from drops the last."""
+    if m_from % 2:
+        return dict(weights)
+    out = {}
+    for w, c in weights.items():
+        out[w[:-1]] = out.get(w[:-1], 0) + c
+    return out
+
+
+def full_peel(weights, m):
+    """Peel a whole Weyl-invariant weight multiset into so(m)-irreps, taking
+    off the full character of its lex-max weight each time."""
+    kind, _ = so_alg(m)
+    remaining = {w: c for w, c in weights.items() if c}
+    if kind == "so2":
+        return dict(sorted(remaining.items()))
+    labels = {}
+    while remaining:
+        top = max(remaining)
+        count = remaining[top]
+        if count <= 0 or not _dominant(kind, top):
+            raise AssertionError(f"peeling so({m}) meets {count} at {top}")
+        labels[top] = labels.get(top, 0) + count
+        p_add_into(remaining, full_orbit_so_char(m, top), -count)
+    return labels

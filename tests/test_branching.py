@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -17,8 +18,12 @@ from orthobranch.branching import (
     reduced_family,
     stability_scan,
 )
+from dense_reference import full_orbit_so_char, full_peel, full_restrict_weights
 from orthobranch import branching
-from orthobranch.characters import CharacterCheckError, associate_partition, so_char
+from orthobranch.characters import (
+    CharacterCheckError, associate_partition, dominant_char, partition_to_label, so_char,
+)
+from orthobranch.polyarith import p_add_into
 from orthobranch.regions import FencePreconditionError
 from orthobranch.weights import rank_context
 
@@ -215,7 +220,7 @@ def test_stability_scan_lattice_alignment():
 def test_full_decomposition_same_after_cache_clear():
     big = F(7, (3, 2, 1), -1)
     first = full_decomposition(big)
-    so_char.cache_clear()
+    dominant_char.cache_clear()
     o_restrict_decomposition.cache_clear()
     assert o_restrict_decomposition.cache_info().currsize == 0
     assert full_decomposition(big) == first
@@ -240,3 +245,52 @@ def test_restriction_integrality_check_raises(monkeypatch):
             o_restrict_decomposition(5, (2, 1))
     finally:
         o_restrict_decomposition.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def labels_5000():
+    """(size, partition) of every O(3)..O(9) label with first row at most 12
+    and dimension at most 5,000, rows in lexicographic order, + before -."""
+    out = []
+    for size in range(3, 10):
+        for mu in product(range(13), repeat=size // 2):
+            if list(mu) == sorted(mu, reverse=True) and F(size, mu).dim() <= 5000:
+                out.extend(dict.fromkeys((size, F(size, mu, eps).partition) for eps in (1, -1)))
+    return out
+
+
+def test_dominant_route_matches_the_full_orbit_route(labels_5000):
+    # steps 1-3 on dominant weights against Freudenthal, restriction and
+    # peeling on whole weight multisets: equal so-constituents, dict order
+    # included, and so_char repr-identical to the full-orbit table for the
+    # big label, its mirror and every constituent
+    assert len(labels_5000) == 598
+    checked = set()
+    for size, alpha in labels_5000:
+        mu, _ = partition_to_label(size, alpha)
+        if (size, mu) in checked:
+            continue
+        checked.add((size, mu))
+        highest = [mu]
+        if size % 2 == 0 and mu[-1] >= 1:
+            highest.append(mu[:-1] + (-mu[-1],))
+        weights = {}
+        for top in highest:
+            assert repr(so_char(size, top)) == repr(full_orbit_so_char(size, top)), (size, top)
+            p_add_into(weights, full_orbit_so_char(size, top))
+        expected = full_peel(full_restrict_weights(weights, size), size - 1)
+        got = branching._so_constituents(size, mu)
+        assert list(got.items()) == list(expected.items()), (size, mu)
+        for tau in got:
+            assert repr(so_char(size - 1, tau)) == repr(full_orbit_so_char(size - 1, tau)), \
+                (size - 1, tau)
+    assert len(checked) == 371
+
+
+def test_decomposition_digest_is_pinned(labels_5000):
+    # o_restrict_decomposition over the labels above, dict order included,
+    # as the full-orbit route gave it
+    dump = [(size, alpha, list(o_restrict_decomposition(size, alpha).items()))
+            for size, alpha in labels_5000]
+    assert hashlib.sha256(repr(dump).encode()).hexdigest() == \
+        "7368b7c5559be16af1e20e7264983ef0c77d828ecd94cb9c016a911fc104e0cc"

@@ -11,6 +11,7 @@ from orthobranch.polyarith import p_mul
 from orthobranch.characters import (
     CharacterCheckError,
     associate_partition,
+    dominant_char,
     is_so_dominant,
     label_to_partition,
     o_char_on_multiset,
@@ -61,23 +62,29 @@ def test_weight_multiplicity_interior():
 
 
 def test_peel_recovers_tensor_square_so3():
-    # V(1) (x) V(1) = V(2) + V(1) + V(0) for so(3)
+    # V(1) (x) V(1) = V(2) + V(1) + V(0) for so(3); peel reads the dominant part
     v = so_char(3, (1,))
     prod: dict = {}
     for w1, c1 in v.items():
         for w2, c2 in v.items():
             key = (w1[0] + w2[0],)
             prod[key] = prod.get(key, 0) + c1 * c2
-    assert peel(prod, 3) == {(2,): 1, (1,): 1, (0,): 1}
+    dominant = {w: c for w, c in prod.items() if w[0] >= 0}
+    assert peel(dominant, 3) == {(2,): 1, (1,): 1, (0,): 1}
 
 
 def test_restrict_weights_parity():
-    w5 = so_char(5, (1, 0))
-    down = restrict_weights(w5, 5)      # odd: keep coordinates
-    assert down == w5
-    w4 = so_char(4, (1, 0))
-    down4 = restrict_weights(w4, 4)     # even: drop last coordinate
-    assert down4 == {(1,): 1, (-1,): 1, (0,): 2}
+    # odd: B_2 -> D_2, (1, 0) has a zero last entry, so no mirror
+    assert restrict_weights(dominant_char(5, (1, 0)), 5) == {(1, 0): 1, (0, 0): 1}
+    # (1, 1) of B_2 splits into (1, 1) and its mirror (1, -1) of D_2
+    assert restrict_weights(dominant_char(5, (1, 1)), 5) == \
+        {(1, 1): 1, (1, -1): 1, (1, 0): 1, (0, 0): 2}
+    # even: D_2 -> B_1 drops the last entry; the orbit of (1, 0) gives (1,)
+    # once, from (1, 0), and (0,) twice, from (0, 1) and (0, -1)
+    assert restrict_weights(dominant_char(4, (1, 0)), 4) == {(1,): 1, (0,): 2}
+    # no zero entry: the parity fixes the dropped entry's sign
+    assert restrict_weights({(2, 1, 1): 1}, 6) == {(1, 1): 1, (2, 1): 1}
+    assert restrict_weights({(2, 1, 0): 1}, 6) == {(1, 0): 2, (2, 0): 2, (2, 1): 1}
 
 
 def test_transpose_and_validity():
@@ -186,6 +193,17 @@ def test_peel_rejects_a_multiset_that_is_not_a_character():
         peel({(1, 0): 1}, 5)
 
 
+def test_peel_rejects_a_weight_that_is_not_dominant():
+    # a dominant part holds no weight outside the dominant chamber, even one
+    # that the table of its lex-max weight would cancel
+    with pytest.raises(CharacterCheckError, match="not dominant"):
+        peel({(0, 1): 1}, 5)
+    with pytest.raises(CharacterCheckError, match="not dominant"):
+        peel({(1, 0): 1, (-1, 0): 1, (0, 0): 1}, 5)
+    with pytest.raises(CharacterCheckError, match="not dominant"):
+        peel({(1, 1, 0): 1, (1, -1, 0): 1}, 6)
+
+
 def test_character_check_survives_optimize(run_optimized):
     code = ("from orthobranch.characters import CharacterCheckError, peel\n"
             "try:\n"
@@ -193,6 +211,15 @@ def test_character_check_survives_optimize(run_optimized):
             "except CharacterCheckError:\n"
             "    print('raised')\n")
     assert run_optimized(code).strip() == "raised"
+
+
+def test_peel_dominance_check_survives_optimize(run_optimized):
+    code = ("from orthobranch.characters import CharacterCheckError, peel\n"
+            "try:\n"
+            "    peel({(0, 1): 1}, 5)\n"
+            "except CharacterCheckError as exc:\n"
+            "    print(exc)\n")
+    assert "not dominant" in run_optimized(code)
 
 
 def _partitions(size_cap, length_cap):
