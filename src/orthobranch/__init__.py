@@ -20,7 +20,7 @@ from .weights import (
     SignedRoot,
     SingularWeightError,
     as_weight,
-    in_chamber,
+    chamber_test,
     is_nonsingular,
     lattice_box,
     norms,

@@ -394,7 +394,7 @@ def render_region_slice(n: int, xi, nu, axes: Tuple[int, int],
     translates of the base point inside its chamber.
     """
     from .regions import multi_signature, signature_support
-    from .weights import in_chamber, is_nonsingular
+    from .weights import chamber_test, is_nonsingular
 
     ctx = rank_context(n)
     xi = tuple(Fraction(c) for c in xi)
@@ -500,12 +500,13 @@ def render_region_slice(n: int, xi, nu, axes: Tuple[int, int],
     k_hi = math.floor(hi - xi[ax1 - 1])
     l_lo = math.ceil(lo - xi[ax2 - 1])
     l_hi = math.floor(hi - xi[ax2 - 1])
-    dots = product(range(k_lo, k_hi + 1), range(l_lo, l_hi + 1)) if is_nonsingular(xi) else ()
+    inside = chamber_test(xi) if is_nonsingular(xi) else None
+    dots = product(range(k_lo, k_hi + 1), range(l_lo, l_hi + 1)) if inside else ()
     for k, l in dots:
         pt = list(xi)
         pt[ax1 - 1] = xi[ax1 - 1] + k
         pt[ax2 - 1] = xi[ax2 - 1] + l
-        if in_chamber(xi, pt):
+        if inside(pt):
             parts.append(
                 f'<circle cx="{px(pt[ax1 - 1])}" cy="{py(pt[ax2 - 1])}" '
                 f'r="3" fill="#1a4d8f"/>'

@@ -10,6 +10,7 @@ points are joined by a unit-step path that never leaves the region.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,6 +57,11 @@ class MultiSignature:
 
 @dataclass(frozen=True)
 class RegionDescriptor:
+    """The region of a base point: its chamber and its multi-signature.
+
+    ``region_descriptor`` fills the fields; ``chamber`` and ``sign_tests``
+    are derived from them once per descriptor, on first use."""
+
     base: Weight
     nu: Weight
     signature: MultiSignature
@@ -66,6 +72,22 @@ class RegionDescriptor:
         """The chamber test of the base (``weights.chamber_test``): its
         positive integral system is computed once per descriptor."""
         return chamber_test(self.base)
+
+    @cached_property
+    def sign_tests(self):
+        """The multi-signature as int tests on integral translates.
+
+        Every integral translate base + d has the base's signature support,
+        so each entry (i, j, delta) with sign s becomes (i - 1, m, s > 0)
+        with m = floor(-(base_i + delta*nu_j)).  The value base_i + d_i +
+        delta*nu_j is a half-integer, so it is positive exactly when the int
+        d_i exceeds m, and the entry keeps its sign when (d_i > m) == (s > 0).
+        """
+        base, nu = self.base, self.nu
+        return tuple(
+            (key.i - 1, math.floor(-(base[key.i - 1] + key.delta * nu[key.j - 1])), sign > 0)
+            for key, sign in self.signature.entries
+        )
 
 
 def _is_half_integer(q: Fraction) -> bool:
@@ -120,18 +142,27 @@ def region_descriptor(xi, nu) -> RegionDescriptor:
 
 def same_region(descriptor: RegionDescriptor, lam) -> bool:
     """True iff lam is an integral translate of the base, lies in the base's
-    chamber, and carries the same multi-signature."""
+    chamber, and carries the same multi-signature.
+
+    Raises ``LatticeError`` for a weight that is not an integral translate,
+    then ``FencePreconditionError`` for a base on a fence.  The signature is
+    compared through ``descriptor.sign_tests`` on the int shifts lam - base,
+    without forming lam's multi-signature."""
     lam = as_weight(lam)
-    if len(lam) != len(descriptor.base):
+    base = descriptor.base
+    if len(lam) != len(base):
         raise LatticeError("weight length does not match the region base")
-    for a, b in zip(lam, descriptor.base):
-        if (a - b).denominator != 1:
-            raise LatticeError(f"{lam} is not an integral translate of {descriptor.base}")
+    shifts = []
+    for a, b in zip(lam, base):
+        d = a - b
+        if d.denominator != 1:
+            raise LatticeError(f"{lam} is not an integral translate of {base}")
+        shifts.append(d.numerator)
     if not descriptor.away_from_fences:
         raise FencePreconditionError("region membership needs an away-from-fences base")
     if not descriptor.chamber(lam):
         return False
-    return multi_signature(lam, descriptor.nu).entries == descriptor.signature.entries
+    return all((shifts[i] > m) == positive for i, m, positive in descriptor.sign_tests)
 
 
 def lattice_path(xi, lam, nu):

@@ -17,6 +17,14 @@ Two independent routes are provided:
 
 The two agree everywhere (this is checked exhaustively in the test suite).
 
+Both routes work in ints.  One reader puts a, b and c over their common
+denominator ``L``, with numerators ``A``, ``B`` and ``C``, and returns the
+depth ``k = (A + B - C) / 2L`` when that is a natural number, together with
+each parameter as an int, or ``None`` when it is not integral.  The jump
+region below is one predicate on those ints, and the band elimination
+compares them with its indices.  Integral and non-integral parameters take
+the same path, and the query and the tables keep Fraction parameters.
+
 Derivation of the closed form, recorded here because the region's orientation
 matters.  Write ``u_m = f^m v_a (x) f^(k-m) v_b`` for ``m = 0..k``.  The
 raising operator sends ``u_m`` to ``A_m u'_(m-1) + B'_m u'_m`` where
@@ -43,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from math import lcm
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
     "FusionQuery",
@@ -55,21 +64,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FusionQuery:
-    """Triple of highest weights (a, b, c) for a fusion multiplicity query."""
+    """Triple of highest weights (a, b, c) for a fusion multiplicity query.
+
+    A ``Fraction`` argument is stored as it is; any other (an int, a string
+    such as ``"3/2"``) goes through ``Fraction``.  So the fields are always
+    Fractions."""
 
     a: Fraction
     b: Fraction
     c: Fraction
 
     def __init__(self, a, b, c) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "a", _fraction(a))
+        object.__setattr__(self, "b", _fraction(b))
+        object.__setattr__(self, "c", _fraction(c))
 
 
-def _even_natural(x: Fraction) -> bool:
-    """True iff x is an even integer >= 0."""
-    return x.denominator == 1 and x >= 0 and x.numerator % 2 == 0
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _read(q: FusionQuery) -> Tuple[Optional[int], Optional[int], Optional[int], Optional[int]]:
+    """(k, a, b, c) in ints: the depth ``k = (a + b - c) / 2``, and each
+    parameter read as an int, with ``None`` for a depth that is not a natural
+    number and for a parameter that is not integral.
+
+    With ``L`` the lcm of the three denominators and ``A``, ``B``, ``C`` the
+    numerators over ``L``, the depth is ``(A + B - C) / 2L``."""
+    a, b, c = q.a, q.b, q.c
+    da, db, dc = a.denominator, b.denominator, c.denominator
+    common = lcm(da, db, dc)
+    k, rest = divmod(a.numerator * (common // da) + b.numerator * (common // db)
+                     - c.numerator * (common // dc), 2 * common)
+    return (k if rest == 0 and k >= 0 else None,
+            a.numerator if da == 1 else None,
+            b.numerator if db == 1 else None,
+            c.numerator if dc == 1 else None)
+
+
+def _jumps(a: Optional[int], b: Optional[int], c: Optional[int]) -> bool:
+    """The jump region ``|a - b| <= -c - 2`` and ``a + b + c >= -2``, on
+    integral parameters only (``None`` marks one that is not integral)."""
+    return (a is not None and b is not None and c is not None
+            and abs(a - b) <= -c - 2 and a + b + c >= -2)
 
 
 def fusion_multiplicity(q: FusionQuery) -> int:
@@ -83,15 +120,13 @@ def fusion_multiplicity(q: FusionQuery) -> int:
 
     and 1 everywhere else.  The region is cut out by fences: the boundary
     hyperplanes are where an interleaving pattern between the two factor
-    parameters and the target parameter degenerates.
+    parameters and the target parameter degenerates.  Both tests run in
+    ints over the common denominator of a, b and c.
     """
-    a, b, c = q.a, q.b, q.c
-    if not _even_natural(a + b - c):
+    k, a, b, c = _read(q)
+    if k is None:
         return 0
-    integral = a.denominator == 1 and b.denominator == 1 and c.denominator == 1
-    if integral and abs(a - b) <= -c - 2 and a + b + c >= -2:
-        return 2
-    return 1
+    return 2 if _jumps(a, b, c) else 1
 
 
 def fusion_oracle(q: FusionQuery) -> int:
@@ -112,12 +147,14 @@ def fusion_oracle(q: FusionQuery) -> int:
     it is the pivot, and clearing column ``j`` from row ``j`` leaves row
     ``j``'s other entry unchanged.  Otherwise row ``j`` pivots on a nonzero
     ``B'_j``.  So the elimination takes ``O(k)`` exact zero tests of the
-    entries, for rational ``a`` and ``b`` alike, and no division.
+    entries, and no division.  Each test compares ints: an entry vanishes
+    only at an integral a or b, and a parameter that is not integral (read
+    as ``None``) never equals the index, so the same loop serves every
+    rational a and b.
     """
-    a, b, c = q.a, q.b, q.c
-    if not _even_natural(a + b - c):
+    k, a, b, _ = _read(q)
+    if k is None:
         return 0
-    k = int((a + b - c) / 2)
     rank = 0
     carry = False  # row j - 1, reduced to a nonzero entry in column j alone
     for j in range(k + 1):
@@ -140,14 +177,17 @@ def fusion_grid(
     a_values: Iterable[Fraction], k_values: Iterable[int]
 ) -> List[Tuple[Fraction, Fraction, Fraction, int]]:
     """Tabulate (a, b, c, multiplicity) over all pairs from ``a_values`` and
-    depths from ``k_values``, with ``c = a + b - 2k``.  Used by the demo CLI.
+    depths from ``k_values``, with ``c = a + b - 2k``, pair by pair and then
+    by depth in the given order.  ``a + b`` is formed once per pair; each
+    cell's multiplicity is ``fusion_multiplicity``'s, so a negative depth
+    gives 0.  Used by the demo CLI.
     """
     table = []
-    avals = [Fraction(x) for x in a_values]
+    avals = [_fraction(x) for x in a_values]
     for a in avals:
         for b in avals:
+            total = a + b
             for k in k_values:
-                c = a + b - 2 * k
-                q = FusionQuery(a, b, c)
-                table.append((a, b, c, fusion_multiplicity(q)))
+                c = total - 2 * k
+                table.append((a, b, c, fusion_multiplicity(FusionQuery(a, b, c))))
     return table

@@ -143,9 +143,11 @@ def positive_system(xi, ctx: RankContext):
 
 
 def chamber_test(xi):
-    """The test eta -> in_chamber(xi, eta), with the positive integral system
-    of xi computed once, each root's chamber pairing as its int coefficients.
-    The test takes eta over a common denominator and pairs in ints."""
+    """The chamber test of xi: eta -> True iff eta pairs strictly positively
+    with every root of the positive integral system attached to xi (xi must
+    be nonsingular).  That system is computed once, each root's chamber
+    pairing as its int coefficients; the test takes eta over a common
+    denominator and pairs in ints."""
     xi = as_weight(xi)
     rank = len(xi)
     units = [tuple(int(k == t) for k in range(rank)) for t in range(rank)]
@@ -160,12 +162,6 @@ def chamber_test(xi):
         return all(sum(map(mul, form, ints)) > 0 for form in forms)
 
     return inside
-
-
-def in_chamber(xi, eta) -> bool:
-    """True iff eta pairs strictly positively with every root of the positive
-    integral system attached to xi (xi must be nonsingular)."""
-    return chamber_test(xi)(eta)
 
 
 def _integer_shifts(rank: int, budget: int):

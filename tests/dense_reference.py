@@ -56,6 +56,14 @@ orbit as soon as it is known, ``full_restrict_weights`` drops a coordinate
 of every weight and ``full_peel`` subtracts whole characters, where the
 package's ``dominant_char``, ``restrict_weights`` and ``peel`` work on the
 dominant weights alone and count orbit points.
+
+And the rank-one fusion table in Fractions: ``fraction_query`` wraps each
+parameter with ``Fraction``, ``fraction_multiplicity`` and
+``fraction_oracle`` form ``a + b - c`` per call and test its parity with
+``_even_natural``, ``fraction_jump_region`` is the jump region's two
+inequalities on Fractions, and ``fraction_grid`` builds each cell from
+those, where ``verma`` reads a, b and c once as ints over their common
+denominator.
 """
 import random
 from dataclasses import dataclass
@@ -690,3 +698,68 @@ def full_peel(weights, m):
         labels[top] = labels.get(top, 0) + count
         p_add_into(remaining, full_orbit_so_char(m, top), -count)
     return labels
+
+
+def fraction_query(a, b, c):
+    """The triple (a, b, c), each wrapped with ``Fraction``."""
+    return Fraction(a), Fraction(b), Fraction(c)
+
+
+def _even_natural(x: Fraction) -> bool:
+    """True iff x is an even integer >= 0."""
+    return x.denominator == 1 and x >= 0 and x.numerator % 2 == 0
+
+
+def fraction_multiplicity(a, b, c) -> int:
+    """The closed-form fusion multiplicity on Fractions: 0 unless a + b - c
+    is an even natural number, 2 on the integral jump region
+    |a - b| <= -c - 2 and a + b + c >= -2, and 1 elsewhere."""
+    a, b, c = fraction_query(a, b, c)
+    if not _even_natural(a + b - c):
+        return 0
+    return 2 if fraction_jump_region(a, b, c) else 1
+
+
+def fraction_jump_region(a, b, c) -> bool:
+    """Integral a, b and c with |a - b| <= -c - 2 and a + b + c >= -2, in
+    Fractions."""
+    a, b, c = fraction_query(a, b, c)
+    integral = a.denominator == 1 and b.denominator == 1 and c.denominator == 1
+    return integral and abs(a - b) <= -c - 2 and a + b + c >= -2
+
+
+def fraction_oracle(a, b, c) -> int:
+    """The band elimination of the raising matrix on Fractions: row j holds
+    B'_j = (k-j)(b-k+j+1) in column j and A_(j+1) = (j+1)(a-j) in column
+    j + 1, each tested against zero as a Fraction comparison."""
+    a, b, c = fraction_query(a, b, c)
+    if not _even_natural(a + b - c):
+        return 0
+    k = int((a + b - c) / 2)
+    rank = 0
+    carry = False
+    for j in range(k + 1):
+        a_entry = j < k and a != j
+        b_entry = j < k and b != k - j - 1
+        if carry:
+            rank += 1
+            carry = a_entry
+        elif b_entry:
+            rank += 1
+            carry = False
+        else:
+            carry = a_entry
+    return k + 1 - rank
+
+
+def fraction_grid(a_values, k_values):
+    """(a, b, c, multiplicity) over all pairs from a_values and depths from
+    k_values, c = a + b - 2k formed per cell in Fractions."""
+    table = []
+    avals = [Fraction(x) for x in a_values]
+    for a in avals:
+        for b in avals:
+            for k in k_values:
+                c = a + b - 2 * k
+                table.append((a, b, c, fraction_multiplicity(a, b, c)))
+    return table

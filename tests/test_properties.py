@@ -21,7 +21,7 @@ from orthobranch.regions import (
     signature_support,
 )
 from orthobranch.scalars import g_val, h_val, phi_val, scalar_query
-from orthobranch.weights import in_chamber, is_nonsingular, lattice_box, rank_context
+from orthobranch.weights import chamber_test, is_nonsingular, lattice_box, rank_context
 
 F = Fraction
 
@@ -198,7 +198,7 @@ def test_lattice_path_soundness():
             assert sum(diff) == 1  # unit steps
         for p in path:
             assert same_region(desc, p)
-            assert in_chamber(xi, p)
+            assert chamber_test(xi)(p)
         produced += 1
     assert produced >= 100
 
@@ -218,7 +218,7 @@ def test_region_membership_iff_same_signature():
         lam = tuple(c + m for c, m in zip(xi, shift))
         got = same_region(desc, lam)
         from orthobranch.regions import multi_signature
-        expect = (in_chamber(xi, lam)
+        expect = (chamber_test(xi)(lam)
                   and multi_signature(lam, nu).entries == desc.signature.entries)
         assert got == expect
         checked += 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from orthobranch.regions import (
     same_region,
     signature_support,
 )
+from orthobranch.weights import chamber_test
 
 
 H = Fraction(1, 2)
@@ -71,6 +73,38 @@ def test_same_region_requires_off_fence_base():
     assert not desc.away_from_fences  # 9/2 - 4 = 1/2
     with pytest.raises(FencePreconditionError):
         same_region(desc, (Fraction(11, 2), Fraction(7, 2)))
+
+
+def test_same_region_matches_the_signature_route():
+    # same_region against the chamber test plus lam's whole multi-signature,
+    # on every translate with shifts -3..3; the descriptor's repr, hash and
+    # equality do not see the tests it caches
+    cases = [
+        ((13 * H, 5 * H), (4, 1)),
+        ((9 * H, -5 * H), (3 * H,)),
+        ((13 * H, 7 * H, 3 * H), (5, H)),
+        ((11 * H, -7 * H, H), (2, H)),
+    ]
+    for base, nu in cases:
+        desc = region_descriptor(base, nu)
+        assert desc.away_from_fences
+        before = repr(desc), hash(desc)
+        inside = chamber_test(base)
+        seen = set()
+        for shift in product(range(-3, 4), repeat=len(base)):
+            lam = tuple(c + d for c, d in zip(base, shift))
+            want = inside(lam) and multi_signature(lam, nu).entries == desc.signature.entries
+            assert same_region(desc, lam) == want, (base, nu, lam)
+            seen.add(want)
+        assert seen == {True, False}
+        assert (repr(desc), hash(desc)) == before
+        assert desc == region_descriptor(base, nu)
+
+
+def test_same_region_lattice_error_comes_before_the_fence_error():
+    desc = region_descriptor((Fraction(9, 2), Fraction(7, 2)), (4, 1))
+    with pytest.raises(LatticeError):
+        same_region(desc, (Fraction(5), Fraction(7, 2)))
 
 
 def test_lattice_path_steps_stay_in_region():
