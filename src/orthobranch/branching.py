@@ -8,8 +8,10 @@ realization:
    label has a full-length row vector),
 2. restriction of that dominant part to the subgroup, by counting the Weyl
    orbit points that land on each of the subgroup's dominant weights,
-3. highest-weight peeling into so(n)-constituents, subtracting dominant
-   tables; the peel must run to zero, which checks steps 1 and 2,
+3. the so(n)-constituents of that restriction, each coefficient read off
+   the restricted dominant part by Racah's alternating sum over the Weyl
+   group (``characters.peel``); every coefficient must be nonnegative, which
+   checks steps 1 and 2,
 4. resolution of the O(n)-labels (det-twists) by evaluating the universal
    h-determinant character on an eigenvalue multiset drawn from the
    non-identity component of O(n), and peeling that Laurent polynomial over

@@ -4,9 +4,11 @@ Connected side: Freudenthal's recursion for so(m)-irreps (types B_s and D_s
 plus abelian so(2)) run on dominant weights only, a string weight read at
 its dominant representative, into one cached table {dominant weight:
 multiplicity} per highest weight; restriction of such dominant tables to
-so(m-1) by counting orbit points; and highest-weight peeling that subtracts
-dominant tables.  ``so_char`` spreads a table over its Weyl orbits for the
-callers that need every weight.
+so(m-1) by counting orbit points; and the decomposition of a dominant part
+into irreducibles by Racah's alternating sum over the Weyl group, which reads
+every constituent's coefficient off the multiset without a table per
+constituent.  ``so_char`` spreads a table over its Weyl orbits for the
+callers that need every weight, and ``weyl_dim`` is Weyl's dimension formula.
 
 Disconnected side: O(m)-irreps are indexed by partitions alpha with
 alpha^T_1 + alpha^T_2 <= m; tensoring with det corresponds to the associate
@@ -24,19 +26,20 @@ All arithmetic is on Python ints: weights are integral, Freudenthal's
 recursion uses the integral vector 2*rho (twice ``weights.group_rho``) and
 divides exactly, and Laurent polynomials in torus variables are dicts
 {exponent tuple: int} (exponents may be negative), added through
-``polyarith.p_add_into``; peeling subtracts characters through it too.  The
-h-determinant packs each exponent tuple into one int in a balanced radix
-sized from its input (Kronecker substitution), multiplies with
-``polyarith.p_mul`` on those keys and unpacks its result to tuples.
+``polyarith.p_add_into``.  The h-determinant packs each exponent tuple into
+one int in a balanced radix sized from its input (Kronecker substitution),
+multiplies with ``polyarith.p_mul`` on those keys and unpacks its result to
+tuples.
 An ``so_char`` weight multiset is such a polynomial in its rank's variables.
 Every self-check of the arithmetic raises CharacterCheckError, also under
 ``python -O``.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from operator import add, sub
 
 from .polyarith import p_add_into, p_mul
@@ -45,9 +48,10 @@ from .weights import group_rho
 
 class CharacterCheckError(RuntimeError):
     """A self-check of the character arithmetic failed: a Freudenthal quotient
-    that is not a positive integer, a peel that meets a weight multiset which
-    is not a character, or a constituent count that does not add up.  It
-    reports a defect or an invalid multiset, never a bad label."""
+    that is not a positive integer, a weight multiset that is not a character
+    (a key that is not dominant, a negative constituent coefficient), or a
+    constituent count that does not add up.  It reports a defect or an
+    invalid multiset, never a bad label."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +124,18 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _dominant_below(kind: str, mu, pos):
-    """The dominant weights v <= mu, i.e. with mu - v a sum of positive roots.
+def _dominant_below(kind: str, seeds, pos):
+    """The dominant weights v <= some seed, i.e. with seed - v a sum of
+    positive roots, for an iterable of dominant seeds.
 
-    Walks down from mu one positive root at a time, keeping only dominant
-    weights: between two dominant weights v < u there is always a positive
-    root alpha with u - alpha dominant and still >= v (Stembridge, "The
-    partial order of dominant weights", Adv. Math. 136 (1998)), so the walk
-    reaches every one of them.
+    One walk down from all the seeds at once, one positive root at a time,
+    keeping only dominant weights: between two dominant weights v < u there
+    is always a positive root alpha with u - alpha dominant and still >= v
+    (Stembridge, "The partial order of dominant weights", Adv. Math. 136
+    (1998)), so the walk reaches every one of them.
     """
-    seen = {mu}
-    stack = [mu]
+    stack = list(seeds)
+    seen = set(stack)
     while stack:
         u = stack.pop()
         for alpha in pos:
@@ -169,7 +174,7 @@ def dominant_char(m: int, mu) -> "dict[tuple, int]":
     # Freudenthal, outer weights first: every weight v + k*alpha read below
     # is longer than v, so its dominant representative is already in `table`
     # or has multiplicity 0.
-    dominants = sorted(_dominant_below(kind, mu, pos), key=lambda v: -_dot(v, v))
+    dominants = sorted(_dominant_below(kind, (mu,), pos), key=lambda v: -_dot(v, v))
     # each positive root e_i + sign*e_j (sign 0 for a short root e_i) as
     # (alpha, i, j, sign, (alpha, alpha))
     roots = []
@@ -225,36 +230,131 @@ def so_char(m: int, mu) -> "dict[tuple, int]":
 
 
 def weyl_dim(m: int, mu) -> int:
-    return sum(so_char(m, tuple(mu)).values())
+    """Dimension of the so(m)-irrep with (dominant, integral) highest weight
+    mu by Weyl's dimension formula, the product over the positive roots
+    alpha of (mu + rho, alpha) / (rho, alpha), taken in ints through 2*rho
+    and divided once at the end."""
+    kind, s = so_alg(m)
+    mu = tuple(int(c) for c in mu)
+    if not is_so_dominant(m, mu):
+        raise ValueError(f"{mu} is not dominant for so({m})")
+    if kind == "so2":
+        return 1
+    two_rho = tuple(int(2 * c) for c in group_rho(m))
+    shifted = tuple(2 * a + b for a, b in zip(mu, two_rho))
+    num = den = 1
+    for alpha in _positive_roots(kind, s):
+        num *= _dot(shifted, alpha)
+        den *= _dot(two_rho, alpha)
+    return num // den
+
+
+def _rho_shifts(kind: str, two_rho, f_cap: int, sum_caps):
+    """(delta, det w) for the Weyl group elements w whose shift delta =
+    rho - w(rho) has f = (delta, 2*rho) <= f_cap and partial sums
+    delta_1 + ... + delta_k <= sum_caps[k-1] for k < rank; sorted by f, with
+    the list of those f.
+
+    A DFS from 2*rho down its W-orbit: each step reflects q = w(2*rho) in a
+    simple root alpha with (q, alpha) > 0, which flips det w and adds a
+    positive multiple of alpha to delta.  Every w is reached by such a chain
+    (a reduced word read from the left), and along a chain f and the partial
+    sums only grow (each positive root has nonnegative partial sums), so a
+    node over a cap has no descendant under it and the DFS stops there.
+    """
+    s = len(two_rho)
+    # In terms of q: delta = (2*rho - q) / 2.  A reflection with (q, alpha)
+    # = d > 0 adds d to f and moves one partial sum of q, that of q_1..q_k
+    # with k the reflection's first coordinate (none for type B's e_s), down
+    # by d; it must stay >= the floor that a cap on delta's partial sum sets.
+    sum_floors = [t - 2 * c for t, c in zip(accumulate(two_rho), sum_caps)]
+    seen = {two_rho}
+    stack = [(two_rho, 0, 1)]
+    found = []
+    while stack:
+        q, f, sign = stack.pop()
+        found.append((f, q, sign))
+        moves = [(q[:i] + (q[i + 1], q[i]) + q[i + 2:], q[i] - q[i + 1], i)
+                 for i in range(s - 1) if q[i] > q[i + 1]]
+        if kind == "B":
+            if q[-1] > 0:
+                moves.append((q[:-1] + (-q[-1],), q[-1], None))
+        elif q[-2] + q[-1] > 0:  # type D's last simple root e_{s-1} + e_s
+            moves.append((q[:-2] + (-q[-1], -q[-2]), q[-2] + q[-1], s - 2))
+        for nxt, d, k in moves:
+            if f + d <= f_cap and nxt not in seen and (
+                    k is None or sum(nxt[:k + 1]) >= sum_floors[k]):
+                seen.add(nxt)
+                stack.append((nxt, f + d, -sign))
+    found.sort(key=lambda entry: entry[0])
+    return ([(tuple((a - b) // 2 for a, b in zip(two_rho, q)), sign) for _, q, sign in found],
+            [f for f, _, _ in found])
 
 
 def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
     """Decompose a Weyl-invariant weight multiset into so(m)-irreps.
 
-    The multiset is given by its dominant part {dominant weight: count} (all
-    of it for so(2)).  Peeling repeatedly subtracts the dominant table of the
-    lexicographically largest weight, so a multiset that is not a character
-    ends in a count that is not positive; that, and a key that is not
-    dominant, raise CharacterCheckError.
+    The multiset is given by its dominant part N = {dominant weight: count}
+    (all of it for so(2)).  The coefficient of V(lam) is Racah's alternating
+    sum (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    Ch. VI)
+
+        c(lam) = sum over w in W of det(w) * N((lam + rho - w rho)^+),
+
+    with p^+ the dominant weight in the orbit of p: it is the coefficient of
+    e^(lam + rho) in the character times sum_w det(w) e^(w rho), which by
+    Weyl's character formula is the multiplicity of V(lam).
+
+    The candidates lam are every dominant weight at or below a key of N, not
+    the keys alone: a negative coefficient can sit outside the support, as
+    in V(1,0) - V(0,0) of so(5), whose dominant part is {(1,0): 1}.  Every
+    nonzero coefficient lies below a maximal one, and a maximal one is a key,
+    so the walk finds them all.  They are read largest first, and the first
+    negative one raises CharacterCheckError, as does a key that is not
+    dominant; the nonzero ones come back in decreasing lexicographic order.
+
+    The sum never runs over all of W (``_rho_shifts``).  A term is nonzero
+    only where p = lam + delta has a key as p^+, and then f(p) = (p, 2*rho)
+    is at most F, the largest f of a key, since p^+ - p is a sum of positive
+    roots; for k below the rank, p_1 + ... + p_k is at most the same partial
+    sum of p^+, as the first k entries of p^+ are the k largest of |p|.  With
+    f(lam) and those partial sums of a dominant lam nonnegative, the shifts
+    with f(delta) > F - min f(lam) or a partial sum over the keys' largest
+    add nothing, and each lam reads only the shifts with f(delta) <=
+    F - f(lam).  The pruning is exact.
     """
-    kind, _ = so_alg(m)
-    remaining = {w: c for w, c in weights.items() if c}
-    labels: dict[tuple, int] = {}
+    kind, s = so_alg(m)
+    support = {w: c for w, c in weights.items() if c}
     if kind == "so2":
-        return dict(sorted(remaining.items()))
-    for w in remaining:
+        return dict(sorted(support.items()))
+    for w in support:
         if not _dominant(kind, w):
             raise CharacterCheckError(f"peeling so({m}) meets the weight {w}, which is not dominant")
-    while remaining:
-        top = max(remaining)
-        count = remaining[top]
-        if count <= 0:
+    if not support:
+        return {}
+    two_rho = tuple(int(2 * c) for c in group_rho(m))
+    candidates = sorted(_dominant_below(kind, support, _positive_roots(kind, s)), reverse=True)
+    f_top = max(_dot(w, two_rho) for w in support)
+    sum_caps = [max(sums) for sums in zip(*(accumulate(w[:-1]) for w in support))]
+    f_lams = [_dot(lam, two_rho) for lam in candidates]
+    shifts, fs = _rho_shifts(kind, two_rho, f_top - min(f_lams), sum_caps)
+    at: dict[tuple, int] = {}  # p -> N(p^+), for the p that several lam share
+    labels: dict[tuple, int] = {}
+    for lam, f_lam in zip(candidates, f_lams):
+        c = 0
+        for delta, sign in shifts[:bisect_right(fs, f_top - f_lam)]:
+            p = tuple(map(add, lam, delta))
+            count = at.get(p)
+            if count is None:
+                count = at[p] = support.get(_dominant_rep(kind, p), 0)
+            c += sign * count
+        if c < 0:
             raise CharacterCheckError(
-                f"peeling so({m}) meets multiplicity {count} at the lex-max weight "
-                f"{top}; a character has a positive one at a dominant weight"
+                f"peeling so({m}) by Racah's formula meets coefficient {c} at {lam}; "
+                f"a character has none that is negative"
             )
-        labels[top] = labels.get(top, 0) + count
-        p_add_into(remaining, dominant_char(m, top), -count)
+        if c:
+            labels[lam] = c
     return labels
 
 

@@ -5,17 +5,20 @@ lowering operators plus full verification), so every test that needs a model
 goes through one session-wide cache keyed by (n, rows, eps, side).  Det
 twists of already-built models are produced by sharing the generator caches
 instead of re-running the closure.  ``run_optimized`` runs a snippet under
-``python -O``, where a self-check must still raise.
+``python -O``, where a self-check must still raise.  ``labels_5000`` lists
+the O(3)..O(9) labels that the character oracle's tests sweep.
 """
 
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import orthobranch
+from orthobranch.branching import fd_label
 from orthobranch.weights import rank_context
 from orthobranch.matrixrep import MatrixRep, construct_irrep, det_twisted
 
@@ -66,3 +69,16 @@ def run_optimized():
         return done.stdout
 
     return run
+
+
+@pytest.fixture(scope="session")
+def labels_5000():
+    """(size, partition) of every O(3)..O(9) label with first row at most 12
+    and dimension at most 5,000, rows in lexicographic order, + before -."""
+    out = []
+    for size in range(3, 10):
+        for mu in product(range(13), repeat=size // 2):
+            if list(mu) == sorted(mu, reverse=True) and fd_label(size, mu).dim() <= 5000:
+                out.extend(dict.fromkeys((size, fd_label(size, mu, eps).partition)
+                                         for eps in (1, -1)))
+    return out

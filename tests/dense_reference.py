@@ -55,7 +55,10 @@ runs Freudenthal on every weight, spreading each multiplicity over its Weyl
 orbit as soon as it is known, ``full_restrict_weights`` drops a coordinate
 of every weight and ``full_peel`` subtracts whole characters, where the
 package's ``dominant_char``, ``restrict_weights`` and ``peel`` work on the
-dominant weights alone and count orbit points.
+dominant weights alone and count orbit points.  ``subtracting_peel`` is the
+peel on dominant parts that subtracts one ``dominant_char`` table per
+constituent, where ``peel`` reads every coefficient off the multiset by
+Racah's alternating sum.
 
 And the rank-one fusion table in Fractions: ``fraction_query`` wraps each
 parameter with ``Fraction``, ``fraction_multiplicity`` and
@@ -73,7 +76,9 @@ from itertools import combinations_with_replacement, permutations, product
 from operator import add
 from typing import List, Optional
 
-from orthobranch.characters import _dominant, _dominant_below, _positive_roots, so_alg
+from orthobranch.characters import (
+    CharacterCheckError, _dominant, _dominant_below, _positive_roots, dominant_char, so_alg,
+)
 from orthobranch.enveloping import ad_gn, commutator, gen, normal_order
 from orthobranch.linalg import Gi, TrackedEchelon, apply_cols
 from orthobranch.matrixrep import (
@@ -649,7 +654,7 @@ def full_orbit_so_char(m, mu):
     pos = _positive_roots(kind, s)
     two_rho = tuple(int(2 * c) for c in group_rho(m))
     top = _dot(mu, mu) + _dot(mu, two_rho)
-    dominants = sorted(_dominant_below(kind, mu, pos), key=lambda v: -_dot(v, v))
+    dominants = sorted(_dominant_below(kind, (mu,), pos), key=lambda v: -_dot(v, v))
     full = dict.fromkeys(full_orbit(kind, mu), 1)
     for v in dominants:
         if v == mu:
@@ -697,6 +702,32 @@ def full_peel(weights, m):
             raise AssertionError(f"peeling so({m}) meets {count} at {top}")
         labels[top] = labels.get(top, 0) + count
         p_add_into(remaining, full_orbit_so_char(m, top), -count)
+    return labels
+
+
+def subtracting_peel(weights, m):
+    """Decompose a Weyl-invariant weight multiset, given by its dominant
+    part, into so(m)-irreps by subtracting the dominant table of its lex-max
+    weight until nothing is left; a count that is not positive there, and a
+    key that is not dominant, raise CharacterCheckError."""
+    kind, _ = so_alg(m)
+    remaining = {w: c for w, c in weights.items() if c}
+    labels = {}
+    if kind == "so2":
+        return dict(sorted(remaining.items()))
+    for w in remaining:
+        if not _dominant(kind, w):
+            raise CharacterCheckError(f"peeling so({m}) meets the weight {w}, which is not dominant")
+    while remaining:
+        top = max(remaining)
+        count = remaining[top]
+        if count <= 0:
+            raise CharacterCheckError(
+                f"peeling so({m}) meets multiplicity {count} at the lex-max weight "
+                f"{top}; a character has a positive one at a dominant weight"
+            )
+        labels[top] = labels.get(top, 0) + count
+        p_add_into(remaining, dominant_char(m, top), -count)
     return labels
 
 

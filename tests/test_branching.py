@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -247,16 +248,99 @@ def test_restriction_integrality_check_raises(monkeypatch):
         o_restrict_decomposition.cache_clear()
 
 
-@pytest.fixture(scope="module")
-def labels_5000():
-    """(size, partition) of every O(3)..O(9) label with first row at most 12
-    and dimension at most 5,000, rows in lexicographic order, + before -."""
-    out = []
-    for size in range(3, 10):
-        for mu in product(range(13), repeat=size // 2):
-            if list(mu) == sorted(mu, reverse=True) and F(size, mu).dim() <= 5000:
-                out.extend(dict.fromkeys((size, F(size, mu, eps).partition) for eps in (1, -1)))
-    return out
+def _planted(monkeypatch, big_size, alpha, message, **patches):
+    """o_restrict_decomposition(big_size, alpha) with branching's names
+    patched must raise CharacterCheckError with the given message."""
+    for name, value in patches.items():
+        monkeypatch.setattr(branching, name, value)
+    o_restrict_decomposition.cache_clear()
+    try:
+        with pytest.raises(CharacterCheckError,
+                           match=re.escape(f"restricting O({big_size}) {alpha}: {message}")):
+            o_restrict_decomposition(big_size, alpha)
+    finally:
+        o_restrict_decomposition.cache_clear()
+
+
+def test_mirror_check_raises(monkeypatch):
+    # an so(4) constituent without its mirror image
+    real = branching._so_constituents
+    _planted(monkeypatch, 5, (2, 1), "so(4) constituent (1, 1) and its mirror (1, -1) differ",
+             _so_constituents=lambda n, mu: {t: c for t, c in real(n, mu).items() if t != (1, -1)})
+
+
+def test_leading_exponent_check_raises(monkeypatch):
+    real = branching.o_char_on_multiset
+
+    def with_stray_term(alpha, terms, nvars):
+        return {**real(alpha, terms, nvars), (9, 10): 1}
+
+    _planted(monkeypatch, 7, (2, 1), "leading exponent (9, 10) is not a partition",
+             o_char_on_multiset=with_stray_term)
+
+
+def test_leading_term_check_raises(monkeypatch):
+    # the big label's character is the true one, the constituents' lose
+    # their leading term
+    real = branching.o_char_on_multiset
+    calls = []
+
+    def headless_constituents(alpha, terms, nvars):
+        calls.append(alpha)
+        poly = real(alpha, terms, nvars)
+        return poly if len(calls) == 1 else {e: c for e, c in poly.items() if e != max(poly)}
+
+    _planted(monkeypatch, 7, (2, 1), "constituent (2, 1) has no term at its leading exponent",
+             o_char_on_multiset=headless_constituents)
+
+
+def test_twisted_split_check_raises(monkeypatch):
+    # doubled so-constituents against the true twisted counts: 2 + 1 is odd
+    real = branching._so_constituents
+    _planted(monkeypatch, 5, (2, 1), "twisted count 1 does not split the 2 copies of (2, 0)",
+             _so_constituents=lambda n, mu: {t: 2 * c for t, c in real(n, mu).items()})
+
+
+def test_twisted_counterpart_check_raises(monkeypatch):
+    real = branching._so_constituents
+    _planted(monkeypatch, 5, (2, 1), "twisted constituents {(1,): 1} have no so(4) counterpart",
+             _so_constituents=lambda n, mu: {t: c for t, c in real(n, mu).items() if t != (1, 0)})
+
+
+def test_negative_constituent_check_raises(monkeypatch):
+    # the dominant part {(1, 0): 1} added to the restriction is V(1,0) - V(0,0)
+    # of so(5), and O(6) (2, 2) has no so(5) constituent (0, 0) to cancel it
+    real = branching.restrict_weights
+
+    def plus_a_virtual_part(weights, m_from):
+        out = real(weights, m_from)
+        return {**out, (1, 0): out.get((1, 0), 0) + 1}
+
+    monkeypatch.setattr(branching, "restrict_weights", plus_a_virtual_part)
+    o_restrict_decomposition.cache_clear()
+    try:
+        with pytest.raises(CharacterCheckError,
+                           match=re.escape("peeling so(5) by Racah's formula meets coefficient "
+                                           "-1 at (0, 0)")):
+            o_restrict_decomposition(6, (2, 2))
+    finally:
+        o_restrict_decomposition.cache_clear()
+
+
+def test_oracle_caches_only_the_big_table():
+    # steps 3 and 4 of an odd-size label read no so-constituent's table: after
+    # a cold decomposition the character cache holds the big label's alone
+    dominant_char.cache_clear()
+    o_restrict_decomposition.cache_clear()
+    try:
+        decomp = o_restrict_decomposition(7, (7, 3, 1))
+        assert dominant_char.cache_info().currsize == 1
+        assert dominant_char(7, (7, 3, 1))
+        assert dominant_char.cache_info().hits == 1
+    finally:
+        dominant_char.cache_clear()
+        o_restrict_decomposition.cache_clear()
+    assert len(decomp) == 30 and set(decomp.values()) == {1}  # 5 * 3 * 2 interlacing rows
 
 
 def test_dominant_route_matches_the_full_orbit_route(labels_5000):

@@ -1,17 +1,20 @@
 import random
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from dense_reference import h_determinant
+from dense_reference import h_determinant, subtracting_peel
 from orthobranch import characters
-from orthobranch.branching import _coset_eigenvalues
-from orthobranch.polyarith import p_mul
+from orthobranch.branching import _coset_eigenvalues, _so_constituents
+from orthobranch.polyarith import p_add_into, p_mul
+from orthobranch.weights import group_rho
 from orthobranch.characters import (
     CharacterCheckError,
     associate_partition,
     dominant_char,
+    so_alg,
     is_so_dominant,
     label_to_partition,
     o_char_on_multiset,
@@ -164,6 +167,7 @@ def _dominant_weights(m, top):
 def test_freudenthal_matches_weyl_product_formula():
     for m in range(3, 9):
         for mu in _dominant_weights(m, 4):
+            assert sum(so_char(m, mu).values()) == _weyl_product_dim(m, mu), (m, mu)
             assert weyl_dim(m, mu) == _weyl_product_dim(m, mu), (m, mu)
 
 
@@ -281,3 +285,154 @@ def test_packed_exponents_reach_the_radix_bound():
     poly = o_char_on_multiset(alpha, terms, nvars)
     assert poly == h_determinant(alpha, terms, nvars)
     assert max(abs(x) for e in poly for x in e) <= bound
+
+
+def _restricted(size, mu):
+    """The dominant part of the O(size) label mu's weights on so(size - 1)."""
+    weights = dict(dominant_char(size, mu))
+    if size % 2 == 0 and mu[-1] >= 1:
+        p_add_into(weights, dominant_char(size, mu[:-1] + (-mu[-1],)))
+    return restrict_weights(weights, size)
+
+
+def test_racah_peel_matches_the_subtracting_peel(labels_5000):
+    # every restricted multiset the oracle meets in the sweep: the same
+    # constituents, dict order included
+    checked = set()
+    for size, alpha in labels_5000:
+        mu, _ = partition_to_label(size, alpha)
+        if (size, mu) in checked:
+            continue
+        checked.add((size, mu))
+        weights = _restricted(size, mu)
+        expected = subtracting_peel(weights, size - 1)
+        assert list(peel(weights, size - 1).items()) == list(expected.items()), (size, mu)
+    assert len(checked) == 371
+
+
+_FIRST_NEGATIVE = re.compile(r"(-?\d+) at (?:the lex-max weight )?(\([-\d, ]*\))")
+
+
+def _outcome(peeler, weights, m):
+    """The constituents in order, or the (count, weight) at which it raised."""
+    try:
+        return list(peeler(weights, m).items())
+    except CharacterCheckError as exc:
+        return _FIRST_NEGATIVE.search(str(exc)).groups()
+
+
+def test_racah_peel_raises_where_the_subtracting_peel_raises():
+    # virtual characters: sums of one to three irreducible ones with
+    # coefficients of both signs; the first negative coefficient, largest
+    # weight first, is where both raise
+    rng = random.Random(26)
+    outcomes = {True: 0, False: 0}
+    for m in range(3, 10):
+        tops = _dominant_weights(m, 3)
+        for _ in range(30):
+            weights = {}
+            for lam in rng.sample(tops, rng.randint(1, 3)):
+                p_add_into(weights, dominant_char(m, lam), rng.choice((-2, -1, 1, 1, 2)))
+            expected = _outcome(subtracting_peel, weights, m)
+            assert _outcome(peel, weights, m) == expected, (m, weights)
+            outcomes[isinstance(expected, tuple)] += 1
+    assert min(outcomes.values()) > 30
+
+
+def test_racah_peel_finds_a_negative_coefficient_below_the_support():
+    # V(1,0) - V(0,0) of so(5), V(1,0,0) - V(0,0,0) of so(7) and
+    # V(1,1,0) - 3 V(0,0,0) of so(6): the zero weight, where the coefficient
+    # is negative, is not a key of the dominant part
+    for m, weights, lam, c in ((5, {(1, 0): 1}, (0, 0), -1),
+                               (7, {(1, 0, 0): 1}, (0, 0, 0), -1),
+                               (6, {(1, 1, 0): 1}, (0, 0, 0), -3)):
+        with pytest.raises(CharacterCheckError,
+                           match=re.escape(f"Racah's formula meets coefficient {c} at {lam};")):
+            peel(weights, m)
+        assert _outcome(subtracting_peel, weights, m) == (str(c), str(lam))
+
+
+def _weyl_group_shifts(kind, s):
+    """{(rho - w rho, det w)} over the Weyl group, w a signed permutation
+    (an even number of sign changes in type D), det w its determinant."""
+    rho = group_rho(2 * s + (kind == "B"))
+    out = set()
+    for perm in permutations(range(s)):
+        inversions = sum(perm[i] > perm[j] for i in range(s) for j in range(i + 1, s))
+        for signs in product((1, -1), repeat=s):
+            flips = signs.count(-1)
+            if kind == "D" and flips % 2:
+                continue
+            w_rho = [sg * rho[k] for sg, k in zip(signs, perm)]
+            delta = tuple(int(a - b) for a, b in zip(rho, w_rho))
+            out.add((delta, (-1) ** (inversions + flips)))
+    return out
+
+
+def test_rho_shifts_are_the_weyl_group_pruned_exactly():
+    # the DFS reaches every element of W with its determinant, and its caps
+    # keep exactly the shifts under them
+    for m in range(3, 12):
+        kind, s = so_alg(m)
+        two_rho = tuple(int(2 * c) for c in group_rho(m))
+        every = _weyl_group_shifts(kind, s)
+        for f_cap, sum_caps in ((10 ** 6, [10 ** 6] * (s - 1)), (12, [2, 3, 3, 4][:s - 1]),
+                                (7, [1] * (s - 1))):
+            shifts, fs = characters._rho_shifts(kind, two_rho, f_cap, sum_caps)
+            kept = {(d, sign) for d, sign in every
+                    if sum(a * b for a, b in zip(d, two_rho)) <= f_cap
+                    and all(sum(d[:k + 1]) <= cap for k, cap in enumerate(sum_caps))}
+            assert len(shifts) == len(set(shifts)) and set(shifts) == kept, (m, f_cap)
+            assert fs == sorted(fs) == [sum(a * b for a, b in zip(d, two_rho)) for d, _ in shifts]
+        assert len(characters._rho_shifts(kind, two_rho, 10 ** 6, [10 ** 6] * (s - 1))[0]) \
+            == len(every) == (2 ** s if kind == "B" else 2 ** (s - 1)) * len(list(permutations(range(s))))
+
+
+def test_weyl_dim_is_the_size_of_the_character(labels_5000):
+    # Weyl's product against the orbit sum of the Freudenthal table: every
+    # highest weight of the sweep's big labels (with the mirror of a full
+    # row) and of their so-constituents, and samples at ranks 5 and 6
+    highest = set()
+    for size, alpha in labels_5000:
+        mu, _ = partition_to_label(size, alpha)
+        highest.add((size, mu))
+        if size % 2 == 0 and mu[-1] >= 1:
+            highest.add((size, mu[:-1] + (-mu[-1],)))
+        highest.update((size - 1, tau) for tau in _so_constituents(size, mu))
+    for m in range(10, 14):
+        highest.update((m, mu) for mu in _dominant_weights(m, 1))
+        highest.update((m, mu + (0,) * (so_rank(m) - 3)) for mu in ((2, 1, 0), (2, 1, 1), (3, 1, 0)))
+    assert len(highest) == 580
+    for m, mu in sorted(highest):
+        assert weyl_dim(m, mu) == sum(so_char(m, mu).values()), (m, mu)
+
+
+def test_freudenthal_quotient_check_raises(monkeypatch):
+    # a string weight read off the table without its dominant representative
+    # misses multiplicities, and the quotient stops being an integer
+    monkeypatch.setattr(characters, "_dominant_rep", lambda kind, w: w)
+    dominant_char.cache_clear()
+    try:
+        with pytest.raises(CharacterCheckError,
+                           match=re.escape("Freudenthal gives 8/6 at (1, 1) in the so(5) "
+                                           "character of (2, 1), not a positive integer")):
+            dominant_char(5, (2, 1))
+    finally:
+        dominant_char.cache_clear()
+
+
+def test_freudenthal_quotient_check_survives_optimize(run_optimized):
+    code = ("from orthobranch import characters\n"
+            "characters._dominant_rep = lambda kind, w: w\n"
+            "try:\n"
+            "    characters.dominant_char(5, (2, 1))\n"
+            "except characters.CharacterCheckError as exc:\n"
+            "    print(exc)\n")
+    assert "Freudenthal gives 8/6 at (1, 1)" in run_optimized(code)
+
+
+def test_o_irrep_dim_check_raises(monkeypatch):
+    monkeypatch.setattr(characters, "o_char_on_multiset", lambda alpha, terms, nvars: {})
+    with pytest.raises(CharacterCheckError,
+                       match=re.escape("the h-determinant gives dimension 0 for O(5) (1,)")):
+        o_irrep_dim(5, (1,))
