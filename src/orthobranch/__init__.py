@@ -11,7 +11,19 @@ Submodules:
   measure     Casimir-power projectors and scalar measurement / reconstruction
   branching   finite-dimensional branching oracle, interlacing, stability scans
   verma       the rank-one infinite-dimensional fusion demo
+  records     the plain record bases of the package's result and query types
   cli         command-line front end
+
+Import contract: every CLI call and every benchmark round is a fresh process
+that pays for this import, so it loads little.  From the standard library,
+``import orthobranch`` loads fractions (with decimal and numbers), json,
+typing, functools, itertools, operator, math and bisect, most of them already
+loaded at interpreter start-up; ``orthobranch.cli`` adds argparse.  The
+package uses no dataclasses: importing ``dataclasses`` loads inspect, ast,
+dis and tokenize, and each decorated class execs its generated methods at
+import.  Its records are plain classes on the two bases in ``records``.
+``hashlib`` is loaded only when an SVG slice is drawn.  A test checks that
+the import loads none of dataclasses, inspect and hashlib.
 """
 
 from .weights import (

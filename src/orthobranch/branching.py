@@ -30,7 +30,6 @@ condition -- and is cross-validated against the oracle in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -48,8 +47,10 @@ from .characters import (
     restrict_weights,
     so_char,
     so_rank,
+    weyl_dim,
 )
 from .polyarith import p_add_into
+from .records import FrozenRecord
 from .regions import (
     FencePreconditionError,
     RegionDescriptor,
@@ -72,8 +73,7 @@ O_ODD = "O_odd"
 O_EVEN = "O_even"
 
 
-@dataclass(frozen=True)
-class FDLabel:
+class FDLabel(FrozenRecord):
     """Finite-dimensional irrep label for an orthogonal group O(N).
 
     group_tag is "O_odd" (N = 2*rank+1) or "O_even" (N = 2*rank); mu holds the
@@ -83,21 +83,17 @@ class FDLabel:
     name the same irrep and the label is canonicalized to +1).
     """
 
-    group_tag: str
-    mu: Tuple[int, ...]
-    eps: Optional[int] = None
+    _fields = ("group_tag", "mu", "eps")
 
-    def __post_init__(self):
-        if self.group_tag not in (O_ODD, O_EVEN):
-            raise ValueError(f"unknown group tag {self.group_tag!r}")
-        mu = tuple(int(c) for c in self.mu)
+    def __init__(self, group_tag: str, mu: Tuple[int, ...], eps: Optional[int] = None) -> None:
+        if group_tag not in (O_ODD, O_EVEN):
+            raise ValueError(f"unknown group tag {group_tag!r}")
+        mu = tuple(int(c) for c in mu)
         if any(c < 0 for c in mu) or list(mu) != sorted(mu, reverse=True):
             raise ValueError(f"rows {mu} must be weakly decreasing and nonnegative")
         if not mu:
             raise ValueError("rows must have positive length (the group rank)")
-        object.__setattr__(self, "mu", mu)
-        eps = self.eps
-        if self.group_tag == O_ODD:
+        if group_tag == O_ODD:
             if eps not in (1, -1):
                 raise ValueError("O_odd labels require eps in {+1,-1}")
         else:
@@ -105,9 +101,9 @@ class FDLabel:
                 eps = 1
             if eps not in (1, -1):
                 raise ValueError("eps must be +1 or -1")
-            if self.induced:
-                eps = 1  # the det-twist is isomorphic; canonical +
-        object.__setattr__(self, "eps", eps)
+            if mu[-1] >= 1:
+                eps = 1  # induced: the det-twist is isomorphic; canonical +
+        self.__dict__.update(group_tag=group_tag, mu=mu, eps=eps)
 
     @property
     def induced(self) -> bool:
@@ -278,11 +274,14 @@ DEFAULT_DIM_CAP = 20000
 
 
 def _capped_decomposition(big: FDLabel, dim_cap: int) -> "dict[tuple, int]":
-    """o_restrict_decomposition of big, whose dimension may be at most dim_cap."""
-    if big.dim() > dim_cap:
-        raise ResourceLimitError(
-            f"big irrep dimension {big.dim()} exceeds the cap {dim_cap}"
-        )
+    """o_restrict_decomposition of big, whose dimension may be at most dim_cap.
+
+    The cap is a resource check, not a correctness check, so big's dimension
+    comes from Weyl's formula, doubled for an induced label (the sum of two
+    so-irreps of one dimension), not from the h-determinant of ``dim()``."""
+    dim = weyl_dim(big.group_size, big.mu) * (2 if big.induced else 1)
+    if dim > dim_cap:
+        raise ResourceLimitError(f"big irrep dimension {dim} exceeds the cap {dim_cap}")
     return o_restrict_decomposition(big.group_size, big.partition)
 
 
@@ -361,12 +360,13 @@ def reduced_family(ctx: RankContext, eps: Optional[int] = None, bound: int = 0):
     return [_family_label(ctx, lam, eps) for lam in lattice_box(xi, bound, ctx)]
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    region: RegionDescriptor
-    samples: tuple
-    constant: bool
-    fence_crossings: tuple
+class StabilityReport(FrozenRecord):
+    _fields = ("region", "samples", "constant", "fence_crossings")
+
+    def __init__(self, region: RegionDescriptor, samples: tuple, constant: bool,
+                 fence_crossings: tuple) -> None:
+        self.__dict__.update(region=region, samples=samples, constant=constant,
+                             fence_crossings=fence_crossings)
 
 
 def stability_scan(xi, sub: FDLabel, bound: int, eps: Optional[int] = None,

@@ -25,7 +25,6 @@ failed self-check reports ``{"check": "self-check", "argv": [...], "error":
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
@@ -378,6 +377,8 @@ _SVG_MARGIN = 60
 
 
 def _sig_color(entries) -> str:
+    import hashlib  # here, not at the top: only the SVG needs OpenSSL's md5
+
     canon = ";".join(f"{k.i},{k.j},{k.delta}:{s}" for k, s in entries)
     digest = hashlib.md5(canon.encode("utf-8")).hexdigest()
     hue = int(digest[:6], 16) % 360

@@ -51,19 +51,18 @@ spans the complexified subalgebra (on big through ``big.apply``), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .linalg import Cols, Scalar, TrackedEchelon, apply_cols, kernel
 from .polyarith import p_add_into
+from .records import Record
 from .weights import InvalidRankError
 from .matrixrep import MatrixRep, basis_name
 
 CoordVec = Dict[int, Scalar]
 
 
-@dataclass
-class SymmetryBreakingOperator:
+class SymmetryBreakingOperator(Record):
     """An equivariant map from the big model onto the subgroup model.
 
     ``matrix`` holds dim(big) sparse columns: column j is the image of big
@@ -71,14 +70,20 @@ class SymmetryBreakingOperator:
     highest-weight vector of big that the operator was built from; measuring
     an operator without one (a hand-built operator) raises ``ValueError``.
     ``verified`` holds while the models and the matrix content are those
-    that the equivariance check last passed on.
+    that the equivariance check last passed on.  Equality and the repr
+    take big, sub, matrix and hw; what the check passed on is neither
+    compared nor shown.
     """
 
-    big: MatrixRep
-    sub: MatrixRep
-    matrix: Cols
-    hw: Optional[CoordVec] = None
-    _checked: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("big", "sub", "matrix", "hw")
+
+    def __init__(self, big: MatrixRep, sub: MatrixRep, matrix: Cols,
+                 hw: Optional[CoordVec] = None) -> None:
+        self.big = big
+        self.sub = sub
+        self.matrix = matrix
+        self.hw = hw
+        self._checked = None  # (big, sub, matrix) as the equivariance check passed them
 
     @property
     def verified(self) -> bool:

@@ -101,7 +101,6 @@ derived Gram matrix must come out symmetric.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -112,6 +111,7 @@ from .characters import o_char_on_multiset
 from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols, exact
 from .linalg import qi_from_string, qi_to_string
 from .polyarith import p_add_into
+from .records import Record
 from .weights import InvalidRankError, RankContext, ResourceLimitError, group_rho
 from .branching import FDLabel, fd_label, inf_char_of
 from .enveloping import UEElement, flip_sign, gen_bracket
@@ -374,26 +374,31 @@ def fischer_pair(frame: Frame, p1: Poly, p2: Poly) -> Scalar:
 # polynomial models
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Recipe:
+class Recipe(Record):
     """How basis vector i arose: kind is 'seed', 'op' (the lowering root
     vector ``frame.lowering_ops()[op_index]`` applied to parent), or 'refl'
     (distinguished reflection of parent)."""
 
-    kind: str
-    parent: int = -1
-    op_index: int = -1
+    _fields = ("kind", "parent", "op_index")
+
+    def __init__(self, kind: str, parent: int = -1, op_index: int = -1) -> None:
+        self.kind = kind
+        self.parent = parent
+        self.op_index = op_index
 
 
-@dataclass
-class PolyModel:
+class PolyModel(Record):
     """What a built model keeps of its closure: the weight tag and the
     construction recipe of each basis vector, and ``gram``, the sparse rows of
     the invariant pairing's matrix B[i][j] = B(b_i, b_j)."""
 
-    tags: List[Tuple[int, ...]]
-    recipes: List[Recipe]
-    gram: List[Dict[int, Scalar]] = field(default_factory=list)
+    _fields = ("tags", "recipes", "gram")
+
+    def __init__(self, tags: List[Tuple[int, ...]], recipes: List[Recipe],
+                 gram: Optional[List[Dict[int, Scalar]]] = None) -> None:
+        self.tags = tags
+        self.recipes = recipes
+        self.gram = [] if gram is None else gram
 
 
 def _binom_seed(frame: Frame, mu: Sequence[int]) -> Poly:
@@ -585,8 +590,7 @@ def _combined(mats: Dict, coords: Dict, dim: int, q: int = 1) -> Cols:
 # representation objects
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatrixRep:
+class MatrixRep(Record):
     """A concrete finite-dimensional representation with exact matrices.
 
     Every operator is held as sparse columns (``linalg.Cols``): column j maps
@@ -606,17 +610,29 @@ class MatrixRep:
     (the label's eps, the sign the reflection carries) and ``group_size``
     (from ``indices``); a bundle's ``group_tag`` and ``highest_weight`` are
     read off the label by ``_metadata``.
+
+    Two representations are equal when every field is, the stored columns
+    and ``cache`` included (``SymmetryBreakingOperator.verified`` relies on
+    it); the repr leaves the columns and the cache out.  A representation is
+    mutable and unhashable.
     """
 
-    dim: int
-    label: FDLabel
-    indices: Tuple[int, ...]
-    _refl: Cols = field(repr=False)
-    kind: str = "model"
-    model: Optional[PolyModel] = None
-    _chev: Dict[object, Cols] = field(default_factory=dict, repr=False)
-    _x: Dict[Pair, Cols] = field(default_factory=dict, repr=False)
-    cache: Dict = field(default_factory=dict, repr=False)
+    _fields = ("dim", "label", "indices", "_refl", "kind", "model", "_chev", "_x", "cache")
+    _hidden = ("_refl", "_chev", "_x", "cache")
+
+    def __init__(self, dim: int, label: FDLabel, indices: Tuple[int, ...], _refl: Cols,
+                 kind: str = "model", model: Optional[PolyModel] = None,
+                 _chev: Optional[Dict[object, Cols]] = None,
+                 _x: Optional[Dict[Pair, Cols]] = None, cache: Optional[Dict] = None) -> None:
+        self.dim = dim
+        self.label = label
+        self.indices = indices
+        self._refl = _refl
+        self.kind = kind
+        self.model = model
+        self._chev = {} if _chev is None else _chev
+        self._x = {} if _x is None else _x
+        self.cache = {} if cache is None else cache
 
     @property
     def inf_char(self) -> Tuple[Fraction, ...]:
@@ -1008,8 +1024,10 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
     label = rep.label
     if label.induced:
         return rep
-    return replace(rep, label=replace(label, eps=-label.eps),
-                   _refl=[{i: -x for i, x in col.items()} for col in rep._refl])
+    return MatrixRep(dim=rep.dim, label=FDLabel(label.group_tag, label.mu, -label.eps),
+                     indices=rep.indices,
+                     _refl=[{i: -x for i, x in col.items()} for col in rep._refl],
+                     kind=rep.kind, model=rep.model, _chev=rep._chev, _x=rep._x, cache=rep.cache)
 
 
 def rep_from_bundle(bundle: dict) -> MatrixRep:

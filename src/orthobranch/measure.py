@@ -67,13 +67,13 @@ orthogonal Weyl groups (even powers coordinate-wise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Cols, Gi, Scalar, TrackedEchelon, apply_cols
 from .polyarith import p_add_into
+from .records import Record
 from .weights import RankContext, ResourceLimitError, rank_context, rho
 from .scalars import RationalFunctionValue
 from .matrixrep import (IntPair, Letter, MatrixRep, apply_letter, expected_casimir_scalar,
@@ -212,8 +212,7 @@ def _ratio_against(op: SymmetryBreakingOperator, w: CoordVec, image: CoordVec,
     return quotients.pop()
 
 
-@dataclass
-class MeasureResult:
+class MeasureResult(Record):
     """Outcome of measuring the spectral-projector composition against T.
 
     ``raw_numerator`` is the measured ratio against the raw factor product:
@@ -221,10 +220,14 @@ class MeasureResult:
     ``normalizer`` lets through (``value.defined`` is then False).
     ``probes_checked`` counts the hw vectors measured on: 1 per operator."""
 
-    value: RationalFunctionValue
-    raw_numerator: Scalar
-    normalizer: Fraction
-    probes_checked: int
+    _fields = ("value", "raw_numerator", "normalizer", "probes_checked")
+
+    def __init__(self, value: RationalFunctionValue, raw_numerator: Scalar,
+                 normalizer: Fraction, probes_checked: int) -> None:
+        self.value = value
+        self.raw_numerator = raw_numerator
+        self.normalizer = normalizer
+        self.probes_checked = probes_checked
 
 
 def measure_scalar(op: SymmetryBreakingOperator, i: int, eps: int) -> MeasureResult:

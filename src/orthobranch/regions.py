@@ -11,11 +11,11 @@ points are joined by a unit-step path that never leaves the region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Tuple
 
+from .records import FrozenRecord
 from .weights import (
     SingularWeightError,
     Weight,
@@ -37,35 +37,46 @@ class NoPathError(ValueError):
     """Raised when no in-region lattice path exists between the endpoints."""
 
 
-@dataclass(frozen=True, order=True)
-class SignatureKey:
-    i: int
-    j: int
-    delta: int  # +1 or -1
+@total_ordering
+class SignatureKey(FrozenRecord):
+    """A support triple (i, j, delta), ordered as the tuple of its fields."""
+
+    _fields = ("i", "j", "delta")
+
+    def __init__(self, i: int, j: int, delta: int) -> None:
+        self.__dict__.update(i=i, j=j, delta=delta)  # delta is +1 or -1
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class MultiSignature:
+class MultiSignature(FrozenRecord):
     """Sorted ((key, sign), ...) pairs; sign is the sign of lambda_i + delta*nu_j."""
 
-    entries: Tuple[Tuple[SignatureKey, int], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[SignatureKey, int], ...]) -> None:
+        self.__dict__.update(entries=entries)
 
     @property
     def support(self) -> Tuple[SignatureKey, ...]:
         return tuple(key for key, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class RegionDescriptor:
+class RegionDescriptor(FrozenRecord):
     """The region of a base point: its chamber and its multi-signature.
 
     ``region_descriptor`` fills the fields; ``chamber`` and ``sign_tests``
     are derived from them once per descriptor, on first use."""
 
-    base: Weight
-    nu: Weight
-    signature: MultiSignature
-    away_from_fences: bool
+    _fields = ("base", "nu", "signature", "away_from_fences")
+
+    def __init__(self, base: Weight, nu: Weight, signature: MultiSignature,
+                 away_from_fences: bool) -> None:
+        self.__dict__.update(base=base, nu=nu, signature=signature,
+                             away_from_fences=away_from_fences)
 
     @cached_property
     def chamber(self):

@@ -20,20 +20,19 @@ The eigenvalue closed forms b^(1..3) of the low Casimir powers are also here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .records import FrozenRecord
 from .weights import RankContext, Weight, as_weight, norms
 
 
-@dataclass(frozen=True)
-class ScalarQuery:
-    ctx: RankContext
-    i: int
-    eps: int  # +1 or -1
-    lam: Weight
-    nu: Optional[Weight] = None
+class ScalarQuery(FrozenRecord):
+    _fields = ("ctx", "i", "eps", "lam", "nu")
+
+    def __init__(self, ctx: RankContext, i: int, eps: int, lam: Weight,
+                 nu: Optional[Weight] = None) -> None:
+        self.__dict__.update(ctx=ctx, i=i, eps=eps, lam=lam, nu=nu)  # eps is +1 or -1
 
 
 def scalar_query(ctx: RankContext, i: int, eps, lam, nu=None) -> ScalarQuery:
@@ -54,11 +53,11 @@ def scalar_query(ctx: RankContext, i: int, eps, lam, nu=None) -> ScalarQuery:
     return ScalarQuery(ctx=ctx, i=i, eps=eps, lam=lam, nu=nu)
 
 
-@dataclass(frozen=True)
-class RationalFunctionValue:
-    numerator: Fraction
-    denominator: Fraction
-    defined: bool
+class RationalFunctionValue(FrozenRecord):
+    _fields = ("numerator", "denominator", "defined")
+
+    def __init__(self, numerator: Fraction, denominator: Fraction, defined: bool) -> None:
+        self.__dict__.update(numerator=numerator, denominator=denominator, defined=defined)
 
     @property
     def value(self) -> Fraction:

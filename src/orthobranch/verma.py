@@ -49,10 +49,11 @@ separate positivity clause is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Optional, Tuple
+
+from .records import FrozenRecord
 
 __all__ = [
     "FusionQuery",
@@ -62,22 +63,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FusionQuery:
+class FusionQuery(FrozenRecord):
     """Triple of highest weights (a, b, c) for a fusion multiplicity query.
 
     A ``Fraction`` argument is stored as it is; any other (an int, a string
     such as ``"3/2"``) goes through ``Fraction``.  So the fields are always
     Fractions."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    _fields = ("a", "b", "c")
 
     def __init__(self, a, b, c) -> None:
-        object.__setattr__(self, "a", _fraction(a))
-        object.__setattr__(self, "b", _fraction(b))
-        object.__setattr__(self, "c", _fraction(c))
+        self.__dict__.update(a=_fraction(a), b=_fraction(b), c=_fraction(c))
 
 
 def _fraction(x) -> Fraction:

@@ -12,11 +12,12 @@ behaves correctly) and the plain ±x_i for chamber positivity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Optional, Tuple
+
+from .records import FrozenRecord
 
 Weight = Tuple[Fraction, ...]
 
@@ -38,12 +39,11 @@ def as_weight(coords) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class RankContext:
-    n: int
-    r: int
-    s: int
-    parity: str  # parity of n: "odd" or "even"
+class RankContext(FrozenRecord):
+    _fields = ("n", "r", "s", "parity")
+
+    def __init__(self, n: int, r: int, s: int, parity: str) -> None:
+        self.__dict__.update(n=n, r=r, s=s, parity=parity)  # parity of n: "odd" or "even"
 
 
 def rank_context(n: int) -> RankContext:
@@ -80,18 +80,17 @@ def norms(lam):
     return l1, l2sq
 
 
-@dataclass(frozen=True)
-class SignedRoot:
+class SignedRoot(FrozenRecord):
     """A root from {±(e_i - e_j), ±(e_i + e_j), ±e_i}.
 
     kind is "diff" (e_i - e_j), "sum" (e_i + e_j) or "short" (e_i); sign is the
     overall sign in {+1, -1}; indices are 1-based with i < j for two-index kinds.
     """
 
-    kind: str
-    sign: int
-    i: int
-    j: Optional[int] = None
+    _fields = ("kind", "sign", "i", "j")
+
+    def __init__(self, kind: str, sign: int, i: int, j: Optional[int] = None) -> None:
+        self.__dict__.update(kind=kind, sign=sign, i=i, j=j)
 
     def chamber_pairing(self, w) -> Fraction:
         w = as_weight(w)

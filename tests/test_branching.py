@@ -26,7 +26,7 @@ from orthobranch.characters import (
 )
 from orthobranch.polyarith import p_add_into
 from orthobranch.regions import FencePreconditionError
-from orthobranch.weights import rank_context
+from orthobranch.weights import ResourceLimitError, rank_context
 
 CTX3 = rank_context(3)
 CTX4 = rank_context(4)
@@ -78,6 +78,17 @@ def test_full_decomposition_counts_dimensions():
         parts = full_decomposition(big)
         assert sum(lab.dim() * c for lab, c in parts) == big.dim()
         assert all(c == 1 for _, c in parts)  # multiplicity-free pair
+
+
+def test_dimension_cap_reads_the_h_determinant_dimension(labels_5000):
+    # the cap takes Weyl's formula (doubled for an induced label); at a cap one
+    # below the h-determinant's dimension it must refuse and name that dimension
+    for size, alpha in labels_5000:
+        big = branching.label_from_partition(size, alpha)
+        dim = big.dim()
+        with pytest.raises(ResourceLimitError,
+                           match=f"^big irrep dimension {dim} exceeds the cap {dim - 1}$"):
+            full_decomposition(big, dim_cap=dim - 1)
 
 
 def test_det_twist_decomposition_mirrors():

@@ -23,7 +23,6 @@ PAPER_API = {  # exports no library code calls, each with its role in the paper
     "positive_system",  # the integral positive system that fixes a base point's chamber
     "lattice_path",  # the in-region unit-step path along which a multiplicity stays constant
     "reduced_family",  # the labels of a reduced coherent family around its base
-    "weyl_dim",  # the Weyl dimension formula behind the Weyl branching law
     "bracket",  # the commutation relations of o(n+1) as elements of U(o(n+1))
     "monomial",  # a raw word of U(o(n+1)) before normal ordering
     "standard_rep",  # the defining representation F that the coupled powers act through

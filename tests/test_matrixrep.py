@@ -870,19 +870,41 @@ def test_recursion_corruption_is_caught_bracket(monkeypatch, n, rows, eps):
 
 
 def _closure_plant(how, setattr):
-    """Plant a fault that one check of the closure must catch on O(5), through
-    setattr(obj, name, value); returns the rows to construct.  "weight": the
-    (2,1) seed times zeta1+(z); "raising": the (2,1) seed's first monomial
-    zeta1+(z)^2 zeta2+(w) alone, of weight (2,1) but moved by E(e1 - e2);
-    "reflection": a reflection swapping the z and w variables, on (1,0)."""
+    """Plant a fault that one check of the construction must catch on O(5),
+    through setattr(obj, name, value); returns the rows to construct.
+    "weight": the (2,1) seed times zeta1+(z); "homogeneous": the (2,1) seed
+    plus the monomial zeta1+(z), of another weight; "raising": the (2,1)
+    seed's first monomial zeta1+(z)^2 zeta2+(w) alone, of weight (2,1) but
+    moved by E(e1 - e2); "echelon": an echelon that numbers each new vector
+    one too high; "casimir" and "real": the (2,1) Chevalley columns times 2
+    and times 1 + i, so the Casimir scalar comes out 4 and 2i times the
+    expected one; "reflection": a reflection swapping the z and w variables,
+    on (1,0)."""
     from orthobranch import matrixrep
     frame, seed = matrixrep.get_frame((0, 1, 2, 3, 4)), matrixrep._binom_seed
     z1 = frame.var_index[(0, "+", 1)]
     if how == "weight":
         setattr(matrixrep, "_binom_seed", lambda fr, mu: {
             tuple(e + (v == z1) for v, e in enumerate(m)): c for m, c in seed(fr, mu).items()})
+    elif how == "homogeneous":
+        setattr(matrixrep, "_binom_seed", lambda fr, mu: {
+            **seed(fr, mu), tuple(int(v == z1) for v in range(fr.nvars)): 1})
     elif how == "raising":
         setattr(matrixrep, "_binom_seed", lambda fr, mu: dict([next(iter(seed(fr, mu).items()))]))
+    elif how == "echelon":
+        echelon = matrixrep.TrackedEchelon
+
+        class Shifted(echelon):
+            def insert(self, vec):
+                idx, coords = echelon.insert(self, vec)
+                return (None if idx is None else idx + 1), coords
+
+        setattr(matrixrep, "TrackedEchelon", Shifted)
+    elif how in ("casimir", "real"):
+        gen, factor = matrixrep._generator_matrices, 2 if how == "casimir" else matrixrep.Gi(1, 1)
+        setattr(matrixrep, "_generator_matrices", lambda *args: {
+            key: [{i: factor * x for i, x in col.items()} for col in cols]
+            for key, cols in gen(*args).items()})
     else:
         setattr(frame, "reflection_perm",
                 tuple(frame.var_index[(1 - s, kind, k)] for s, kind, k in frame.var_specs))
@@ -892,6 +914,10 @@ def _closure_plant(how, setattr):
 
 CLOSURE_FAILURES = {
     "weight": "seed for FDLabel(group_tag='O_odd', mu=(2, 1), eps=1) does not have weight (2, 1)",
+    "homogeneous": "polynomial is not weight-homogeneous",
+    "echelon": "echelon index 2 != model dimension 1",
+    "casimir": "Casimir scalar 48 != expected 12 for FDLabel(group_tag='O_odd', mu=(2, 1), eps=1)",
+    "real": "quadratic invariant scalar Gi(Fraction(0, 1), Fraction(24, 1)) is not real",
     "raising": ("seed for FDLabel(group_tag='O_odd', mu=(2, 1), eps=1) not annihilated by "
                 "raising root (1, -1)"),
     "reflection": "model for FDLabel(group_tag='O_odd', mu=(1, 0), eps=1) is not reflection-stable",

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import inspect
 import json
 from fractions import Fraction
@@ -239,7 +239,7 @@ def test_one_chain_serves_every_direction_and_power(reps, monkeypatch):
     # (three dense probes took 12; a product per direction and a chain per
     # power would take 66)
     op = only_op(reps.get(4, (2, 1), 1), reps.get(4, (1, 1), None, which="sub"))
-    op = dataclasses.replace(op, big=dataclasses.replace(op.big, cache={}))
+    op = _fresh_cache(op)
     steps = []
     step = measure.coupling_step
 
@@ -262,7 +262,7 @@ def _double_one_entry(op):
     j = next(j for j, col in enumerate(cols) if col)
     row, x = next(iter(cols[j].items()))
     cols[j][row] = 2 * x
-    return dataclasses.replace(op, matrix=cols)
+    return SymmetryBreakingOperator(op.big, op.sub, cols, op.hw)
 
 
 def test_a_wrong_operator_fails_the_measurement(reps, run_optimized):
@@ -271,10 +271,9 @@ def test_a_wrong_operator_fails_the_measurement(reps, run_optimized):
         measure_scalar(bad, 1, 1)
     with pytest.raises(IdentityViolationError, match="power composition"):
         b_eval(bad, 2)
-    code = ("import dataclasses\n"
-            "from orthobranch.weights import rank_context\n"
+    code = ("from orthobranch.weights import rank_context\n"
             "from orthobranch.matrixrep import construct_irrep\n"
-            "from orthobranch.homspace import hom_space\n"
+            "from orthobranch.homspace import SymmetryBreakingOperator, hom_space\n"
             "from orthobranch.measure import IdentityViolationError, b_eval, measure_scalar\n"
             + inspect.getsource(_double_one_entry) +
             "big = construct_irrep(rank_context(3), (2, 1))\n"
@@ -352,7 +351,9 @@ def _corrupt_each_step(step, hw):
 
 def _fresh_cache(op):
     """A copy of op whose big model has an empty chain cache."""
-    return dataclasses.replace(op, big=dataclasses.replace(op.big, cache={}))
+    big = copy.copy(op.big)
+    big.cache = {}
+    return SymmetryBreakingOperator(big, op.sub, op.matrix, op.hw)
 
 
 def test_a_chain_off_the_hw_line_fails_the_measurement(reps, monkeypatch, run_optimized):
@@ -362,11 +363,11 @@ def test_a_chain_off_the_hw_line_fails_the_measurement(reps, monkeypatch, run_op
         measure_scalar(_fresh_cache(op), 1, 1)
     with pytest.raises(IdentityViolationError, match="power chain leaves"):
         b_eval(_fresh_cache(op), 1)
-    code = ("import dataclasses\n"
+    code = ("import copy\n"
             "from orthobranch import measure\n"
             "from orthobranch.weights import rank_context\n"
             "from orthobranch.matrixrep import construct_irrep\n"
-            "from orthobranch.homspace import hom_space\n"
+            "from orthobranch.homspace import SymmetryBreakingOperator, hom_space\n"
             "from orthobranch.measure import IdentityViolationError, b_eval, measure_scalar\n"
             + inspect.getsource(_corrupt_each_step) + inspect.getsource(_fresh_cache) +
             "big = construct_irrep(rank_context(4), (2, 1), eps=1)\n"
