@@ -89,7 +89,6 @@ from .characters import (
     label_to_partition,
     o_irrep_dim,
     partition_to_label,
-    so_char,
     so_rank,
     weyl_dim,
 )

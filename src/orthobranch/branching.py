@@ -4,23 +4,32 @@ The oracle route is pure character arithmetic, independent of any matrix
 realization:
 
 1. the dominant part of the big irrep's weight multiset: its Freudenthal
-   table on dominant weights (both so-pieces merged when the even-size group
-   label has a full-length row vector),
+   table on dominant weights (one table also when the even-size group label
+   has a full-length row vector: its mirror's table restricts to the same
+   part, so the restriction is doubled),
 2. restriction of that dominant part to the subgroup, by counting the Weyl
    orbit points that land on each of the subgroup's dominant weights,
 3. the so(n)-constituents of that restriction, each coefficient read off
    the restricted dominant part by Racah's alternating sum over the Weyl
    group (``characters.peel``); every coefficient must be nonnegative, which
    checks steps 1 and 2,
-4. resolution of the O(n)-labels (det-twists) by evaluating the universal
-   h-determinant character on an eigenvalue multiset drawn from the
-   non-identity component of O(n), and peeling that Laurent polynomial over
-   the twisted constituent characters in one loop; the subgroup's parity
-   only picks the constituent's character (the h-determinant at the
-   subgroup's own coset eigenvalues for even size, the signed so-character
-   for odd size).  A self-associate label of an even-size group is induced
-   from the rotation subgroup, so its character there is zero and no
-   determinant is computed: every ambiguous constituent splits evenly.
+4. resolution of the O(n)-labels (det-twists) from the big irrep's
+   character on the non-identity component of O(n), its twisted character.
+   Its value at the coset torus point is a Weyl-invariant Laurent
+   polynomial, and the twisted counts d_beta = #beta - #assoc(beta) are
+   its coefficients over the constituents' twisted characters, read off its
+   dominant part by Racah's sum again.  For odd size 2s+1 the twisted
+   character is read off step 1's table (O(2s+1) = SO(2s+1) x {+-I}), and
+   the constituents' twisted characters are those of Sp(2s-2) (R. Wendt,
+   "Weyl's character formula for non-connected Lie groups and orthogonal
+   groups", Ann. of Math. 154 (2001)), so the sum is of type C_{s-1}.  For
+   even size the twisted character is the h-determinant at the coset
+   eigenvalues, and the constituents' are (-1)^|beta| times so(n)-characters,
+   so the sum is of type B.  Its sum over the orbits must equal its value at
+   t = 1, taken independently (the trace check).  A self-associate label of
+   an even-size group is induced from the rotation subgroup, so its
+   character there is zero and nothing is computed: every ambiguous
+   constituent splits evenly.
 
 Labels are `FDLabel` records: group parity tag, weakly decreasing nonnegative
 integer rows mu, and an optional sign eps selecting the det-twist (equivalent
@@ -32,24 +41,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Optional, Tuple
 
 from .characters import (
     CharacterCheckError,
     associate_partition,
     dominant_char,
+    is_so_dominant,
     label_to_partition,
     o_char_on_multiset,
     o_irrep_dim,
     partition_to_label,
     partition_valid_for_o,
     peel,
+    racah_coefficients,
     restrict_weights,
-    so_char,
     so_rank,
     weyl_dim,
 )
-from .polyarith import p_add_into
 from .records import FrozenRecord
 from .regions import (
     FencePreconditionError,
@@ -161,7 +171,11 @@ def _coset_eigenvalues(big_size: int):
 
     Returns (terms, nvars).  Even subgroup size 2s': eigenvalues
     {1} u {1, -1} u {t_k^{+-1} : k < s'}; odd size 2s'+1: {1} u {-1} u
-    {-t_k^{+-1} : k <= s'}.
+    {-t_k^{+-1} : k <= s'}.  Without the leading 1, the multiset is the
+    subgroup's own coset point, where the twisted characters of its
+    constituents are those of Sp(2s'-2) in t for even size and (-1)^|beta|
+    times those of SO(2s'+1) for odd size.  The odd big group's step 4
+    reads the multiset at t = 1 only, for its trace check.
     """
     m = big_size - 1
     odd = m % 2
@@ -174,19 +188,78 @@ def _coset_eigenvalues(big_size: int):
     return terms, nvars
 
 
-def _is_partition_exponent(e) -> bool:
-    return all(x >= 0 for x in e) and all(e[k] >= e[k + 1] for k in range(len(e) - 1))
+def _orbit_size(u) -> int:
+    """Number of points in the orbit of u under the signed permutations
+    (the Weyl group of types B and C)."""
+    size = factorial(len(u)) << sum(1 for x in u if x)
+    for x in set(u):
+        size //= factorial(u.count(x))
+    return size
+
+
+def _twisted_character(big_size: int, alpha, mu, table):
+    """The character of the O(big_size)-irrep alpha (rows mu, Freudenthal
+    table ``table``) at the coset torus point of ``_coset_eigenvalues``, as
+    (kind, part, value): part is its dominant part for the Weyl group of
+    type kind in the coset's torus variables, and value its value at t = 1,
+    taken independently of part.
+
+    Odd big size 2s+1: O(2s+1) = SO(2s+1) x {+-I}, and -I acts on alpha by
+    (-1)^|alpha|, so the character at g is (-1)^|alpha| times that of V(mu)
+    at -g, the torus point (-t_1, ..., -t_{s-1}, -1).  A weight v of the
+    table's orbits contributes (-1)^|v| t^(v_1, ..., v_{s-1}); for each
+    distinct entry a of v, one copy of it dropped leaves the dominant u,
+    reached by 2 orbit points if a > 0 (the dropped entry's sign is free)
+    and by 1 if a = 0.  The kind is C_{s-1}, whose characters are the
+    twisted ones of O(2s) (Wendt).  The value is the h-determinant of alpha
+    at the coset's eigenvalues with every t = 1, in ints.
+
+    Even big size 2s (a label that is not induced): the h-determinant at the
+    coset eigenvalues, of kind B_{s-1}, part its B-dominant terms and value the
+    sum of all its coefficients, so that a term off the Weyl-invariant part
+    shows.  det = -1 on the coset, where the associate's character is the
+    negative: the determinant is taken for mu's own partition, the shorter
+    of alpha and its associate, and negated when alpha is the associate.
+    """
+    terms, nvars = _coset_eigenvalues(big_size)
+    if big_size % 2:
+        sign = -1 if sum(alpha) % 2 else 1
+        part: dict[tuple, int] = {}
+        for v, c in table.items():
+            c = -sign * c if sum(v) % 2 else sign * c
+            prev = None
+            for k, a in enumerate(v):  # v is B-dominant: equal entries adjoin
+                if a != prev:
+                    u = v[:k] + v[k + 1:]
+                    part[u] = part.get(u, 0) + (2 * c if a else c)
+                    prev = a
+        value = o_char_on_multiset(alpha, [((), c) for _, c in terms], 0).get((), 0)
+        return "C", part, value
+    rows = tuple(x for x in mu if x)
+    sign = 1 if rows == alpha else -1
+    poly = o_char_on_multiset(rows, terms, nvars)
+    part = {u: sign * c for u, c in poly.items() if is_so_dominant(big_size - 1, u)}
+    return "B", part, sign * sum(poly.values())
 
 
 def _so_constituents(big_size: int, mu) -> "dict[tuple, int]":
     """{so(big_size - 1) highest weight: multiplicity} in the restriction of
     the O(big_size)-irrep with rows mu (the label's sign does not matter on
-    the torus), on dominant weights throughout (steps 1-3)."""
-    weights = dominant_char(big_size, mu)
-    if big_size % 2 == 0 and mu[-1] >= 1:
-        weights = dict(weights)
-        p_add_into(weights, dominant_char(big_size, mu[:-1] + (-mu[-1],)))
-    return peel(restrict_weights(weights, big_size), big_size - 1)
+    the torus), on dominant weights throughout (steps 1-3).  mu may be given
+    by the rows' Freudenthal table, which a caller holding it passes so that
+    it is not looked up again; the table's first key is the rows.
+
+    A full row vector of an even size (an induced label) has the table of mu
+    and that of its mirror, mu with the last entry negated; the mirror's
+    table is the table with every key's last entry negated, and restriction
+    to so(big_size - 1) reads absolute values only, so the restriction is
+    the table's doubled.
+    """
+    table = mu if isinstance(mu, dict) else dominant_char(big_size, mu)
+    restricted = restrict_weights(table, big_size)
+    if big_size % 2 == 0 and next(iter(table))[-1] >= 1:
+        restricted = {u: 2 * c for u, c in restricted.items()}
+    return peel(restricted, big_size - 1)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +277,8 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
     mu, _eps = partition_to_label(big_size, alpha)
 
     induced = big_size % 2 == 0 and mu[-1] >= 1  # alpha is self-associate
-    so_labels = _so_constituents(big_size, mu)
+    table = dominant_char(big_size, mu)
+    so_labels = _so_constituents(big_size, table)
 
     def failed(what: str) -> CharacterCheckError:
         return CharacterCheckError(f"restricting O({big_size}) {alpha}: {what}")
@@ -225,35 +299,21 @@ def o_restrict_decomposition(big_size: int, alpha) -> "dict[tuple, int]":
         ambiguous = dict(so_labels)
 
     if ambiguous:
-        terms, nvars = _coset_eigenvalues(big_size)
-        if induced:
-            # An induced representation's character vanishes outside SO(2s),
-            # and the coset element has det -1: the residual is zero.
-            residual = {}
-        else:
-            residual = o_char_on_multiset(alpha, terms, nvars)
+        # d_beta = #beta - #assoc(beta), the coefficients of the twisted
+        # character over the constituents' twisted characters: sp_beta for
+        # an even subgroup, (-1)^|beta| so_beta for an odd one.  An induced
+        # representation's character vanishes outside SO(2s), and the coset
+        # element has det -1: every d_beta is zero.
         diffs: dict[tuple, int] = {}
-        while residual:
-            e = max(residual)
-            if not _is_partition_exponent(e):
-                raise failed(f"leading exponent {e} is not a partition")
-            beta = tuple(x for x in e if x)
-            if m % 2:
-                # (-1)^{|beta|} times the so(m)-character: nvars is the rank
-                sign = -1 if sum(e) % 2 else 1
-                w = {k: sign * c for k, c in so_char(m, e).items()}
-            else:
-                # the universal character of beta at the subgroup's own coset
-                # eigenvalues (the big multiset minus its leading 1)
-                w = o_char_on_multiset(beta, terms[1:], nvars)
-            lead = w.get(e, 0)
-            if not lead:
-                raise failed(f"constituent {beta} has no term at its leading exponent")
-            d, rem = divmod(residual[e], lead)
-            if rem:
-                raise failed(f"coefficient {residual[e]} at {e} is not a multiple of {lead}")
-            p_add_into(residual, w, -d)
-            diffs[beta] = diffs.get(beta, 0) + d
+        if not induced:
+            kind, part, value = _twisted_character(big_size, alpha, mu, table)
+            total = sum(c * _orbit_size(u) for u, c in part.items())
+            if total != value:
+                raise failed(f"the twisted character's dominant part sums to {total} "
+                             f"over its orbits, not to its value {value} at t = 1")
+            for lam, d in racah_coefficients(kind, (m - 1) // 2, part):
+                beta = tuple(x for x in lam if x)
+                diffs[beta] = -d if kind == "B" and sum(beta) % 2 else d
         for tau, c in ambiguous.items():
             beta = tuple(x for x in tau if x)
             d = diffs.pop(beta, 0)

@@ -5,10 +5,13 @@ plus abelian so(2)) run on dominant weights only, a string weight read at
 its dominant representative, into one cached table {dominant weight:
 multiplicity} per highest weight; restriction of such dominant tables to
 so(m-1) by counting orbit points; and the decomposition of a dominant part
-into irreducibles by Racah's alternating sum over the Weyl group, which reads
-every constituent's coefficient off the multiset without a table per
-constituent.  ``so_char`` spreads a table over its Weyl orbits for the
-callers that need every weight, and ``weyl_dim`` is Weyl's dimension formula.
+into irreducibles by Racah's alternating sum over the Weyl group
+(``racah_coefficients``), which reads every constituent's coefficient off
+the multiset without a table per constituent.  The sum also serves type
+C_r, whose Weyl group is B_r's: the branching oracle splits the twisted
+characters of even orthogonal groups by it, which are symplectic
+characters.  ``peel`` is the sum for a true character, every coefficient
+nonnegative, and ``weyl_dim`` is Weyl's dimension formula.
 
 Disconnected side: O(m)-irreps are indexed by partitions alpha with
 alpha^T_1 + alpha^T_2 <= m; tensoring with det corresponds to the associate
@@ -18,9 +21,12 @@ components are computed through the classical h-determinant
     char_alpha(g) = det( h_{alpha_i - i + j}(x) - h_{alpha_i - i - j}(x) )
 
 evaluated at the eigenvalue multiset x of g, with h_k the complete homogeneous
-sums.  Evaluating at reflection-coset eigenvalues (entries like -1 or -t)
-yields the twisted character data that resolves the +-/det-twist labels during
-branching, independently of any matrix realization.
+sums.  Evaluated at reflection-coset eigenvalues (entries like -1 or -t),
+it gives the twisted character of an even orthogonal group that resolves the
++-/det-twist labels during branching, independently of any matrix
+realization; the branching oracle reads an odd group's twisted character off
+its Freudenthal table instead, and uses the determinant's value at t = 1 as
+a check.
 
 All arithmetic is on Python ints: weights are integral, Freudenthal's
 recursion uses the integral vector 2*rho (twice ``weights.group_rho``) and
@@ -29,17 +35,15 @@ divides exactly, and Laurent polynomials in torus variables are dicts
 ``polyarith.p_add_into``.  The h-determinant packs each exponent tuple into
 one int in a balanced radix sized from its input (Kronecker substitution),
 multiplies with ``polyarith.p_mul`` on those keys and unpacks its result to
-tuples.
-An ``so_char`` weight multiset is such a polynomial in its rank's variables.
-Every self-check of the arithmetic raises CharacterCheckError, also under
-``python -O``.
+tuples.  Every self-check of the arithmetic raises CharacterCheckError,
+also under ``python -O``.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate
 from operator import add, sub
 
 from .polyarith import p_add_into, p_mul
@@ -81,10 +85,10 @@ def _positive_roots(kind: str, s: int):
                 root = [0] * s
                 root[i], root[j] = 1, sign
                 roots.append(tuple(root))
-    if kind == "B":
+    if kind != "D":  # type B's short roots e_i, type C's long roots 2e_i
         for i in range(s):
             root = [0] * s
-            root[i] = 1
+            root[i] = 1 if kind == "B" else 2
             roots.append(tuple(root))
     return roots
 
@@ -93,9 +97,9 @@ def _dominant(kind: str, mu) -> bool:
     for k in range(len(mu) - 1):
         if mu[k] < mu[k + 1]:
             return False
-    if kind == "B":
-        return mu[-1] >= 0
-    return len(mu) < 2 or mu[-2] >= abs(mu[-1])
+    if kind == "D":
+        return len(mu) < 2 or mu[-2] >= abs(mu[-1])
+    return mu[-1] >= 0
 
 
 def is_so_dominant(m: int, mu) -> bool:
@@ -104,20 +108,6 @@ def is_so_dominant(m: int, mu) -> bool:
     if len(mu) != s:
         return False
     return kind == "so2" or _dominant(kind, mu)
-
-
-def _orbit(kind: str, v):
-    """All weights in the Weyl orbit of a dominant v: the signed permutations
-    of v, with an even number of sign changes in type D when no entry is 0."""
-    out = set()
-    parity = None
-    if kind == "D" and 0 not in v:
-        parity = sum(1 for c in v if c < 0) % 2
-    for perm in set(permutations(v)):
-        for w in product(*[(c, -c) if c else (c,) for c in perm]):
-            if parity is None or sum(1 for c in w if c < 0) % 2 == parity:
-                out.add(w)
-    return out
 
 
 def _dot(a, b) -> int:
@@ -161,7 +151,7 @@ def dominant_char(m: int, mu) -> "dict[tuple, int]":
     """Freudenthal table {dominant weight: multiplicity} of the so(m)-irrep
     with highest weight mu (a tuple of ints): mu first, then the other
     dominant weights by decreasing length.  Its Weyl orbits make up the
-    whole character (``so_char``)."""
+    whole character."""
     kind, s = so_alg(m)
     if not is_so_dominant(m, mu):
         raise ValueError(f"{mu} is not dominant for so({m})")
@@ -215,20 +205,6 @@ def dominant_char(m: int, mu) -> "dict[tuple, int]":
     return table
 
 
-def so_char(m: int, mu) -> "dict[tuple, int]":
-    """Full weight multiset {weight: multiplicity} of the so(m)-irrep with
-    (dominant, integral) highest weight mu: the Weyl orbits of its dominant
-    table, in the table's order."""
-    kind, _ = so_alg(m)
-    table = dominant_char(m, tuple(int(c) for c in mu))
-    if kind == "so2":
-        return dict(table)
-    full: dict[tuple, int] = {}
-    for v, c in table.items():
-        full.update(dict.fromkeys(_orbit(kind, v), c))
-    return full
-
-
 def weyl_dim(m: int, mu) -> int:
     """Dimension of the so(m)-irrep with (dominant, integral) highest weight
     mu by Weyl's dimension formula, the product over the positive roots
@@ -255,6 +231,9 @@ def _rho_shifts(kind: str, two_rho, f_cap: int, sum_caps):
     delta_1 + ... + delta_k <= sum_caps[k-1] for k < rank; sorted by f, with
     the list of those f.
 
+    It serves types B, C and D by kind; type C_r has B_r's Weyl group, the
+    signed permutations, with 2*rho = (2r, ..., 2).
+
     A DFS from 2*rho down its W-orbit: each step reflects q = w(2*rho) in a
     simple root alpha with (q, alpha) > 0, which flips det w and adds a
     positive multiple of alpha to delta.  Every w is reached by such a chain
@@ -265,7 +244,8 @@ def _rho_shifts(kind: str, two_rho, f_cap: int, sum_caps):
     s = len(two_rho)
     # In terms of q: delta = (2*rho - q) / 2.  A reflection with (q, alpha)
     # = d > 0 adds d to f and moves one partial sum of q, that of q_1..q_k
-    # with k the reflection's first coordinate (none for type B's e_s), down
+    # with k the reflection's first coordinate (none for the sign flip of
+    # types B and C), down
     # by d; it must stay >= the floor that a cap on delta's partial sum sets.
     sum_floors = [t - 2 * c for t, c in zip(accumulate(two_rho), sum_caps)]
     seen = {two_rho}
@@ -276,9 +256,11 @@ def _rho_shifts(kind: str, two_rho, f_cap: int, sum_caps):
         found.append((f, q, sign))
         moves = [(q[:i] + (q[i + 1], q[i]) + q[i + 2:], q[i] - q[i + 1], i)
                  for i in range(s - 1) if q[i] > q[i + 1]]
-        if kind == "B":
-            if q[-1] > 0:
-                moves.append((q[:-1] + (-q[-1],), q[-1], None))
+        if kind != "D":
+            # the last simple root is B's e_s or C's 2e_s, and (q, alpha) is
+            # q_s times (2*rho)_s, which is 1 in type B and 2 in type C
+            if s and q[-1] > 0:
+                moves.append((q[:-1] + (-q[-1],), q[-1] * two_rho[-1], None))
         elif q[-2] + q[-1] > 0:  # type D's last simple root e_{s-1} + e_s
             moves.append((q[:-2] + (-q[-1], -q[-2]), q[-2] + q[-1], s - 2))
         for nxt, d, k in moves:
@@ -291,27 +273,27 @@ def _rho_shifts(kind: str, two_rho, f_cap: int, sum_caps):
             [f for f, _, _ in found])
 
 
-def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
-    """Decompose a Weyl-invariant weight multiset into so(m)-irreps.
+def racah_coefficients(kind: str, s: int, weights: "dict[tuple, int]"):
+    """(lam, c) for every nonzero coefficient c of an irreducible character
+    in a Weyl-invariant virtual character of type kind ("B", "C" or "D") and
+    rank s, given by its dominant part N = {dominant weight: count}; largest
+    lam first, in decreasing lexicographic order.
 
-    The multiset is given by its dominant part N = {dominant weight: count}
-    (all of it for so(2)).  The coefficient of V(lam) is Racah's alternating
-    sum (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    Ch. VI)
+    The coefficient of V(lam) is Racah's alternating sum (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, Ch. VI)
 
         c(lam) = sum over w in W of det(w) * N((lam + rho - w rho)^+),
 
     with p^+ the dominant weight in the orbit of p: it is the coefficient of
     e^(lam + rho) in the character times sum_w det(w) e^(w rho), which by
-    Weyl's character formula is the multiplicity of V(lam).
+    Weyl's character formula is the multiplicity of V(lam).  Type C_s shares
+    B_s's Weyl group and dominant weights; its 2*rho is (2s, ..., 2).
 
     The candidates lam are every dominant weight at or below a key of N, not
     the keys alone: a negative coefficient can sit outside the support, as
     in V(1,0) - V(0,0) of so(5), whose dominant part is {(1,0): 1}.  Every
     nonzero coefficient lies below a maximal one, and a maximal one is a key,
-    so the walk finds them all.  They are read largest first, and the first
-    negative one raises CharacterCheckError, as does a key that is not
-    dominant; the nonzero ones come back in decreasing lexicographic order.
+    so the walk finds them all.
 
     The sum never runs over all of W (``_rho_shifts``).  A term is nonzero
     only where p = lam + delta has a key as p^+, and then f(p) = (p, 2*rho)
@@ -323,23 +305,19 @@ def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
     add nothing, and each lam reads only the shifts with f(delta) <=
     F - f(lam).  The pruning is exact.
     """
-    kind, s = so_alg(m)
     support = {w: c for w, c in weights.items() if c}
-    if kind == "so2":
-        return dict(sorted(support.items()))
-    for w in support:
-        if not _dominant(kind, w):
-            raise CharacterCheckError(f"peeling so({m}) meets the weight {w}, which is not dominant")
     if not support:
-        return {}
-    two_rho = tuple(int(2 * c) for c in group_rho(m))
+        return
+    if kind == "C":
+        two_rho = tuple(range(2 * s, 0, -2))
+    else:
+        two_rho = tuple(int(2 * c) for c in group_rho(2 * s + (kind == "B")))
     candidates = sorted(_dominant_below(kind, support, _positive_roots(kind, s)), reverse=True)
     f_top = max(_dot(w, two_rho) for w in support)
     sum_caps = [max(sums) for sums in zip(*(accumulate(w[:-1]) for w in support))]
     f_lams = [_dot(lam, two_rho) for lam in candidates]
     shifts, fs = _rho_shifts(kind, two_rho, f_top - min(f_lams), sum_caps)
     at: dict[tuple, int] = {}  # p -> N(p^+), for the p that several lam share
-    labels: dict[tuple, int] = {}
     for lam, f_lam in zip(candidates, f_lams):
         c = 0
         for delta, sign in shifts[:bisect_right(fs, f_top - f_lam)]:
@@ -348,13 +326,34 @@ def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
             if count is None:
                 count = at[p] = support.get(_dominant_rep(kind, p), 0)
             c += sign * count
+        if c:
+            yield lam, c
+
+
+def peel(weights: "dict[tuple, int]", m: int) -> "dict[tuple, int]":
+    """Decompose a Weyl-invariant weight multiset into so(m)-irreps.
+
+    The multiset is given by its dominant part {dominant weight: count} (all
+    of it for so(2)); each constituent's multiplicity is its coefficient by
+    Racah's alternating sum (``racah_coefficients``).  They are read largest
+    first, and the first negative one raises CharacterCheckError, as does a
+    key that is not dominant; the nonzero ones come back in decreasing
+    lexicographic order.
+    """
+    kind, s = so_alg(m)
+    if kind == "so2":
+        return dict(sorted((w, c) for w, c in weights.items() if c))
+    for w, c in weights.items():
+        if c and not _dominant(kind, w):
+            raise CharacterCheckError(f"peeling so({m}) meets the weight {w}, which is not dominant")
+    labels: dict[tuple, int] = {}
+    for lam, c in racah_coefficients(kind, s, weights):
         if c < 0:
             raise CharacterCheckError(
                 f"peeling so({m}) by Racah's formula meets coefficient {c} at {lam}; "
                 f"a character has none that is negative"
             )
-        if c:
-            labels[lam] = c
+        labels[lam] = c
     return labels
 
 

@@ -132,7 +132,7 @@ def _mirror_embedding(big: MatrixRep, sub: MatrixRep, w: CoordVec) -> Cols:
         elif rec.kind == "refl":
             image = apply_cols(big.reflection(), images[rec.parent])
             images.append({i: sub.twist_sign * x for i, x in image.items()})
-        else:  # pragma: no cover
+        else:
             raise AssertionError(f"unknown recipe kind {rec.kind!r}")
     return images
 

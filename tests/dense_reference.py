@@ -50,12 +50,14 @@ eigenvalues and with tuple exponent keys multiplied by ``tuple_mul``, where
 ``characters.o_char_on_multiset`` packs the exponents into ints, builds h_k
 one eigenvalue at a time and expands along the top row with shared minors.
 
-And the so-character route on whole weight multisets: ``full_orbit_so_char``
-runs Freudenthal on every weight, spreading each multiplicity over its Weyl
-orbit as soon as it is known, ``full_restrict_weights`` drops a coordinate
-of every weight and ``full_peel`` subtracts whole characters, where the
-package's ``dominant_char``, ``restrict_weights`` and ``peel`` work on the
-dominant weights alone and count orbit points.  ``subtracting_peel`` is the
+And the so-character route on whole weight multisets: ``so_char`` spreads
+the package's dominant table over its Weyl orbits (``full_orbit``),
+``full_orbit_so_char`` runs Freudenthal on every weight, spreading each
+multiplicity over its Weyl orbit as soon as it is known,
+``full_restrict_weights`` drops a coordinate of every weight and
+``full_peel`` subtracts whole characters, where the package's
+``dominant_char``, ``restrict_weights`` and ``peel`` work on the dominant
+weights alone and count orbit points.  ``subtracting_peel`` is the
 peel on dominant parts that subtracts one ``dominant_char`` table per
 constituent, where ``peel`` reads every coefficient off the multiset by
 Racah's alternating sum.
@@ -636,6 +638,20 @@ def full_orbit(kind, v):
             if parity is None or sum(1 for c in w if c < 0) % 2 == parity:
                 out.add(w)
     return out
+
+
+def so_char(m, mu):
+    """Full weight multiset {weight: multiplicity} of the so(m)-irrep with
+    (dominant, integral) highest weight mu: the Weyl orbits of the package's
+    dominant table ``dominant_char``, in the table's order."""
+    kind, _ = so_alg(m)
+    table = dominant_char(m, tuple(int(c) for c in mu))
+    if kind == "so2":
+        return dict(table)
+    full = {}
+    for v, c in table.items():
+        full.update(dict.fromkeys(full_orbit(kind, v), c))
+    return full
 
 
 def _dot(a, b):

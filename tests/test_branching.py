@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import re
 from fractions import Fraction
 from itertools import product
@@ -19,10 +20,13 @@ from orthobranch.branching import (
     reduced_family,
     stability_scan,
 )
-from dense_reference import full_orbit_so_char, full_peel, full_restrict_weights
+from dense_reference import (
+    full_orbit, full_orbit_so_char, full_peel, full_restrict_weights, so_char,
+)
 from orthobranch import branching
 from orthobranch.characters import (
-    CharacterCheckError, associate_partition, dominant_char, partition_to_label, so_char,
+    CharacterCheckError, associate_partition, dominant_char, partition_to_label,
+    racah_coefficients, restrict_weights,
 )
 from orthobranch.polyarith import p_add_into
 from orthobranch.regions import FencePreconditionError
@@ -239,26 +243,6 @@ def test_full_decomposition_same_after_cache_clear():
     assert sum(c * sub.dim() for sub, c in first) == big.dim()
 
 
-def test_restriction_integrality_check_raises(monkeypatch):
-    # Doubling every constituent character makes the peel's exact division
-    # by its leading coefficient fail, which must raise, not truncate.
-    real = branching.o_char_on_multiset
-    calls = []
-
-    def doubled_constituents(alpha, terms, nvars):
-        calls.append(alpha)
-        poly = real(alpha, terms, nvars)
-        return poly if len(calls) == 1 else {e: 2 * c for e, c in poly.items()}
-
-    monkeypatch.setattr(branching, "o_char_on_multiset", doubled_constituents)
-    o_restrict_decomposition.cache_clear()
-    try:
-        with pytest.raises(CharacterCheckError):
-            o_restrict_decomposition(5, (2, 1))
-    finally:
-        o_restrict_decomposition.cache_clear()
-
-
 def _planted(monkeypatch, big_size, alpha, message, **patches):
     """o_restrict_decomposition(big_size, alpha) with branching's names
     patched must raise CharacterCheckError with the given message."""
@@ -280,29 +264,40 @@ def test_mirror_check_raises(monkeypatch):
              _so_constituents=lambda n, mu: {t: c for t, c in real(n, mu).items() if t != (1, -1)})
 
 
-def test_leading_exponent_check_raises(monkeypatch):
-    real = branching.o_char_on_multiset
+def test_stray_twisted_term_check_raises(monkeypatch):
+    # a stray term in the big label's twisted character, at a dominant weight:
+    # its orbit of 4 points shows in the trace check
+    real = branching._twisted_character
 
-    def with_stray_term(alpha, terms, nvars):
-        return {**real(alpha, terms, nvars), (9, 10): 1}
+    def with_stray_term(*args):
+        kind, part, value = real(*args)
+        return kind, {**part, (9, 9): 1}, value
 
-    _planted(monkeypatch, 7, (2, 1), "leading exponent (9, 10) is not a partition",
-             o_char_on_multiset=with_stray_term)
+    _planted(monkeypatch, 7, (2, 1), "the twisted character's dominant part sums to 39 "
+             "over its orbits, not to its value 35 at t = 1",
+             _twisted_character=with_stray_term)
 
 
-def test_leading_term_check_raises(monkeypatch):
-    # the big label's character is the true one, the constituents' lose
-    # their leading term
-    real = branching.o_char_on_multiset
-    calls = []
+def test_twisted_constituent_characters_check_raises(monkeypatch):
+    # the twisted characters of O(6)'s constituents taken as so(5)'s, not
+    # sp(4)'s: type C's coefficients read with type B's Weyl vector and roots
+    real = branching.racah_coefficients
+    _planted(monkeypatch, 7, (2, 1), "twisted count 0 does not split the 1 copies of (2, 0, 0)",
+             racah_coefficients=lambda kind, s, weights: real(
+                 "B" if kind == "C" else kind, s, weights))
 
-    def headless_constituents(alpha, terms, nvars):
-        calls.append(alpha)
-        poly = real(alpha, terms, nvars)
-        return poly if len(calls) == 1 else {e: c for e, c in poly.items() if e != max(poly)}
 
-    _planted(monkeypatch, 7, (2, 1), "constituent (2, 1) has no term at its leading exponent",
-             o_char_on_multiset=headless_constituents)
+def test_twisted_integrality_check_raises(monkeypatch):
+    # the twisted character doubled, its value at t = 1 too: the trace check
+    # passes, and the doubled count cannot split the constituent's copies
+    real = branching._twisted_character
+
+    def doubled(*args):
+        kind, part, value = real(*args)
+        return kind, {u: 2 * c for u, c in part.items()}, 2 * value
+
+    _planted(monkeypatch, 5, (2, 1), "twisted count 2 does not split the 1 copies of (2, 0)",
+             _twisted_character=doubled)
 
 
 def test_twisted_split_check_raises(monkeypatch):
@@ -389,3 +384,111 @@ def test_decomposition_digest_is_pinned(labels_5000):
             for size, alpha in labels_5000]
     assert hashlib.sha256(repr(dump).encode()).hexdigest() == \
         "7368b7c5559be16af1e20e7264983ef0c77d828ecd94cb9c016a911fc104e0cc"
+
+
+def test_odd_twisted_character_is_read_off_the_table(labels_5000):
+    # the twisted character of every odd label, spread over its orbits of
+    # signed permutations, is the full h-determinant at the coset
+    # eigenvalues, and its value at t = 1 is that determinant's sum
+    checked = 0
+    for size, alpha in labels_5000:
+        if size % 2 == 0:
+            continue
+        mu, _ = partition_to_label(size, alpha)
+        terms, nvars = branching._coset_eigenvalues(size)
+        kind, part, value = branching._twisted_character(size, alpha, mu, dominant_char(size, mu))
+        full = {}
+        for u, c in part.items():
+            if c:
+                full.update(dict.fromkeys(full_orbit("B", u), c))
+        poly = branching.o_char_on_multiset(alpha, terms, nvars)
+        assert kind == "C" and full == poly and value == sum(poly.values()), (size, alpha)
+        checked += 1
+    assert checked == 304
+
+
+def _short_partitions(rows, top):
+    """Every nonempty partition with at most rows rows and first row at most top."""
+    return [tuple(x for x in mu if x) for mu in product(range(top + 1), repeat=rows)
+            if list(mu) == sorted(mu, reverse=True) and mu[0]]
+
+
+def test_even_constituents_twisted_characters_are_symplectic():
+    # O(2s) (2s = 4..10) at its own coset point (1, -1, t^+-1): the character
+    # of beta (at most s - 1 rows) is sp_beta(t), and that of its associate
+    # is -sp_beta(t); Racah's sum for C_{s-1} reads off {beta: +-1}
+    checked = 0
+    for size in (4, 6, 8, 10):
+        terms, nvars = branching._coset_eigenvalues(size + 1)
+        for beta in [()] + _short_partitions(nvars, 3 if nvars < 4 else 2):
+            lam = beta + (0,) * (nvars - len(beta))
+            for alpha, sign in ((beta, 1), (associate_partition(size, beta), -1)):
+                poly = branching.o_char_on_multiset(alpha, terms[1:], nvars)
+                part = {u: c for u, c in poly.items() if u == tuple(sorted(map(abs, u), reverse=True))}
+                assert list(racah_coefficients("C", nvars, part)) == [(lam, sign)], (size, alpha)
+                checked += 1
+    assert checked == 98
+
+
+def test_mirror_table_restricts_like_the_table(labels_5000):
+    # an induced label's mirror table is the table with every key's last
+    # entry negated, and its restriction is the table's
+    checked = set()
+    for size, alpha in labels_5000:
+        mu, _ = partition_to_label(size, alpha)
+        if size % 2 or not mu[-1] or (size, mu) in checked:
+            continue
+        checked.add((size, mu))
+        table = dominant_char(size, mu)
+        mirror = dominant_char(size, mu[:-1] + (-mu[-1],))
+        assert mirror == {v[:-1] + (-v[-1],): c for v, c in table.items()}
+        assert restrict_weights(mirror, size) == restrict_weights(table, size), (size, mu)
+    assert len(checked) == 144
+
+
+def _flipped_sign(twisted_character):
+    """twisted_character with the sign (-1)^|alpha| of its dominant part flipped."""
+
+    def flipped(*args):
+        kind, part, value = twisted_character(*args)
+        return kind, {u: -c for u, c in part.items()}, value
+
+    return flipped
+
+
+def _stray_even_term(o_char_on_multiset):
+    """o_char_on_multiset with the term t^(9, 10), off the dominant chamber,
+    added to every determinant in two torus variables."""
+
+    def with_stray_term(alpha, terms, nvars):
+        poly = o_char_on_multiset(alpha, terms, nvars)
+        return {**poly, (9, 10): 1} if nvars == 2 else poly
+
+    return with_stray_term
+
+
+# (seam, plant, big size, alpha, the trace check's message)
+TRACE_FAILURES = [
+    ("_twisted_character", _flipped_sign, 7, (2, 1),
+     "the twisted character's dominant part sums to -35 over its orbits, "
+     "not to its value 35 at t = 1"),
+    ("o_char_on_multiset", _stray_even_term, 6, (2, 1),
+     "the twisted character's dominant part sums to -16 over its orbits, "
+     "not to its value -15 at t = 1"),
+]
+
+
+@pytest.mark.parametrize("seam, plant, size, alpha, message", TRACE_FAILURES,
+                         ids=["flipped-sign", "stray-even-term"])
+def test_trace_check_raises(monkeypatch, run_optimized, seam, plant, size, alpha, message):
+    # an odd label's twisted character with the wrong sign, and an even
+    # label's determinant with a term that the dominant filter would drop
+    _planted(monkeypatch, size, alpha, message, **{seam: plant(getattr(branching, seam))})
+    code = ("from orthobranch import branching\n"
+            + inspect.getsource(plant) +
+            f"branching.{seam} = {plant.__name__}(branching.{seam})\n"
+            "try:\n"
+            f"    branching.o_restrict_decomposition({size}, {alpha})\n"
+            "except branching.CharacterCheckError as exc:\n"
+            "    print(exc)\n")
+    assert run_optimized(code) == f"restricting O({size}) {alpha}: {message}\n"

@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
-from dense_reference import h_determinant, subtracting_peel
+from dense_reference import h_determinant, so_char, subtracting_peel
 from orthobranch import characters
 from orthobranch.branching import _coset_eigenvalues, _so_constituents
 from orthobranch.polyarith import p_add_into, p_mul
@@ -23,7 +23,6 @@ from orthobranch.characters import (
     partition_valid_for_o,
     peel,
     restrict_weights,
-    so_char,
     so_rank,
     transpose_partition,
     weyl_dim,
@@ -386,6 +385,32 @@ def test_rho_shifts_are_the_weyl_group_pruned_exactly():
             assert fs == sorted(fs) == [sum(a * b for a, b in zip(d, two_rho)) for d, _ in shifts]
         assert len(characters._rho_shifts(kind, two_rho, 10 ** 6, [10 ** 6] * (s - 1))[0]) \
             == len(every) == (2 ** s if kind == "B" else 2 ** (s - 1)) * len(list(permutations(range(s))))
+
+
+def test_rho_shifts_of_type_c_are_the_signed_permutations_pruned_exactly():
+    # C_r has B_r's Weyl group, the signed permutations, and rho = (r, ..., 1):
+    # the DFS reaches every one with its determinant, sign flips adding
+    # q_r * (2 rho)_r = 2 q_r to f, and its caps keep exactly the shifts under them
+    for r in range(1, 6):
+        rho = tuple(range(r, 0, -1))
+        two_rho = tuple(2 * c for c in rho)
+        every = set()
+        for perm in permutations(range(r)):
+            inversions = sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+            for signs in product((1, -1), repeat=r):
+                delta = tuple(a - sg * rho[k] for a, sg, k in zip(rho, signs, perm))
+                every.add((delta, (-1) ** (inversions + signs.count(-1))))
+        for f_cap, sum_caps in ((10 ** 6, [10 ** 6] * (r - 1)), (14, [2, 3, 3, 4][:r - 1]),
+                                (9, [1] * (r - 1))):
+            shifts, fs = characters._rho_shifts("C", two_rho, f_cap, sum_caps)
+            kept = {(d, sign) for d, sign in every
+                    if sum(a * b for a, b in zip(d, two_rho)) <= f_cap
+                    and all(sum(d[:k + 1]) <= cap for k, cap in enumerate(sum_caps))}
+            assert len(shifts) == len(set(shifts)) and set(shifts) == kept, (r, f_cap)
+            assert fs == sorted(fs) == [sum(a * b for a, b in zip(d, two_rho)) for d, _ in shifts]
+        assert len(every) == 2 ** r * len(list(permutations(range(r))))
+        assert len(characters._rho_shifts("C", two_rho, 10 ** 6, [10 ** 6] * (r - 1))[0]) \
+            == len(every)
 
 
 def test_weyl_dim_is_the_size_of_the_character(labels_5000):

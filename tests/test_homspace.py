@@ -6,7 +6,7 @@ import pytest
 
 from orthobranch.branching import fd_label, full_decomposition, oracle_multiplicity
 from orthobranch.homspace import hom_space
-from orthobranch.matrixrep import act, construct_irrep
+from orthobranch.matrixrep import Recipe, act, construct_irrep
 from orthobranch.enveloping import gen
 from orthobranch.weights import InvalidRankError, rank_context
 
@@ -213,3 +213,32 @@ def test_an_involution_image_off_the_hw_span_raises(reps, run_optimized):
             "except AssertionError as exc:\n"
             "    print(exc)\n")
     assert run_optimized(code) == "involution image is not a hw-space member\n"
+
+
+def _unknown_recipe_kind(sub):
+    """Give the subgroup model's last basis vector a construction recipe of a
+    kind that no model builds."""
+    sub.model.recipes[-1] = Recipe("bogus", 0)
+
+
+def test_an_unknown_recipe_kind_raises(reps, run_optimized):
+    # replaying the subgroup model's recipes onto a hw vector meets a kind
+    # that is neither seed, op nor refl
+    big = reps.get(3, (2, 1))
+    sub = construct_irrep(rank_context(3), (1,), which="sub")   # fresh: changed below
+    _unknown_recipe_kind(sub)
+    with pytest.raises(AssertionError) as exc:
+        hom_space(big, sub)
+    assert str(exc.value) == "unknown recipe kind 'bogus'"
+    code = ("from orthobranch.weights import rank_context\n"
+            "from orthobranch.matrixrep import Recipe, construct_irrep\n"
+            "from orthobranch.homspace import hom_space\n"
+            + inspect.getsource(_unknown_recipe_kind) +
+            "big = construct_irrep(rank_context(3), (2, 1))\n"
+            "sub = construct_irrep(rank_context(3), (1,), which='sub')\n"
+            "_unknown_recipe_kind(sub)\n"
+            "try:\n"
+            "    hom_space(big, sub)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    assert run_optimized(code) == "unknown recipe kind 'bogus'\n"

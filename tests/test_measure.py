@@ -9,7 +9,7 @@ from orthobranch import enveloping, matrixrep, measure
 from orthobranch.cli import main
 from orthobranch.enveloping import monomial
 from orthobranch.homspace import SymmetryBreakingOperator, hom_space, subgroup_hw_space
-from orthobranch.linalg import Gi, qi_from_string, qi_to_string
+from orthobranch.linalg import Gi, apply_cols, qi_from_string, qi_to_string
 from orthobranch.matrixrep import (
     _cols_from_strings, act, construct_irrep, det_twisted, rep_from_bundle, rep_to_bundle,
     standard_rep,
@@ -549,3 +549,86 @@ def test_power_check_refuses_a_subgroup_side_bundle(tmp_path, capsys):
     assert exc.value.code == 2 and out == "" and "coordinates 0..n" in err
     assert main(["verify-ue", "--n", "3", "--max-degree", "1", "--bundle", path]) == 0
     assert json.loads(capsys.readouterr().out)["bundle_checks"] == 2
+
+
+def _zero_operator(op):
+    """A copy of op whose matrix is zero, which the equivariance check passes."""
+    return SymmetryBreakingOperator(op.big, op.sub, [{} for _ in op.matrix], op.hw)
+
+
+def _imaginary_chain(hw_chain):
+    """hw_chain with every vector it returns multiplied by i."""
+
+    def chain(op, K, what):
+        return [{j: Gi(0, 1) * x for j, x in v.items()} for v in hw_chain(op, K, what)]
+
+    return chain
+
+
+def _chain_off_the_line(hw_chain):
+    """hw_chain with 1 added to its last vector at the first big basis vector
+    whose image under T has a part outside T w."""
+
+    def chain(op, K, what):
+        out = hw_chain(op, K, what)
+        Tw = apply_cols(op.matrix, op.hw)
+        k = next(j for j, col in enumerate(op.matrix) if set(col) - set(Tw))
+        return out[:-1] + [{**out[-1], k: out[-1].get(k, 0) + 1}]
+
+    return chain
+
+
+# a planted fault for each check of _ratio_against and each "not real"
+# check, with the messages of measure_scalar and of b_eval
+RATIO_FAILURES = {
+    "zero": ("projector: T w = 0 on the hw vector (operator may be zero)",
+             "power: T w = 0 on the hw vector (operator may be zero)"),
+    "imaginary": ("measured scalar is not real", "power scalar is not real"),
+    "off-line": ("projector composition is not proportional to the operator",
+                 "power composition is not proportional to the operator"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(RATIO_FAILURES))
+def test_the_ratio_checks_can_fail(reps, monkeypatch, run_optimized, how):
+    # the zero operator passes the equivariance check and leaves T w = 0; a
+    # chain times i gives a ratio that is not real; a chain that leaves the
+    # hw line past _hw_chain's own check gives a composition that is not
+    # proportional to T
+    op = only_op(reps.get(3, (2, 1)), reps.get(3, (1,), None, which="sub"))
+    if how == "zero":
+        op = _zero_operator(op)
+    else:
+        plant = _imaginary_chain if how == "imaginary" else _chain_off_the_line
+        monkeypatch.setattr(measure, "_hw_chain", plant(measure._hw_chain))
+    projector, power = RATIO_FAILURES[how]
+    with pytest.raises(IdentityViolationError) as exc:
+        measure_scalar(op, 1, 1)
+    assert str(exc.value) == projector
+    with pytest.raises(IdentityViolationError) as exc:
+        b_eval(op, 2)
+    assert str(exc.value) == power
+    code = ("import sys\n"
+            "from orthobranch import measure\n"
+            "from orthobranch.weights import rank_context\n"
+            "from orthobranch.matrixrep import construct_irrep\n"
+            "from orthobranch.homspace import SymmetryBreakingOperator, hom_space\n"
+            "from orthobranch.linalg import Gi, apply_cols\n"
+            "from orthobranch.measure import IdentityViolationError, b_eval, measure_scalar\n"
+            + inspect.getsource(_zero_operator) + inspect.getsource(_imaginary_chain)
+            + inspect.getsource(_chain_off_the_line) +
+            "big = construct_irrep(rank_context(3), (2, 1))\n"
+            "sub = construct_irrep(rank_context(3), (1,), which='sub')\n"
+            "op = hom_space(big, sub)[1][0]\n"
+            "if sys.argv[1] == 'zero':\n"
+            "    op = _zero_operator(op)\n"
+            "elif sys.argv[1] == 'imaginary':\n"
+            "    measure._hw_chain = _imaginary_chain(measure._hw_chain)\n"
+            "else:\n"
+            "    measure._hw_chain = _chain_off_the_line(measure._hw_chain)\n"
+            "for run in (lambda: measure_scalar(op, 1, 1), lambda: b_eval(op, 2)):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except IdentityViolationError as exc:\n"
+            "        print(exc)\n")
+    assert run_optimized(code, how).splitlines() == [projector, power]
