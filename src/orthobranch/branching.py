@@ -242,12 +242,12 @@ def _twisted_character(big_size: int, alpha, mu, table):
     return "B", part, sign * sum(poly.values())
 
 
-def _so_constituents(big_size: int, mu) -> "dict[tuple, int]":
+def _so_constituents(big_size: int, table) -> "dict[tuple, int]":
     """{so(big_size - 1) highest weight: multiplicity} in the restriction of
-    the O(big_size)-irrep with rows mu (the label's sign does not matter on
-    the torus), on dominant weights throughout (steps 1-3).  mu may be given
-    by the rows' Freudenthal table, which a caller holding it passes so that
-    it is not looked up again; the table's first key is the rows.
+    the O(big_size)-irrep whose rows mu have the Freudenthal table table
+    (``dominant_char(big_size, mu)``; its first key is mu, and the label's
+    sign does not matter on the torus), on dominant weights throughout
+    (steps 1-3).
 
     A full row vector of an even size (an induced label) has the table of mu
     and that of its mirror, mu with the last entry negated; the mirror's
@@ -255,7 +255,6 @@ def _so_constituents(big_size: int, mu) -> "dict[tuple, int]":
     to so(big_size - 1) reads absolute values only, so the restriction is
     the table's doubled.
     """
-    table = mu if isinstance(mu, dict) else dominant_char(big_size, mu)
     restricted = restrict_weights(table, big_size)
     if big_size % 2 == 0 and next(iter(table))[-1] >= 1:
         restricted = {u: 2 * c for u, c in restricted.items()}

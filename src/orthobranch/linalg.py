@@ -6,7 +6,7 @@ in a Chevalley basis with rational structure constants and store real
 columns; ``Gi`` carries the i of the rotation generators X[a,b] that
 ``MatrixRep.action`` returns and bundles hold, and of the measurement chain
 over the defining representation.  The ladder checks (``matrixrep.act`` and
-``measure.verify_power_identity``) split each X[a,b] into a real and an
+``measure.verify_power_identity``) form each X[a,b] as a real and an
 imaginary part of int columns and never multiply a ``Gi``.
 Since ``int / int`` is a float, a library division has a Fraction or a
 ``Gi`` on one side (``Fraction(1) / x``).  ``qi_to_string`` and

@@ -71,11 +71,13 @@ Both tables are the frame's, made once with it: [E, F] is read from
 A model stores these Chevalley columns, R and a ``PolyModel`` record of the
 tags, the recipes and the Gram matrix of the invariant pairing, which
 invariance fixes up to one scalar (Schur): the seed's row pairs polynomials,
-the other rows follow from the recipes (``_invariant_gram``).  ``action``
-forms an X[a,b] from the columns on request, its real and imaginary parts
-each a real combination of them; only ``scaled_generators`` (so ``act`` and
-``measure.verify_power_identity``), ``verify_reflection`` and
-``rep_to_bundle`` call it.
+the other rows follow from the recipes (``_invariant_gram``).  These
+columns are every representation's one stored action: the defining
+representation and a loaded bundle convert the X[a,b] they are made from
+once (``_chevalley_of``).  ``scaled_generators`` forms int letters d X[a,b]
+from them (``act`` and ``measure.verify_power_identity`` read those), and
+``action`` is one letter as exact scalars, for ``verify_reflection`` and
+``rep_to_bundle``.  Both changes of basis go through ``_combined``.
 
 Every scalar is the one exact number of ``linalg`` (an int or a Fraction
 when real, else a ``linalg.Gi``), and ``polyarith.p_add_into`` is the one
@@ -83,11 +85,15 @@ sparse accumulate.  Most of it is real: the seed is integral, a long root's
 table has entries +-2 and moves the weight's coordinate sum by 0 or +-2, a
 short root's has +-i, +-2i and moves it by +-1.  So each basis polynomial is
 real or imaginary by the parity of that sum (the echelon holds the imaginary
-ones times -i and eliminates in ints); the stored columns and the Gram matrix
-(it pairs mu with -mu) are real.  Only the X[a,b] carry i (X[p,q] = -i h_k),
-each purely real or purely imaginary.  Columns are normalised by
-``linalg.exact``, the normaliser bundles are read with, so a loaded bundle
-holds the same scalar types as the model it was written from.
+ones times -i and eliminates in ints); a model's columns and its Gram matrix
+(it pairs mu with -mu) are real.  Its X[a,b] carry i (X[p,q] = -i h_k), each
+purely real or purely imaginary.  The columns of the defining representation
+(its root vectors in the f-basis) carry i as well, and so may those of a
+bundle whose X[a,b] are no model's; ``_combined`` multiplies int parts as
+Gaussian numbers, so it serves all of them without a ``Gi`` product.
+Columns are normalised by ``linalg.exact``, the normaliser bundles are read
+with, so a loaded bundle holds the same scalar types as the model it was
+written from.
 
 Construction is self-verifying by checks apart from that derivation, all on
 the real stored columns: the seed is annihilated by the raising operators,
@@ -103,7 +109,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from itertools import chain
+from math import comb, factorial, gcd, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -566,24 +573,50 @@ def _apply(mats: Dict, coords: Dict, vec: Dict[int, Scalar]) -> Dict[int, Scalar
     return out
 
 
-def _re_im(x: Scalar) -> Tuple[Scalar, Scalar]:
-    """The real and imaginary parts of an exact scalar."""
-    return (x.re, x.im) if type(x) is Gi else (x, 0)
+def _combined(mats: Dict, coords: Dict, dim: int) -> Tuple[int, Dict[object, Letter]]:
+    """(q^2, {t: (re, im)}) for the combinations sum_key coords[t][key] mats[key]
+    of matrices given by their columns: q is the lcm of the denominators of
+    both parts of every coefficient and of every entry of mats, and re + i im
+    is q^2 times the combination, as int columns without zeros.  Each product is
+    the Gaussian product of int parts, so no ``Gi`` is multiplied."""
+    values = chain(*(c.values() for c in coords.values()),
+                   *(col.values() for cols in mats.values() for col in cols))
+    q = lcm(*{p.denominator for x in values for p in ((x.re, x.im) if type(x) is Gi else (x,))})
+    out = {}
+    for t, c in coords.items():
+        re, im = [{} for _ in range(dim)], [{} for _ in range(dim)]
+        for key, x in c.items():
+            c_r, c_i = _int_parts(x, q)
+            for r, m, col in zip(re, im, mats[key]):
+                for i, y in col.items():
+                    m_r, m_i = _int_parts(y, q)
+                    if v := c_r * m_r - c_i * m_i:
+                        r[i] = r.get(i, 0) + v
+                    if v := c_i * m_r + c_r * m_i:
+                        m[i] = m.get(i, 0) + v
+        out[t] = tuple([{i: v for i, v in col.items() if v} for col in part] for part in (re, im))
+    return q * q, out
 
 
-def _combined(mats: Dict, coords: Dict, dim: int, q: int = 1) -> Cols:
-    """Columns of sum coords[key] mats[key] / q, entries normalised by
-    ``exact``; a key missing from mats acts by zero.  With real coords over a
-    common denominator q, pass q times them: the sum is then made in ints
-    where the columns are, and each entry is divided once."""
-    terms = [(mats[key], c) for key, c in coords.items() if key in mats]
-    out: Cols = []
-    for j in range(dim):
-        col: Dict[int, Scalar] = {}
-        for cols, c in terms:
-            p_add_into(col, cols[j], c)
-        out.append({i: exact(x if q == 1 else Fraction(x, q)) for i, x in col.items()})
-    return out
+def _int_parts(x: Scalar, q: int) -> Tuple[int, int]:
+    """q times the real and imaginary parts of x, for q a common multiple of
+    their denominators."""
+    re, im = (x.re, x.im) if type(x) is Gi else (x, 0)
+    return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator)
+
+
+def _exact_entries(re: Dict[int, int], im: Dict[int, int], q: int) -> Dict[int, Scalar]:
+    """The column (re + i im) / q of int parts, entries normalised by ``exact``."""
+    return {i: Gi(exact(Fraction(re[i], q)) if i in re else 0,
+                  exact(Fraction(im[i], q)) if i in im else 0) for i in {**re, **im}}
+
+
+def _chevalley_of(frame: Frame, xs: Dict[Pair, Cols], dim: int) -> Dict[object, Cols]:
+    """Columns of each Chevalley basis element from the columns xs of every
+    X[a,b]: its combination of them (``Frame.basis``), entries normalised by
+    ``exact``."""
+    q, sums = _combined(xs, frame.basis, dim)
+    return {key: [_exact_entries(r, m, q) for r, m in zip(*sums.pop(key))] for key in frame.basis}
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +628,16 @@ class MatrixRep(Record):
 
     Every operator is held as sparse columns (``linalg.Cols``): column j maps
     a row index to the nonzero coordinate of the image of basis vector j.
-    A constructed model stores the columns of the frame's Chevalley basis
-    (``chevalley()``; ``Frame.basis``: each root vector keyed by its root,
-    h_k by k); ``action`` forms a generator X[a,b], a < b, from them on each
-    request and keeps nothing.  The defining representation and a loaded
-    bundle hold the X[a,b] they were made from in ``_x`` instead and derive
-    the Chevalley columns on request.  Every one is made with the columns of
-    the distinguished reflection (largest-coordinate sign flip), det-twist
-    included, which ``reflection()`` returns; ``apply`` applies an element
-    given by its ``Frame.root_coords``.
+    Every representation stores one action, the columns of the frame's
+    Chevalley basis (``chevalley()``; ``Frame.basis``: each root vector keyed
+    by its root, h_k by k): a constructed model from its closure, the
+    defining representation and a loaded bundle converted once from the
+    X[a,b] they were made from.  ``scaled_generators`` forms the X[a,b] from
+    them, and ``action`` is one of them as exact scalars; neither keeps
+    anything.  Every one is made with the columns of the distinguished
+    reflection (largest-coordinate sign flip), det-twist included, which
+    ``reflection()`` returns; ``apply`` applies an element given by its
+    ``Frame.root_coords``.
 
     The label is the one record of what the representation is.  Derived from
     it: ``inf_char`` (mu + rho of the label's own group), ``twist_sign``
@@ -617,21 +651,19 @@ class MatrixRep(Record):
     mutable and unhashable.
     """
 
-    _fields = ("dim", "label", "indices", "_refl", "kind", "model", "_chev", "_x", "cache")
-    _hidden = ("_refl", "_chev", "_x", "cache")
+    _fields = ("dim", "label", "indices", "_refl", "kind", "model", "_chev", "cache")
+    _hidden = ("_refl", "_chev", "cache")
 
     def __init__(self, dim: int, label: FDLabel, indices: Tuple[int, ...], _refl: Cols,
-                 kind: str = "model", model: Optional[PolyModel] = None,
-                 _chev: Optional[Dict[object, Cols]] = None,
-                 _x: Optional[Dict[Pair, Cols]] = None, cache: Optional[Dict] = None) -> None:
+                 _chev: Dict[object, Cols], kind: str = "model",
+                 model: Optional[PolyModel] = None, cache: Optional[Dict] = None) -> None:
         self.dim = dim
         self.label = label
         self.indices = indices
         self._refl = _refl
         self.kind = kind
         self.model = model
-        self._chev = {} if _chev is None else _chev
-        self._x = {} if _x is None else _x
+        self._chev = _chev
         self.cache = {} if cache is None else cache
 
     @property
@@ -652,36 +684,20 @@ class MatrixRep(Record):
         return get_frame(self.indices)
 
     def chevalley(self) -> Dict[object, Cols]:
-        """Columns of the Chevalley basis: stored by a constructed model, else
-        derived from the X[a,b] the representation was made from (one that it
-        lacks acts by zero)."""
-        return self._chev or {key: _combined(self._x, combo, self.dim)
-                              for key, combo in self.frame.basis.items()}
+        """Columns of the Chevalley basis, the stored action."""
+        return self._chev
 
     def apply(self, coords: Dict[object, Scalar], vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """sum coords[key] M_key vec over the Chevalley columns M_key."""
-        return _apply(self.chevalley(), coords, vec)
+        return _apply(self._chev, coords, vec)
 
     def action(self, a: int, b: int) -> Cols:
-        """Columns of X[a,b], a < b: the stored ones, else formed and not kept."""
-        cols = self._x.get((a, b))
-        if cols is not None:
-            return cols
-        if a >= b:
-            raise InvalidRankError("action requires a < b")
-        if a not in self.indices or b not in self.indices:
-            raise InvalidRankError(
-                f"generator ({a},{b}) outside representation coordinates {self.indices}"
-            )
-        # the Chevalley columns are real, so each part of X[a,b] is the real
-        # combination of them by that part of its coordinates
-        coords, mats = self.frame.gen_coords[(a, b)], self.chevalley()
-        parts = []
-        for k in (0, 1):
-            part = {key: Fraction(p) for key, c in coords.items() if (p := _re_im(c)[k])}
-            q = lcm(*(p.denominator for p in part.values()))
-            parts.append(_combined(mats, {key: int(p * q) for key, p in part.items()}, self.dim, q))
-        return [{i: Gi(r.get(i, 0), m.get(i, 0)) for i in {**r, **m}} for r, m in zip(*parts)]
+        """Columns of X[a,b], a < b: the letter d X[a,b] of
+        ``scaled_generators`` divided by d, entries normalised by ``exact``;
+        formed on each call and not kept."""
+        d, letters = scaled_generators(self, [(a, b)])
+        re, im = (part or [{}] * self.dim for part in letters[(a, b)])
+        return [_exact_entries(r, m, d) for r, m in zip(re, im)]
 
     def reflection(self) -> Cols:
         """Columns of the distinguished reflection, det-twist included; every
@@ -703,20 +719,20 @@ def _indices_for(ctx: RankContext, which: str) -> Tuple[int, ...]:
 
 
 def standard_rep(ctx: RankContext) -> MatrixRep:
-    """The defining representation of the larger group on coordinates 0..n,
-    with literal antisymmetric generator matrices in the f-basis."""
+    """The defining representation of the larger group on coordinates 0..n:
+    the literal antisymmetric X[a,b] of the f-basis, stored as the Chevalley
+    columns they give (complex: the root vectors' entries carry i)."""
     indices = _indices_for(ctx, "big")
     size = len(indices)
-    label = fd_label(size, (1,), 1)
     # X[a,b] = E[a,b] - E[b,a]; each index is its own position
-    cols = {(a, b): [{a: 1} if j == b else {b: -1} if j == a else {}
-                     for j in range(size)] for a, b in get_frame(indices).generators}
+    xs = {(a, b): [{a: 1} if j == b else {b: -1} if j == a else {}
+                   for j in range(size)] for a, b in get_frame(indices).generators}
     rep = MatrixRep(
         dim=size,
-        label=label,
+        label=fd_label(size, (1,), 1),
         indices=indices,
         kind="standard",
-        _x=cols,
+        _chev=_chevalley_of(get_frame(indices), xs, size),
         _refl=[{i: -1 if i == size - 1 else 1} for i in range(size)],
     )
     _verify_rep(rep, probes=size)
@@ -859,18 +875,28 @@ def scaled_generators(rep: MatrixRep, pairs) -> Tuple[int, Dict[Pair, Letter]]:
     denominators of every part of every entry of their X[a,b], and re and im
     are int columns with re + i im = d X[a,b].  A part that is zero
     everywhere is the empty list; each X[a,b] of a model the package writes
-    is purely real or purely imaginary, so one of its parts is.  Each X[a,b]
-    is formed once per call (``action``), and nothing is kept on rep."""
-    xs = {g: rep.action(*g) for g in pairs}
-    d = lcm(*{p.denominator for cols in xs.values() for col in cols for x in col.values()
-              for p in _re_im(x)})
+    is purely real or purely imaginary, so one of its parts is.
 
-    def letter(cols: Cols) -> Letter:
-        re, im = ([{i: p.numerator * (d // p.denominator) for i, x in col.items()
-                    if (p := _re_im(x)[k])} for col in cols] for k in (0, 1))
-        return re if any(re) else [], im if any(im) else []
-
-    return d, {g: letter(cols) for g, cols in xs.items()}
+    The letters are formed straight from the stored Chevalley columns,
+    X[a,b] = sum c_key M_key with c = ``Frame.gen_coords[(a, b)]``:
+    ``_combined`` gives Q X[a,b] in int parts for a common denominator Q (the
+    columns of a bundle or of the defining representation may be complex),
+    d = Q / g for g the gcd of Q and every part, and each part is divided by
+    g in place.  Generators outside the representation's coordinates, or with
+    a >= b, raise InvalidRankError; nothing is kept on rep."""
+    for a, b in pairs:
+        if a >= b:
+            raise InvalidRankError("action requires a < b")
+        if a not in rep.indices or b not in rep.indices:
+            raise InvalidRankError(f"generator ({a},{b}) outside representation "
+                                   f"coordinates {rep.indices}")
+    q, sums = _combined(rep.chevalley(), {g: rep.frame.gen_coords[g] for g in pairs}, rep.dim)
+    common = gcd(q, *(v for parts in sums.values() for part in parts for col in part
+                      for v in col.values()))
+    for col in (col for parts in sums.values() for part in parts for col in part):
+        col.update({i: v // common for i, v in col.items()})
+    return q // common, {g: tuple(part if any(part) else [] for part in parts)
+                         for g, parts in sums.items()}
 
 
 def apply_letter(letter: Letter, vec: IntPair, out: IntPair) -> IntPair:
@@ -936,13 +962,8 @@ def act(element: UEElement, rep: MatrixRep) -> Cols:
     d, letters = scaled_generators(rep, {g for word in terms for g in word})
     D = max(map(len, terms), default=0)
     trie = suffix_trie([[(word, c * d ** (D - len(word))) for word, c in terms.items()]])
-    scale = d ** D
-    cols: Cols = []
-    for j in range(rep.dim):
-        (re, im), = word_sums(trie, letters, ({j: 1}, {}), 1)
-        cols.append({i: Gi(exact(Fraction(re.get(i, 0), scale)),
-                           exact(Fraction(im.get(i, 0), scale))) for i in {**re, **im}})
-    return cols
+    return [_exact_entries(*word_sums(trie, letters, ({j: 1}, {}), 1)[0], d ** D)
+            for j in range(rep.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -1016,8 +1037,8 @@ def rep_to_bundle(rep: MatrixRep) -> dict:
 def det_twisted(rep: MatrixRep) -> MatrixRep:
     """Sibling representation tensored with the determinant character.
 
-    The generator action is unchanged, so twins share the stored columns and
-    the hw-chain cache; only the reflection's sign and the label's flip (a
+    The generator action is unchanged, so twins share the Chevalley columns
+    and the hw-chain cache; only the reflection's sign and the label's flip (a
     reflection matrix already at hand, e.g. one read from a bundle, is
     negated).  When the twist is isomorphic to the original (even group size
     with a nonzero last row), the representation itself is returned."""
@@ -1027,7 +1048,7 @@ def det_twisted(rep: MatrixRep) -> MatrixRep:
     return MatrixRep(dim=rep.dim, label=FDLabel(label.group_tag, label.mu, -label.eps),
                      indices=rep.indices,
                      _refl=[{i: -x for i, x in col.items()} for col in rep._refl],
-                     kind=rep.kind, model=rep.model, _chev=rep._chev, _x=rep._x, cache=rep.cache)
+                     kind=rep.kind, model=rep.model, _chev=rep._chev, cache=rep.cache)
 
 
 def rep_from_bundle(bundle: dict) -> MatrixRep:
@@ -1040,9 +1061,11 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
     values, what the rows give, and ``dim`` must be the dimension character
     theory gives the rows, and the matrix keys must be exactly the frame's
     generators written "a,b": a mismatch is a malformed file and raises
-    ValueError.  The matrices read are kept as the X[a,b] in ``_x``, so
-    ``action`` returns them verbatim and ``chevalley()`` derives from them;
-    algebraic sanity (``casimir_scalar``, ``verify_reflection``) is
+    ValueError.  The X[a,b] read are converted once to the Chevalley columns
+    (``_chevalley_of``), the one action the representation stores; the
+    change of basis is invertible over Q(i), so ``action`` gives the matrices
+    read back exactly and ``rep_to_bundle`` writes them again.  Algebraic
+    sanity (``casimir_scalar``, ``verify_reflection``) is
     re-established by the caller, not assumed.  A bundle without a
     ``reflection`` is malformed and raises KeyError; a field of another JSON
     type than the writer's raises ValueError."""
@@ -1057,15 +1080,15 @@ def rep_from_bundle(bundle: dict) -> MatrixRep:
         raise ValueError(f"bundle matrix keys must be the generators a,b of indices "
                          f"{list(indices)}: unexpected {sorted(got - set(keys))}, "
                          f"missing {sorted(set(keys) - got)}")
-    actions = {g: _cols_from_strings(bundle["matrices"][key], dim, f"matrix {key}")
-               for key, g in keys.items()}
+    xs = {g: _cols_from_strings(bundle["matrices"][key], dim, f"matrix {key}")
+          for key, g in keys.items()}
     rep = MatrixRep(
         dim=dim,
         label=fd_label(len(indices), _int_array(meta["rows"], "metadata rows"), meta.get("eps")),
         indices=indices,
         kind="bundle",
         _refl=_cols_from_strings(bundle["reflection"], dim, "reflection"),
-        _x=actions,
+        _chev=_chevalley_of(get_frame(indices), xs, dim),
     )
     for key, want in _metadata(rep).items():
         got = meta.get(key)

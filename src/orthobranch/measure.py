@@ -47,9 +47,10 @@ wrong operator, so a measurement first re-runs the equivariance check of
 
 ``verify_power_identity`` checks ``ctilde^N (u (x) f_0)`` against the ladder
 elements A_N, B_N one basis vector u at a time, with no division and no
-``Gi``: ``matrixrep.scaled_generators`` gives each d X[a,b] as a real and an
-imaginary part of int columns, a vector is a (real, imaginary) pair of int
-dicts, and ``matrixrep.apply_letter`` applies one letter to it.  The chain
+``Gi``: ``matrixrep.scaled_generators`` forms each d X[a,b] straight from
+big's Chevalley columns as a real and an imaginary part of int columns, a
+vector is a (real, imaginary) pair of int dicts, and
+``matrixrep.apply_letter`` applies one letter to it.  The chain
 applies d ctilde through the letters (X^F is real), and each word w acts with
 its coefficient times d^(N - len w), so both sides are d^N times the true
 ones (as in fraction-free elimination, Bareiss 1968).  The words of A_N and

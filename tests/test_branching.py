@@ -261,7 +261,8 @@ def test_mirror_check_raises(monkeypatch):
     # an so(4) constituent without its mirror image
     real = branching._so_constituents
     _planted(monkeypatch, 5, (2, 1), "so(4) constituent (1, 1) and its mirror (1, -1) differ",
-             _so_constituents=lambda n, mu: {t: c for t, c in real(n, mu).items() if t != (1, -1)})
+             _so_constituents=lambda n, table: {t: c for t, c in real(n, table).items()
+                                                if t != (1, -1)})
 
 
 def test_stray_twisted_term_check_raises(monkeypatch):
@@ -304,13 +305,14 @@ def test_twisted_split_check_raises(monkeypatch):
     # doubled so-constituents against the true twisted counts: 2 + 1 is odd
     real = branching._so_constituents
     _planted(monkeypatch, 5, (2, 1), "twisted count 1 does not split the 2 copies of (2, 0)",
-             _so_constituents=lambda n, mu: {t: 2 * c for t, c in real(n, mu).items()})
+             _so_constituents=lambda n, table: {t: 2 * c for t, c in real(n, table).items()})
 
 
 def test_twisted_counterpart_check_raises(monkeypatch):
     real = branching._so_constituents
     _planted(monkeypatch, 5, (2, 1), "twisted constituents {(1,): 1} have no so(4) counterpart",
-             _so_constituents=lambda n, mu: {t: c for t, c in real(n, mu).items() if t != (1, 0)})
+             _so_constituents=lambda n, table: {t: c for t, c in real(n, table).items()
+                                                if t != (1, 0)})
 
 
 def test_negative_constituent_check_raises(monkeypatch):
@@ -369,7 +371,7 @@ def test_dominant_route_matches_the_full_orbit_route(labels_5000):
             assert repr(so_char(size, top)) == repr(full_orbit_so_char(size, top)), (size, top)
             p_add_into(weights, full_orbit_so_char(size, top))
         expected = full_peel(full_restrict_weights(weights, size), size - 1)
-        got = branching._so_constituents(size, mu)
+        got = branching._so_constituents(size, dominant_char(size, mu))
         assert list(got.items()) == list(expected.items()), (size, mu)
         for tau in got:
             assert repr(so_char(size - 1, tau)) == repr(full_orbit_so_char(size - 1, tau)), \

@@ -423,7 +423,7 @@ def test_weyl_dim_is_the_size_of_the_character(labels_5000):
         highest.add((size, mu))
         if size % 2 == 0 and mu[-1] >= 1:
             highest.add((size, mu[:-1] + (-mu[-1],)))
-        highest.update((size - 1, tau) for tau in _so_constituents(size, mu))
+        highest.update((size - 1, tau) for tau in _so_constituents(size, dominant_char(size, mu)))
     for m in range(10, 14):
         highest.update((m, mu) for mu in _dominant_weights(m, 1))
         highest.update((m, mu + (0,) * (so_rank(m) - 3)) for mu in ((2, 1, 0), (2, 1, 1), (3, 1, 0)))

@@ -54,7 +54,7 @@ def pure(values):
 
 def stored(rep):
     """Everything a representation holds that is made of scalars."""
-    out = [rep._chev, rep._x, rep._refl, rep.cache]
+    out = [rep._chev, rep._refl, rep.cache]
     if rep.model is not None:
         out.append(rep.model.gram)
     return out
@@ -126,12 +126,12 @@ def test_frame_tables_are_real():
 
 def test_model_checks_do_no_complex_arithmetic(reps, monkeypatch):
     # the Casimir and bracket checks of constructed models (big and sub
-    # frames, a det twin) run on real columns with the frames' real tables;
-    # so do the hom space's highest-weight kernel and embeddings, whose only
-    # complex step expands the subgroup's root vectors over big's basis.  The
-    # power check and act run on the int parts of d X[a,b]: on a loaded
-    # bundle, whose X[a,b] carry Gi entries, and on a constructed model, whose
-    # X[a,b] are formed from the real columns part by part
+    # frames, a det twin) and of a loaded bundle, which converted its X[a,b]
+    # to Chevalley columns once at load, run on real columns with the frames'
+    # real tables; so do the hom space's highest-weight kernel and
+    # embeddings, whose only complex step expands the subgroup's root vectors
+    # over big's basis.  The power check and act run on the int parts of
+    # d X[a,b], formed from the real columns and the coordinates' int parts
     models = [reps.get(4, (2, 1), -1), reps.get(6, (2, 1, 0)), reps.get(4, (1, 1), None, "sub")]
     o4 = reps.get(3, (2, 1))
     bundle = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(o4))))
@@ -140,7 +140,7 @@ def test_model_checks_do_no_complex_arithmetic(reps, monkeypatch):
                  "__truediv__", "__rtruediv__", "__neg__"):
         method = getattr(Gi, name)
         monkeypatch.setattr(Gi, name, lambda *args, _m=method: calls.append(1) or _m(*args))
-    for rep in models:
+    for rep in (*models, bundle):
         casimir_scalar(rep)
         _verify_rep(rep)
     assert calls == []

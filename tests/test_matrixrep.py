@@ -175,20 +175,23 @@ def test_scaled_generator_columns_are_gaussian_integers(reps):
 
 
 def test_act_forms_each_generator_once_per_call(reps, monkeypatch):
-    # act reads each X[a,b] through scaled_generators, which forms it once;
-    # the dim-35 O(5) (2,1) model forms it from the Chevalley columns, the
-    # bundle returns its stored columns
+    # act forms its letters in one scaled_generators call, over exactly the
+    # generators its words read, and forms no X[a,b] through action; the
+    # dim-35 O(5) (2,1) model and its loaded bundle both form them from
+    # their Chevalley columns
     calls = []
-    action = matrixrep.MatrixRep.action
+    scaled, action = matrixrep.scaled_generators, matrixrep.MatrixRep.action
+    monkeypatch.setattr(matrixrep, "scaled_generators",
+                        lambda rep, pairs: calls.append(sorted(pairs)) or scaled(rep, pairs))
     monkeypatch.setattr(matrixrep.MatrixRep, "action",
-                        lambda rep, a, b: calls.append((a, b)) or action(rep, a, b))
+                        lambda rep, a, b: calls.append(("action", a, b)) or action(rep, a, b))
     model = reps.get(4, (2, 1))
     for rep in (model, _loaded(model)):
         for element in (build_A(3, 4), casimir(4, "full"), *build_B(3, 4)):
             calls.clear()
             act(element, rep)
             letters = {g for word in element.terms for g in word}
-            assert sorted(calls) == sorted(letters), element
+            assert calls == [sorted(letters)], element
 
 
 def test_construct_irrep_examples(reps):

@@ -11,8 +11,7 @@ from orthobranch.enveloping import monomial
 from orthobranch.homspace import SymmetryBreakingOperator, hom_space, subgroup_hw_space
 from orthobranch.linalg import Gi, apply_cols, qi_from_string, qi_to_string
 from orthobranch.matrixrep import (
-    _cols_from_strings, act, construct_irrep, det_twisted, rep_from_bundle, rep_to_bundle,
-    standard_rep,
+    act, construct_irrep, det_twisted, rep_from_bundle, rep_to_bundle, standard_rep,
 )
 from orthobranch.measure import (
     IdentityViolationError,
@@ -163,6 +162,26 @@ def test_power_identity_can_fail(reps, tmp_path, capsys, run_optimized, how, key
             "where = [report[k] for k in ('basis_vector', 'slot') if k in report]\n"
             "print(code, report['check'], *where)\n")
     assert run_optimized(code, *argv).split() == fields
+
+
+def test_tampered_bundles_round_trip(reps):
+    # bundles whose X[a,b] no model has: each POWER_EDITS edit of O(4) (2,1),
+    # O(4) (1,0) with every generator times 1+i, and O(4) (2,1) with entry 0
+    # of X[0,1] given parts over 101 and 103.  Each stores the Chevalley
+    # columns its X[a,b] give, complex ones included; over Q(i) that change
+    # of basis is invertible, so the matrices read are written back exactly
+    bundles = {f"{how} {key}": _edited_power_bundle(reps, how, key) for how, key, _ in POWER_EDITS}
+    scaled = bundles["times 1+i"] = rep_to_bundle(reps.get(3, (1, 0)))
+    scaled["matrices"] = {key: [qi_to_string(qi_from_string(x) * Gi(1, 1)) for x in flat]
+                          for key, flat in scaled["matrices"].items()}
+    mixed = bundles["mixed entry"] = rep_to_bundle(reps.get(3, (2, 1)))
+    mixed["matrices"]["0,1"][0] = "1/101+1/103i"
+    for name, bundle in bundles.items():
+        assert rep_to_bundle(rep_from_bundle(bundle))["matrices"] == bundle["matrices"], name
+    # the scaled bundle's columns are the model's times 1+i
+    want = {key: [{i: x * Gi(1, 1) for i, x in col.items()} for col in cols]
+            for key, cols in reps.get(3, (1, 0)).chevalley().items()}
+    assert rep_from_bundle(scaled).chevalley() == want
 
 
 def test_a_word_longer_than_the_power_fails_the_check(reps, monkeypatch):
@@ -426,17 +445,29 @@ def test_coupling_step_matches_the_x_reference(reps, n, rows, eps):
 
 
 def test_a_constructed_model_keeps_no_x(reps):
-    # hom spaces, measurements, act and bundles read the stored Chevalley
-    # columns or form X[a,b] without keeping it, on a model and its det twin
+    # a built model, its det twin, the defining representation and a loaded
+    # bundle each store one action, the columns of the frame's Chevalley
+    # basis; hom spaces, measurements, act and bundles form X[a,b] from them
+    # and keep nothing but the measurement's hw-chain cache
     big = construct_irrep(CTX4, (2, 1), eps=1)
     twin = det_twisted(big)
-    for model in (big, twin):
-        op = only_op(model, reps.get(4, (1, 1), None, which="sub"))
-        measure_scalar(op, 1, 1)
-        b_eval(op, 3)
-        act(monomial([(0, 1), (1, 2)]), model)
-        rep_to_bundle(model)
-    assert big._x == {} and twin._x == {}
+    standard = standard_rep(CTX4)
+    loaded = rep_from_bundle(json.loads(json.dumps(rep_to_bundle(reps.get(3, (2, 1))))))
+    for rep in (big, twin, standard, loaded):
+        chev = rep._chev
+        before = {key: [dict(col) for col in cols] for key, cols in chev.items()}
+        if rep.kind == "model":
+            op = only_op(rep, reps.get(4, (1, 1), None, which="sub"))
+            measure_scalar(op, 1, 1)
+            b_eval(op, 3)
+        act(monomial([(0, 1), (1, 2)]), rep)
+        rep_to_bundle(rep)
+        assert set(vars(rep)) == set(matrixrep.MatrixRep._fields)
+        assert rep._chev is chev and chev == before
+        assert list(chev) == list(rep.frame.basis)
+        assert all(len(cols) == rep.dim for cols in chev.values())
+        assert all(key[0] == "hw-chain" for key in rep.cache), rep.kind
+    assert standard.cache == {} and loaded.cache == {}
     assert big.cache is twin.cache and big._chev is twin._chev
 
 
@@ -446,8 +477,6 @@ def test_a_loaded_bundle_keeps_exactly_its_matrices(reps):
     act(monomial([(0, 1), (1, 2)]), rep)
     assert verify_power_identity(rep, 2)
     assert rep_to_bundle(rep)["matrices"] == bundle["matrices"]
-    assert rep._x == {tuple(map(int, key.split(","))): _cols_from_strings(flat, rep.dim, key)
-                      for key, flat in bundle["matrices"].items()}
 
 
 def test_primary_projector_examples(reps):

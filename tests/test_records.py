@@ -44,8 +44,7 @@ EXPECTED = {
     "Recipe": (("kind", "parent", "op_index"), "Recipe(kind='op', parent=0, op_index=0)"),
     "PolyModel": (("tags", "recipes", "gram"),
                   "74d4beeda724e679b7e79aba1b99abc3ddbae62aebd8e94f6f45a7c8fd87c987"),
-    "MatrixRep": (("dim", "label", "indices", "_refl", "kind", "model", "_chev", "_x",
-                   "cache"),
+    "MatrixRep": (("dim", "label", "indices", "_refl", "kind", "model", "_chev", "cache"),
                   "7d87125fbd40a7e40c7ed1a18d86b6053420ef6a6481706fd1fe172f5a014019"),
     "MeasureResult": (("value", "raw_numerator", "normalizer", "probes_checked"),
                       "fca6a18461056d4ca65404b879a7a1f876cc1bffb5d22c804e6a2b75b0e7b9d4"),
